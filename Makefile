@@ -23,9 +23,8 @@ test:
 # stale-suppression audit. Zero tolerance: any unsuppressed diagnostic
 # fails the build. deprcheck subsumes the old grep-based
 # deprecation-gate target: uses of Deprecated-marked identifiers
-# (tlb.Config.SmallShift/LargeShift and friends) outside their defining
-# package are findings, resolved by object so same-named current fields
-# (policy.TwoSizeConfig.LargeShift) are untouched.
+# outside their defining package are findings, resolved by object so a
+# same-named current field is untouched.
 paperlint:
 	$(GO) run ./cmd/paperlint ./...
 
@@ -43,16 +42,24 @@ lint-extra:
 		|| { [ "$(CI)" = "true" ] && exit 1 \
 		|| echo "warning: govulncheck unavailable or failed (offline?); CI will enforce it"; }
 
-# verify is the pre-merge gate: static checks (vet, then the paperlint
-# invariant suite, then the pinned external checkers), a full build,
-# and the test suite under the race detector (the engine is concurrent;
-# races are correctness bugs here, not style).
+# verify is the pre-merge gate: static checks (gofmt, vet, then the
+# paperlint invariant suite, then the pinned external checkers), a full
+# build, the test suite under the race detector (the engine is
+# concurrent; races are correctness bugs here, not style), then vet and
+# tests for perfbench/. The benchmark is its own Go module, so the
+# root's ./... never compiles it and an API change could break it
+# unnoticed; its tests (pinned counter digests included) run without
+# -race, which makes them about fifteen times slower.
 verify:
+	@unformatted=$$(gofmt -l .); \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(MAKE) paperlint
 	$(MAKE) lint-extra
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # bench runs every benchmark in benchstat-friendly form: no unit tests
 # mixed in (-run '^$'), allocation counts on, and repeated samples so

@@ -261,7 +261,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err != nil {
 			return nil, err
 		}
-		pol := newPolicy()
 		var opts []core.Option
 		if *wss && *two {
 			opts = append(opts, core.WithWSS())
@@ -270,12 +269,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			opts = append(opts, core.WithPageTable())
 		}
 		if *walkF {
-			if err := core.CheckWalkModel(pol, wcfg); err != nil {
-				return nil, err
-			}
 			opts = append(opts, core.WithWalkModel(wcfg))
 		}
-		return core.NewSimulator(pol, []tlb.TLB{t}, opts...), nil
+		return core.NewSimulator(newPolicy(), []tlb.TLB{t}, opts...), nil
 	}
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)

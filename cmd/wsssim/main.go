@@ -212,7 +212,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		var twoRefs uint64
 		twoSrc := trace.NewTee(second, func(batch []trace.Ref) { twoRefs += uint64(len(batch)) })
-		res, stats, err := core.MeasureTwoSizeWSS(ctx, twoSrc, policy.DefaultTwoSizeConfig(int(T)))
+		sim := core.NewSimulator(policy.NewTwoSize(policy.DefaultTwoSizeConfig(int(T))), nil, core.WithWSS())
+		out, err := sim.Run(ctx, twoSrc)
 		if err != nil {
 			if errors.Is(err, context.Canceled) && ctx.Err() != nil {
 				fmt.Fprintln(stderr, "wsssim: interrupted")
@@ -221,6 +222,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "wsssim: %v\n", err)
 			return 1
 		}
+		res, stats := out.WSS, out.PolicyStats
 		c := core.DecodeCounters(twoSrc)
 		c.Passes = 1
 		c.Refs = twoRefs

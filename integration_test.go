@@ -117,11 +117,11 @@ func TestExperimentsDeterministic(t *testing.T) {
 	for _, e := range experiments.All() {
 		render := func() string {
 			var sb bytes.Buffer
-			err := experiments.Run(e.ID, experiments.Options{
-				Scale:     0.01,
-				Out:       &sb,
-				Workloads: []string{"li", "worm"},
-			})
+			err := experiments.NewRunner(
+				experiments.WithScale(0.01),
+				experiments.WithOut(&sb),
+				experiments.WithWorkloads("li", "worm"),
+			).Run(context.Background(), e.ID)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
@@ -142,12 +142,12 @@ func TestExperimentsDeterministic(t *testing.T) {
 func TestExperimentsCSV(t *testing.T) {
 	for _, e := range experiments.All() {
 		var sb bytes.Buffer
-		err := experiments.Run(e.ID, experiments.Options{
-			Scale:     0.01,
-			Out:       &sb,
-			CSV:       true,
-			Workloads: []string{"li"},
-		})
+		err := experiments.NewRunner(
+			experiments.WithScale(0.01),
+			experiments.WithOut(&sb),
+			experiments.WithCSV(true),
+			experiments.WithWorkloads("li"),
+		).Run(context.Background(), e.ID)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}

@@ -10,16 +10,15 @@ import (
 // conventional "Deprecated:" doc marker may be used outside its
 // defining package.
 //
-// Deprecated names in this repository are compatibility shims — the
-// SmallShift/LargeShift config fields that predate the N-size Shifts
-// slice, the mmu.Stats.LargeEvictions alias — kept so old experiment
-// files and their goldens still load. The defining package normalizes
-// them away at the boundary; any *other* package reaching for them is
-// new code written against the dead API. The grep this check replaces
-// matched bare identifier text, so it could not tell
-// tlb.Config.LargeShift (deprecated) from policy.TwoSizeConfig's
-// like-named field (current) and had to under-gate; the object-based
-// check distinguishes them and gates both spellings precisely.
+// A deprecated name here is a compatibility shim that carries old
+// callers across an API change until they migrate; once the check
+// shows it has no callers outside its package, the shim is deleted.
+// The defining package normalizes shims away at the boundary; any
+// *other* package reaching for one is new code written against the
+// dead API. The grep this check replaces matched bare identifier text,
+// so it could not tell a deprecated field from a current field of the
+// same name on another struct and had to under-gate; the object-based
+// check distinguishes them.
 //
 // The defining package itself is exempt — it must keep reading the
 // fields to normalize them — and so are uses inside the declaration

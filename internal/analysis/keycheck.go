@@ -23,10 +23,10 @@ import (
 // policy.LadderConfig and the lint run fails until the key mentions it.
 //
 // "Referenced" means any mention of the field object anywhere in the
-// key method's static call closure. Normalization counts: a deprecated
-// field that the key's Normalized() call folds into a canonical field
-// before formatting does affect the key bytes and passes the check for
-// exactly that reason. Two shapes are exempt:
+// key method's static call closure. Normalization counts: a field that
+// the key's Normalized() call folds into a canonical field before
+// formatting does affect the key bytes and passes the check for exactly
+// that reason. Two shapes are exempt:
 //
 //   - function-typed fields (hooks cannot be part of a key; the engine
 //     rejects non-nil hooks before memoizing, e.g. DenyPromotion);

@@ -89,41 +89,47 @@ type Simulator struct {
 	classes     addr.SizeClasses // hierarchy of a MultiSize policy (zero for single-size)
 	pt          *ptShadow        // page-table shadow (WithPageTable)
 	walker      *walk.Walker     // modeled radix walk (WithWalkModel)
-
-	// Warm-up baselines (see Warm): counter snapshots taken at the end
-	// of the warm-up preroll, subtracted out of Run's results so only
-	// the section's own activity is reported.
-	warmed     bool
-	warmTLB    []tlb.Stats
-	warmLadder *policy.LadderStats
-	warmTwo    *policy.TwoSizeStats
-	warmPT     pagetable.Stats
-	warmPTCyc  float64
-	warmWalk   walk.Stats
+	err         error            // first configuration error, returned by Warm and Run
+	warm        *Result          // counters at the end of Warm, subtracted by Run
 }
 
-// Option configures a Simulator.
+// Option configures a Simulator. An option that does not fit the
+// simulator's policy or TLBs records a configuration error, which Warm
+// and Run return; the first such error wins.
 type Option func(*Simulator)
 
-// WithMissPenalty overrides the miss penalty (cycles). By default a
-// multi-size policy with n classes uses metrics.MissPenaltyN(n) — 25
-// cycles for two sizes — and everything else metrics.MissPenaltySingle,
-// per Sections 2.3/3.2.
-func WithMissPenalty(cycles float64) Option {
-	return func(s *Simulator) { s.missPenalty = cycles }
+// fail records a configuration error unless an earlier one is pending.
+func (s *Simulator) fail(err error) {
+	if s.err == nil {
+		s.err = err
+	}
 }
 
 // WithWSS attaches a two-page working-set calculator. Only valid when
-// the policy is a *policy.TwoSize; NewSimulator panics otherwise.
-// For static page sizes use MeasureStaticWSS, which needs no TLB pass.
+// the policy is a *policy.TwoSize; any other policy is a configuration
+// error. For static page sizes use MeasureStaticWSS, which needs no TLB
+// pass.
 func WithWSS() Option {
 	return func(s *Simulator) {
 		pol, ok := s.pol.(*policy.TwoSize)
 		if !ok {
-			panic("core: WithWSS requires a TwoSize policy")
+			s.fail(fmt.Errorf("core: WithWSS requires a TwoSize policy, got %q", s.pol.Name()))
+			return
 		}
 		s.wssCalc = wss.NewTwoSize(pol)
 	}
+}
+
+// shadowErr reports why the page-table shadow cannot attach: it needs a
+// MultiSize policy's hierarchy, and a first TLB whose misses it walks.
+func (s *Simulator) shadowErr(option string) error {
+	if s.classes.N() == 0 {
+		return fmt.Errorf("core: %s requires a MultiSize policy, got %q", option, s.pol.Name())
+	}
+	if len(s.tlbs) == 0 {
+		return fmt.Errorf("core: %s requires at least one TLB", option)
+	}
+	return nil
 }
 
 // WithPageTable attaches a software page-table shadow: every miss of
@@ -131,53 +137,18 @@ func WithWSS() Option {
 // promotion/demotion decisions (demand-mapping unmapped pages from a
 // deterministic bump frame allocator), charging the pagetable package's
 // handler cost model per walk. Requires a MultiSize policy and at least
-// one TLB; NewSimulator panics otherwise. Results gain PageTable stats
-// and PTWalkCycles; the shadow's tables are plain shard-local state, so
-// sharded runs merge it like every other counter block.
+// one TLB; anything else is a configuration error. Results gain
+// PageTable stats and PTWalkCycles; the shadow's tables are plain
+// shard-local state, so sharded runs merge it like every other counter
+// block.
 func WithPageTable() Option {
 	return func(s *Simulator) {
-		mp, ok := s.pol.(policy.MultiSize)
-		if !ok {
-			panic("core: WithPageTable requires a MultiSize policy")
+		if err := s.shadowErr("WithPageTable"); err != nil {
+			s.fail(err)
+			return
 		}
-		if len(s.tlbs) == 0 {
-			panic("core: WithPageTable requires at least one TLB")
-		}
-		s.pt = newPTShadow(mp.SizeClasses())
+		s.pt = newPTShadow(s.classes)
 	}
-}
-
-// resolveWalkConfig fills the policy-derived defaults of a walk config:
-// a zero Classes takes the policy's hierarchy, a zero BaseCycles the
-// multi-size handler base. It rejects non-MultiSize policies (the walk
-// needs the page-table shadow, which needs a size hierarchy) and a
-// Classes that disagrees with the policy's.
-func resolveWalkConfig(pol policy.Assigner, cfg walk.Config) (walk.Config, error) {
-	mp, ok := pol.(policy.MultiSize)
-	if !ok {
-		return walk.Config{}, fmt.Errorf("core: the walk model requires a MultiSize policy, got %q", pol.Name())
-	}
-	if cfg.Classes.N() == 0 {
-		cfg.Classes = mp.SizeClasses()
-	} else if cfg.Classes != mp.SizeClasses() {
-		return walk.Config{}, fmt.Errorf("core: walk classes %v disagree with policy classes %v", cfg.Classes, mp.SizeClasses())
-	}
-	if cfg.BaseCycles == 0 {
-		cfg.BaseCycles = walk.HandlerBaseCycles(true)
-	}
-	return cfg, nil
-}
-
-// CheckWalkModel reports whether WithWalkModel(cfg) would succeed for
-// the policy, as an error instead of a panic — the engine validates
-// units with it before building simulators on worker goroutines.
-func CheckWalkModel(pol policy.Assigner, cfg walk.Config) error {
-	cfg, err := resolveWalkConfig(pol, cfg)
-	if err != nil {
-		return err
-	}
-	_, err = walk.New(cfg)
-	return err
 }
 
 // WithWalkModel replaces the page-table shadow's flat per-walk charge
@@ -190,30 +161,41 @@ func CheckWalkModel(pol policy.Assigner, cfg walk.Config) error {
 //
 // The option implies WithPageTable (attaching the shadow if absent)
 // and therefore shares its requirements: a MultiSize policy and at
-// least one TLB; NewSimulator panics otherwise (use CheckWalkModel to
-// validate first). A zero cfg.Classes defaults to the policy's
+// least one TLB. A zero cfg.Classes defaults to the policy's
 // hierarchy; a zero cfg.BaseCycles to the multi-size handler base.
-// Promotions and demotions flush the PWCs (the shootdown a remap
-// forces); walker state is shard-local and its counters are integers,
-// so sharded runs merge exactly.
+// Classes that disagree with the policy's, or a geometry walk.New
+// rejects, are configuration errors. Promotions and demotions flush
+// the PWCs (the shootdown a remap forces); walker state is shard-local
+// and its counters are integers, so sharded runs merge exactly.
 func WithWalkModel(cfg walk.Config) Option {
 	return func(s *Simulator) {
-		resolved, err := resolveWalkConfig(s.pol, cfg)
-		if err != nil {
-			panic(err)
+		if err := s.shadowErr("WithWalkModel"); err != nil {
+			s.fail(err)
+			return
 		}
-		if len(s.tlbs) == 0 {
-			panic("core: WithWalkModel requires at least one TLB")
+		if cfg.Classes.N() == 0 {
+			cfg.Classes = s.classes
+		} else if cfg.Classes != s.classes {
+			s.fail(fmt.Errorf("core: WithWalkModel: walk classes %v disagree with policy classes %v", cfg.Classes, s.classes))
+			return
+		}
+		w, err := walk.New(cfg)
+		if err != nil {
+			s.fail(fmt.Errorf("core: WithWalkModel: %w", err))
+			return
 		}
 		if s.pt == nil {
-			s.pt = newPTShadow(resolved.Classes)
+			s.pt = newPTShadow(s.classes)
 		}
-		s.walker = walk.MustNew(resolved)
+		s.walker = w
 	}
 }
 
 // NewSimulator builds a simulator for the policy and TLBs. The TLBs are
-// all driven by the same policy decisions in a single pass.
+// all driven by the same policy decisions in a single pass. A
+// multi-size policy with n classes charges metrics.MissPenaltyN(n) per
+// miss — 25 cycles for two sizes — and everything else
+// metrics.MissPenaltySingle, per Sections 2.3/3.2.
 func NewSimulator(pol policy.Assigner, tlbs []tlb.TLB, opts ...Option) *Simulator {
 	s := &Simulator{pol: pol, tlbs: tlbs}
 	if mp, ok := pol.(policy.MultiSize); ok {
@@ -232,7 +214,7 @@ func NewSimulator(pol policy.Assigner, tlbs []tlb.TLB, opts ...Option) *Simulato
 // contents, policy window and mapped regions, page-table shadow, the
 // two-page WSS calculator's incremental split — without contributing to
 // the metrics Run will report. At the end of the stream every counter
-// is snapshotted; Run subtracts the snapshots, so the reported counts
+// is snapshotted; Run subtracts the snapshot, so the reported counts
 // cover exactly the post-warm-up references (integer subtraction,
 // exact). Shard workers call Warm with a Preroll reader before running
 // their section; the warm-up stream must immediately precede Run's.
@@ -240,54 +222,16 @@ func NewSimulator(pol policy.Assigner, tlbs []tlb.TLB, opts ...Option) *Simulato
 // Warm may be called once, before Run. The working-set averages are
 // untouched by design: WSS samples start at the first Run reference.
 func (s *Simulator) Warm(ctx context.Context, r trace.Reader) error {
-	if s.warmed {
+	if s.err != nil {
+		return s.err
+	}
+	if s.warm != nil {
 		return fmt.Errorf("core: Warm called twice")
 	}
-	//paperlint:hot
-	_, err := trace.DrainContext(ctx, r, func(batch []trace.Ref) {
-		for _, ref := range batch {
-			res := s.pol.Assign(ref.Addr)
-			if res.Event != policy.EventNone {
-				s.applyEvent(res) //paperlint:ignore hotalloc event path: page-table node alloc/free and error formatting run per promotion/demotion, not per reference
-			}
-			if s.pt != nil {
-				s.ptStep(ref.Addr, res)
-			} else {
-				for _, t := range s.tlbs {
-					t.Access(ref.Addr, res.Page)
-				}
-			}
-			if s.wssCalc != nil {
-				s.wssCalc.ObserveWarm(res)
-			}
-		}
-	})
-	if err != nil {
+	if _, _, err := s.drain(ctx, r, true); err != nil {
 		return fmt.Errorf("core: warm-up failed: %w", err)
 	}
-	s.warmed = true
-	s.warmTLB = make([]tlb.Stats, len(s.tlbs))
-	for i, t := range s.tlbs {
-		s.warmTLB[i] = t.Stats()
-	}
-	switch pol := s.pol.(type) {
-	case *policy.TwoSize:
-		st := pol.Stats()
-		s.warmTwo = &st
-	case *policy.Ladder:
-		st := pol.Stats()
-		s.warmLadder = &st
-	case *policy.Napot:
-		st := pol.Stats()
-		s.warmLadder = &st
-	}
-	if s.pt != nil {
-		s.warmPT = s.pt.nt.Stats()
-		s.warmPTCyc = s.pt.cycles
-	}
-	if s.walker != nil {
-		s.warmWalk = s.walker.Stats()
-	}
+	s.warm = s.counts()
 	return nil
 }
 
@@ -297,11 +241,34 @@ func (s *Simulator) Warm(ctx context.Context, r trace.Reader) error {
 // Cancellation is checked between batches: when ctx is canceled the
 // simulation stops mid-trace and Run returns the context's error.
 func (s *Simulator) Run(ctx context.Context, r trace.Reader) (*Result, error) {
-	var refs, instrs uint64
+	if s.err != nil {
+		return nil, s.err
+	}
+	refs, instrs, err := s.drain(ctx, r, false)
+	if err != nil {
+		return nil, fmt.Errorf("core: simulation failed: %w", err)
+	}
+	out := s.counts()
+	if s.warm != nil {
+		out.sub(s.warm)
+	}
+	out.Policy, out.Refs, out.Instrs = s.pol.Name(), refs, instrs
+	if s.wssCalc != nil {
+		res := s.wssCalc.Result()
+		out.WSS = &res
+	}
+	out.finish(DecodeCounters(r))
+	return out, nil
+}
+
+// drain is the per-reference loop shared by Warm and Run: the policy
+// assigns a page, then the TLBs (or the page-table shadow, which drives
+// them and the walk model) look it up, then the WSS calculator observes
+// the assignment — without sampling during warm-up.
+func (s *Simulator) drain(ctx context.Context, r trace.Reader, warm bool) (refs, instrs uint64, err error) {
 	//paperlint:hot
-	_, err := trace.DrainContext(ctx, r, func(batch []trace.Ref) {
+	refs, err = trace.DrainContext(ctx, r, func(batch []trace.Ref) {
 		for _, ref := range batch {
-			refs++
 			if ref.Kind == trace.Instr {
 				instrs++
 			}
@@ -317,128 +284,130 @@ func (s *Simulator) Run(ctx context.Context, r trace.Reader) (*Result, error) {
 				}
 			}
 			if s.wssCalc != nil {
-				s.wssCalc.Observe(res)
+				if warm {
+					s.wssCalc.ObserveWarm(res)
+				} else {
+					s.wssCalc.Observe(res)
+				}
 			}
 		}
 	})
-	if err != nil {
-		return nil, fmt.Errorf("core: simulation failed: %w", err)
-	}
-	out := &Result{
-		Policy: s.pol.Name(),
-		Refs:   refs,
-		Instrs: instrs,
-	}
-	if instrs > 0 {
-		out.RPI = float64(refs) / float64(instrs)
-	}
-	for i, t := range s.tlbs {
-		st := t.Stats()
-		if s.warmed {
-			st.Sub(s.warmTLB[i])
-		}
-		mpi := metrics.MPI(st.Misses(), instrs)
-		out.TLBs = append(out.TLBs, TLBResult{
-			Name:        t.Name(),
-			Stats:       st,
-			MissPenalty: s.missPenalty,
-			MPI:         mpi,
-			CPITLB:      mpi * s.missPenalty,
-			MissRatio:   st.MissRatio(),
-		})
-	}
-	if s.wssCalc != nil {
-		res := s.wssCalc.Result()
-		out.WSS = &res
+	return refs, instrs, err
+}
+
+// counts snapshots the simulator's raw counters into a Result: each
+// TLB's stats, the policy's transition counters, and the page-table
+// shadow's and walker's totals. Warm keeps one as the warm-up baseline;
+// Run takes another and subtracts it.
+func (s *Simulator) counts() *Result {
+	out := &Result{}
+	for _, t := range s.tlbs {
+		out.TLBs = append(out.TLBs, TLBResult{Name: t.Name(), Stats: t.Stats(), MissPenalty: s.missPenalty})
 	}
 	switch pol := s.pol.(type) {
 	case *policy.TwoSize:
 		st := pol.Stats()
-		if s.warmTwo != nil {
-			st.Sub(*s.warmTwo)
-		}
 		out.PolicyStats = &st
 	case *policy.Ladder:
 		st := pol.Stats()
-		if s.warmLadder != nil {
-			st.Sub(*s.warmLadder)
-		}
 		out.LadderStats = &st
 	case *policy.Napot:
 		st := pol.Stats()
-		if s.warmLadder != nil {
-			st.Sub(*s.warmLadder)
-		}
 		out.LadderStats = &st
 	}
 	if s.pt != nil {
 		st := s.pt.nt.Stats()
-		cyc := s.pt.cycles
-		if s.warmed {
-			st.Sub(s.warmPT)
-			cyc -= s.warmPTCyc
-		}
 		out.PageTable = &st
-		out.PTWalkCycles = cyc
+		out.PTWalkCycles = s.pt.cycles
 	}
 	if s.walker != nil {
 		ws := s.walker.Stats()
-		if s.warmed {
-			ws.Sub(s.warmWalk)
-		}
 		out.Walk = &ws
-		applyWalkResult(out)
 	}
-	out.Counters = obs.Counters{Passes: 1, Refs: refs, Instrs: instrs}
-	for _, tr := range out.TLBs {
-		out.Counters.Add(tr.Stats.Counters())
-	}
-	if out.PolicyStats != nil {
-		out.Counters.Promotions = out.PolicyStats.Promotions
-		out.Counters.Demotions = out.PolicyStats.Demotions
-	}
-	if ls := out.LadderStats; ls != nil {
-		out.Counters.Promotions = ls.Promotions[1]
-		out.Counters.Demotions = ls.Demotions[1]
-		out.Counters.PromotionsSize2 = ls.Promotions[2]
-		out.Counters.PromotionsSize3 = ls.Promotions[3]
-		out.Counters.DemotionsSize2 = ls.Demotions[2]
-		out.Counters.DemotionsSize3 = ls.Demotions[3]
-	}
-	if pt := out.PageTable; pt != nil {
-		out.Counters.PTWalks = pt.Lookups
-		out.Counters.Faults = pt.Misses
-		out.Counters.CopiedBytes = pt.CopiedBytes
-	}
-	if ws := out.Walk; ws != nil {
-		out.Counters.WalkCycles = ws.Cycles
-		out.Counters.WalkLoads = ws.Loads()
-		out.Counters.WalkPWCHits = ws.PWCHits()
-		out.Counters.WalkPWCMisses = ws.PWCMisses()
-		out.Counters.WalkMemHits = ws.MemHits
-		out.Counters.WalkMemMisses = ws.MemMisses
-	}
-	out.Counters.Add(DecodeCounters(r))
-	return out, nil
+	return out
 }
 
-// applyWalkResult derives the walk-mode metrics from Result.Walk: the
-// total walk cost replaces the shadow's flat charge, and the first TLB
-// (the one whose misses trigger walks) reports the emergent penalty —
-// measured cycles per walk — with CPI_TLB recomputed as total walk
-// cycles over instructions. Run and MergeResults share it so a merged
-// result is assembled exactly like a serial one.
-func applyWalkResult(out *Result) {
-	ws := out.Walk
-	out.PTWalkCycles = float64(ws.Cycles)
-	if len(out.TLBs) == 0 {
-		return
+// sub removes a baseline that counts took earlier from the same
+// simulator, leaving the activity since. Integer counters subtract
+// exactly; gauges keep their current value (see the stats types' Sub).
+func (r *Result) sub(base *Result) {
+	for i := range r.TLBs {
+		r.TLBs[i].Stats.Sub(base.TLBs[i].Stats)
 	}
-	out.TLBs[0].MissPenalty = ws.CyclesPerWalk()
-	out.TLBs[0].CPITLB = 0
-	if out.Instrs > 0 {
-		out.TLBs[0].CPITLB = float64(ws.Cycles) / float64(out.Instrs)
+	if r.PolicyStats != nil {
+		r.PolicyStats.Sub(*base.PolicyStats)
 	}
+	if r.LadderStats != nil {
+		r.LadderStats.Sub(*base.LadderStats)
+	}
+	if r.PageTable != nil {
+		r.PageTable.Sub(*base.PageTable)
+		r.PTWalkCycles -= base.PTWalkCycles
+	}
+	if r.Walk != nil {
+		r.Walk.Sub(*base.Walk)
+	}
+}
+
+// finish derives everything a Result reports beyond its raw counters:
+// RPI; each TLB's MPI, CPI_TLB and miss ratio; in walk mode the
+// emergent penalty, where the walker's integer cycle total replaces the
+// shadow's flat charge and the first TLB (the one whose misses trigger
+// walks) reports measured cycles per walk with CPI_TLB recomputed as
+// walk cycles over instructions; and the run-report block, with decode
+// carrying the trace-decode work. Run and MergeResults both end with
+// it, so a merged result is assembled exactly like a serial one.
+func (r *Result) finish(decode obs.Counters) {
+	if r.Instrs > 0 {
+		r.RPI = float64(r.Refs) / float64(r.Instrs)
+	}
+	for i := range r.TLBs {
+		tr := &r.TLBs[i]
+		tr.MPI = metrics.MPI(tr.Stats.Misses(), r.Instrs)
+		tr.CPITLB = tr.MPI * tr.MissPenalty
+		tr.MissRatio = tr.Stats.MissRatio()
+	}
+	if ws := r.Walk; ws != nil {
+		r.PTWalkCycles = float64(ws.Cycles)
+		if len(r.TLBs) > 0 {
+			r.TLBs[0].MissPenalty = ws.CyclesPerWalk()
+			r.TLBs[0].CPITLB = 0
+			if r.Instrs > 0 {
+				r.TLBs[0].CPITLB = float64(ws.Cycles) / float64(r.Instrs)
+			}
+		}
+	}
+	c := obs.Counters{Passes: 1, Refs: r.Refs, Instrs: r.Instrs}
+	for _, tr := range r.TLBs {
+		c.Add(tr.Stats.Counters())
+	}
+	if ps := r.PolicyStats; ps != nil {
+		c.Promotions = ps.Promotions
+		c.Demotions = ps.Demotions
+	}
+	if ls := r.LadderStats; ls != nil {
+		c.Promotions = ls.Promotions[1]
+		c.Demotions = ls.Demotions[1]
+		c.PromotionsSize2 = ls.Promotions[2]
+		c.PromotionsSize3 = ls.Promotions[3]
+		c.DemotionsSize2 = ls.Demotions[2]
+		c.DemotionsSize3 = ls.Demotions[3]
+	}
+	if pt := r.PageTable; pt != nil {
+		c.PTWalks = pt.Lookups
+		c.Faults = pt.Misses
+		c.CopiedBytes = pt.CopiedBytes
+	}
+	if ws := r.Walk; ws != nil {
+		c.WalkCycles = ws.Cycles
+		c.WalkLoads = ws.Loads()
+		c.WalkPWCHits = ws.PWCHits()
+		c.WalkPWCMisses = ws.PWCMisses()
+		c.WalkMemHits = ws.MemHits
+		c.WalkMemMisses = ws.MemMisses
+	}
+	c.Add(decode)
+	r.Counters = c
 }
 
 // DecodeCounters harvests a reader's trace-decode counters into a
@@ -517,20 +486,4 @@ func MeasureStaticWSS(ctx context.Context, r trace.Reader, T uint64, sizes ...ad
 		return nil, fmt.Errorf("core: WSS pass failed: %w", err)
 	}
 	return calc.Finish(), nil
-}
-
-// MeasureTwoSizeWSS computes the average working-set size of the dynamic
-// 4KB/32KB scheme over a reference stream, without simulating TLBs.
-func MeasureTwoSizeWSS(ctx context.Context, r trace.Reader, cfg policy.TwoSizeConfig) (wss.Result, policy.TwoSizeStats, error) {
-	pol := policy.NewTwoSize(cfg)
-	calc := wss.NewTwoSize(pol)
-	_, err := trace.DrainContext(ctx, r, func(batch []trace.Ref) {
-		for _, ref := range batch {
-			calc.Observe(pol.Assign(ref.Addr))
-		}
-	})
-	if err != nil {
-		return wss.Result{}, policy.TwoSizeStats{}, fmt.Errorf("core: WSS pass failed: %w", err)
-	}
-	return calc.Result(), pol.Stats(), nil
 }

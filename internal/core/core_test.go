@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"twopage/internal/addr"
@@ -11,6 +12,7 @@ import (
 	"twopage/internal/policy"
 	"twopage/internal/tlb"
 	"twopage/internal/trace"
+	"twopage/internal/walk"
 	"twopage/internal/workload"
 )
 
@@ -77,25 +79,55 @@ func TestTwoSizeDefaultsToHigherPenalty(t *testing.T) {
 	}
 }
 
-func TestWithMissPenaltyOverride(t *testing.T) {
-	sim := NewSimulator(policy.NewSingle(addr.Size4K),
-		[]tlb.TLB{tlb.NewFullyAssoc(4)}, WithMissPenalty(40))
-	res, err := sim.Run(context.Background(), trace.NewSliceReader(makeTrace(50, 2)))
-	if err != nil {
-		t.Fatal(err)
+// Every option that does not fit the simulator's policy or TLBs is a
+// configuration error that both Warm and Run return, never a panic.
+func TestOptionErrors(t *testing.T) {
+	three := addr.MustShiftClasses(addr.Shift4K, addr.Shift32K, addr.Shift256K)
+	single := func() policy.Assigner { return policy.NewSingle(addr.Size4K) }
+	two := func() policy.Assigner { return policy.NewTwoSize(policy.DefaultTwoSizeConfig(100)) }
+	ladder := func() policy.Assigner { return policy.NewLadder(policy.DefaultLadderConfig(100, three)) }
+	fa := func() []tlb.TLB { return []tlb.TLB{tlb.NewFullyAssoc(8)} }
+	flatWalk := walk.Config{MissCycles: 24}
+	tests := []struct {
+		name    string
+		pol     policy.Assigner
+		tlbs    []tlb.TLB
+		opt     Option
+		wantErr string // substring of the error; empty for a valid configuration
+	}{
+		{name: "WithWSS on a single size", pol: single(), tlbs: fa(), opt: WithWSS(), wantErr: "WithWSS"},
+		{name: "WithWSS on a ladder", pol: ladder(), tlbs: fa(), opt: WithWSS(), wantErr: "WithWSS"},
+		{name: "WithWSS on two sizes", pol: two(), opt: WithWSS()},
+		{name: "WithPageTable on a single size", pol: single(), tlbs: fa(), opt: WithPageTable(), wantErr: "WithPageTable"},
+		{name: "WithPageTable without a TLB", pol: two(), opt: WithPageTable(), wantErr: "WithPageTable"},
+		{name: "WithPageTable on a ladder", pol: ladder(), tlbs: fa(), opt: WithPageTable()},
+		{name: "WithWalkModel without a TLB", pol: two(), opt: WithWalkModel(flatWalk), wantErr: "WithWalkModel"},
+		{name: "WithWalkModel with disagreeing classes", pol: two(), tlbs: fa(),
+			opt: WithWalkModel(walk.Default(three)), wantErr: "disagree"},
+		{name: "WithWalkModel with an invalid cache geometry", pol: two(), tlbs: fa(),
+			opt: WithWalkModel(walk.Config{MemBytes: 3000, MemWays: 4, MissCycles: 24}), wantErr: "cache"},
+		{name: "WithWalkModel on two sizes", pol: two(), tlbs: fa(), opt: WithWalkModel(flatWalk)},
 	}
-	if res.TLBs[0].MissPenalty != 40 {
-		t.Fatalf("penalty = %v", res.TLBs[0].MissPenalty)
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := NewSimulator(tc.pol, tc.tlbs, tc.opt)
+			refs := makeTrace(50, 4)
+			check := func(op string, err error) {
+				if tc.wantErr == "" {
+					if err != nil {
+						t.Errorf("%s: unexpected error: %v", op, err)
+					}
+					return
+				}
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("%s error = %v, want one naming %q", op, err, tc.wantErr)
+				}
+			}
+			check("Warm", sim.Warm(context.Background(), trace.NewSliceReader(refs)))
+			_, err := sim.Run(context.Background(), trace.NewSliceReader(refs))
+			check("Run", err)
+		})
 	}
-}
-
-func TestWithWSSPanicsForSinglePolicy(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSimulator(policy.NewSingle(addr.Size4K), nil, WithWSS())
 }
 
 // Promotion must invalidate the chunk's small-page TLB entries: after a
@@ -118,7 +150,7 @@ func TestPromotionInvalidatesSmallEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := res.TLBs[0].Stats
-	if st.SmallMisses() != 3 || st.LargeMisses() != 1 || st.LargeHits() != 1 {
+	if st.MissesByClass[0] != 3 || st.MissesByClass[1] != 1 || st.HitsByClass[1] != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 	if st.Invalidations != 3 {
@@ -223,17 +255,22 @@ func TestMeasureStaticWSS(t *testing.T) {
 	}
 }
 
-func TestMeasureTwoSizeWSS(t *testing.T) {
-	res, stats, err := MeasureTwoSizeWSS(context.Background(), workload.MustNew("matrix300", 100_000),
-		policy.DefaultTwoSizeConfig(20_000))
+// A simulator with no TLBs and WithWSS is the dynamic scheme's
+// working-set pass: policy and WSS calculator only.
+func TestWSSOnlyPass(t *testing.T) {
+	pol := policy.NewTwoSize(policy.DefaultTwoSizeConfig(20_000))
+	res, err := NewSimulator(pol, nil, WithWSS()).Run(context.Background(), workload.MustNew("matrix300", 100_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AvgBytes <= 0 {
-		t.Fatalf("avg = %v", res.AvgBytes)
+	if res.WSS.AvgBytes <= 0 {
+		t.Fatalf("avg = %v", res.WSS.AvgBytes)
 	}
-	if stats.Promotions == 0 {
+	if res.PolicyStats.Promotions == 0 {
 		t.Fatal("matrix300 must promote")
+	}
+	if len(res.TLBs) != 0 {
+		t.Fatalf("got %d TLB results, want none", len(res.TLBs))
 	}
 }
 
@@ -282,7 +319,8 @@ func TestRunPropagatesReaderErrors(t *testing.T) {
 	if _, err := MeasureStaticWSS(context.Background(), &failingReader{n: 2}, 10, addr.Size4K); err == nil {
 		t.Fatal("WSS pass should propagate reader errors")
 	}
-	if _, _, err := MeasureTwoSizeWSS(context.Background(), &failingReader{n: 2}, policy.DefaultTwoSizeConfig(10)); err == nil {
-		t.Fatal("two-size WSS pass should propagate reader errors")
+	wssOnly := NewSimulator(policy.NewTwoSize(policy.DefaultTwoSizeConfig(10)), nil, WithWSS())
+	if err := wssOnly.Warm(context.Background(), &failingReader{n: 2}); err == nil {
+		t.Fatal("warm-up should propagate reader errors")
 	}
 }

@@ -33,8 +33,8 @@ func ExampleSimulator() {
 	st := res.TLBs[0].Stats
 	fmt.Printf("promotions: %d\n", res.PolicyStats.Promotions)
 	fmt.Printf("misses: %d (small %d, large %d)\n",
-		st.Misses(), st.SmallMisses(), st.LargeMisses())
-	fmt.Printf("large-page hits: %d\n", st.LargeHits())
+		st.Misses(), st.MissesByClass[0], st.MissesByClass[1])
+	fmt.Printf("large-page hits: %d\n", st.HitsByClass[1])
 	// Output:
 	// promotions: 1
 	// misses: 4 (small 3, large 1)

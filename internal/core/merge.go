@@ -1,10 +1,6 @@
 package core
 
-import (
-	"twopage/internal/metrics"
-	"twopage/internal/obs"
-	"twopage/internal/policy"
-)
+import "twopage/internal/obs"
 
 // MergeResults folds per-shard simulation results, given in section
 // order, into the Result a single pass over the concatenated stream
@@ -42,12 +38,15 @@ func MergeResults(parts []*Result) *Result {
 	}
 
 	out := &Result{Policy: live[0].Policy}
+	var decode obs.Counters
 	for _, p := range live {
 		out.Refs += p.Refs
 		out.Instrs += p.Instrs
-	}
-	if out.Instrs > 0 {
-		out.RPI = float64(out.Refs) / float64(out.Instrs)
+		// Decode work is the one genuinely per-shard quantity of the
+		// run-report block; finish rebuilds the rest from merged stats.
+		decode.DecodedRefs += p.Counters.DecodedRefs
+		decode.DecodedBlocks += p.Counters.DecodedBlocks
+		decode.DecodedBytes += p.Counters.DecodedBytes
 	}
 
 	for i, tr := range live[0].TLBs {
@@ -55,15 +54,7 @@ func MergeResults(parts []*Result) *Result {
 		for _, p := range live[1:] {
 			st.Merge(p.TLBs[i].Stats)
 		}
-		mpi := metrics.MPI(st.Misses(), out.Instrs)
-		out.TLBs = append(out.TLBs, TLBResult{
-			Name:        tr.Name,
-			Stats:       st,
-			MissPenalty: tr.MissPenalty,
-			MPI:         mpi,
-			CPITLB:      mpi * tr.MissPenalty,
-			MissRatio:   st.MissRatio(),
-		})
+		out.TLBs = append(out.TLBs, TLBResult{Name: tr.Name, Stats: st, MissPenalty: tr.MissPenalty})
 	}
 
 	if live[0].WSS != nil {
@@ -116,9 +107,10 @@ func MergeResults(parts []*Result) *Result {
 			if p.PageTable != nil {
 				st.Add(*p.PageTable)
 			}
+		}
+		for _, p := range live {
 			out.PTWalkCycles += p.PTWalkCycles
 		}
-		out.PTWalkCycles += live[0].PTWalkCycles
 		out.PageTable = &st
 	}
 	if live[0].Walk != nil {
@@ -129,73 +121,12 @@ func MergeResults(parts []*Result) *Result {
 			}
 		}
 		out.Walk = &ws
-		// Same derivation Run performs: integer cycle total replaces the
-		// flat charge, first TLB reports the emergent penalty.
-		applyWalkResult(out)
 	}
 
-	// Rebuild the run-report block from the merged stats — the same
-	// assembly Run performs — rather than summing the parts' blocks, so
-	// the merged report is structurally identical to a serial pass (one
-	// logical pass, gauges not multiply counted). Decode work is the one
-	// genuinely per-shard quantity, so it sums from the parts.
-	out.Counters = obs.Counters{Passes: 1, Refs: out.Refs, Instrs: out.Instrs}
-	for _, tr := range out.TLBs {
-		out.Counters.Add(tr.Stats.Counters())
-	}
-	if out.PolicyStats != nil {
-		out.Counters.Promotions = out.PolicyStats.Promotions
-		out.Counters.Demotions = out.PolicyStats.Demotions
-	}
-	if ls := out.LadderStats; ls != nil {
-		out.Counters.Promotions = ls.Promotions[1]
-		out.Counters.Demotions = ls.Demotions[1]
-		out.Counters.PromotionsSize2 = ls.Promotions[2]
-		out.Counters.PromotionsSize3 = ls.Promotions[3]
-		out.Counters.DemotionsSize2 = ls.Demotions[2]
-		out.Counters.DemotionsSize3 = ls.Demotions[3]
-	}
-	if pt := out.PageTable; pt != nil {
-		out.Counters.PTWalks = pt.Lookups
-		out.Counters.Faults = pt.Misses
-		out.Counters.CopiedBytes = pt.CopiedBytes
-	}
-	if ws := out.Walk; ws != nil {
-		out.Counters.WalkCycles = ws.Cycles
-		out.Counters.WalkLoads = ws.Loads()
-		out.Counters.WalkPWCHits = ws.PWCHits()
-		out.Counters.WalkPWCMisses = ws.PWCMisses()
-		out.Counters.WalkMemHits = ws.MemHits
-		out.Counters.WalkMemMisses = ws.MemMisses
-	}
-	for _, p := range live {
-		out.Counters.DecodedRefs += p.Counters.DecodedRefs
-		out.Counters.DecodedBlocks += p.Counters.DecodedBlocks
-		out.Counters.DecodedBytes += p.Counters.DecodedBytes
-	}
-	return out
-}
-
-// MergeWSSResults folds per-shard two-size working-set results into the
-// sample-weighted global average. Static working sets merge exactly via
-// wss.MergeStatic instead; this weighted form is for the dynamic scheme,
-// whose window state cannot be decomposed exactly across shards.
-func MergeWSSResults(parts []policy.TwoSizeStats) policy.TwoSizeStats {
-	var out policy.TwoSizeStats
-	for i, p := range parts {
-		if i == 0 {
-			out = p
-			continue
-		}
-		out.Merge(p)
-	}
-	if n := len(parts); n > 0 {
-		for i := n - 1; i >= 0; i-- {
-			if parts[i].Refs > 0 {
-				out.LargeChunks = parts[i].LargeChunks
-				break
-			}
-		}
-	}
+	// Derive the ratios and rebuild the run-report block from the merged
+	// stats exactly as Run does, rather than summing the parts' blocks,
+	// so the merged report is structurally identical to a serial pass
+	// (one logical pass, gauges not multiply counted).
+	out.finish(decode)
 	return out
 }

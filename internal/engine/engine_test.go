@@ -319,6 +319,34 @@ func TestPassNoDeadlockAtParallelismOne(t *testing.T) {
 	}
 }
 
+// A misconfigured unit fails its own future with the option's error
+// instead of panicking on a pool worker, and the engine keeps serving
+// valid passes afterwards.
+func TestMisconfiguredUnitFailsItsFuture(t *testing.T) {
+	e := New(2)
+	ctx := context.Background()
+	ladder := policy.DefaultLadderConfig(1000, addr.MustShiftClasses(addr.Shift4K, addr.Shift32K, addr.Shift256K))
+	for _, pol := range []PolicySpec{SinglePolicy(addr.Size4K), LadderPolicy(ladder)} {
+		_, err := e.Pass(ctx, PassSpec{
+			Workload: "li", Refs: 10_000, Policy: pol,
+			TLBs: []tlb.Config{{Entries: 16}}, WSS: true,
+		}).Wait(ctx)
+		if err == nil || !strings.Contains(err.Error(), "WithWSS") {
+			t.Fatalf("%s: Wait error = %v, want one naming WithWSS", pol.key(), err)
+		}
+	}
+	res, err := e.Pass(ctx, PassSpec{
+		Workload: "li", Refs: 10_000, Policy: SinglePolicy(addr.Size4K),
+		TLBs: []tlb.Config{{Entries: 16}},
+	}).Wait(ctx)
+	if err != nil {
+		t.Fatalf("valid pass after failures: %v", err)
+	}
+	if res.Refs != 10_000 {
+		t.Fatalf("valid pass simulated %d refs", res.Refs)
+	}
+}
+
 // WSS units: the ladder measures all five shifts; the two-size unit
 // couples WSS with policy counters. Both memoize.
 func TestWSSUnits(t *testing.T) {

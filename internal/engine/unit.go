@@ -164,15 +164,6 @@ func (u Unit) newSimulator() (*core.Simulator, error) {
 		opts = append(opts, core.WithWSS())
 	}
 	if u.Walk != nil {
-		if u.TLB == nil {
-			return nil, fmt.Errorf("engine: a walk-model unit needs a TLB")
-		}
-		// Validate as an error here: WithWalkModel panics on a bad
-		// config, and a panic on a pool worker would take the whole
-		// engine down instead of failing the one unit.
-		if err := core.CheckWalkModel(pol, *u.Walk); err != nil {
-			return nil, err
-		}
 		opts = append(opts, core.WithWalkModel(*u.Walk))
 	}
 	return core.NewSimulator(pol, tlbs, opts...), nil
@@ -418,16 +409,17 @@ func (e *Engine) TwoSizeWSS(ctx context.Context, u TwoSizeWSSUnit) *Future[TwoWS
 			return TwoWSS{}, err
 		}
 		r := s.New(u.Refs)
-		res, stats, err := core.MeasureTwoSizeWSS(ctx, r, u.Cfg)
+		res, err := core.NewSimulator(policy.NewTwoSize(u.Cfg), nil, core.WithWSS()).Run(ctx, r)
 		if err != nil {
 			return TwoWSS{}, err
 		}
+		stats := *res.PolicyStats
 		c := core.DecodeCounters(r)
 		c.Passes = 1
 		c.Refs = u.Refs
 		c.Promotions = stats.Promotions
 		c.Demotions = stats.Demotions
 		e.Record(key, c)
-		return TwoWSS{WSS: res, Stats: stats}, nil
+		return TwoWSS{WSS: *res.WSS, Stats: stats}, nil
 	})
 }

@@ -144,7 +144,7 @@ func NewOptions(opts ...Opt) *Options {
 }
 
 // normalize fills defaults in place. It is idempotent; every entry
-// point (Run, Runner, NewOptions) funnels through it, so experiment
+// point (NewRunner, NewOptions) funnels through it, so experiment
 // code can rely on Scale, Out and Engine being set.
 func (o *Options) normalize() {
 	if o.Scale <= 0 {
@@ -525,14 +525,4 @@ func (r *Runner) RunAll(ctx context.Context, ids ...string) error {
 		}
 	}
 	return nil
-}
-
-// Run executes the experiment and writes its table to o.Out.
-//
-// Deprecated: use NewRunner(opts...).Run(ctx, id), which shares an
-// engine across runs and honours cancellation. Kept so struct-literal
-// call sites keep compiling during the migration.
-func Run(id string, o Options) error {
-	o.normalize()
-	return (&Runner{opts: &o}).Run(context.Background(), id)
 }

@@ -51,14 +51,14 @@ func TestRegistry(t *testing.T) {
 	if _, err := Get("nope"); err == nil {
 		t.Fatal("unknown id should error")
 	}
-	if err := Run("nope", Options{}); err == nil {
+	if err := NewRunner().Run(context.Background(), "nope"); err == nil {
 		t.Fatal("Run of unknown id should error")
 	}
 }
 
 func TestRunWritesOutput(t *testing.T) {
 	var buf bytes.Buffer
-	err := Run("table3.1", Options{Scale: 0.01, Out: &buf, Workloads: []string{"li"}})
+	err := NewRunner(WithScale(0.01), WithOut(&buf), WithWorkloads("li")).Run(context.Background(), "table3.1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRunWritesOutput(t *testing.T) {
 		t.Fatalf("output missing workload row:\n%s", buf.String())
 	}
 	buf.Reset()
-	err = Run("table3.1", Options{Scale: 0.01, Out: &buf, CSV: true, Workloads: []string{"li"}})
+	err = NewRunner(WithScale(0.01), WithOut(&buf), WithCSV(true), WithWorkloads("li")).Run(context.Background(), "table3.1")
 	if err != nil {
 		t.Fatal(err)
 	}

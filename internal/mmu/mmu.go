@@ -10,8 +10,8 @@
 // Cycle accounting follows the paper's models: 1 cycle for a TLB hit,
 // the page-table walk cost (≈20/25 cycles, internal/pagetable) for a
 // miss that finds a mapping, a configurable fault cost for a miss that
-// does not, and copy costs for promotions/demotions charged at a
-// configurable bytes-per-cycle rate.
+// does not, and copy costs for promotions/demotions charged at one
+// 8-byte word per cycle.
 package mmu
 
 import (
@@ -31,6 +31,15 @@ import (
 	"twopage/internal/trace"
 )
 
+// Fixed costs of the translation path (see the package comment).
+const (
+	// tlbHitCycles is the cost of a TLB hit.
+	tlbHitCycles = 1
+	// copyBytesPerCycle converts promotion/demotion copy traffic to
+	// cycles: one 8-byte word per cycle.
+	copyBytesPerCycle = 8
+)
+
 // Config parameterizes an MMU.
 type Config struct {
 	// TLB is the translation cache. Required.
@@ -40,16 +49,11 @@ type Config struct {
 	// Memory is the physical memory size; must be a positive multiple
 	// of 32KB. Required.
 	Memory addr.PageSize
-	// TLBHitCycles is the cost of a hit. Default 1.
-	TLBHitCycles float64
 	// FaultCycles is charged when a reference touches an unmapped page
 	// (demand paging in). The paper's metrics exclude page faults, so
 	// keep it small to study TLB effects, or large to study memory
 	// pressure. Default 500.
 	FaultCycles float64
-	// CopyBytesPerCycle converts promotion/demotion copy traffic to
-	// cycles. Default 8 (one 8-byte word per cycle).
-	CopyBytesPerCycle float64
 	// Disk, when non-nil, prices page-ins with the positional disk
 	// model instead of the flat FaultCycles — one seek+rotation per
 	// fault plus a size-proportional transfer, the Section 1
@@ -79,14 +83,8 @@ func (c *Config) normalize() error {
 				want, mp.SizeClasses())
 		}
 	}
-	if c.TLBHitCycles == 0 {
-		c.TLBHitCycles = 1
-	}
 	if c.FaultCycles == 0 {
 		c.FaultCycles = 500
-	}
-	if c.CopyBytesPerCycle == 0 {
-		c.CopyBytesPerCycle = 8
 	}
 	if c.Disk != nil {
 		if err := c.Disk.Validate(); err != nil {
@@ -114,10 +112,6 @@ type Stats struct {
 	// 1 = 32KB chunks; higher classes stay zero while the MMU supports
 	// only the paper's two sizes).
 	EvictionsByClass [addr.MaxSizeClasses]uint64
-	// LargeEvictions mirrors EvictionsByClass[1].
-	//
-	// Deprecated: read EvictionsByClass[1] instead.
-	LargeEvictions uint64
 	// Promotions/Demotions mirror the policy's transitions that the MMU
 	// carried out against the page table.
 	Promotions uint64
@@ -239,7 +233,7 @@ func (m *MMU) Access(va addr.VA) float64 {
 	cycles := 0.0
 	if m.cfg.TLB.Access(va, res.Page) {
 		m.stats.TLBHits++
-		cycles = m.cfg.TLBHitCycles
+		cycles = tlbHitCycles
 		m.touch(res.Page)
 		m.stats.Cycles += cycles
 		return cycles
@@ -247,7 +241,7 @@ func (m *MMU) Access(va addr.VA) float64 {
 	m.stats.TLBMisses++
 	m.stats.Walks++
 	_, walk := m.pt.Lookup(va)
-	cycles = m.cfg.TLBHitCycles + walk.Cycles
+	cycles = tlbHitCycles + walk.Cycles
 	if walk.Found {
 		m.stats.WalkHits++
 		m.touch(res.Page)
@@ -378,7 +372,6 @@ func (m *MMU) reclaim(p policy.Page) {
 	m.stats.Evictions++
 	if uint(p.Shift) >= addr.ChunkShift {
 		m.stats.EvictionsByClass[1]++
-		m.stats.LargeEvictions++
 	} else {
 		m.stats.EvictionsByClass[0]++
 	}
@@ -486,7 +479,7 @@ func (m *MMU) promote(c addr.PN) {
 	m.stats.Promotions++
 	bytes := uint64(copied) * addr.BlockSize
 	m.stats.CopiedBytes += bytes
-	m.stats.Cycles += float64(bytes) / m.cfg.CopyBytesPerCycle
+	m.stats.Cycles += float64(bytes) / copyBytesPerCycle
 }
 
 // demote splits a resident large page back into eight resident small
@@ -523,5 +516,5 @@ func (m *MMU) demote(c addr.PN) {
 	}
 	m.stats.Demotions++
 	m.stats.CopiedBytes += addr.ChunkSize
-	m.stats.Cycles += float64(addr.ChunkSize) / m.cfg.CopyBytesPerCycle
+	m.stats.Cycles += float64(addr.ChunkSize) / copyBytesPerCycle
 }

@@ -61,8 +61,8 @@ func TestColdAccessFaultsThenHits(t *testing.T) {
 		t.Fatalf("cold access cost %v should include the fault", c1)
 	}
 	c2 := m.Access(0x1000)
-	if c2 != m.cfg.TLBHitCycles {
-		t.Fatalf("warm access cost %v, want %v", c2, m.cfg.TLBHitCycles)
+	if c2 != tlbHitCycles {
+		t.Fatalf("warm access cost %v, want %v", c2, tlbHitCycles)
 	}
 	if m.Resident() != 1 {
 		t.Fatalf("resident = %d", m.Resident())

@@ -151,11 +151,11 @@ func DefaultTwoSizeConfig(T int) TwoSizeConfig {
 
 // TwoSizeStats counts policy activity.
 type TwoSizeStats struct {
-	Refs        uint64 // references observed
-	LargeRefs   uint64 // references that landed on large pages
-	SmallRefs   uint64 // references that landed on small pages
-	Promotions  uint64 // small→large transitions
-	Demotions   uint64 // large→small transitions
+	Refs       uint64 // references observed
+	LargeRefs  uint64 // references that landed on large pages
+	SmallRefs  uint64 // references that landed on small pages
+	Promotions uint64 // small→large transitions
+	Demotions  uint64 // large→small transitions
 	//paperlint:gauge chunks currently mapped large; last-writer on Merge, kept on Sub
 	LargeChunks int
 }

@@ -38,7 +38,6 @@ func NewMultiSplit(cfgs []Config) (*MultiSplit, error) {
 	ms := &MultiSplit{classes: classes}
 	for k, cfg := range cfgs {
 		cfg.Shifts = classes.Shifts()
-		cfg.SmallShift, cfg.LargeShift = 0, 0
 		cfg.Index = IndexByClass(k)
 		half, err := New(cfg)
 		if err != nil {

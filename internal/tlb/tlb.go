@@ -25,8 +25,7 @@
 //
 // The page-size hierarchy itself is a parameter (Config.Shifts,
 // validated through addr.SizeClasses); the paper's 4KB/32KB pair is the
-// two-class default, and the legacy SmallShift/LargeShift fields remain
-// as deprecated shims over it.
+// two-class default.
 //
 // SplitTLB models option (c) of Section 2.2 for two sizes: separate
 // TLBs per page size, both probed in parallel with their own index.
@@ -204,38 +203,6 @@ func (s Stats) MissRatio() float64 {
 	return float64(s.Misses()) / float64(s.Accesses)
 }
 
-// SmallHits returns hits on the smallest size class.
-//
-// Deprecated: use HitsByClass[0].
-func (s Stats) SmallHits() uint64 { return s.HitsByClass[0] }
-
-// LargeHits returns hits on every class above the smallest.
-//
-// Deprecated: use HitsByClass[k] for the class of interest.
-func (s Stats) LargeHits() uint64 {
-	var n uint64
-	for k := 1; k < len(s.HitsByClass); k++ {
-		n += s.HitsByClass[k]
-	}
-	return n
-}
-
-// SmallMisses returns misses on the smallest size class.
-//
-// Deprecated: use MissesByClass[0].
-func (s Stats) SmallMisses() uint64 { return s.MissesByClass[0] }
-
-// LargeMisses returns misses on every class above the smallest.
-//
-// Deprecated: use MissesByClass[k] for the class of interest.
-func (s Stats) LargeMisses() uint64 {
-	var n uint64
-	for k := 1; k < len(s.MissesByClass); k++ {
-		n += s.MissesByClass[k]
-	}
-	return n
-}
-
 // Counters converts the TLB statistics into the run-report counter
 // block (internal/obs). Classes 0 and 1 keep the legacy small/large
 // keys; classes 2 and 3 use the size<k> keys. Called once per pass,
@@ -316,19 +283,8 @@ type Config struct {
 	Repl Replacement
 	// Shifts lists the page shifts the indexing hardware is wired for,
 	// strictly ascending, at most addr.MaxSizeClasses of them. Empty
-	// defaults to the deprecated SmallShift/LargeShift pair, and then
-	// to the paper's 4KB/32KB.
+	// defaults to the paper's 4KB/32KB.
 	Shifts []uint
-	// SmallShift is the legacy small-page shift field.
-	//
-	// Deprecated: set Shifts. It remains as a shim for the two-size
-	// constructors; combining it with a non-empty Shifts is an error.
-	SmallShift uint
-	// LargeShift is the legacy large-page shift field.
-	//
-	// Deprecated: set Shifts. It remains as a shim for the two-size
-	// constructors; combining it with a non-empty Shifts is an error.
-	LargeShift uint
 	// Seed seeds the Random replacement generator.
 	Seed uint64
 }
@@ -348,21 +304,7 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("tlb: set count %d is not a power of two", sets)
 	}
 	if len(c.Shifts) == 0 {
-		// Legacy two-size spelling: fold the deprecated pair (with the
-		// paper's defaults) into the canonical form.
-		small, large := c.SmallShift, c.LargeShift
-		if small == 0 {
-			small = addr.Shift4K
-		}
-		if large == 0 {
-			large = addr.Shift32K
-		}
-		if small >= large {
-			return fmt.Errorf("tlb: small shift %d must be below large shift %d", small, large)
-		}
-		c.Shifts = []uint{small, large}
-	} else if c.SmallShift != 0 || c.LargeShift != 0 {
-		return fmt.Errorf("tlb: set either Shifts or the deprecated SmallShift/LargeShift pair, not both")
+		c.Shifts = []uint{addr.Shift4K, addr.Shift32K}
 	}
 	classes, err := addr.NewShiftClasses(c.Shifts...)
 	if err != nil {
@@ -374,8 +316,6 @@ func (c *Config) normalize() error {
 	if k, ok := c.Index.Class(); ok && k >= classes.N() {
 		return fmt.Errorf("tlb: index class %d out of range for %d size classes", k, classes.N())
 	}
-	// Canonical form: the hierarchy lives in Shifts only.
-	c.SmallShift, c.LargeShift = 0, 0
 	return nil
 }
 

@@ -24,7 +24,7 @@ func TestConfigValidation(t *testing.T) {
 		{Entries: 16, Ways: 3},  // 16 % 3 != 0
 		{Entries: 24, Ways: 2},  // 12 sets: not a power of two
 		{Entries: 16, Ways: -2}, // negative ways
-		{Entries: 16, Ways: 2, SmallShift: 15, LargeShift: 12}, // inverted
+		{Entries: 16, Ways: 2, Shifts: []uint{15, 12}}, // inverted
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -42,9 +42,6 @@ func TestConfigValidation(t *testing.T) {
 	c := tl.Config()
 	if len(c.Shifts) != 2 || c.Shifts[0] != addr.Shift4K || c.Shifts[1] != addr.Shift32K {
 		t.Fatalf("default shifts not applied: %+v", c)
-	}
-	if c.SmallShift != 0 || c.LargeShift != 0 {
-		t.Fatalf("deprecated shift fields should be cleared after normalize: %+v", c)
 	}
 	if cl := tl.Classes(); cl.N() != 2 || cl.Shift(0) != addr.Shift4K || cl.Shift(1) != addr.Shift32K {
 		t.Fatalf("classes: %v", tl.Classes())
@@ -274,7 +271,7 @@ func TestStatsBreakdownAndReprobes(t *testing.T) {
 	tl.Access(lva, largePage(lva)) // large hit
 	tl.Access(lva, largePage(lva)) // large hit
 	st := tl.Stats()
-	if st.SmallMisses() != 1 || st.SmallHits() != 1 || st.LargeMisses() != 1 || st.LargeHits() != 2 {
+	if st.MissesByClass[0] != 1 || st.HitsByClass[0] != 1 || st.MissesByClass[1] != 1 || st.HitsByClass[1] != 2 {
 		t.Fatalf("breakdown: %+v", st)
 	}
 	if st.Accesses != 5 || st.Hits()+st.Misses() != st.Accesses {
@@ -315,7 +312,7 @@ func TestSplitTLB(t *testing.T) {
 		t.Fatal("both should hit their half")
 	}
 	st := sp.Stats()
-	if st.Accesses != 4 || st.SmallHits() != 1 || st.LargeHits() != 1 {
+	if st.Accesses != 4 || st.HitsByClass[0] != 1 || st.HitsByClass[1] != 1 {
 		t.Fatalf("merged stats: %+v", st)
 	}
 	if n := sp.Invalidate(largePage(lva)); n != 1 {

@@ -89,7 +89,7 @@ func TestPolicyDifferential(t *testing.T) {
 // two-size implementation: identical hit/miss decisions on every access,
 // identical invalidation counts, and identical final statistics, across
 // index schemes, associativities, replacement policies and non-default
-// shift pairs (the deprecated SmallShift/LargeShift configuration path).
+// shift pairs.
 func TestTLBDifferential(t *testing.T) {
 	cases := []struct {
 		name string
@@ -114,8 +114,8 @@ func TestTLBDifferential(t *testing.T) {
 		{"random replacement, same seed",
 			tlb.Config{Entries: 16, Ways: 2, Repl: tlb.Random, Seed: 7},
 			tworef.Config{Entries: 16, Ways: 2, Repl: tworef.Random, Seed: 7}},
-		{"deprecated 8KB/64KB shifts",
-			tlb.Config{Entries: 16, Ways: 2, Index: tlb.IndexExact, SmallShift: 13, LargeShift: 16},
+		{"8KB/64KB shifts",
+			tlb.Config{Entries: 16, Ways: 2, Index: tlb.IndexExact, Shifts: []uint{13, 16}},
 			tworef.Config{Entries: 16, Ways: 2, Index: tworef.IndexExact, SmallShift: 13, LargeShift: 16}},
 	}
 	for _, tc := range cases {
@@ -165,10 +165,10 @@ func TestTLBDifferential(t *testing.T) {
 			ls, rs := live.Stats(), ref.Stats()
 			diff := map[string][2]uint64{
 				"accesses":      {ls.Accesses, rs.Accesses},
-				"smallHits":     {ls.SmallHits(), rs.SmallHits},
-				"largeHits":     {ls.LargeHits(), rs.LargeHits},
-				"smallMisses":   {ls.SmallMisses(), rs.SmallMisses},
-				"largeMisses":   {ls.LargeMisses(), rs.LargeMisses},
+				"smallHits":     {ls.HitsByClass[0], rs.SmallHits},
+				"largeHits":     {ls.HitsByClass[1], rs.LargeHits},
+				"smallMisses":   {ls.MissesByClass[0], rs.SmallMisses},
+				"largeMisses":   {ls.MissesByClass[1], rs.LargeMisses},
 				"invalidations": {ls.Invalidations, rs.Invalidations},
 				"reprobes":      {ls.Reprobes(), rs.Reprobes()},
 			}
