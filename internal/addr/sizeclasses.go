@@ -114,10 +114,20 @@ func (c SizeClasses) N() int { return c.n }
 // Shift returns class k's page shift. It panics for out-of-range k,
 // like a slice index.
 func (c SizeClasses) Shift(k int) uint {
-	if k < 0 || k >= c.n {
-		panic(fmt.Sprintf("addr: size class %d out of range [0,%d)", k, c.n))
+	if uint(k) >= uint(c.n) {
+		panic(classRangeError{k, c.n})
 	}
 	return uint(c.shifts[k])
+}
+
+// classRangeError is Shift's panic value. Formatting the message in its
+// Error method rather than in Shift keeps Shift, and every accessor
+// built on it, within the inliner's budget; a panic prints the same
+// text either way.
+type classRangeError struct{ k, n int }
+
+func (e classRangeError) Error() string {
+	return fmt.Sprintf("addr: size class %d out of range [0,%d)", e.k, e.n)
 }
 
 // TopShift returns the largest class's shift.

@@ -1,6 +1,7 @@
 package addr
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -63,6 +64,24 @@ func TestSizeClassesAccessors(t *testing.T) {
 	}
 	if c == MustShiftClasses(Shift4K, Shift32K) {
 		t.Error("different SizeClasses values are ==")
+	}
+}
+
+// TestShiftPanics pins the message Shift panics with for a class index
+// outside the hierarchy, including the unused slots below
+// MaxSizeClasses.
+func TestShiftPanics(t *testing.T) {
+	c := MustShiftClasses(BlockShift, ChunkShift)
+	for _, k := range []int{-1, 2, MaxSizeClasses} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("addr: size class %d out of range [0,2)", k)
+				if got := fmt.Sprint(recover()); got != want {
+					t.Errorf("Shift(%d) panicked with %q, want %q", k, got, want)
+				}
+			}()
+			c.Shift(k)
+		}()
 	}
 }
 

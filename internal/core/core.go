@@ -274,7 +274,7 @@ func (s *Simulator) drain(ctx context.Context, r trace.Reader, warm bool) (refs,
 			}
 			res := s.pol.Assign(ref.Addr)
 			if res.Event != policy.EventNone {
-				s.applyEvent(res) //paperlint:ignore hotalloc event path: page-table node alloc/free and error formatting run per promotion/demotion, not per reference
+				s.applyEvent(res) //paperlint:ignore hotalloc event path: page-table node alloc/free runs per promotion/demotion, not per reference
 			}
 			if s.pt != nil {
 				s.ptStep(ref.Addr, res)
@@ -432,7 +432,7 @@ func DecodeCounters(r trace.Reader) obs.Counters {
 // the class-L entry itself. The cycle cost of this is folded into the
 // multi-size miss penalty, as in the paper (Section 3.4).
 func (s *Simulator) applyEvent(res policy.Result) {
-	level := res.Level
+	level := int(res.Level)
 	if level <= 0 {
 		level = 1
 	}

@@ -61,7 +61,9 @@ func (p *ptShadow) classOf(shift uint) int {
 // large mapping is installed directly. A demotion splits the region
 // into its children. Inconsistencies (a transition against a region the
 // shadow never saw) are ignored: the policy is authoritative, and the
-// next miss demand-maps whatever the walk cannot find.
+// next miss demand-maps whatever the walk cannot find. The table's
+// refusals here are its sentinel errors, so discarding them costs no
+// formatting or allocation.
 func (p *ptShadow) apply(level int, res policy.Result) {
 	switch res.Event {
 	case policy.EventPromote:
@@ -105,6 +107,6 @@ func (s *Simulator) ptStep(va addr.VA, res policy.Result) {
 	}
 	if !pte.Valid {
 		k := s.pt.classOf(res.Page.Shift)
-		_ = s.pt.nt.Map(k, res.Page.Number, s.pt.alloc()) //paperlint:ignore hotalloc demand-map path: node alloc and error formatting run once per first-touched page, not per reference
+		_ = s.pt.nt.Map(k, res.Page.Number, s.pt.alloc()) //paperlint:ignore hotalloc demand-map path: node alloc runs once per first-touched page, not per reference
 	}
 }

@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"errors"
 	"fmt"
 
 	"twopage/internal/addr"
@@ -19,6 +20,28 @@ type node struct {
 
 // empty reports whether the node holds neither a leaf nor children.
 func (n node) empty() bool { return !n.split && !n.pte.Valid }
+
+// Refusals of Map, Promote and Demote that follow from the table's
+// current mappings rather than from a bad argument. Callers that keep a
+// table in step with a policy meet them routinely and discard them, so
+// they are package values: returning one formats and allocates nothing.
+// Match them with errors.Is.
+var (
+	// ErrNotMapped: the region, or the table path down to it, holds no
+	// mapping.
+	ErrNotMapped = errors.New("pagetable: region is not mapped")
+	// ErrInsideLarger: an enclosing region is mapped as one larger page
+	// (demote it first).
+	ErrInsideLarger = errors.New("pagetable: region lies inside a larger page")
+	// ErrAlreadyMapped: the region is already mapped at its class.
+	ErrAlreadyMapped = errors.New("pagetable: region already mapped")
+	// ErrHasSmaller: the region still holds smaller mappings (promote
+	// instead of mapping).
+	ErrHasSmaller = errors.New("pagetable: region has smaller mappings; promote instead")
+	// ErrNothingToPromote: the region holds no smaller mappings to
+	// collapse.
+	ErrNothingToPromote = errors.New("pagetable: region has no smaller mappings to promote")
+)
 
 // Freed is one mapping released by a promotion: the physical frame and
 // the size class it was mapped at.
@@ -138,9 +161,10 @@ func (t *NTable) subtreeValid(k int, nd node) bool {
 }
 
 // Map installs a class-k mapping for page number pn (numbered at class
-// k). Intermediate tables are created on demand. It fails when any
-// enclosing region is already mapped at a larger size (demote first),
-// or — for k >= 1 — when the region itself is already mapped or still
+// k). Intermediate tables are created on demand. It fails with
+// ErrInsideLarger when any enclosing region is already mapped at a
+// larger size (demote first), and — for k >= 1 — with ErrAlreadyMapped
+// or ErrHasSmaller when the region itself is already mapped or still
 // holds smaller mappings (promote instead). Class-0 mappings may
 // overwrite an existing class-0 PTE, as the two-size table allowed.
 func (t *NTable) Map(k int, pn addr.PN, frame addr.PN) error {
@@ -161,8 +185,7 @@ func (t *NTable) Map(k int, pn addr.PN, frame addr.PN) error {
 	cur := &t.top[ti]
 	for j := n - 1; j > k; j-- {
 		if cur.pte.Valid {
-			return fmt.Errorf("pagetable: class-%d region %#x is mapped as one %s page",
-				j, uint64(t.classes.Up(pn, k, j)), t.classes.Size(j))
+			return ErrInsideLarger
 		}
 		if !cur.split {
 			cur.split = true
@@ -176,12 +199,11 @@ func (t *NTable) Map(k int, pn addr.PN, frame addr.PN) error {
 		return nil
 	}
 	if cur.pte.Valid {
-		return fmt.Errorf("pagetable: class-%d region %#x already mapped", k, uint64(pn))
+		return ErrAlreadyMapped
 	}
 	if cur.split {
 		if t.subtreeValid(k, *cur) {
-			return fmt.Errorf("pagetable: class-%d region %#x has smaller mappings; promote instead",
-				k, uint64(pn))
+			return ErrHasSmaller
 		}
 		t.freeSubtree(k, *cur)
 	}
@@ -280,8 +302,8 @@ func (t *NTable) Lookup(va addr.VA) (PTE, Walk) {
 
 // findNode descends to the class-k node for region (numbered at class
 // k), without creating anything. It returns a pointer into the arena —
-// valid until the next allocation — or an error when the path is absent
-// or blocked by a larger-size leaf.
+// valid until the next allocation — or ErrNotMapped when the path is
+// absent, or ErrInsideLarger when a larger-size leaf blocks it.
 func (t *NTable) findNode(k int, region addr.PN) (*node, error) {
 	n := t.classes.N()
 	if k < 0 || k >= n {
@@ -289,16 +311,15 @@ func (t *NTable) findNode(k int, region addr.PN) (*node, error) {
 	}
 	ti, ok := t.idx.Get(uint64(t.classes.Up(region, k, n-1)))
 	if !ok {
-		return nil, fmt.Errorf("pagetable: class-%d region %#x is not mapped", k, uint64(region))
+		return nil, ErrNotMapped
 	}
 	cur := &t.top[ti]
 	for j := n - 1; j > k; j-- {
 		if cur.pte.Valid {
-			return nil, fmt.Errorf("pagetable: class-%d region %#x is mapped as one %s page",
-				j, uint64(t.classes.Up(region, k, j)), t.classes.Size(j))
+			return nil, ErrInsideLarger
 		}
 		if !cur.split {
-			return nil, fmt.Errorf("pagetable: class-%d region %#x is not mapped", k, uint64(region))
+			return nil, ErrNotMapped
 		}
 		sub := t.classes.Up(region, k, j-1)
 		cur = &t.nodes[j-1][cur.kids+uint32(t.classes.SubIndex(sub, j, j-1))]
@@ -325,8 +346,8 @@ func (t *NTable) collect(k int, nd node, freed []Freed, bytes uint64) ([]Freed, 
 // Promote collapses every smaller mapping under the class-k region
 // (k >= 1) into one class-k mapping at newFrame. It returns the frames
 // that were freed, with their classes, and the bytes of resident data
-// copied to the new frame. It fails if the region holds no smaller
-// mappings.
+// copied to the new frame. It fails with ErrNothingToPromote if the
+// region holds no smaller mappings.
 func (t *NTable) Promote(k int, region addr.PN, newFrame addr.PN) ([]Freed, uint64, error) {
 	if k < 1 || k >= t.classes.N() {
 		return nil, 0, fmt.Errorf("pagetable: promotion class %d out of range [1,%d)",
@@ -334,12 +355,11 @@ func (t *NTable) Promote(k int, region addr.PN, newFrame addr.PN) ([]Freed, uint
 	}
 	nd, err := t.findNode(k, region)
 	if err != nil || nd.pte.Valid || !nd.split {
-		return nil, 0, fmt.Errorf("pagetable: class-%d region %#x has no smaller mappings to promote",
-			k, uint64(region))
+		return nil, 0, ErrNothingToPromote
 	}
 	freed, bytes := t.collect(k, *nd, nil, 0)
 	if len(freed) == 0 {
-		return nil, 0, fmt.Errorf("pagetable: class-%d region %#x is empty", k, uint64(region))
+		return nil, 0, ErrNothingToPromote
 	}
 	t.freeSubtree(k, *nd)
 	*nd = node{pte: PTE{Frame: newFrame, Valid: true, Large: true}}
@@ -349,7 +369,9 @@ func (t *NTable) Promote(k int, region addr.PN, newFrame addr.PN) ([]Freed, uint
 }
 
 // Demote splits the class-k region's leaf into Fanout(k) class-(k-1)
-// mappings at the given frames. It returns the freed class-k frame.
+// mappings at the given frames. It returns the freed class-k frame. It
+// fails with ErrNotMapped or ErrInsideLarger when the region is not
+// mapped as one class-k page.
 func (t *NTable) Demote(k int, region addr.PN, frames []addr.PN) (addr.PN, error) {
 	if k < 1 || k >= t.classes.N() {
 		return 0, fmt.Errorf("pagetable: demotion class %d out of range [1,%d)",
@@ -364,8 +386,7 @@ func (t *NTable) Demote(k int, region addr.PN, frames []addr.PN) (addr.PN, error
 		return 0, err
 	}
 	if !nd.pte.Valid {
-		return 0, fmt.Errorf("pagetable: class-%d region %#x is not mapped as one %s page",
-			k, uint64(region), t.classes.Size(k))
+		return 0, ErrNotMapped
 	}
 	old := nd.pte.Frame
 	kids := t.allocSpan(k - 1)

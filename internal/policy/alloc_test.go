@@ -1,7 +1,9 @@
 package policy
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"twopage/internal/addr"
 )
@@ -24,25 +26,52 @@ func policyStream(n int) []addr.VA {
 	return out
 }
 
-// TestAssignAllocs pins the dynamic policy's per-reference path —
-// window step, chunk-activity probe, large-set update — at zero
-// steady-state allocations.
+// TestAssignAllocs pins the dynamic policies' per-reference path —
+// window step, chunk-activity and child-count probes, mapped-set
+// updates — at zero steady-state allocations, for the two-size policy
+// and a three-class ladder.
 func TestAssignAllocs(t *testing.T) {
-	p := NewTwoSize(DefaultTwoSizeConfig(1 << 12))
-	stream := policyStream(1 << 15)
-	for _, va := range stream {
-		p.Assign(va)
+	two := NewTwoSize(DefaultTwoSizeConfig(1 << 12))
+	ladder := NewLadder(DefaultLadderConfig(1<<12,
+		addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift, addr.Shift256K)))
+	for _, tc := range []struct {
+		pol        Assigner
+		promotions func() uint64
+	}{
+		{two, func() uint64 { return two.Stats().Promotions }},
+		{ladder, func() uint64 { return ladder.Stats().Promotions[1] }},
+	} {
+		stream := policyStream(1 << 15)
+		for _, va := range stream {
+			tc.pol.Assign(va)
+		}
+		if tc.promotions() == 0 {
+			t.Fatalf("%s: warmup produced no promotions; stream too cold to be a meaningful pin", tc.pol.Name())
+		}
+		i := 0
+		avg := testing.AllocsPerRun(5000, func() {
+			tc.pol.Assign(stream[i&(1<<15-1)])
+			i++
+		})
+		if avg != 0 {
+			t.Errorf("%s: Assign allocates %.2f times per call, want 0", tc.pol.Name(), avg)
+		}
 	}
-	if s := p.Stats(); s.Promotions == 0 {
-		t.Fatal("warmup produced no promotions; stream too cold to be a meaningful pin")
+}
+
+// TestResultFitsInRegisters pins Result's layout. Every reference
+// returns a Result, and the Go compiler keeps a struct in registers
+// only while it has at most four fields and at most four words, 32
+// bytes on 64-bit targets (cmd/compile/internal/ssa.CanSSA). Past
+// either limit each Assign builds its Result in memory and the caller
+// copies it out with 16-byte loads that span the 1-byte Event store,
+// a store-forwarding stall on every reference.
+func TestResultFitsInRegisters(t *testing.T) {
+	if n := reflect.TypeOf(Result{}).NumField(); n > 4 {
+		t.Errorf("Result has %d fields, want at most 4", n)
 	}
-	i := 0
-	avg := testing.AllocsPerRun(5000, func() {
-		p.Assign(stream[i&(1<<15-1)])
-		i++
-	})
-	if avg != 0 {
-		t.Errorf("TwoSize.Assign allocates %.2f times per call, want 0", avg)
+	if size := unsafe.Sizeof(Result{}); size > 32 {
+		t.Errorf("Result is %d bytes, want at most 32", size)
 	}
 }
 

@@ -102,6 +102,7 @@ func (s *LadderStats) Merge(o LadderStats) {
 // pressure propagates up the ladder one level per reference.
 type Ladder struct {
 	cfg    LadderConfig
+	shift  [addr.MaxSizeClasses]uint // cfg.Classes.Shift(k), read per reference
 	win    *window.Tracker
 	mapped [addr.MaxSizeClasses]*htab.Set     // k >= 1: regions mapped at class k
 	kids   [addr.MaxSizeClasses]*htab.Counter // k >= 2: region -> mapped class-(k-1) children
@@ -136,6 +137,9 @@ func NewLadder(cfg LadderConfig) *Ladder {
 	l := &Ladder{
 		cfg: cfg,
 		win: window.NewWithChunkShift(cfg.T, cfg.Classes.Shift(1)),
+	}
+	for k := 0; k < n; k++ {
+		l.shift[k] = cfg.Classes.Shift(k)
 	}
 	for k := 1; k < n; k++ {
 		l.mapped[k] = htab.NewSet(1 << 8)
@@ -210,14 +214,24 @@ func (l *Ladder) demote(k int, r addr.PN) {
 // reference to the largest covering mapped class. Per-reference hot
 // path: one window step plus a few flat-table probes.
 //
+// Each class's mapped state is probed once. The transition loop probes
+// every level from the top down to the one where a transition fires, or
+// all of them. A transition sets its own level's new state. Only
+// promote and demote change mapped state, and only at their own level.
+// So the resolution reuses the loop's probes and probes again only
+// below a transition, which needs three or more classes.
+//
 //paperlint:hot
 func (l *Ladder) Assign(va addr.VA) Result {
 	l.stats.Refs++
 	l.win.StepVA(va)
-	n := l.cfg.Classes.N()
 	var res Result
-	for k := n - 1; k >= 1; k-- {
-		r := l.cfg.Classes.Page(va, k)
+	// top is the largest class whose region is mapped (0: the base
+	// block) and topR that region.
+	top, topR := 0, addr.Block(va)
+	k := l.cfg.Classes.N() - 1
+	for ; k >= 1; k-- {
+		r := addr.Page(va, l.shift[k])
 		var support int
 		if k == 1 {
 			support = l.win.ChunkActive(r)
@@ -226,29 +240,32 @@ func (l *Ladder) Assign(va addr.VA) Result {
 		}
 		isMapped := l.mapped[k].Has(uint64(r))
 		thr := l.cfg.Thresholds[k-1]
+		ev := EventNone
 		switch {
 		case !isMapped && support >= thr &&
 			(l.cfg.Deny == nil || !l.cfg.Deny(k, r)):
 			l.promote(k, r)
-			res.Event, res.Chunk, res.Level = EventPromote, r, k
+			ev, isMapped = EventPromote, true
 		case isMapped && l.cfg.Demote && support < thr:
 			l.demote(k, r)
-			res.Event, res.Chunk, res.Level = EventDemote, r, k
-		default:
-			continue
+			ev, isMapped = EventDemote, false
 		}
-		break
-	}
-	for k := n - 1; k >= 1; k-- {
-		r := l.cfg.Classes.Page(va, k)
-		if l.mapped[k].Has(uint64(r)) {
-			l.stats.RefsByClass[k]++
-			res.Page = Page{Number: r, Shift: l.cfg.Classes.Shift(k)}
-			return res
+		if isMapped && top == 0 {
+			top, topR = k, r
+		}
+		if ev != EventNone {
+			res.Event, res.Chunk, res.Level = ev, r, uint8(k)
+			break
 		}
 	}
-	l.stats.RefsByClass[0]++
-	res.Page = Page{Number: addr.Block(va), Shift: addr.BlockShift}
+	// Levels below a transition are still unprobed.
+	for k--; top == 0 && k >= 1; k-- {
+		if r := addr.Page(va, l.shift[k]); l.mapped[k].Has(uint64(r)) {
+			top, topR = k, r
+		}
+	}
+	l.stats.RefsByClass[top]++
+	res.Page = Page{Number: topR, Shift: l.shift[top]}
 	return res
 }
 

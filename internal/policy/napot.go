@@ -110,7 +110,7 @@ func (p *Napot) Assign(va addr.VA) Result {
 			}
 			p.mapped[k].Add(uint64(r))
 			p.stats.Promotions[k]++
-			res.Event, res.Chunk, res.Level = EventPromote, r, k
+			res.Event, res.Chunk, res.Level = EventPromote, r, uint8(k)
 		}
 	}
 	for k := n - 1; k >= 1; k-- {

@@ -57,13 +57,18 @@ const (
 )
 
 // Result is the outcome of assigning one reference.
+//
+// Every reference returns one, so its layout is part of the hot path:
+// at 32 bytes and four fields the compiler keeps it in registers across
+// Assign's return (DESIGN.md §8). TestResultFitsInRegisters pins that.
 type Result struct {
 	Page  Page    // the page the reference falls on, after any transition
-	Event Event   // transition triggered by this reference, if any
 	Chunk addr.PN // region affected by the transition, numbered at class Level (valid when Event != EventNone)
+	Event Event   // transition triggered by this reference, if any
 	// Level is the size class a promotion enters or a demotion leaves;
-	// always 1 for two-size policies, 1..N-1 for the N-level ladder.
-	Level int
+	// always 1 for two-size policies, 1..N-1 for the N-level ladder
+	// (below addr.MaxSizeClasses, so a byte holds it).
+	Level uint8
 }
 
 // Assigner maps each reference to its page and carries out any dynamic

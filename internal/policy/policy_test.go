@@ -254,7 +254,21 @@ func TestStatsConsistency(t *testing.T) {
 }
 
 func BenchmarkTwoSizeAssign(b *testing.B) {
-	p := NewTwoSize(DefaultTwoSizeConfig(1 << 16))
+	benchAssign(b, NewTwoSize(DefaultTwoSizeConfig(1<<16)))
+}
+
+// BenchmarkLadderAssign runs the 4KB/32KB/256KB ladder, whose Assign
+// probes a third class and reprobes below class-2 transitions.
+func BenchmarkLadderAssign(b *testing.B) {
+	benchAssign(b, NewLadder(DefaultLadderConfig(1<<16,
+		addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift, addr.Shift256K))))
+}
+
+var benchResult Result
+
+// benchAssign calls Assign through the Assigner interface, as core's
+// loop does, over uniform-random references in 16MB.
+func benchAssign(b *testing.B, p Assigner) {
 	rng := rand.New(rand.NewSource(1))
 	vas := make([]addr.VA, 1<<14)
 	for i := range vas {
@@ -262,7 +276,7 @@ func BenchmarkTwoSizeAssign(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Assign(vas[i&(len(vas)-1)])
+		benchResult = p.Assign(vas[i&(len(vas)-1)])
 	}
 }
 

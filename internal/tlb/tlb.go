@@ -372,6 +372,10 @@ func (c Config) Key() (string, error) {
 type SetAssoc struct {
 	cfg     Config
 	classes addr.SizeClasses
+	// classOf maps a page shift to its size class (classes.ClassOf),
+	// looked up on every access instead of scanning the classes. Access
+	// clamps shifts to 63, which ClassOf also puts in the top class.
+	classOf [64]uint8
 	sets    int
 	setBits uint
 	// idxShift is the fixed indexing shift, or -1 for exact indexing
@@ -415,7 +419,7 @@ func New(cfg Config) (*SetAssoc, error) {
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}
-	return &SetAssoc{
+	t := &SetAssoc{
 		cfg:      cfg,
 		classes:  classes,
 		sets:     sets,
@@ -424,7 +428,11 @@ func New(cfg Config) (*SetAssoc, error) {
 		entries:  make([]entry, cfg.Entries),
 		rng:      seed,
 		stats:    NewStats(classes),
-	}, nil
+	}
+	for shift := range t.classOf {
+		t.classOf[shift] = uint8(classes.ClassOf(uint(shift)))
+	}
+	return t, nil
 }
 
 // MustNew is New, panicking on error; for tests and tables of known-good
@@ -492,7 +500,7 @@ func (t *SetAssoc) xorshift() uint64 {
 func (t *SetAssoc) Access(va addr.VA, p policy.Page) bool {
 	t.clock++
 	t.stats.Accesses++
-	k := t.classes.ClassOf(uint(p.Shift))
+	k := t.classOf[min(p.Shift, 63)]
 	idx := t.index(va, p)
 	base := int(idx) * t.cfg.Ways
 	set := t.entries[base : base+t.cfg.Ways]

@@ -290,6 +290,27 @@ func TestStatsBreakdownAndReprobes(t *testing.T) {
 	}
 }
 
+// TestAccessCountsByClass checks that Access counts every page shift,
+// including shifts between, below and above the configured classes,
+// against the class addr.SizeClasses.ClassOf gives it.
+func TestAccessCountsByClass(t *testing.T) {
+	shifts := []uint{addr.BlockShift, addr.ChunkShift, addr.Shift256K, addr.Shift2M}
+	classes := addr.MustShiftClasses(shifts...)
+	tl := MustNew(Config{Entries: 64, Ways: 4, Index: IndexExact, Shifts: shifts})
+	var want [addr.MaxSizeClasses]uint64
+	for _, shift := range []uint{10, 12, 13, 15, 16, 18, 20, 21, 30, 63} {
+		k := classes.ClassOf(shift)
+		va := addr.VA(uint64(3) << shift)
+		tl.Access(va, policy.Page{Number: addr.Page(va, shift), Shift: shift}) // miss
+		tl.Access(va, policy.Page{Number: addr.Page(va, shift), Shift: shift}) // hit
+		want[k]++
+	}
+	st := tl.Stats()
+	if st.MissesByClass != want || st.HitsByClass != want {
+		t.Fatalf("misses %v, hits %v by class, want %v each", st.MissesByClass, st.HitsByClass, want)
+	}
+}
+
 func TestSplitTLB(t *testing.T) {
 	sp, err := NewSplit(Config{Entries: 8, Ways: 2}, Config{Entries: 4, Ways: 4})
 	if err != nil {
