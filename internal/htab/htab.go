@@ -2,11 +2,11 @@
 // per-reference simulation kernels.
 //
 // Every hot loop in the reproduction — the working-set step
-// (internal/wss), the sliding-window ref-counts (internal/window), the
-// promotion policy's large-chunk set (internal/policy), the MMU's
-// resident-page index and the software page table (internal/mmu,
-// internal/pagetable) — bottoms out in a lookup keyed by a page number,
-// i.e. a uint64. A Go map pays, per operation: the runtime's generic
+// (internal/wss), the sliding window's chunk index (internal/window),
+// the promotion policy's mapped-region sets and child counts
+// (internal/policy), the MMU's resident-page index and the software
+// page table (internal/mmu, internal/pagetable) — bottoms out in a
+// lookup keyed by a page number, i.e. a uint64. A Go map pays, per operation: the runtime's generic
 // hashing through a type descriptor, tophash probing across bucket
 // cache lines, and GC write barriers on bucket pointers. Over the
 // paper's passes (hundreds of millions of references, Sections 3.2–3.4)
@@ -19,11 +19,11 @@
 // probing, and growth by doubling. Three concrete variants cover every
 // kernel:
 //
-//   - U64: uint64 key → uint64 value (timestamps, arena indices,
-//     touch bitmaps);
+//   - U64: uint64 key → uint64 value (timestamps, arena indices such
+//     as the window's chunk-to-record index, touch bitmaps);
 //   - Counter: uint64 key → int64 count, with remove-at-zero Add — the
-//     shape of the window's reference counts;
-//   - Set: uint64 key membership — the policy's large-chunk set.
+//     shape of the ladder policy's mapped-children counts;
+//   - Set: uint64 key membership — the policy's mapped-region sets.
 //
 // Determinism. The table's layout depends only on the sequence of
 // inserts and deletes — there is no per-process seed — but probe-order
@@ -291,8 +291,7 @@ func (t *U64) IterSorted(fn func(k, v uint64)) {
 
 // Counter is an open-addressing map from uint64 keys to int64 counts.
 // A key whose count returns to zero is removed, so Len is always the
-// number of keys with nonzero counts — exactly the "distinct active
-// blocks" quantity the sliding window maintains.
+// number of keys with nonzero counts.
 type Counter struct {
 	t U64
 }
@@ -361,12 +360,6 @@ func (c *Counter) Add(k uint64, d int64) int64 {
 		}
 		i = (i + 1) & t.mask
 	}
-}
-
-// IterSorted calls fn for every nonzero count in ascending key order
-// (reporting paths; allocates scratch).
-func (c *Counter) IterSorted(fn func(k uint64, n int64)) {
-	c.t.IterSorted(func(k, v uint64) { fn(k, int64(v)) })
 }
 
 // Set is an open-addressing set of uint64 keys.

@@ -165,8 +165,8 @@ func checkEqual(t *testing.T, h *U64, shadow map[uint64]uint64) {
 	}
 }
 
-// TestCounterDifferential mirrors the window's usage: ±1 deltas with
-// remove-at-zero, checked against a shadow map.
+// TestCounterDifferential mirrors the ladder's child counts: ±1 deltas
+// with remove-at-zero, checked against a shadow map.
 func TestCounterDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := NewCounter(0)
@@ -174,7 +174,7 @@ func TestCounterDifferential(t *testing.T) {
 	for op := 0; op < 200_000; op++ {
 		k := uint64(rng.Intn(256))
 		var d int64 = 1
-		// Only decrement keys that exist, as the window does.
+		// Only decrement keys that exist, as the ladder does.
 		if shadow[k] > 0 && rng.Intn(2) == 0 {
 			d = -1
 		}

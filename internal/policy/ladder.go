@@ -28,7 +28,8 @@ type LadderConfig struct {
 	T int
 	// Classes is the page-size hierarchy. Class 0 must be the 4KB block
 	// (the window tracker's unit); 2 to addr.MaxSizeClasses levels, all
-	// shifts at most 24 (the window's chunk-counting bound).
+	// shifts at most window.MaxChunkShift (the window's chunk-counting
+	// bound).
 	Classes addr.SizeClasses
 	// Thresholds[k-1] is the support needed to promote a class-k region:
 	// for k == 1, active blocks in the window (the paper's rule); for
@@ -122,8 +123,9 @@ func NewLadder(cfg LadderConfig) *Ladder {
 		panic(fmt.Sprintf("policy: ladder base class must be the 4KB block, got shift %d",
 			cfg.Classes.Shift(0)))
 	}
-	if top := cfg.Classes.TopShift(); top > 24 {
-		panic(fmt.Sprintf("policy: top shift %d out of range (%d,24]", top, addr.BlockShift))
+	if top := cfg.Classes.TopShift(); top > window.MaxChunkShift {
+		panic(fmt.Sprintf("policy: top shift %d out of range (%d,%d]",
+			top, addr.BlockShift, window.MaxChunkShift))
 	}
 	if len(cfg.Thresholds) != n-1 {
 		panic(fmt.Sprintf("policy: ladder needs %d thresholds for %d classes, got %d",
@@ -212,7 +214,8 @@ func (l *Ladder) demote(k int, r addr.PN) {
 // Assign implements Assigner: record the reference in the window, apply
 // at most one promotion/demotion (top level first), and resolve the
 // reference to the largest covering mapped class. Per-reference hot
-// path: one window step plus a few flat-table probes.
+// path: one window step, whose return value is class 1's support, plus
+// a few flat-table probes.
 //
 // Each class's mapped state is probed once. The transition loop probes
 // every level from the top down to the one where a transition fires, or
@@ -224,7 +227,9 @@ func (l *Ladder) demote(k int, r addr.PN) {
 //paperlint:hot
 func (l *Ladder) Assign(va addr.VA) Result {
 	l.stats.Refs++
-	l.win.StepVA(va)
+	// The window's chunk is the class-1 region (NewLadder builds it so),
+	// and Step returns its active-block count: class 1's support.
+	chunkActive := l.win.StepVA(va)
 	var res Result
 	// top is the largest class whose region is mapped (0: the base
 	// block) and topR that region.
@@ -234,7 +239,7 @@ func (l *Ladder) Assign(va addr.VA) Result {
 		r := addr.Page(va, l.shift[k])
 		var support int
 		if k == 1 {
-			support = l.win.ChunkActive(r)
+			support = chunkActive
 		} else {
 			support = int(l.kids[k].Get(uint64(r)))
 		}

@@ -206,9 +206,9 @@ func NewTwoSize(cfg TwoSizeConfig) *TwoSize {
 	if cfg.LargeShift == 0 {
 		cfg.LargeShift = addr.ChunkShift
 	}
-	if cfg.LargeShift <= addr.BlockShift || cfg.LargeShift > 24 {
-		panic(fmt.Sprintf("policy: large shift %d out of range (%d,24]",
-			cfg.LargeShift, addr.BlockShift))
+	if cfg.LargeShift <= addr.BlockShift || cfg.LargeShift > window.MaxChunkShift {
+		panic(fmt.Sprintf("policy: large shift %d out of range (%d,%d]",
+			cfg.LargeShift, addr.BlockShift, window.MaxChunkShift))
 	}
 	bpc := cfg.BlocksPerChunk()
 	if cfg.Threshold < 1 || cfg.Threshold > bpc {

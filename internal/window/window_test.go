@@ -1,6 +1,8 @@
 package window
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,8 +12,9 @@ import (
 
 // refModel recomputes window state naively from the full history.
 type refModel struct {
-	T    int
-	hist []addr.PN
+	T          int
+	chunkShift uint
+	hist       []addr.PN
 }
 
 func (m *refModel) step(b addr.PN) { m.hist = append(m.hist, b) }
@@ -35,7 +38,7 @@ func (m *refModel) activeBlocks() map[addr.PN]bool {
 func (m *refModel) chunkActive(c addr.PN) int {
 	n := 0
 	for b := range m.activeBlocks() {
-		if addr.ChunkOfBlock(b) == c {
+		if b>>(m.chunkShift-addr.BlockShift) == c {
 			n++
 		}
 	}
@@ -43,12 +46,60 @@ func (m *refModel) chunkActive(c addr.PN) int {
 }
 
 func TestNewPanicsOnBadT(t *testing.T) {
+	mustPanic(t, "New(0)", func() { New(0) })
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New(0) did not panic")
+			t.Fatalf("%s did not panic", what)
 		}
 	}()
-	New(0)
+	f()
+}
+
+// TestChunkShiftBound pins the accepted chunk shifts to (12, 24], the
+// bound NewLadder and NewTwoSize enforce: a record holds 2^(shift-12)
+// counts, which must stay small and must not overflow BlocksPerChunk.
+func TestChunkShiftBound(t *testing.T) {
+	for _, shift := range []uint{0, addr.BlockShift, MaxChunkShift + 1, 75} {
+		mustPanic(t, fmt.Sprintf("NewWithChunkShift(8, %d)", shift), func() { NewWithChunkShift(8, shift) })
+	}
+	for _, shift := range []uint{addr.BlockShift + 1, MaxChunkShift} {
+		w := NewWithChunkShift(8, shift)
+		if got, want := w.BlocksPerChunk(), 1<<(shift-addr.BlockShift); got != want {
+			t.Errorf("shift %d: BlocksPerChunk = %d, want %d", shift, got, want)
+		}
+	}
+}
+
+// TestTBound rejects a window whose reference counts could pass a
+// uint32, before allocating its ring.
+func TestTBound(t *testing.T) {
+	if uint64(math.MaxInt) <= math.MaxUint32 {
+		t.Skip("int cannot exceed uint32")
+	}
+	tooLong := uint64(math.MaxUint32) + 1
+	mustPanic(t, "New(MaxUint32+1)", func() { New(int(tooLong)) })
+}
+
+// TestSlotIndexBound checks that the arena's record limit keeps every
+// slot index inside a uint32, and that a chunk past the limit panics
+// instead of wrapping.
+func TestSlotIndexBound(t *testing.T) {
+	for _, shift := range []uint{addr.BlockShift + 1, addr.ChunkShift, MaxChunkShift} {
+		w := NewWithChunkShift(8, shift)
+		if top := w.maxRecs<<w.bits - 1; top != math.MaxUint32 {
+			t.Errorf("shift %d: highest slot index %#x, want %#x", shift, top, uint64(math.MaxUint32))
+		}
+	}
+	w := New(8)
+	w.maxRecs = 2
+	w.Step(0)
+	w.Step(addr.BlocksPerChunk)
+	w.Step(1) // chunk 0 again: no new record
+	mustPanic(t, "a third active chunk past a two-record limit", func() { w.Step(2 * addr.BlocksPerChunk) })
 }
 
 func TestSingleBlock(t *testing.T) {
@@ -152,45 +203,54 @@ func TestStepVA(t *testing.T) {
 }
 
 // Cross-check the incremental tracker against a naive recomputation over
-// random reference streams with varying locality.
+// random reference streams with varying locality, at the default 32KB
+// chunks and at 64KB chunks.
 func TestAgainstNaiveModel(t *testing.T) {
-	for _, T := range []int{1, 2, 7, 64, 250} {
-		rng := rand.New(rand.NewSource(int64(T)))
-		w := New(T)
-		m := &refModel{T: T}
-		for i := 0; i < 5000; i++ {
-			var b addr.PN
-			switch rng.Intn(3) {
-			case 0: // hot set
-				b = addr.PN(rng.Intn(4))
-			case 1: // one chunk's blocks
-				b = addr.PN(64 + rng.Intn(addr.BlocksPerChunk))
-			default: // wide range
-				b = addr.PN(rng.Intn(1000))
-			}
-			w.Step(b)
-			m.step(b)
-			if i%97 != 0 {
-				continue
-			}
-			want := m.activeBlocks()
-			if w.ActiveBlocks() != len(want) {
-				t.Fatalf("T=%d step=%d active=%d want %d", T, i, w.ActiveBlocks(), len(want))
-			}
-			for b := range want {
-				if !w.BlockActive(b) {
-					t.Fatalf("T=%d step=%d block %d should be active", T, i, b)
-				}
-			}
-			for _, c := range []addr.PN{0, 8, 64 / addr.BlocksPerChunk, 100} {
-				if got, want := w.ChunkActive(c), m.chunkActive(c); got != want {
-					t.Fatalf("T=%d step=%d chunk %d active=%d want %d", T, i, c, got, want)
-				}
+	for _, shift := range []uint{addr.ChunkShift, addr.Shift64K} {
+		for _, T := range []int{1, 2, 7, 64, 250} {
+			checkAgainstNaiveModel(t, shift, T)
+		}
+	}
+}
+
+func checkAgainstNaiveModel(t *testing.T, shift uint, T int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(T)))
+	w := NewWithChunkShift(T, shift)
+	m := &refModel{T: T, chunkShift: shift}
+	per := w.BlocksPerChunk()
+	for i := 0; i < 5000; i++ {
+		var b addr.PN
+		switch rng.Intn(3) {
+		case 0: // hot set
+			b = addr.PN(rng.Intn(4))
+		case 1: // one chunk's blocks
+			b = addr.PN(64 + rng.Intn(per))
+		default: // wide range
+			b = addr.PN(rng.Intn(1000))
+		}
+		w.Step(b)
+		m.step(b)
+		if i%97 != 0 {
+			continue
+		}
+		want := m.activeBlocks()
+		if w.ActiveBlocks() != len(want) {
+			t.Fatalf("shift=%d T=%d step=%d active=%d want %d", shift, T, i, w.ActiveBlocks(), len(want))
+		}
+		for b := range want {
+			if !w.BlockActive(b) {
+				t.Fatalf("shift=%d T=%d step=%d block %d should be active", shift, T, i, b)
 			}
 		}
-		if w.Steps() != 5000 {
-			t.Fatalf("Steps = %d", w.Steps())
+		for _, c := range []addr.PN{0, 8, addr.PN(64 / per), 100} {
+			if got, want := w.ChunkActive(c), m.chunkActive(c); got != want {
+				t.Fatalf("shift=%d T=%d step=%d chunk %d active=%d want %d", shift, T, i, c, got, want)
+			}
 		}
+	}
+	if w.Steps() != 5000 {
+		t.Fatalf("shift=%d T=%d: Steps = %d", shift, T, w.Steps())
 	}
 }
 

@@ -88,3 +88,23 @@ func TestObserveAllocs(t *testing.T) {
 		t.Errorf("Assign+Observe allocates %.2f times per reference, want 0", avg)
 	}
 }
+
+// TestSampledCurrentAllocs pins a warmed-up Sampled.Current — the
+// ActiveChunks walk ladder3 and nindex run every sample period — at zero
+// allocations: the window keeps its sorted-key scratch, and Current's
+// callback does not escape.
+func TestSampledCurrentAllocs(t *testing.T) {
+	classes := addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift, addr.Shift256K)
+	pol := policy.NewLadder(policy.DefaultLadderConfig(1<<12, classes))
+	s := NewSampled(pol, 0)
+	for _, va := range kernelref.VAStream(1 << 15) {
+		pol.Assign(va)
+		s.Step()
+	}
+	if s.Current() == 0 {
+		t.Fatal("empty working set; the stream did not warm the window")
+	}
+	if avg := testing.AllocsPerRun(100, func() { s.Current() }); avg != 0 {
+		t.Errorf("Sampled.Current allocates %.2f times per call, want 0", avg)
+	}
+}

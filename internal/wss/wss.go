@@ -32,6 +32,7 @@ import (
 	"twopage/internal/addr"
 	"twopage/internal/htab"
 	"twopage/internal/policy"
+	"twopage/internal/window"
 )
 
 // Result is the average working-set size for one page-size scheme.
@@ -156,7 +157,8 @@ func (s *Static) Steps() uint64 { return s.steps }
 // window hooks), then call Observe with each Assign result.
 type TwoSize struct {
 	pol       *policy.TwoSize
-	largeSize uint64 // bytes per large page
+	win       *window.Tracker // pol's window, read on every reference
+	largeSize uint64          // bytes per large page
 
 	largeActive   int // chunks currently mapped large with >=1 active block
 	blocksInLarge int // active blocks belonging to large chunks
@@ -173,7 +175,7 @@ func NewTwoSize(pol *policy.TwoSize) *TwoSize {
 	if w.OnBlockEnter != nil || w.OnBlockLeave != nil {
 		panic("wss: policy window already has hooks")
 	}
-	ts := &TwoSize{pol: pol, largeSize: uint64(1) << pol.Config().LargeShift}
+	ts := &TwoSize{pol: pol, win: w, largeSize: uint64(1) << pol.Config().LargeShift}
 	w.OnBlockEnter = func(b addr.PN) {
 		c := w.ChunkOf(b)
 		if pol.IsLarge(c) {
@@ -199,7 +201,7 @@ func NewTwoSize(pol *policy.TwoSize) *TwoSize {
 // promotion/demotion to the incremental state and accumulates the
 // instantaneous working-set size.
 func (ts *TwoSize) Observe(res policy.Result) {
-	w := ts.pol.Window()
+	w := ts.win
 	switch res.Event {
 	case policy.EventPromote:
 		// The chunk's active blocks move from the small side to the
@@ -227,7 +229,7 @@ func (ts *TwoSize) Observe(res policy.Result) {
 //
 //paperlint:hot
 func (ts *TwoSize) ObserveWarm(res policy.Result) {
-	w := ts.pol.Window()
+	w := ts.win
 	switch res.Event {
 	case policy.EventPromote:
 		n := w.ChunkActive(res.Chunk)
@@ -242,7 +244,7 @@ func (ts *TwoSize) ObserveWarm(res policy.Result) {
 
 // Current returns the instantaneous working-set size in bytes.
 func (ts *TwoSize) Current() uint64 {
-	smallBlocks := ts.pol.Window().ActiveBlocks() - ts.blocksInLarge
+	smallBlocks := ts.win.ActiveBlocks() - ts.blocksInLarge
 	return uint64(ts.largeActive)*ts.largeSize + uint64(smallBlocks)*addr.BlockSize
 }
 
