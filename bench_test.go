@@ -16,26 +16,9 @@ import (
 	"twopage/internal/workload"
 )
 
-// benchScale keeps each harness iteration around a second; the shapes
-// reported in EXPERIMENTS.md come from `cmd/paper` at scale 1.0.
-const benchScale = 0.02
-
-// benchExperiment regenerates one paper artifact per iteration. Each
-// iteration gets a fresh Runner (and engine), so the memo cache never
-// carries results between iterations.
-func benchExperiment(b *testing.B, id string, workloads []string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(
-			experiments.WithScale(benchScale),
-			experiments.WithOut(io.Discard),
-			experiments.WithWorkloads(workloads...),
-		)
-		if err := r.Run(context.Background(), id); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// Per-experiment wall times come from perfbench's traced suite-golden
+// run (experiments.<id>_s); this file keeps the engine, simulator,
+// sweep and codec micro-benchmarks.
 
 // benchEngineAt runs the CPI-heavy experiment block through one shared
 // engine at the given parallelism — the workload mix of `paper
@@ -60,51 +43,6 @@ func benchEngineAt(b *testing.B, parallelism int) {
 
 func BenchmarkEngineSequential(b *testing.B) { benchEngineAt(b, 1) }
 func BenchmarkEngineParallel(b *testing.B)   { benchEngineAt(b, runtime.NumCPU()) }
-
-// One benchmark per paper table/figure (all twelve programs each).
-
-func BenchmarkTable31(b *testing.B)  { benchExperiment(b, "table3.1", nil) }
-func BenchmarkFig41(b *testing.B)    { benchExperiment(b, "fig4.1", nil) }
-func BenchmarkFig42(b *testing.B)    { benchExperiment(b, "fig4.2", nil) }
-func BenchmarkFig51(b *testing.B)    { benchExperiment(b, "fig5.1", nil) }
-func BenchmarkFig52(b *testing.B)    { benchExperiment(b, "fig5.2", nil) }
-func BenchmarkTable51(b *testing.B)  { benchExperiment(b, "table5.1", nil) }
-func BenchmarkDeltaMP(b *testing.B)  { benchExperiment(b, "deltamp", nil) }
-func BenchmarkIndexing(b *testing.B) { benchExperiment(b, "indexing", nil) }
-
-func BenchmarkSensitivityT(b *testing.B) {
-	benchExperiment(b, "sensitivity", []string{"li", "matrix300"})
-}
-
-// Extension benches (multiprogramming, miss-handler organizations,
-// memory pressure, TLB size sweep).
-
-func BenchmarkMultiprog(b *testing.B) { benchExperiment(b, "multiprog", nil) }
-func BenchmarkMissHandling(b *testing.B) {
-	benchExperiment(b, "misshandling", []string{"worm", "matrix300"})
-}
-func BenchmarkPressure(b *testing.B) { benchExperiment(b, "pressure", []string{"li", "matrix300"}) }
-func BenchmarkCacheTLB(b *testing.B) { benchExperiment(b, "cachetlb", []string{"li", "matrix300"}) }
-func BenchmarkConflict(b *testing.B) { benchExperiment(b, "conflict", []string{"tomcatv", "worm"}) }
-func BenchmarkTLBSweep(b *testing.B) { benchExperiment(b, "tlbsweep", nil) }
-func BenchmarkPolicies(b *testing.B) { benchExperiment(b, "policies", []string{"li", "worm"}) }
-func BenchmarkDesignSpace(b *testing.B) {
-	benchExperiment(b, "designspace", []string{"li"})
-}
-func BenchmarkPhases(b *testing.B)    { benchExperiment(b, "phases", nil) }
-func BenchmarkSharedMem(b *testing.B) { benchExperiment(b, "sharedmem", nil) }
-func BenchmarkDiskIO(b *testing.B)    { benchExperiment(b, "diskio", []string{"li", "matrix300"}) }
-func BenchmarkProtect(b *testing.B)   { benchExperiment(b, "protect", []string{"li"}) }
-func BenchmarkAccessCost(b *testing.B) {
-	benchExperiment(b, "accesscost", []string{"matrix300", "tomcatv"})
-}
-
-// Ablation benches use the representative four-program subset.
-
-func BenchmarkThresholdSweep(b *testing.B)   { benchExperiment(b, "threshold", nil) }
-func BenchmarkCombos(b *testing.B)           { benchExperiment(b, "combos", nil) }
-func BenchmarkSplitVsUnified(b *testing.B)   { benchExperiment(b, "split", nil) }
-func BenchmarkReplacementSweep(b *testing.B) { benchExperiment(b, "replacement", nil) }
 
 // Micro-benchmarks of the simulation engine itself.
 

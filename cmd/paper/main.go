@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -114,11 +115,24 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		return 2
 	}
-	if *warmup > 0 && *shards <= 1 {
+	// Every flag value is checked before anything is built: a bad one
+	// is a usage error naming the flag, never a hang, a panic or a
+	// silently substituted default that the run report then misstates.
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "paper: "+format+"\n", args...)
+		return 2
+	}
+	switch {
+	case !(*scale > 0) || math.IsInf(*scale, 1):
+		return usage("-scale must be a finite number > 0, got %g", *scale)
+	case *parallelism < 1:
+		return usage("-j must be >= 1, got %d", *parallelism)
+	case *shards < 1:
+		return usage("-shards must be >= 1, got %d", *shards)
+	case *warmup > 0 && *shards == 1:
 		// The serial pass has no warm-up phase; silently ignoring the
 		// flag would report cold-state metrics as if they were warm.
-		fmt.Fprintln(stderr, "paper: -warmup requires -shards > 1 (the serial pass replays no warm-up)")
-		return 2
+		return usage("-warmup requires -shards > 1 (the serial pass replays no warm-up)")
 	}
 
 	if *list {

@@ -81,11 +81,26 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		return 2
 	}
-	if *warmup > 0 && *shards <= 1 {
+	// Every flag value is checked before anything is built: a bad one
+	// is a usage error naming the flag, never a panic in a constructor
+	// (or on a shard worker) and never a silently substituted default.
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "tlbsim: "+format+"\n", args...)
+		return 2
+	}
+	switch {
+	case *window < 0:
+		return usage("-T must be >= 0 (0 = refs/8), got %d", *window)
+	case *thresh < 1 || *thresh > addr.BlocksPerChunk:
+		return usage("-threshold must be in [1,%d], got %d", addr.BlocksPerChunk, *thresh)
+	case !addr.PageSize(*pageSize).Valid():
+		return usage("-pagesize must be a power of two, got %d", *pageSize)
+	case *shards < 1:
+		return usage("-shards must be >= 1, got %d", *shards)
+	case *warmup > 0 && *shards == 1:
 		// The serial pass has no warm-up phase; silently ignoring the
 		// flag would report cold-state metrics as if they were warm.
-		fmt.Fprintln(stderr, "tlbsim: -warmup requires -shards > 1 (the serial pass replays no warm-up)")
-		return 2
+		return usage("-warmup requires -shards > 1 (the serial pass replays no warm-up)")
 	}
 
 	if *list {
@@ -207,17 +222,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stderr, "tlbsim: -wss supports only the two-size policy")
 			return 1
 		}
-		polT = *window
-		if polT == 0 {
-			polT = int(nRefs / 8)
-		}
+		polT = policyWindow(*window, nRefs)
 		cfg := policy.DefaultLadderConfig(polT, classes)
 		newPolicy = func() policy.Assigner { return policy.NewLadder(cfg) }
 	case *two:
-		polT = *window
-		if polT == 0 {
-			polT = int(nRefs / 8)
-		}
+		polT = policyWindow(*window, nRefs)
 		cfg := policy.TwoSizeConfig{T: polT, Threshold: *thresh, Demote: true, LargeShift: addr.Shift32K}
 		newPolicy = func() policy.Assigner { return policy.NewTwoSize(cfg) }
 	default:
@@ -379,4 +388,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	return 0
+}
+
+// policyWindow is the -T flag's window: the flag when set, otherwise
+// an eighth of the trace, at least one reference.
+func policyWindow(flagT int, refs uint64) int {
+	if flagT > 0 {
+		return flagT
+	}
+	return int(max(refs/8, 1))
 }

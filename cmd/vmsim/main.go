@@ -56,6 +56,9 @@ func main() {
 		useDisk = flag.Bool("disk", false, "price faults with the 1992 positional disk model instead of -faultcycles")
 	)
 	flag.Parse()
+	if *window < 0 {
+		usage("-T must be >= 0 (0 = refs/8), got %d", *window)
+	}
 
 	if *wl == "" {
 		fatal("need -workload (one of: %v)", workload.Names())
@@ -84,7 +87,7 @@ func main() {
 	if *two {
 		T := *window
 		if T == 0 {
-			T = int(n / 8)
+			T = int(max(n/8, 1))
 		}
 		pol = policy.NewTwoSize(policy.DefaultTwoSizeConfig(T))
 	} else {
@@ -126,4 +129,10 @@ func main() {
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "vmsim: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// usage reports a bad flag value and exits 2, as flag parsing does.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "vmsim: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -1,6 +1,7 @@
 package twopage_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -158,6 +159,72 @@ func TestCommandLineTools(t *testing.T) {
 				}
 			})
 		}
+	})
+
+	// A bad flag value is a usage error: exit 2 with a message naming
+	// the flag. A Go panic also exits 2, so each case also rules out a
+	// panic trace, and a watchdog turns a hang into a failure.
+	t.Run("bad-flag-values", func(t *testing.T) {
+		gen := buildCmd(t, dir, "tracegen")
+		v2 := filepath.Join(dir, "li.v2")
+		runBin(t, gen, "-workload", "li", "-refs", "20000", "-format", "v2", "-o", v2)
+		li := []string{"-workload", "li", "-refs", "20000"}
+		cases := []struct {
+			cmd, flag string
+			args      []string
+		}{
+			{"tlbsim", "-T", append([]string{"-two", "-T", "-5"}, li...)},
+			{"tlbsim", "-threshold", append([]string{"-two", "-threshold", "0"}, li...)},
+			{"tlbsim", "-threshold", append([]string{"-two", "-threshold", "99"}, li...)},
+			{"tlbsim", "-T", append([]string{"-ladder", "-sizes", "4096,32768", "-T", "-3"}, li...)},
+			{"tlbsim", "-pagesize", append([]string{"-pagesize", "5000"}, li...)},
+			{"tlbsim", "-T", []string{"-trace", v2, "-shards", "2", "-two", "-T", "-5"}},
+			{"tlbsim", "-shards", []string{"-trace", v2, "-shards", "0"}},
+			{"tlbsim", "-shards", []string{"-trace", v2, "-shards", "-2"}},
+			{"vmsim", "-T", []string{"-workload", "li", "-refs", "20000", "-two", "-T", "-5"}},
+			{"paper", "-scale", []string{"-scale", "NaN", "-workloads", "li", "table3.1"}},
+			{"paper", "-scale", []string{"-scale", "-1", "-workloads", "li", "table3.1"}},
+			{"paper", "-scale", []string{"-scale", "0", "-workloads", "li", "table3.1"}},
+			{"paper", "-j", []string{"-scale", "0.01", "-j", "-3", "-workloads", "li", "table3.1"}},
+			{"paper", "-shards", []string{"-scale", "0.01", "-shards", "0", "-workloads", "li", "table3.1"}},
+		}
+		bins := map[string]string{}
+		bin := func(t *testing.T, name string) string {
+			if bins[name] == "" {
+				bins[name] = buildCmd(t, dir, name)
+			}
+			return bins[name]
+		}
+		for _, tc := range cases {
+			name := tc.cmd + tc.flag
+			for i, a := range tc.args[:len(tc.args)-1] {
+				if a == tc.flag {
+					name += "=" + tc.args[i+1]
+				}
+			}
+			t.Run(name, func(t *testing.T) {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+				defer cancel()
+				out, err := exec.CommandContext(ctx, bin(t, tc.cmd), tc.args...).CombinedOutput()
+				if ctx.Err() != nil {
+					t.Fatalf("%s %v: still running after a minute", tc.cmd, tc.args)
+				}
+				var ee *exec.ExitError
+				if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+					t.Errorf("%s %v: %v, want exit 2\n%s", tc.cmd, tc.args, err, out)
+				}
+				if !strings.Contains(string(out), tc.flag) {
+					t.Errorf("%s %v: output does not name %s:\n%s", tc.cmd, tc.args, tc.flag, out)
+				}
+				if strings.Contains(string(out), "panic:") || strings.Contains(string(out), "goroutine") {
+					t.Errorf("%s %v: panicked:\n%s", tc.cmd, tc.args, out)
+				}
+			})
+		}
+		// The auto window (refs/8) of a tiny trace is one reference, not
+		// a zero that the policy constructors reject.
+		runBin(t, bin(t, "tlbsim"), "-workload", "li", "-refs", "5", "-two")
+		runBin(t, bin(t, "vmsim"), "-workload", "li", "-refs", "5", "-two")
 	})
 
 	// Minimal decode of a -stats run report: just the fields these

@@ -6,18 +6,12 @@ import (
 	"twopage/internal/kernelref"
 )
 
-// benchKeys is the shared deterministic key stream over a bounded key
-// space, the page-number shape every kernel feeds the tables.
-func benchKeys(n int, space uint64) []uint64 {
-	return kernelref.Keys(n, space)
-}
-
-// The microbench pairs compare one htab operation against the same
-// operation on a Go map, on identical key streams. They back the
-// "htab_*" rows of BENCH_kernels.json.
+// The benchmarks run on kernelref's deterministic key streams over a
+// bounded key space, the page-number shape every kernel feeds the
+// tables.
 
 func BenchmarkU64Put(b *testing.B) {
-	keys := benchKeys(1<<16, 1<<14)
+	keys := kernelref.Keys(1<<16, 1<<14)
 	h := NewU64(1 << 14)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -26,18 +20,8 @@ func BenchmarkU64Put(b *testing.B) {
 	}
 }
 
-func BenchmarkGoMapPut(b *testing.B) {
-	keys := benchKeys(1<<16, 1<<14)
-	m := make(map[uint64]uint64, 1<<14)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m[keys[i&(1<<16-1)]] = uint64(i)
-	}
-}
-
 func BenchmarkU64Get(b *testing.B) {
-	keys := benchKeys(1<<16, 1<<14)
+	keys := kernelref.Keys(1<<16, 1<<14)
 	h := NewU64(1 << 14)
 	for _, k := range keys {
 		h.Put(k, k)
@@ -52,25 +36,10 @@ func BenchmarkU64Get(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkGoMapGet(b *testing.B) {
-	keys := benchKeys(1<<16, 1<<14)
-	m := make(map[uint64]uint64, 1<<14)
-	for _, k := range keys {
-		m[k] = k
-	}
-	var sink uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += m[keys[i&(1<<16-1)]]
-	}
-	_ = sink
-}
-
 // Churn alternates insert and delete, the window's steady state; it is
 // the case tombstone schemes degrade on and backward shift does not.
 func BenchmarkU64Churn(b *testing.B) {
-	keys := benchKeys(1<<16, 1<<13)
+	keys := kernelref.Keys(1<<16, 1<<13)
 	h := NewU64(1 << 13)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -84,23 +53,8 @@ func BenchmarkU64Churn(b *testing.B) {
 	}
 }
 
-func BenchmarkGoMapChurn(b *testing.B) {
-	keys := benchKeys(1<<16, 1<<13)
-	m := make(map[uint64]uint64, 1<<13)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := keys[i&(1<<16-1)]
-		if i&1 == 0 {
-			m[k] = uint64(i)
-		} else {
-			delete(m, k)
-		}
-	}
-}
-
 func BenchmarkCounterAdd(b *testing.B) {
-	keys := benchKeys(1<<16, 1<<12)
+	keys := kernelref.Keys(1<<16, 1<<12)
 	c := NewCounter(1 << 12)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -110,25 +64,6 @@ func BenchmarkCounterAdd(b *testing.B) {
 			c.Add(k, 1)
 		} else if c.Get(k) > 0 {
 			c.Add(k, -1)
-		}
-	}
-}
-
-func BenchmarkGoMapCounterAdd(b *testing.B) {
-	keys := benchKeys(1<<16, 1<<12)
-	m := make(map[uint64]int64, 1<<12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := keys[i&(1<<16-1)]
-		if i&1 == 0 {
-			m[k]++
-		} else if m[k] > 0 {
-			if m[k] == 1 {
-				delete(m, k)
-			} else {
-				m[k]--
-			}
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"twopage/internal/addr"
 	"twopage/internal/disk"
@@ -52,7 +53,8 @@ type Config struct {
 	// FaultCycles is charged when a reference touches an unmapped page
 	// (demand paging in). The paper's metrics exclude page faults, so
 	// keep it small to study TLB effects, or large to study memory
-	// pressure. Default 500.
+	// pressure. Must be finite and non-negative; 0 means the default,
+	// 500.
 	FaultCycles float64
 	// Disk, when non-nil, prices page-ins with the positional disk
 	// model instead of the flat FaultCycles — one seek+rotation per
@@ -83,8 +85,11 @@ func (c *Config) normalize() error {
 				want, mp.SizeClasses())
 		}
 	}
-	if c.FaultCycles == 0 {
+	switch {
+	case c.FaultCycles == 0:
 		c.FaultCycles = 500
+	case !(c.FaultCycles > 0) || math.IsInf(c.FaultCycles, 1):
+		return fmt.Errorf("mmu: Config.FaultCycles must be a finite number >= 0, got %g", c.FaultCycles)
 	}
 	if c.Disk != nil {
 		if err := c.Disk.Validate(); err != nil {

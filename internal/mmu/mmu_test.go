@@ -2,6 +2,8 @@ package mmu
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 
 	"twopage/internal/addr"
@@ -47,6 +49,19 @@ func TestConfigValidation(t *testing.T) {
 		Memory: addr.Size32K,
 	}); err == nil {
 		t.Fatal("16KB large pages should be rejected")
+	}
+	// A negative or non-finite fault cost would turn cycles/access
+	// negative or NaN instead of failing.
+	for _, fc := range []float64{-100, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := New(Config{
+			TLB:         tlb.NewFullyAssoc(4),
+			Policy:      policy.NewSingle(addr.Size4K),
+			Memory:      addr.Size32K,
+			FaultCycles: fc,
+		})
+		if err == nil || !strings.Contains(err.Error(), "FaultCycles") {
+			t.Errorf("FaultCycles %v: err = %v, want an error naming FaultCycles", fc, err)
+		}
 	}
 }
 

@@ -7,10 +7,9 @@ import (
 	"twopage/internal/kernelref"
 )
 
-// BenchmarkTableLookup measures the arena-backed miss-handler walk; the
-// GoMap variant is the pre-conversion pointer-chasing layout
-// (kernelref.MapTable) on the same stream. The pairs back the speedup
-// rows in BENCH_kernels.json.
+// BenchmarkTableLookup measures the arena-backed miss-handler walk,
+// probing 64MB with every other block of the low 32MB mapped, so hits
+// and misses both occur.
 func BenchmarkTableLookup(b *testing.B) {
 	t := New()
 	for blk := addr.PN(0); blk < 1<<13; blk += 2 { // map every other block of 32MB
@@ -26,21 +25,7 @@ func BenchmarkTableLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkTableLookupGoMap(b *testing.B) {
-	t := kernelref.NewMapTable()
-	for blk := addr.PN(0); blk < 1<<13; blk += 2 {
-		t.MapSmall(blk, blk)
-	}
-	vas := kernelref.LookupVAs(1 << 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Lookup(vas[i&(1<<16-1)])
-	}
-}
-
-// Map/unmap churn is where the arena layout pays off: the old layout
-// heap-allocates an entry plus a block array per chunk creation, the
+// Map/unmap churn creates and frees one chunk entry per iteration; the
 // arena recycles free-list slots and allocates nothing.
 func BenchmarkTableMapUnmap(b *testing.B) {
 	t := New()
@@ -51,17 +36,6 @@ func BenchmarkTableMapUnmap(b *testing.B) {
 		if err := t.MapSmall(blk, addr.PN(i)); err != nil {
 			b.Fatal(err)
 		}
-		t.Unmap(addr.VA(uint64(blk) << addr.BlockShift))
-	}
-}
-
-func BenchmarkTableMapUnmapGoMap(b *testing.B) {
-	t := kernelref.NewMapTable()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blk := addr.PN(i&(1<<12-1)) << 3
-		t.MapSmall(blk, addr.PN(i))
 		t.Unmap(addr.VA(uint64(blk) << addr.BlockShift))
 	}
 }

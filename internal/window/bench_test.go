@@ -9,27 +9,12 @@ import (
 )
 
 // BenchmarkTrackerStep measures the window kernel on a cache-resident
-// stream (about 2K hot blocks); the GoMap variant is the pre-conversion
-// map kernel (kernelref.MapTracker) on the same stream. The pair backs
-// the speedup rows in BENCH_kernels.json. Both step through the stream
-// once before timing, so a one-iteration run reports steady-state
-// allocations rather than the first records' growth.
+// stream (about 2K hot blocks). It steps through the stream once before
+// timing, so a one-iteration run reports steady-state allocations
+// rather than the first records' growth.
 func BenchmarkTrackerStep(b *testing.B) {
 	stream := kernelref.BlockStream(1 << 16)
 	w := New(1 << 14)
-	for _, blk := range stream {
-		w.Step(blk)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Step(stream[i&(1<<16-1)])
-	}
-}
-
-func BenchmarkTrackerStepGoMap(b *testing.B) {
-	stream := kernelref.BlockStream(1 << 16)
-	w := kernelref.NewMapTracker(1 << 14)
 	for _, blk := range stream {
 		w.Step(blk)
 	}

@@ -3,7 +3,6 @@ package workload
 import (
 	"errors"
 	"io"
-	"strings"
 	"testing"
 
 	"twopage/internal/trace"
@@ -18,18 +17,14 @@ func FuzzParse(f *testing.F) {
 	f.Add("code funcs=2 body=8 visit=16\ndpi 0.5\nseq base=0 size=1K stride=8 weight=1")
 	f.Add("clusters base=1M span=1M n=4 size=4K weight=0.5")
 	f.Add("robin bases=1M,2M size=4K stride=8 burst=2 weight=1")
+	f.Add("chase base=1M span=1M clusters=4 csize=4K nodes=64 weight=1")
+	f.Add("colwalk base=16M rows=30 cols=30 rowbytes=240 weight=1")
 	f.Add("seq base=1M size=0 stride=8 weight=1")
 	f.Add("dpi nope")
 	f.Add("#")
 	f.Add("seed value=7\nuniform base=0 size=4K weight=0.1")
 
 	f.Fuzz(func(t *testing.T, spec string) {
-		// Cap pathological sizes the fuzzer might synthesize: huge spans
-		// make cluster placement allocate big bitmaps. Skip specs
-		// mentioning G sizes.
-		if strings.ContainsAny(spec, "Gg") && strings.Contains(spec, "span") {
-			t.Skip()
-		}
 		defer func() {
 			if r := recover(); r != nil {
 				// Panics are reserved for impossible cluster placement,

@@ -53,6 +53,12 @@ func MustParse(name string, refs uint64, spec string) trace.Reader {
 	return r
 }
 
+// maxSpecSlots bounds the two allocations whose size a spec sets
+// directly: a chase stream's node order and the bucket bitmap that
+// places clusters. The built-in programs use at most 4096 nodes and 768
+// buckets; the bound keeps a one-line spec from exhausting memory.
+const maxSpecSlots = 1 << 20
+
 type specParser struct {
 	seed    uint64
 	code    *codeWalker
@@ -312,6 +318,15 @@ func (p *specParser) parseStream(kind string, f fields) error {
 		if n < 1 || size == 0 || span < size*uint64(n) {
 			return fmt.Errorf("clusters: need n >= 1 and span >= n*size")
 		}
+		if align == 0 || size < align {
+			return fmt.Errorf("clusters: need size >= align > 0")
+		}
+		if !(hot >= 0 && hot <= 1) {
+			return fmt.Errorf("clusters: need 0 <= hot <= 1")
+		}
+		if err := checkPlacement(kind, span, uint64(n), size); err != nil {
+			return err
+		}
 		r := newRNG(p.seed ^ uint64(len(p.streams)))
 		cl := scatterClusters(&r, addr.VA(base), span, n, size, addr.ChunkSize)
 		if size < addr.ChunkSize {
@@ -381,8 +396,14 @@ func (p *specParser) parseStream(kind string, f fields) error {
 		if err != nil {
 			return err
 		}
-		if nClusters < 1 || nodes < 1 || csize == 0 || span < csize*uint64(nClusters) {
-			return fmt.Errorf("chase: need clusters >= 1, nodes >= 1, span >= clusters*csize")
+		if nClusters < 1 || nodes < 1 || csize < 64 || span < csize*uint64(nClusters) {
+			return fmt.Errorf("chase: need clusters >= 1, nodes >= 1, csize >= 64, span >= clusters*csize")
+		}
+		if nodes > maxSpecSlots {
+			return fmt.Errorf("chase: %d nodes, more than %d", nodes, maxSpecSlots)
+		}
+		if err := checkPlacement(kind, span, uint64(nClusters), csize); err != nil {
+			return err
 		}
 		r := newRNG(p.seed ^ 0xC4A5E ^ uint64(len(p.streams)))
 		cl := scatterClusters(&r, addr.VA(base), span, nClusters, csize, addr.ChunkSize)
@@ -394,6 +415,19 @@ func (p *specParser) parseStream(kind string, f fields) error {
 		s = &chaseStream{order: order, burst: burst, span: nodeSpan}
 	}
 	p.streams = append(p.streams, weighted{s: s, weight: weight, store: store})
+	return nil
+}
+
+// checkPlacement rejects a cluster layout that scatterClusters could
+// not place, or whose bucket bitmap would exceed maxSpecSlots.
+func checkPlacement(kind string, span, n, size uint64) error {
+	buckets, _ := clusterBuckets(span, size, addr.ChunkSize)
+	switch {
+	case buckets > maxSpecSlots:
+		return fmt.Errorf("%s: span and size give %d placement buckets, more than %d", kind, buckets, maxSpecSlots)
+	case n > buckets:
+		return fmt.Errorf("%s: %d clusters of %d bytes do not fit chunk-aligned in a %d-byte span", kind, n, size, span)
+	}
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -161,6 +163,54 @@ func TestParseErrors(t *testing.T) {
 	}
 	if _, err := Parse("t", 0, "uniform base=1M size=4K weight=1"); err == nil {
 		t.Error("zero refs should fail")
+	}
+}
+
+// A one-line spec must fail in Parse, never exhaust memory or panic in
+// the generator. Each size case sits just above maxSpecSlots (1<<20):
+// it crosses the bound without the gigabytes its shape can ask for.
+func TestParseRejectsUnsafeSpecs(t *testing.T) {
+	const overSlots = 1<<20 + 1
+	bucketSpan := overSlots * addr.ChunkSize
+	cases := []struct {
+		spec string
+		want string
+	}{
+		{fmt.Sprintf("chase base=512M span=16M clusters=4 csize=24K nodes=%d weight=1", overSlots), "nodes"},
+		{fmt.Sprintf("clusters base=0 span=%d n=2 size=8 weight=1", bucketSpan), "buckets"},
+		{fmt.Sprintf("chase base=0 span=%d clusters=2 csize=64 weight=1", bucketSpan), "buckets"},
+		{"clusters base=0 span=80K n=2 size=40K weight=1", "do not fit"},
+		{"clusters base=1M span=1M n=4 size=4 weight=1", "size >= align"},
+		{"clusters base=1M span=1M n=4 size=4K align=0 weight=1", "size >= align"},
+		{"clusters base=1M span=1M n=4 size=4K hot=2 weight=1", "hot"},
+		{"clusters base=1M span=1M n=4 size=4K hot=NaN weight=1", "hot"},
+		{"chase base=1M span=1M clusters=4 csize=32 weight=1", "csize >= 64"},
+	}
+	parse := func(spec string) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		_, err = Parse("t", 1000, spec)
+		return err
+	}
+	for _, c := range cases {
+		if err := parse(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("spec %q: err = %v, want contains %q", c.spec, err, c.want)
+		}
+	}
+
+	// The code walker keeps no per-function state: a million functions
+	// cost what four do.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Parse("t", 1000, "code funcs=1M\nuniform base=1M size=4K weight=1"); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+		t.Errorf("Parse of code funcs=1M allocated %d bytes, want < 1MB", d)
 	}
 }
 

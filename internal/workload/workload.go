@@ -210,41 +210,40 @@ func (s *chaseStream) next(r *rng) addr.VA {
 
 // codeWalker emits the instruction-fetch stream: sequential 4-byte
 // fetches through a function's loop body, looping, and moving to the
-// next function after visitLen instructions (calls/returns).
+// next function after visitLen instructions (calls/returns). Every
+// function has the same body and function i sits at base + i*spacing,
+// so the walker keeps only the current function's base.
 type codeWalker struct {
-	funcs     []codeFunc
+	base      addr.VA // function 0
+	spacing   addr.VA // distance between consecutive functions
+	funcs     int
+	body      int // instructions in each loop body
 	visitLen  int
-	cur       int
+	cur       int     // current function
+	curBase   addr.VA // its base: base + cur*spacing
 	pc        int
 	visitLeft int
 }
 
-type codeFunc struct {
-	base addr.VA
-	body int // instructions in the loop body
-}
-
 func newCodeWalker(base addr.VA, nFuncs, bodyInstrs, visitLen int, spacing uint64) *codeWalker {
-	funcs := make([]codeFunc, nFuncs)
-	for i := range funcs {
-		funcs[i] = codeFunc{base: base + addr.VA(uint64(i)*spacing), body: bodyInstrs}
-	}
-	return &codeWalker{funcs: funcs, visitLen: visitLen, visitLeft: visitLen}
+	return &codeWalker{base: base, spacing: addr.VA(spacing), funcs: nFuncs, body: bodyInstrs,
+		visitLen: visitLen, curBase: base, visitLeft: visitLen}
 }
 
 func (c *codeWalker) next() addr.VA {
-	f := c.funcs[c.cur]
-	va := f.base + addr.VA(4*c.pc)
+	va := c.curBase + addr.VA(4*c.pc)
 	c.pc++
-	if c.pc >= f.body {
+	if c.pc >= c.body {
 		c.pc = 0
 	}
 	c.visitLeft--
 	if c.visitLeft == 0 {
 		c.visitLeft = c.visitLen
 		c.cur++
-		if c.cur == len(c.funcs) {
+		c.curBase += c.spacing
+		if c.cur == c.funcs {
 			c.cur = 0
+			c.curBase = c.base
 		}
 		c.pc = 0
 	}
@@ -358,6 +357,16 @@ func jitterWithinChunk(r *rng, clusters []addr.VA, size uint64) {
 	}
 }
 
+// clusterBuckets splits span into buckets of whole cluster footprints:
+// per is how many align units one cluster of size bytes covers, and
+// buckets how many such footprints fit. Starts are aligned to buckets,
+// so any configuration that fits by volume is placeable regardless of
+// the random order — no fragmentation dead ends.
+func clusterBuckets(span, size, align uint64) (buckets, per uint64) {
+	per = max((size+align-1)/align, 1)
+	return span / align / per, per
+}
+
 // scatterClusters places n cluster bases of the given size within
 // [base, base+span), aligned to align, deterministically for seed, with
 // no two clusters overlapping. Placement is random-first with an
@@ -365,15 +374,7 @@ func jitterWithinChunk(r *rng, clusters []addr.VA, size uint64) {
 // origin, so tightly packed configurations terminate; it panics only if
 // the clusters genuinely cannot fit.
 func scatterClusters(r *rng, base addr.VA, span uint64, n int, size, align uint64) []addr.VA {
-	slots := span / align
-	per := (size + align - 1) / align
-	if per == 0 {
-		per = 1
-	}
-	// Starts are aligned to whole cluster footprints (buckets of `per`
-	// slots), so any configuration that fits by volume is placeable
-	// regardless of the random order — no fragmentation dead ends.
-	buckets := slots / per
+	buckets, per := clusterBuckets(span, size, align)
 	if buckets == 0 || uint64(n) > buckets {
 		panic(fmt.Sprintf("workload: cannot place %d clusters of %d bytes in a %d-byte span", n, size, span))
 	}
