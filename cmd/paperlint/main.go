@@ -11,7 +11,7 @@
 //     internal/tableio), because only code feeding rendered output can
 //     break byte-identical tables;
 //   - ctxcheck runs on the simulation drivers (internal/core,
-//     internal/mmu, internal/engine) that own reference-drain loops;
+//     internal/engine) that own reference-drain loops;
 //   - errfmt runs on the I/O boundary (internal/trace,
 //     internal/workload);
 //   - hotalloc and powtwo run everywhere: hot annotations and
@@ -86,7 +86,6 @@ var determinismRoots = []string{
 // cancellation contract.
 var ctxScope = map[string]bool{
 	"twopage/internal/core":   true,
-	"twopage/internal/mmu":    true,
 	"twopage/internal/engine": true,
 }
 

@@ -329,7 +329,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	tr := res.TLBs[0]
 	fmt.Fprintf(stdout, "policy:      %s\n", res.Policy)
 	fmt.Fprintf(stdout, "tlb:         %s\n", tr.Name)
-	fmt.Fprintf(stdout, "refs:        %d (instrs %d, RPI %.3f)\n", res.Refs, res.Instrs, res.RPI)
+	fmt.Fprintf(stdout, "refs:        %d (instrs %d, RPI %.3f)\n", res.Refs, res.Instrs, res.RPI())
 	fmt.Fprintf(stdout, "misses:      %d (small %d, large %d)\n",
 		tr.Stats.Misses(), tr.Stats.MissesByClass[0], tr.Stats.Misses()-tr.Stats.MissesByClass[0])
 	if tr.Stats.Classes > 2 {

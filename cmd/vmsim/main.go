@@ -1,7 +1,9 @@
 // Command vmsim runs the end-to-end virtual-memory simulator: TLB +
-// two-size page table + buddy allocator + clock replacement, with full
-// cycle accounting. It answers "what does the whole translation path
-// cost", where tlbsim answers only the TLB question.
+// two-size page table + buddy allocator + clock replacement (core's
+// memory stage), with full cycle accounting. It answers "what does the
+// whole translation path cost", where tlbsim answers only the TLB
+// question. A bad flag value is a usage error (exit 2) reported before
+// anything is built.
 //
 // Examples:
 //
@@ -13,18 +15,22 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 
 	"twopage/internal/addr"
+	"twopage/internal/core"
 	"twopage/internal/disk"
-	"twopage/internal/mmu"
+	"twopage/internal/physmem"
 	"twopage/internal/policy"
 	"twopage/internal/tlb"
 	"twopage/internal/workload"
 )
 
+// parseSize parses a byte count with an optional K or M suffix,
+// rejecting one whose byte value overflows.
 func parseSize(s string) (addr.PageSize, error) {
 	s = strings.ToUpper(strings.TrimSpace(s))
 	mult := uint64(1)
@@ -39,6 +45,9 @@ func parseSize(s string) (addr.PageSize, error) {
 	v, err := strconv.ParseUint(s, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad size %q", s)
+	}
+	if v > math.MaxUint64/mult {
+		return 0, fmt.Errorf("size overflows 64 bits")
 	}
 	return addr.PageSize(v * mult), nil
 }
@@ -59,6 +68,24 @@ func main() {
 	if *window < 0 {
 		usage("-T must be >= 0 (0 = refs/8), got %d", *window)
 	}
+	size, err := parseSize(*mem)
+	if err == nil {
+		err = physmem.CheckSize(size)
+	}
+	if err != nil {
+		usage("-mem %s: %v", *mem, err)
+	}
+	if !(*fault >= 0) || math.IsInf(*fault, 1) {
+		usage("-faultcycles must be a finite number >= 0, got %g", *fault)
+	}
+	w := *ways
+	if w == 0 {
+		w = *entries
+	}
+	tcfg := tlb.Config{Entries: *entries, Ways: w, Index: tlb.IndexExact}
+	if _, err := tcfg.Normalized(); err != nil {
+		usage("-entries %d -ways %d: %v", *entries, *ways, err)
+	}
 
 	if *wl == "" {
 		fatal("need -workload (one of: %v)", workload.Names())
@@ -71,15 +98,7 @@ func main() {
 	if n == 0 {
 		n = spec.DefaultRefs
 	}
-	size, err := parseSize(*mem)
-	if err != nil {
-		fatal("%v", err)
-	}
-	w := *ways
-	if w == 0 {
-		w = *entries
-	}
-	hw, err := tlb.New(tlb.Config{Entries: *entries, Ways: w, Index: tlb.IndexExact})
+	hw, err := tlb.New(tcfg)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -93,37 +112,33 @@ func main() {
 	} else {
 		pol = policy.NewSingle(addr.Size4K)
 	}
-	cfg := mmu.Config{TLB: hw, Policy: pol, Memory: size, FaultCycles: *fault}
+	m := core.Memory{Size: size, FaultCycles: *fault}
 	if *useDisk {
 		dm := disk.Default()
-		cfg.Disk = &dm
+		m.Disk = &dm
 	}
-	m, err := mmu.New(cfg)
-	if err != nil {
-		fatal("%v", err)
-	}
-	st, err := m.Run(context.Background(), spec.New(n))
+	res, err := core.NewSimulator(pol, []tlb.TLB{hw}, core.WithMemory(m)).Run(context.Background(), spec.New(n))
 	if err != nil {
 		fatal("%v", err)
 	}
 
+	ts, pt, ms := res.TLBs[0].Stats, res.PageTable, res.Memory
 	fmt.Printf("workload:     %s (%d refs), policy %s, %s, memory %s\n",
-		spec.Name, st.Accesses, pol.Name(), hw.Name(), size)
+		spec.Name, res.Refs, pol.Name(), hw.Name(), size)
 	fmt.Printf("TLB:          %d hits, %d misses (%.4f%% miss)\n",
-		st.TLBHits, st.TLBMisses, 100*float64(st.TLBMisses)/float64(st.Accesses))
-	fmt.Printf("walks:        %d (%d refills, %d faults)\n", st.Walks, st.WalkHits, st.Faults)
-	fmt.Printf("replacement:  %d evictions (%d large)\n", st.Evictions, st.EvictionsByClass[1])
+		ts.Hits(), ts.Misses(), 100*float64(ts.Misses())/float64(res.Refs))
+	fmt.Printf("walks:        %d (%d refills, %d faults)\n", pt.Lookups, pt.Lookups-pt.Misses, pt.Misses)
+	fmt.Printf("replacement:  %d evictions (%d large)\n", ms.Evictions, ms.EvictionsByClass[1])
 	fmt.Printf("promotion:    %d promotions, %d demotions, %.1f KB copied\n",
-		st.Promotions, st.Demotions, float64(st.CopiedBytes)/1024)
-	ms := m.Memory().Stats()
+		pt.Promotions, pt.Demotions, float64(pt.CopiedBytes)/1024)
 	fmt.Printf("memory:       %d/%d frames free, %d large allocs, %d fragmentation-blocked\n",
-		m.Memory().FreeFrames(), m.Memory().TotalFrames(), ms.LargeAllocs, ms.FailedLargeFragmented)
-	if st.IO.PageIns > 0 {
+		ms.FreeFrames, ms.TotalFrames, ms.Buddy.LargeAllocs, ms.Buddy.FailedLargeFragmented)
+	if ms.IO.PageIns > 0 {
 		fmt.Printf("disk I/O:     %d page-ins, %.2f MB, %.0f ms\n",
-			st.IO.PageIns, float64(st.IO.BytesIn)/(1<<20),
-			st.IO.IOCycles/(disk.Default().CPUMHz*1e3))
+			ms.IO.PageIns, float64(ms.IO.BytesIn)/(1<<20),
+			ms.IO.IOCycles/(disk.Default().CPUMHz*1e3))
 	}
-	fmt.Printf("translation:  %.3f cycles/access (%.0f total)\n", st.CyclesPerAccess(), st.Cycles)
+	fmt.Printf("translation:  %.3f cycles/access (%.0f total)\n", res.CyclesPerRef(), ms.Cycles)
 }
 
 func fatal(format string, args ...any) {

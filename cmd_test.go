@@ -15,11 +15,18 @@ import (
 // buildCmd compiles one command into dir and returns the binary path.
 func buildCmd(t *testing.T, dir, name string) string {
 	t.Helper()
-	bin := filepath.Join(dir, name)
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
+	return buildPkg(t, dir, "./cmd/"+name)
+}
+
+// buildPkg compiles the main package at path into dir, naming the
+// binary after the path's last element, and returns the binary path.
+func buildPkg(t *testing.T, dir, path string) string {
+	t.Helper()
+	bin := filepath.Join(dir, filepath.Base(path))
+	cmd := exec.Command("go", "build", "-o", bin, path)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatalf("build %s: %v\n%s", name, err, out)
+		t.Fatalf("build %s: %v\n%s", path, err, out)
 	}
 	return bin
 }
@@ -182,6 +189,12 @@ func TestCommandLineTools(t *testing.T) {
 			{"tlbsim", "-shards", []string{"-trace", v2, "-shards", "0"}},
 			{"tlbsim", "-shards", []string{"-trace", v2, "-shards", "-2"}},
 			{"vmsim", "-T", []string{"-workload", "li", "-refs", "20000", "-two", "-T", "-5"}},
+			{"vmsim", "-mem", append([]string{"-mem", "17592186044417M"}, li...)},
+			{"vmsim", "-mem", append([]string{"-mem", "1073741824M"}, li...)},
+			{"vmsim", "-mem", append([]string{"-mem", "5000"}, li...)},
+			{"vmsim", "-faultcycles", append([]string{"-faultcycles", "-1"}, li...)},
+			{"vmsim", "-entries", append([]string{"-entries", "0"}, li...)},
+			{"vmsim", "-ways", append([]string{"-entries", "16", "-ways", "3"}, li...)},
 			{"paper", "-scale", []string{"-scale", "NaN", "-workloads", "li", "table3.1"}},
 			{"paper", "-scale", []string{"-scale", "-1", "-workloads", "li", "table3.1"}},
 			{"paper", "-scale", []string{"-scale", "0", "-workloads", "li", "table3.1"}},
@@ -332,6 +345,74 @@ func TestCommandLineTools(t *testing.T) {
 			if !strings.Contains(out, want) {
 				t.Errorf("vmsim output missing %q:\n%s", want, out)
 			}
+		}
+	})
+
+	// vmsim's whole report, byte for byte, on configurations that
+	// evict pages of both sizes, price faults with the disk model, use
+	// a set-associative TLB and a non-default fault cost. Rewrite
+	// testdata/vmsim with -update after an intentional output change.
+	t.Run("vmsim-golden", func(t *testing.T) {
+		bin := buildCmd(t, dir, "vmsim")
+		cases := []struct {
+			name string
+			args []string
+		}{
+			{"li-256K-two", []string{"-workload", "li", "-refs", "100000", "-mem", "256K", "-two"}},
+			{"matrix300-512K", []string{"-workload", "matrix300", "-refs", "100000", "-mem", "512K"}},
+			{"li-128K-two-disk", []string{"-workload", "li", "-refs", "100000", "-mem", "128K", "-two", "-disk"}},
+			{"li-128K-disk", []string{"-workload", "li", "-refs", "100000", "-mem", "128K", "-disk"}},
+			{"espresso-256K-2way-two", []string{"-workload", "espresso", "-refs", "100000", "-mem", "256K", "-entries", "32", "-ways", "2", "-two"}},
+			{"worm-512K-fault2000-two", []string{"-workload", "worm", "-refs", "100000", "-mem", "512K", "-faultcycles", "2000", "-two"}},
+		}
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				got, err := exec.Command(bin, tc.args...).Output()
+				if err != nil {
+					t.Fatalf("vmsim %v: %v", tc.args, err)
+				}
+				path := filepath.Join("testdata", "vmsim", tc.name+".txt")
+				if *update {
+					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(want) {
+					t.Errorf("vmsim %v drifted from %s:\n got:\n%s\nwant:\n%s", tc.args, path, got, want)
+				}
+			})
+		}
+	})
+
+	// Every example builds, exits 0 and prints its headline. go build
+	// only compiles them; this runs them.
+	t.Run("examples", func(t *testing.T) {
+		cases := []struct{ name, want string }{
+			{"customworkload", "== db workload: CPI_TLB, 16-entry fully associative =="},
+			{"indexing", "== Figure 2.1: one 32KB page vs a small-page-indexed TLB =="},
+			{"matrix", "matrix300: CPI_TLB vs memory cost (16-entry TLBs)"},
+			{"multiprog", "Flushing refills the mapped footprint after every switch; large pages"},
+			{"promotion", "handlers:   single-size miss 20 cycles, two-size 25 cycles (the paper's 20/25 model)"},
+			{"quickstart", "matrix300, 16-entry fully associative TLB"},
+		}
+		exdir := filepath.Join(dir, "examples")
+		if err := os.MkdirAll(exdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				out := runBin(t, buildPkg(t, exdir, "./examples/"+tc.name))
+				if !strings.Contains(out, tc.want+"\n") {
+					t.Errorf("example %s: output missing line %q:\n%s", tc.name, tc.want, out)
+				}
+			})
 		}
 	})
 }

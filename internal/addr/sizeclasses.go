@@ -32,7 +32,7 @@ const (
 
 // MaxSizeClasses bounds how many page sizes one configuration may
 // support. Per-class counter arrays throughout the tree (tlb.Stats,
-// mmu.Stats, the obs size<k> keys) are sized by it, so raising it is a
+// core.MemoryStats, the obs size<k> keys) are sized by it, so raising it is a
 // schema change, not just a constant bump. Four levels covers every
 // hierarchy the related systems use (4K/2M/1G plus one NAPOT step).
 const MaxSizeClasses = 4

@@ -48,7 +48,6 @@ type Result struct {
 	Policy string // policy name, e.g. "4KB" or "4KB/32KB"
 	Refs   uint64 // references simulated
 	Instrs uint64 // instruction fetches (for per-instruction metrics)
-	RPI    float64
 	TLBs   []TLBResult
 
 	// WSS is the average working-set size of the two-page scheme, set
@@ -74,10 +73,23 @@ type Result struct {
 	// counters instead of the flat penalty constant.
 	Walk *walk.Stats
 
+	// Memory holds the memory stage's counters, set only when the
+	// simulator was built with WithMemory; PageTable then holds the
+	// stage's page-table counters.
+	Memory *MemoryStats
+
 	// Counters is the pass's run-report block (internal/obs): the TLB
 	// split, policy transitions, and any trace-decode work, assembled
 	// once after the drain loop completes.
 	Counters obs.Counters
+}
+
+// RPI returns references per instruction, or 0 without instructions.
+func (r *Result) RPI() float64 {
+	if r.Instrs == 0 {
+		return 0
+	}
+	return float64(r.Refs) / float64(r.Instrs)
 }
 
 // Simulator drives references through a policy and a set of TLBs.
@@ -89,6 +101,7 @@ type Simulator struct {
 	classes     addr.SizeClasses // hierarchy of a MultiSize policy (zero for single-size)
 	pt          *ptShadow        // page-table shadow (WithPageTable)
 	walker      *walk.Walker     // modeled radix walk (WithWalkModel)
+	mem         *memStage        // demand paging and replacement (WithMemory)
 	err         error            // first configuration error, returned by Warm and Run
 	warm        *Result          // counters at the end of Warm, subtracted by Run
 }
@@ -207,6 +220,9 @@ func NewSimulator(pol policy.Assigner, tlbs []tlb.TLB, opts ...Option) *Simulato
 	for _, o := range opts {
 		o(s)
 	}
+	if s.mem != nil && s.pt != nil {
+		s.fail(fmt.Errorf("core: WithMemory does not combine with WithPageTable or WithWalkModel"))
+	}
 	return s
 }
 
@@ -220,8 +236,12 @@ func NewSimulator(pol policy.Assigner, tlbs []tlb.TLB, opts ...Option) *Simulato
 // their section; the warm-up stream must immediately precede Run's.
 //
 // Warm may be called once, before Run. The working-set averages are
-// untouched by design: WSS samples start at the first Run reference.
+// untouched by design: WSS samples start at the first Run reference. A
+// simulator with a memory stage cannot warm up (see WithMemory).
 func (s *Simulator) Warm(ctx context.Context, r trace.Reader) error {
+	if s.mem != nil {
+		s.fail(fmt.Errorf("core: Warm is not supported with WithMemory"))
+	}
 	if s.err != nil {
 		return s.err
 	}
@@ -263,8 +283,9 @@ func (s *Simulator) Run(ctx context.Context, r trace.Reader) (*Result, error) {
 
 // drain is the per-reference loop shared by Warm and Run: the policy
 // assigns a page, then the TLBs (or the page-table shadow, which drives
-// them and the walk model) look it up, then the WSS calculator observes
-// the assignment — without sampling during warm-up.
+// them and the walk model, or the memory stage) look it up, then the
+// WSS calculator observes the assignment — without sampling during
+// warm-up.
 func (s *Simulator) drain(ctx context.Context, r trace.Reader, warm bool) (refs, instrs uint64, err error) {
 	//paperlint:hot
 	refs, err = trace.DrainContext(ctx, r, func(batch []trace.Ref) {
@@ -278,6 +299,8 @@ func (s *Simulator) drain(ctx context.Context, r trace.Reader, warm bool) (refs,
 			}
 			if s.pt != nil {
 				s.ptStep(ref.Addr, res)
+			} else if s.mem != nil {
+				s.mem.step(ref.Addr, res.Page)
 			} else {
 				for _, t := range s.tlbs {
 					t.Access(ref.Addr, res.Page)
@@ -296,9 +319,10 @@ func (s *Simulator) drain(ctx context.Context, r trace.Reader, warm bool) (refs,
 }
 
 // counts snapshots the simulator's raw counters into a Result: each
-// TLB's stats, the policy's transition counters, and the page-table
-// shadow's and walker's totals. Warm keeps one as the warm-up baseline;
-// Run takes another and subtracts it.
+// TLB's stats, the policy's transition counters, the page-table
+// shadow's and walker's totals, and the memory stage's block. Warm
+// keeps one as the warm-up baseline; Run takes another and subtracts
+// it.
 func (s *Simulator) counts() *Result {
 	out := &Result{}
 	for _, t := range s.tlbs {
@@ -323,6 +347,11 @@ func (s *Simulator) counts() *Result {
 	if s.walker != nil {
 		ws := s.walker.Stats()
 		out.Walk = &ws
+	}
+	if s.mem != nil {
+		st := s.mem.pt.Stats()
+		out.PageTable = &st
+		out.Memory = s.mem.counts()
 	}
 	return out
 }
@@ -350,7 +379,7 @@ func (r *Result) sub(base *Result) {
 }
 
 // finish derives everything a Result reports beyond its raw counters:
-// RPI; each TLB's MPI, CPI_TLB and miss ratio; in walk mode the
+// each TLB's MPI, CPI_TLB and miss ratio; in walk mode the
 // emergent penalty, where the walker's integer cycle total replaces the
 // shadow's flat charge and the first TLB (the one whose misses trigger
 // walks) reports measured cycles per walk with CPI_TLB recomputed as
@@ -358,9 +387,6 @@ func (r *Result) sub(base *Result) {
 // carrying the trace-decode work. Run and MergeResults both end with
 // it, so a merged result is assembled exactly like a serial one.
 func (r *Result) finish(decode obs.Counters) {
-	if r.Instrs > 0 {
-		r.RPI = float64(r.Refs) / float64(r.Instrs)
-	}
 	for i := range r.TLBs {
 		tr := &r.TLBs[i]
 		tr.MPI = metrics.MPI(tr.Stats.Misses(), r.Instrs)
@@ -398,6 +424,18 @@ func (r *Result) finish(decode obs.Counters) {
 		c.Faults = pt.Misses
 		c.CopiedBytes = pt.CopiedBytes
 	}
+	if m := r.Memory; m != nil {
+		// The memory stage reports the transitions it carried out, not
+		// the policy's decisions.
+		c.Promotions = r.PageTable.Promotions
+		c.Demotions = r.PageTable.Demotions
+		c.Evictions = m.Evictions
+		c.EvictionsSize2 = m.EvictionsByClass[2]
+		c.EvictionsSize3 = m.EvictionsByClass[3]
+		c.BuddySplits = m.Buddy.Splits
+		c.BuddyCoalesces = m.Buddy.Coalesces
+		c.BuddyPeakResident = m.Buddy.PeakResident
+	}
 	if ws := r.Walk; ws != nil {
 		c.WalkCycles = ws.Cycles
 		c.WalkLoads = ws.Loads()
@@ -432,6 +470,10 @@ func DecodeCounters(r trace.Reader) obs.Counters {
 // the class-L entry itself. The cycle cost of this is folded into the
 // multi-size miss penalty, as in the paper (Section 3.4).
 func (s *Simulator) applyEvent(res policy.Result) {
+	if s.mem != nil {
+		s.mem.apply(res)
+		return
+	}
 	level := int(res.Level)
 	if level <= 0 {
 		level = 1

@@ -38,8 +38,8 @@ func TestSingleSizeSimulation(t *testing.T) {
 	if res.Refs != 2000 || res.Instrs != 1000 {
 		t.Fatalf("refs=%d instrs=%d", res.Refs, res.Instrs)
 	}
-	if res.RPI != 2.0 {
-		t.Fatalf("RPI = %v", res.RPI)
+	if res.RPI() != 2.0 {
+		t.Fatalf("RPI = %v", res.RPI())
 	}
 	if res.Policy != "4KB" {
 		t.Fatalf("policy = %q", res.Policy)

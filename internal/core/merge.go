@@ -5,8 +5,8 @@ import "twopage/internal/obs"
 // MergeResults folds per-shard simulation results, given in section
 // order, into the Result a single pass over the concatenated stream
 // would report. Flow counters (references, hits, misses, transitions,
-// walks) sum exactly; derived ratios (MPI, CPI_TLB, miss ratio, RPI)
-// are recomputed from the merged counters; working-set averages are
+// walks) sum exactly; derived ratios (MPI, CPI_TLB, miss ratio) are
+// recomputed from the merged counters; working-set averages are
 // re-weighted by each shard's sample count; gauges (mapped regions,
 // large-chunk counts) take the last non-empty shard's value, since they
 // describe end-of-stream state rather than accumulated flow.

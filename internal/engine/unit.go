@@ -280,7 +280,6 @@ func mergeParts(parts []*core.Result) *core.Result {
 		Policy: parts[0].Policy,
 		Refs:   parts[0].Refs,
 		Instrs: parts[0].Instrs,
-		RPI:    parts[0].RPI,
 	}
 	for _, p := range parts {
 		out.TLBs = append(out.TLBs, p.TLBs...)

@@ -46,7 +46,7 @@ func MissHandling(ctx context.Context, o *Options) (*tableio.Table, error) {
 			func(ctx context.Context) (missHandlingRow, error) {
 				pol := policy.NewTwoSize(policy.DefaultTwoSizeConfig(T))
 				hw := tlb.NewFullyAssoc(16)
-				pt := pagetable.New()
+				pt := pagetable.NewNTable(addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift))
 				hashSF, err := pagetable.NewHashed(4096, pagetable.SmallFirst)
 				if err != nil {
 					return missHandlingRow{}, err
@@ -69,18 +69,18 @@ func MissHandling(ctx context.Context, o *Options) (*tableio.Table, error) {
 				ensurePT := func(p policy.Page) {
 					nextFrame++
 					if uint(p.Shift) >= addr.ChunkShift {
-						if err := pt.MapLarge(p.Number, nextFrame); err != nil {
+						if err := pt.Map(1, p.Number, nextFrame); err != nil {
 							// Small mappings linger: collapse them.
-							if _, _, perr := pt.Promote(p.Number, nextFrame); perr != nil {
+							if _, _, perr := pt.Promote(1, p.Number, nextFrame); perr != nil {
 								return
 							}
 						}
 						return
 					}
-					if err := pt.MapSmall(p.Number, nextFrame); err != nil {
+					if err := pt.Map(0, p.Number, nextFrame); err != nil {
 						// Chunk still mapped large from a stale state: drop it.
 						pt.Unmap(addr.VA(uint64(addr.ChunkOfBlock(p.Number)) << addr.ChunkShift))
-						_ = pt.MapSmall(p.Number, nextFrame)
+						_ = pt.Map(0, p.Number, nextFrame)
 					}
 				}
 
@@ -98,7 +98,7 @@ func MissHandling(ctx context.Context, o *Options) (*tableio.Table, error) {
 							}
 							stlb.InvalidateChunk(res.Chunk)
 							nextFrame++
-							if _, _, err := pt.Promote(res.Chunk, nextFrame); err != nil {
+							if _, _, err := pt.Promote(1, res.Chunk, nextFrame); err != nil {
 								// No resident small mappings: the large page
 								// will fault in on demand.
 								_ = err

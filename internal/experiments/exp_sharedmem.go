@@ -5,10 +5,9 @@ import (
 	"fmt"
 
 	"twopage/internal/addr"
+	"twopage/internal/core"
 	"twopage/internal/engine"
-	"twopage/internal/mmu"
 	"twopage/internal/multiprog"
-	"twopage/internal/policy"
 	"twopage/internal/tableio"
 	"twopage/internal/tlb"
 	"twopage/internal/workload"
@@ -16,10 +15,10 @@ import (
 
 // SharedMem composes the two systems the paper names as missing —
 // multiprogramming and memory management — into one measurement: four
-// processes share one physical memory under the full MMU (demand
-// paging, clock replacement, promotion), and the 4KB baseline competes
-// with the two-page policy as memory shrinks. It quantifies the
-// paper's Section 6 worry that "larger working sets either demand a
+// processes share one physical memory under core's memory stage
+// (demand paging, clock replacement, promotion), and the 4KB baseline
+// competes with the two-page policy as memory shrinks. It quantifies
+// the paper's Section 6 worry that "larger working sets either demand a
 // larger main memory, cause a higher page fault rate, or both" — in
 // the multiprogrammed setting where the pressure actually arises.
 func SharedMem(ctx context.Context, o *Options) (*tableio.Table, error) {
@@ -36,46 +35,33 @@ func SharedMem(ctx context.Context, o *Options) (*tableio.Table, error) {
 	T := windowFor(perProc * uint64(len(mix)))
 
 	memSizes := []int{16, 4, 2}
-	var futs []*engine.Future[mmu.Stats]
+	var futs []*engine.Future[*core.Result]
 	for _, memMB := range memSizes {
 		memMB := memMB
 		for _, two := range []bool{false, true} {
 			two := two
 			label := fmt.Sprintf("sharedmem %dMB two=%t", memMB, two)
 			futs = append(futs, engine.Go(o.Engine, ctx, label,
-				func(ctx context.Context) (mmu.Stats, error) {
-					var pol policy.Assigner
-					if two {
-						pol = policy.NewTwoSize(policy.DefaultTwoSizeConfig(T))
-					} else {
-						pol = policy.NewSingle(addr.Size4K)
-					}
+				func(ctx context.Context) (*core.Result, error) {
 					procs := make([]multiprog.Process, len(mix))
 					for i, wname := range mix {
 						s, err := workload.Get(wname)
 						if err != nil {
-							return mmu.Stats{}, err
+							return nil, err
 						}
 						procs[i] = multiprog.Process{Name: wname, Source: s.New(perProc)}
 					}
 					mp, err := multiprog.New(procs, quantum)
 					if err != nil {
-						return mmu.Stats{}, err
+						return nil, err
 					}
-					m, err := mmu.New(mmu.Config{
-						TLB:    tlb.NewFullyAssoc(64),
-						Policy: pol,
-						Memory: addr.PageSize(memMB << 20),
-					})
+					res, err := memoryPass(ctx, two, T, tlb.NewFullyAssoc(64),
+						core.Memory{Size: addr.PageSize(memMB << 20)}, mp)
 					if err != nil {
-						return mmu.Stats{}, err
+						return nil, err
 					}
-					st, err := m.Run(ctx, mp)
-					if err != nil {
-						return mmu.Stats{}, err
-					}
-					o.Engine.Record(label, m.Counters())
-					return st, nil
+					o.Engine.Record(label, res.Counters)
+					return res, nil
 				}))
 		}
 	}
@@ -88,17 +74,17 @@ func SharedMem(ctx context.Context, o *Options) (*tableio.Table, error) {
 			if two {
 				name = "4KB/32KB"
 			}
-			st, err := futs[i].Wait(ctx)
+			res, err := futs[i].Wait(ctx)
 			if err != nil {
 				return nil, err
 			}
-			per := float64(st.Accesses) / 1000
+			per := float64(res.Refs) / 1000
 			tbl.Row(fmt.Sprintf("%dMB", memMB), name,
-				tableio.F(st.CyclesPerAccess(), 2),
-				tableio.F(100*float64(st.TLBMisses)/float64(st.Accesses), 2),
-				tableio.F(float64(st.Faults)/per, 2),
-				tableio.F(float64(st.Evictions)/per, 2),
-				tableio.F(float64(st.CopiedBytes)/1024, 0))
+				tableio.F(res.CyclesPerRef(), 2),
+				tableio.F(100*float64(res.TLBs[0].Stats.Misses())/float64(res.Refs), 2),
+				tableio.F(float64(res.PageTable.Misses)/per, 2),
+				tableio.F(float64(res.Memory.Evictions)/per, 2),
+				tableio.F(float64(res.PageTable.CopiedBytes)/1024, 0))
 			i++
 		}
 	}

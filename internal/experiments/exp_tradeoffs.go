@@ -5,9 +5,9 @@ import (
 	"sort"
 
 	"twopage/internal/addr"
+	"twopage/internal/core"
 	"twopage/internal/disk"
 	"twopage/internal/engine"
-	"twopage/internal/mmu"
 	"twopage/internal/policy"
 	"twopage/internal/tableio"
 	"twopage/internal/tlb"
@@ -28,7 +28,7 @@ func DiskIO(ctx context.Context, o *Options) (*tableio.Table, error) {
 	dm := disk.Default()
 	type cell struct {
 		name string
-		fut  *engine.Future[mmu.Stats]
+		fut  *engine.Future[*core.Result]
 	}
 	var cells []cell
 	for _, s := range specs {
@@ -42,23 +42,9 @@ func DiskIO(ctx context.Context, o *Options) (*tableio.Table, error) {
 				name = "4KB/32KB"
 			}
 			cells = append(cells, cell{name, engine.Go(o.Engine, ctx, "diskio "+s.Name+" "+name,
-				func(ctx context.Context) (mmu.Stats, error) {
-					var pol policy.Assigner
-					if two {
-						pol = policy.NewTwoSize(policy.DefaultTwoSizeConfig(T))
-					} else {
-						pol = policy.NewSingle(addr.Size4K)
-					}
-					m, err := mmu.New(mmu.Config{
-						TLB:    tlb.NewFullyAssoc(16),
-						Policy: pol,
-						Memory: addr.PageSize(1 << 20),
-						Disk:   &dm,
-					})
-					if err != nil {
-						return mmu.Stats{}, err
-					}
-					return m.Run(ctx, s.New(refs))
+				func(ctx context.Context) (*core.Result, error) {
+					return memoryPass(ctx, two, T, tlb.NewFullyAssoc(16),
+						core.Memory{Size: 1 << 20, Disk: &dm}, s.New(refs))
 				})})
 		}
 	}
@@ -67,17 +53,17 @@ func DiskIO(ctx context.Context, o *Options) (*tableio.Table, error) {
 	i := 0
 	for _, s := range specs {
 		for range []bool{false, true} {
-			st, err := cells[i].fut.Wait(ctx)
+			res, err := cells[i].fut.Wait(ctx)
 			if err != nil {
 				return nil, err
 			}
-			per := float64(st.Accesses) / 1000
-			ioMs := st.IO.IOCycles / (dm.CPUMHz * 1e3)
+			per := float64(res.Refs) / 1000
+			ioMs := res.Memory.IO.IOCycles / (dm.CPUMHz * 1e3)
 			tbl.Row(s.Name, cells[i].name,
-				tableio.F(float64(st.Faults)/per, 2),
-				tableio.F(float64(st.IO.BytesIn)/(1<<20), 1),
+				tableio.F(float64(res.PageTable.Misses)/per, 2),
+				tableio.F(float64(res.Memory.IO.BytesIn)/(1<<20), 1),
 				tableio.F(ioMs, 0),
-				tableio.F(st.CyclesPerAccess(), 1))
+				tableio.F(res.CyclesPerRef(), 1))
 			i++
 		}
 	}

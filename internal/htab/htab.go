@@ -4,9 +4,9 @@
 // Every hot loop in the reproduction — the working-set step
 // (internal/wss), the sliding window's chunk index (internal/window),
 // the promotion policy's mapped-region sets and child counts
-// (internal/policy), the MMU's resident-page index and the software
-// page table (internal/mmu, internal/pagetable) — bottoms out in a
-// lookup keyed by a page number, i.e. a uint64. A Go map pays, per operation: the runtime's generic
+// (internal/policy), the memory stage's resident-page index and the
+// software page table (internal/core, internal/pagetable) — bottoms out
+// in a lookup keyed by a page number, i.e. a uint64. A Go map pays, per operation: the runtime's generic
 // hashing through a type descriptor, tophash probing across bucket
 // cache lines, and GC write barriers on bucket pointers. Over the
 // paper's passes (hundreds of millions of references, Sections 3.2–3.4)

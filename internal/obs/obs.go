@@ -1,7 +1,8 @@
 // Package obs is the run-report observability layer: it aggregates the
 // plain counter structs the simulation packages already keep (tlb.Stats,
-// physmem.Stats, mmu.Stats, trace.DecodeStats, policy.TwoSizeStats) into
-// one schema-versioned JSON report per command invocation.
+// physmem.Stats, pagetable.Stats, core.MemoryStats, trace.DecodeStats,
+// policy.TwoSizeStats) into one schema-versioned JSON report per command
+// invocation.
 //
 // The design keeps the hot paths untouched: simulation code counts into
 // its own flat uint64 structs exactly as before, each engine unit
@@ -15,8 +16,8 @@
 //
 // obs sits at the bottom of the dependency tree (standard library
 // only): the simulation packages convert their own stats into Counters,
-// not the other way around, which keeps obs importable from core, mmu
-// and the engine without cycles.
+// not the other way around, which keeps obs importable from core and
+// the engine without cycles.
 package obs
 
 import (

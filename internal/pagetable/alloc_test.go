@@ -11,9 +11,9 @@ import (
 // TestLookupAllocs pins the miss-handler walk at zero allocations: one
 // flat-table probe plus an arena index, hit or miss.
 func TestLookupAllocs(t *testing.T) {
-	tab := New()
+	tab := newTwoSize()
 	for blk := addr.PN(0); blk < 1<<12; blk += 2 {
-		if err := tab.MapSmall(blk, blk); err != nil {
+		if err := tab.Map(0, blk, blk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -24,17 +24,17 @@ func TestLookupAllocs(t *testing.T) {
 		i++
 	})
 	if avg != 0 {
-		t.Errorf("Table.Lookup allocates %.2f times per call, want 0", avg)
+		t.Errorf("NTable.Lookup allocates %.2f times per call, want 0", avg)
 	}
 }
 
 // TestMapUnmapAllocs pins steady-state map/unmap churn at zero
 // allocations once the arena and free list are warm.
 func TestMapUnmapAllocs(t *testing.T) {
-	tab := New()
+	tab := newTwoSize()
 	// Warm the arena and index past their growth phase.
 	for c := addr.PN(0); c < 1<<10; c++ {
-		if err := tab.MapSmall(addr.FirstBlock(c), addr.PN(c)); err != nil {
+		if err := tab.Map(0, addr.FirstBlock(c), addr.PN(c)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -44,14 +44,14 @@ func TestMapUnmapAllocs(t *testing.T) {
 	i := 0
 	avg := testing.AllocsPerRun(5000, func() {
 		c := addr.PN(i & (1<<10 - 1))
-		if err := tab.MapSmall(addr.FirstBlock(c), addr.PN(i)); err != nil {
+		if err := tab.Map(0, addr.FirstBlock(c), addr.PN(i)); err != nil {
 			t.Fatal(err)
 		}
 		tab.Unmap(addr.VA(uint64(c) << addr.ChunkShift))
 		i++
 	})
 	if avg != 0 {
-		t.Errorf("MapSmall+Unmap allocate %.2f times per cycle, want 0", avg)
+		t.Errorf("Map+Unmap allocate %.2f times per cycle, want 0", avg)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 // probing 64MB with every other block of the low 32MB mapped, so hits
 // and misses both occur.
 func BenchmarkTableLookup(b *testing.B) {
-	t := New()
+	t := newTwoSize()
 	for blk := addr.PN(0); blk < 1<<13; blk += 2 { // map every other block of 32MB
-		if err := t.MapSmall(blk, blk); err != nil {
+		if err := t.Map(0, blk, blk); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -28,12 +28,12 @@ func BenchmarkTableLookup(b *testing.B) {
 // Map/unmap churn creates and frees one chunk entry per iteration; the
 // arena recycles free-list slots and allocates nothing.
 func BenchmarkTableMapUnmap(b *testing.B) {
-	t := New()
+	t := newTwoSize()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		blk := addr.PN(i&(1<<12-1)) << 3 // one block per chunk
-		if err := t.MapSmall(blk, addr.PN(i)); err != nil {
+		if err := t.Map(0, blk, addr.PN(i)); err != nil {
 			b.Fatal(err)
 		}
 		t.Unmap(addr.VA(uint64(blk) << addr.BlockShift))

@@ -55,12 +55,13 @@ type Freed struct {
 // with any mapping owns one root node; a node at class k is either one
 // class-k leaf PTE or a table of Fanout(k) class-(k-1) nodes. With two
 // classes this is exactly the paper's chunk model (one large PTE or a
-// block table of eight small PTEs); Table keeps that case's API.
+// block table of eight small PTEs).
 //
 // All nodes live by value in per-class dense arenas: child tables are
 // allocated as contiguous spans, recycled through per-class free lists,
 // so steady-state map/unmap churn allocates nothing — the same arena
-// discipline the two-size table used, extended to per-class spans.
+// discipline the original two-size table used, extended to per-class
+// spans.
 type NTable struct {
 	classes addr.SizeClasses
 	idx     *htab.U64 // top-class region -> index in the top arena

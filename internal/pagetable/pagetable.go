@@ -4,14 +4,17 @@
 // about 20 cycles for a software-handled miss with one page size and
 // about 25% more when the handler must also discover the page size.
 //
-// The structure follows the paper's chunk model: the address space is an
-// array of 32KB chunks; each mapped chunk is either one large-page PTE
-// or a block table of eight small-page PTEs. A miss handler probes the
-// chunk entry (one load), tests the size bit (the two-size overhead),
-// and either uses the large PTE or loads the small PTE from the block
-// table. Promote and Demote implement the remapping that the page-size
-// assignment policy triggers, tracking the copy traffic they cause
-// (Section 3.4's promotion costs).
+// The structure generalizes the paper's chunk model: NTable is a radix
+// tree over a size hierarchy, and over the paper's 4KB/32KB pair the
+// address space is an array of 32KB chunks, each mapped chunk either
+// one large-page PTE or a block table of eight small-page PTEs. A miss
+// handler probes the chunk entry (one load), tests the size bit (the
+// two-size overhead), and either uses the large PTE or loads the small
+// PTE from the block table. Promote and Demote implement the remapping
+// that the page-size assignment policy triggers, tracking the copy
+// traffic they cause (Section 3.4's promotion costs). The hashed table
+// and the software TLB (STLB) are the alternative organizations
+// Section 2.3 sketches.
 package pagetable
 
 import (
@@ -92,74 +95,3 @@ func (s *Stats) Sub(o Stats) {
 	s.Demotions -= o.Demotions
 	s.CopiedBytes -= o.CopiedBytes
 }
-
-// Table is the two-page-size page table: the paper's 4KB/32KB chunk
-// model, kept as a thin wrapper over the N-size NTable so the original
-// API (MapSmall/MapLarge, block-array Demote) survives unchanged. The
-// mapping state lives in NTable's per-class arenas; steady-state
-// map/unmap churn allocates nothing, as before.
-type Table struct {
-	nt *NTable
-}
-
-// New returns an empty two-size table.
-func New() *Table {
-	return &Table{nt: NewNTable(addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift))}
-}
-
-// NTable exposes the underlying N-size table.
-func (t *Table) NTable() *NTable { return t.nt }
-
-// MapSmall installs a 4KB mapping for block b. It fails if the chunk is
-// currently mapped as a large page (the OS must demote first).
-func (t *Table) MapSmall(b addr.PN, frame addr.PN) error {
-	return t.nt.Map(0, b, frame)
-}
-
-// MapLarge installs a 32KB mapping for chunk c, replacing nothing: it
-// fails if any small mapping exists (use Promote) or the chunk is
-// already large.
-func (t *Table) MapLarge(c addr.PN, frame addr.PN) error {
-	return t.nt.Map(1, c, frame)
-}
-
-// Unmap removes the mapping covering va (a small PTE or the whole large
-// page). It reports whether anything was unmapped.
-func (t *Table) Unmap(va addr.VA) bool { return t.nt.Unmap(va) }
-
-// Lookup walks the table for va as a two-size-aware miss handler would,
-// charging the full handler cost model. It runs on every simulated TLB
-// miss, so it is annotated hot: one flat-table probe plus an arena
-// index, no allocation.
-//
-//paperlint:hot
-func (t *Table) Lookup(va addr.VA) (PTE, Walk) { return t.nt.Lookup(va) }
-
-// Promote collapses chunk c's small mappings into one large mapping at
-// newFrame. It returns the small frames that were freed and how many of
-// the eight blocks were resident (and therefore copied to the new large
-// frame). It fails if the chunk has no small mappings.
-func (t *Table) Promote(c addr.PN, newFrame addr.PN) (freed []addr.PN, copied int, err error) {
-	fr, _, err := t.nt.Promote(1, c, newFrame)
-	if err != nil {
-		return nil, 0, err
-	}
-	freed = make([]addr.PN, len(fr))
-	for i, f := range fr {
-		freed[i] = f.Frame
-	}
-	return freed, len(fr), nil
-}
-
-// Demote splits chunk c's large mapping into eight small mappings at the
-// given frames (all eight blocks become resident). It returns the freed
-// large frame.
-func (t *Table) Demote(c addr.PN, frames [addr.BlocksPerChunk]addr.PN) (addr.PN, error) {
-	return t.nt.Demote(1, c, frames[:])
-}
-
-// Stats returns a snapshot of the counters.
-func (t *Table) Stats() Stats { return t.nt.Stats() }
-
-// MappedChunks returns how many chunks have any mapping.
-func (t *Table) MappedChunks() int { return t.nt.MappedRegions() }

@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"slices"
 	"testing"
 
 	"twopage/internal/addr"
@@ -19,9 +20,15 @@ func TestPenaltyModelMatchesPaper(t *testing.T) {
 	}
 }
 
+// newTwoSize returns an empty table for the paper's 4KB/32KB chunk
+// model: class 0 maps 4KB blocks, class 1 32KB chunks.
+func newTwoSize() *NTable {
+	return NewNTable(addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift))
+}
+
 func TestMapAndLookupSmall(t *testing.T) {
-	pt := New()
-	if err := pt.MapSmall(5, 100); err != nil {
+	pt := newTwoSize()
+	if err := pt.Map(0, 5, 100); err != nil {
 		t.Fatal(err)
 	}
 	pte, w := pt.Lookup(addr.VA(5*addr.BlockSize + 123))
@@ -48,8 +55,8 @@ func TestMapAndLookupSmall(t *testing.T) {
 }
 
 func TestMapAndLookupLarge(t *testing.T) {
-	pt := New()
-	if err := pt.MapLarge(2, 40); err != nil {
+	pt := newTwoSize()
+	if err := pt.Map(1, 2, 40); err != nil {
 		t.Fatal(err)
 	}
 	pte, w := pt.Lookup(addr.VA(2*addr.ChunkSize + 0x5123))
@@ -61,8 +68,8 @@ func TestMapAndLookupLarge(t *testing.T) {
 	}
 	// Large walks are cheaper than small walks (one fewer load).
 	_, ws := func() (PTE, Walk) {
-		pt2 := New()
-		pt2.MapSmall(100, 1)
+		pt2 := newTwoSize()
+		pt2.Map(0, 100, 1)
 		return pt2.Lookup(addr.VA(100 * addr.BlockSize))
 	}()
 	if w.Cycles >= ws.Cycles {
@@ -71,29 +78,29 @@ func TestMapAndLookupLarge(t *testing.T) {
 }
 
 func TestMappingConflicts(t *testing.T) {
-	pt := New()
-	if err := pt.MapLarge(0, 7); err != nil {
+	pt := newTwoSize()
+	if err := pt.Map(1, 0, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := pt.MapSmall(0, 9); err == nil {
-		t.Fatal("MapSmall into a large chunk should fail")
+	if err := pt.Map(0, 0, 9); err == nil {
+		t.Fatal("a 4KB map into a large chunk should fail")
 	}
-	if err := pt.MapLarge(0, 8); err == nil {
-		t.Fatal("double MapLarge should fail")
+	if err := pt.Map(1, 0, 8); err == nil {
+		t.Fatal("mapping a mapped chunk large again should fail")
 	}
-	pt2 := New()
-	pt2.MapSmall(0, 1)
-	if err := pt2.MapLarge(0, 2); err == nil {
-		t.Fatal("MapLarge over small mappings should fail")
+	pt2 := newTwoSize()
+	pt2.Map(0, 0, 1)
+	if err := pt2.Map(1, 0, 2); err == nil {
+		t.Fatal("a large map over small mappings should fail")
 	}
 }
 
 func TestUnmap(t *testing.T) {
-	pt := New()
-	pt.MapSmall(0, 1)
-	pt.MapSmall(1, 2)
-	if pt.MappedChunks() != 1 {
-		t.Fatalf("chunks = %d", pt.MappedChunks())
+	pt := newTwoSize()
+	pt.Map(0, 0, 1)
+	pt.Map(0, 1, 2)
+	if pt.MappedRegions() != 1 {
+		t.Fatalf("chunks = %d", pt.MappedRegions())
 	}
 	if !pt.Unmap(addr.VA(0)) {
 		t.Fatal("unmap block 0 should succeed")
@@ -105,14 +112,14 @@ func TestUnmap(t *testing.T) {
 		t.Fatal("unmap block 1 should succeed")
 	}
 	// Chunk entry reclaimed once empty.
-	if pt.MappedChunks() != 0 {
-		t.Fatalf("chunks = %d after unmapping all", pt.MappedChunks())
+	if pt.MappedRegions() != 0 {
+		t.Fatalf("chunks = %d after unmapping all", pt.MappedRegions())
 	}
-	pt.MapLarge(3, 9)
+	pt.Map(1, 3, 9)
 	if !pt.Unmap(addr.VA(3 * addr.ChunkSize)) {
 		t.Fatal("unmap large should succeed")
 	}
-	if pt.MappedChunks() != 0 {
+	if pt.MappedRegions() != 0 {
 		t.Fatal("large unmap should reclaim the chunk")
 	}
 	if pt.Unmap(addr.VA(1 << 40)) {
@@ -121,16 +128,17 @@ func TestUnmap(t *testing.T) {
 }
 
 func TestPromote(t *testing.T) {
-	pt := New()
-	pt.MapSmall(0, 10)
-	pt.MapSmall(2, 12)
-	pt.MapSmall(7, 17)
-	freed, copied, err := pt.Promote(0, 99)
+	pt := newTwoSize()
+	pt.Map(0, 0, 10)
+	pt.Map(0, 2, 12)
+	pt.Map(0, 7, 17)
+	freed, copied, err := pt.Promote(1, 0, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if copied != 3 || len(freed) != 3 {
-		t.Fatalf("copied=%d freed=%v", copied, freed)
+	want := []Freed{{Frame: 10}, {Frame: 12}, {Frame: 17}} // class-0 frames, in block order
+	if copied != 3*addr.BlockSize || !slices.Equal(freed, want) {
+		t.Fatalf("copied=%d freed=%v, want %d and %v", copied, freed, 3*addr.BlockSize, want)
 	}
 	pte, w := pt.Lookup(addr.VA(3 * addr.BlockSize)) // previously unmapped block
 	if !w.Found || !pte.Large || pte.Frame != 99 {
@@ -141,22 +149,22 @@ func TestPromote(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	// Can't promote again or promote empty/large chunks.
-	if _, _, err := pt.Promote(0, 100); err == nil {
+	if _, _, err := pt.Promote(1, 0, 100); err == nil {
 		t.Fatal("promoting a large chunk should fail")
 	}
-	if _, _, err := pt.Promote(50, 100); err == nil {
+	if _, _, err := pt.Promote(1, 50, 100); err == nil {
 		t.Fatal("promoting an unmapped chunk should fail")
 	}
 }
 
 func TestDemote(t *testing.T) {
-	pt := New()
-	pt.MapLarge(1, 55)
+	pt := newTwoSize()
+	pt.Map(1, 1, 55)
 	var frames [addr.BlocksPerChunk]addr.PN
 	for i := range frames {
 		frames[i] = addr.PN(200 + i)
 	}
-	old, err := pt.Demote(1, frames)
+	old, err := pt.Demote(1, 1, frames[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +177,7 @@ func TestDemote(t *testing.T) {
 			t.Fatalf("block %d: pte=%+v", i, pte)
 		}
 	}
-	if _, err := pt.Demote(1, frames); err == nil {
+	if _, err := pt.Demote(1, 1, frames[:]); err == nil {
 		t.Fatal("demoting a small chunk should fail")
 	}
 	if pt.Stats().Demotions != 1 {

@@ -61,11 +61,28 @@ type Allocator struct {
 	stats     Stats
 }
 
-// New returns an allocator managing the given memory size, which must be
-// a positive multiple of the large frame size (32KB).
-func New(size addr.PageSize) (*Allocator, error) {
+// MaxSize bounds the memory an Allocator manages: 1TB of 4KB frames
+// takes about 60MB of free bitmaps, and a size far beyond it would
+// exhaust the simulating machine instead of failing.
+const MaxSize addr.PageSize = 1 << 40
+
+// CheckSize reports whether New accepts size: a positive multiple of
+// the large frame size (32KB), at most MaxSize.
+func CheckSize(size addr.PageSize) error {
 	if size == 0 || uint64(size)%addr.ChunkSize != 0 {
-		return nil, fmt.Errorf("physmem: size %d is not a positive multiple of 32KB", size)
+		return fmt.Errorf("physmem: size %d is not a positive multiple of 32KB", size)
+	}
+	if size > MaxSize {
+		return fmt.Errorf("physmem: size %d exceeds the %s maximum", size, MaxSize)
+	}
+	return nil
+}
+
+// New returns an allocator managing the given memory size (see
+// CheckSize).
+func New(size addr.PageSize) (*Allocator, error) {
+	if err := CheckSize(size); err != nil {
+		return nil, err
 	}
 	a := &Allocator{
 		frames:    uint64(size) / addr.BlockSize,

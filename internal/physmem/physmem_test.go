@@ -14,6 +14,14 @@ func TestValidation(t *testing.T) {
 	if _, err := New(addr.PageSize(20 * 1024)); err == nil {
 		t.Fatal("non-multiple of 32KB should fail")
 	}
+	// Past the bound the bitmaps alone would exhaust the machine: 1PB
+	// needs a 32GB order-0 bitmap.
+	if _, err := New(MaxSize + addr.Size32K); err == nil {
+		t.Fatal("a size above MaxSize should fail")
+	}
+	if err := CheckSize(MaxSize); err != nil {
+		t.Fatalf("MaxSize itself should pass CheckSize: %v", err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("MustNew should panic")

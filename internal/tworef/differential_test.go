@@ -181,12 +181,12 @@ func TestTLBDifferential(t *testing.T) {
 	}
 }
 
-// TestPageTableDifferential drives the span-arena NTable (behind the
-// two-size Table shim) and the legacy dense-chunk table through one
+// TestPageTableDifferential drives the span-arena NTable over the
+// 4KB/32KB hierarchy and the legacy dense-chunk table through one
 // mirrored pseudorandom operation mix, comparing every walk, every
 // error outcome, and the final statistics.
 func TestPageTableDifferential(t *testing.T) {
-	live := pagetable.New()
+	live := pagetable.NewNTable(addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift))
 	ref := tworef.NewTable()
 	rng := xorshift(0x2545F4914F6CDD1D)
 	const chunks = 64
@@ -200,13 +200,13 @@ func TestPageTableDifferential(t *testing.T) {
 		switch {
 		case op < 5: // map small
 			f := newFrame()
-			ge, re := live.MapSmall(b, f), ref.MapSmall(b, f)
+			ge, re := live.Map(0, b, f), ref.MapSmall(b, f)
 			if (ge == nil) != (re == nil) {
 				t.Fatalf("op %d MapSmall(%d): live err %v, ref err %v", i, b, ge, re)
 			}
 		case op < 7: // map large
 			f := newFrame()
-			ge, re := live.MapLarge(c, f), ref.MapLarge(c, f)
+			ge, re := live.Map(1, c, f), ref.MapLarge(c, f)
 			if (ge == nil) != (re == nil) {
 				t.Fatalf("op %d MapLarge(%d): live err %v, ref err %v", i, c, ge, re)
 			}
@@ -226,26 +226,33 @@ func TestPageTableDifferential(t *testing.T) {
 			}
 		case op < 15: // promote
 			f := newFrame()
-			gf, gc, ge := live.Promote(c, f)
+			gf, gb, ge := live.Promote(1, c, f)
 			rf, rc, re := ref.Promote(c, f)
-			if (ge == nil) != (re == nil) || gc != rc {
-				t.Fatalf("op %d Promote(%d): live (%d, %v), ref (%d, %v)", i, c, gc, ge, rc, re)
+			if (ge == nil) != (re == nil) || gb != uint64(rc)*addr.BlockSize {
+				t.Fatalf("op %d Promote(%d): live (%d bytes, %v), ref (%d blocks, %v)", i, c, gb, ge, rc, re)
 			}
-			if fmt.Sprint(gf) != fmt.Sprint(rf) {
-				t.Fatalf("op %d Promote(%d): freed lists diverge: live %v, ref %v", i, c, gf, rf)
+			var frames []addr.PN
+			for _, fr := range gf {
+				if fr.Class != 0 {
+					t.Fatalf("op %d Promote(%d): freed a class-%d mapping", i, c, fr.Class)
+				}
+				frames = append(frames, fr.Frame)
+			}
+			if fmt.Sprint(frames) != fmt.Sprint(rf) {
+				t.Fatalf("op %d Promote(%d): freed lists diverge: live %v, ref %v", i, c, frames, rf)
 			}
 		default: // demote
 			var frames [addr.BlocksPerChunk]addr.PN
 			for j := range frames {
 				frames[j] = newFrame()
 			}
-			gf, ge := live.Demote(c, frames)
+			gf, ge := live.Demote(1, c, frames[:])
 			rf, re := ref.Demote(c, frames)
 			if (ge == nil) != (re == nil) || gf != rf {
 				t.Fatalf("op %d Demote(%d): live (%d, %v), ref (%d, %v)", i, c, gf, ge, rf, re)
 			}
 		}
-		if g, r := live.MappedChunks(), ref.MappedChunks(); g != r {
+		if g, r := live.MappedRegions(), ref.MappedChunks(); g != r {
 			t.Fatalf("op %d: mapped chunks diverge: live %d, ref %d", i, g, r)
 		}
 	}

@@ -352,7 +352,7 @@ func (p *TwoSize) Assign(va addr.VA) policy.Result {
 }
 
 // ---------------------------------------------------------------------------
-// Reference page table (legacy internal/pagetable.Table)
+// Reference page table (the legacy two-size table that NTable replaced)
 
 // Cycle model constants, copied from the legacy package.
 const (

@@ -236,8 +236,8 @@ func TestShardCountExactInvariants(t *testing.T) {
 				t.Errorf("%s shards=%d: refs/instrs %d/%d, want %d/%d",
 					sc.name, shards, res.Refs, res.Instrs, base.Refs, base.Instrs)
 			}
-			if res.RPI != base.RPI {
-				t.Errorf("%s shards=%d: RPI %v, want %v", sc.name, shards, res.RPI, base.RPI)
+			if res.RPI() != base.RPI() {
+				t.Errorf("%s shards=%d: RPI %v, want %v", sc.name, shards, res.RPI(), base.RPI())
 			}
 			if got, want := res.TLBs[0].Stats.Accesses, base.TLBs[0].Stats.Accesses; got != want {
 				t.Errorf("%s shards=%d: TLB accesses %d, want %d", sc.name, shards, got, want)
