@@ -2,13 +2,13 @@ package twopage_test
 
 import (
 	"context"
-	"io"
 	"runtime"
 	"testing"
 
 	"twopage/internal/addr"
 	"twopage/internal/allassoc"
 	"twopage/internal/core"
+	"twopage/internal/engine"
 	"twopage/internal/experiments"
 	"twopage/internal/policy"
 	"twopage/internal/tlb"
@@ -32,11 +32,12 @@ func benchEngineAt(b *testing.B, parallelism int) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(
 			experiments.WithScale(0.05),
-			experiments.WithOut(io.Discard),
-			experiments.WithParallelism(parallelism),
+			experiments.WithEngine(engine.New(parallelism)),
 		)
-		if err := r.RunAll(context.Background(), ids...); err != nil {
-			b.Fatal(err)
+		for _, o := range r.RunAll(context.Background(), ids...) {
+			if o.Err != nil {
+				b.Fatal(o.Err)
+			}
 		}
 	}
 }

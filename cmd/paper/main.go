@@ -45,7 +45,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"twopage/internal/engine"
@@ -143,11 +142,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	ids := fs.Args()
-	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
-		ids = nil
-		for _, e := range experiments.All() {
-			ids = append(ids, e.ID)
-		}
+	if len(ids) == 1 && ids[0] == "all" {
+		ids = nil // RunAll runs every experiment
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -186,78 +182,63 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 1
 	}
 
-	eopts := []experiments.Opt{
-		experiments.WithScale(*scale),
-		experiments.WithCSV(*csv),
-		experiments.WithJSON(*jsonOut),
-		experiments.WithParallelism(*parallelism),
-		experiments.WithShards(*shards, *warmup),
-		experiments.WithWalkParams(*walkPWC, *walkMem),
-	}
-	if len(names) > 0 {
-		eopts = append(eopts, experiments.WithWorkloads(names...))
-	}
+	// One engine serves every experiment: -j bounds its pool, and it
+	// deduplicates passes across experiments.
 	var col *obs.Collector
 	if *statsF != "" {
 		col = obs.NewCollector()
-		eopts = append(eopts, experiments.WithCollector(col))
 	}
+	var observer engine.Observer
 	if *progress {
-		eopts = append(eopts, experiments.WithProgress(func(ev engine.Event) {
+		observer = func(ev engine.Event) {
 			tag := ""
 			if ev.CacheHit {
 				tag = " (cached)"
 			}
 			fmt.Fprintf(stderr, "  [%d/%d] %s%s\n", ev.Done, ev.Submitted, ev.Key, tag)
-		}))
+		}
 	}
-	opts := experiments.NewOptions(eopts...)
+	eng := engine.New(*parallelism, engine.WithObserver(observer), engine.WithCollector(col),
+		engine.WithSharding(engine.ShardPlan{Shards: *shards, Warmup: *warmup}))
+	r := experiments.NewRunner(
+		experiments.WithScale(*scale),
+		experiments.WithWorkloads(names...),
+		experiments.WithCSV(*csv),
+		experiments.WithJSON(*jsonOut),
+		experiments.WithEngine(eng),
+		experiments.WithWalkParams(*walkPWC, *walkMem),
+	)
 
-	// Every experiment renders into its own buffer on its own
-	// goroutine; the shared engine bounds the simulation work and
-	// deduplicates passes across experiments. Buffers are flushed in
-	// request order so stdout does not depend on -j.
-	type outcome struct {
-		buf bytes.Buffer
-		dur time.Duration
-		err error
-	}
-	start := time.Now()
-	outs := make([]outcome, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			t0 := time.Now()
-			outs[i].err = runOne(ctx, id, opts, *chart, &outs[i].buf)
-			outs[i].dur = time.Since(t0)
-		}(i, id)
-	}
-	wg.Wait()
-	interrupted := ctx.Err() != nil
-
-	// Flush every successful table in request order and report every
+	// RunAll returns the outcomes in request order, so stdout does not
+	// depend on -j. Print every successful table and report every
 	// failure; one bad experiment must not swallow the others' results.
+	start := time.Now()
+	outs := r.RunAll(ctx, ids...)
+	interrupted := ctx.Err() != nil
 	failed, printed := 0, 0
-	for i, id := range ids {
-		if outs[i].err != nil {
-			if interrupted && errors.Is(outs[i].err, context.Canceled) {
+	for i := range outs {
+		o := &outs[i]
+		var buf bytes.Buffer
+		if o.Err == nil {
+			o.Err = render(&buf, *o, r.Options(), *chart)
+		}
+		if o.Err != nil {
+			if interrupted && errors.Is(o.Err, context.Canceled) {
 				continue // the single "interrupted" notice below covers these
 			}
 			failed++
-			fmt.Fprintf(stderr, "paper: %v\n", outs[i].err)
+			fmt.Fprintf(stderr, "paper: %v\n", o.Err)
 			continue
 		}
 		if printed > 0 {
 			fmt.Fprintln(stdout)
 		}
-		if _, err := outs[i].buf.WriteTo(stdout); err != nil {
+		if _, err := buf.WriteTo(stdout); err != nil {
 			fmt.Fprintf(stderr, "paper: %v\n", err)
 			return 1
 		}
 		printed++
-		fmt.Fprintf(stderr, "  [%s in %.1fs at scale %g]\n", id, outs[i].dur.Seconds(), *scale)
+		fmt.Fprintf(stderr, "  [%s in %.1fs at scale %g]\n", o.ID, o.Wall.Seconds(), *scale)
 	}
 
 	// The run report is written even for failed or interrupted runs:
@@ -268,14 +249,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		rep.Workloads = names
 		rep.Parallelism = *parallelism
 		rep.WallMS = time.Since(start).Milliseconds()
-		st := opts.Engine.Stats()
+		st := eng.Stats()
 		rep.Engine = &obs.EngineStats{Submitted: st.Submitted, Done: st.Done, CacheHits: st.CacheHits}
 		rep.Totals = col.Totals()
 		rep.Passes = col.Passes()
-		for i, id := range ids {
-			es := obs.ExperimentStatus{ID: id, WallMS: outs[i].dur.Milliseconds()}
-			if outs[i].err != nil {
-				es.Error = outs[i].err.Error()
+		for _, o := range outs {
+			es := obs.ExperimentStatus{ID: o.ID, WallMS: o.Wall.Milliseconds()}
+			if o.Err != nil {
+				es.Error = o.Err.Error()
 			}
 			rep.Experiments = append(rep.Experiments, es)
 		}
@@ -292,7 +273,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "paper: interrupted")
 		return 130
 	case failed > 0:
-		fmt.Fprintf(stderr, "paper: %d of %d experiments failed\n", failed, len(ids))
+		fmt.Fprintf(stderr, "paper: %d of %d experiments failed\n", failed, len(outs))
 		return 1
 	}
 	return 0
@@ -345,33 +326,19 @@ func registerTrace(path string) (string, error) {
 		func(uint64) trace.Reader { return trace.NewSliceReader(refs) })
 }
 
-// runOne executes an experiment and renders it into w as a table, CSV,
-// JSON, or — when requested and applicable — an ASCII chart.
-func runOne(ctx context.Context, id string, opts *experiments.Options, chart bool, w io.Writer) error {
-	e, err := experiments.Get(id)
+// render writes an experiment's table into w as an ASCII chart when
+// chart is set and the experiment is chartable, and otherwise in the
+// runner's table, CSV or JSON format.
+func render(w io.Writer, o experiments.Outcome, opts *experiments.Options, chart bool) error {
+	spec, chartable := chartSpec[o.ID]
+	if !chart || !chartable {
+		return opts.Render(o.Table, w)
+	}
+	c, err := plot.FromTable(o.Table, o.Title, spec.cat, spec.val)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", o.ID, err)
 	}
-	tbl, err := e.Run(ctx, opts)
-	if err != nil {
-		return fmt.Errorf("%s: %w", id, err)
-	}
-	if spec, chartable := chartSpec[id]; chart && chartable {
-		c, err := plot.FromTable(tbl, e.Title, spec.cat, spec.val)
-		if err != nil {
-			return err
-		}
-		c.Log = spec.log
-		_, err = c.WriteTo(w)
-		return err
-	}
-	switch {
-	case opts.JSON:
-		return tbl.JSON(w)
-	case opts.CSV:
-		return tbl.CSV(w)
-	default:
-		_, err = tbl.WriteTo(w)
-		return err
-	}
+	c.Log = spec.log
+	_, err = c.WriteTo(w)
+	return err
 }

@@ -131,14 +131,19 @@ func TestRunReportGolden(t *testing.T) {
 	}
 }
 
-// TestRunReportParallelismInvariant asserts the tentpole guarantee: the
-// counter sections of the report are byte-identical across -j values.
+// maskTimings hides the designspace experiment's wall-clock ratio and
+// the padding after it, the one time-dependent cell of any table.
+var maskTimings = regexp.MustCompile(`\d+\.\d+x *`)
+
+// TestRunReportParallelismInvariant asserts the tentpole guarantee:
+// stdout and the counter sections of the report are byte-identical
+// across -j values.
 func TestRunReportParallelismInvariant(t *testing.T) {
 	dir := t.TempDir()
-	reports := make([]string, 2)
+	reports, stdouts := make([]string, 2), make([]string, 2)
 	for i, j := range []string{"1", "8"} {
 		rep := filepath.Join(dir, "report-j"+j+".json")
-		code, _, stderr := runPaper(t,
+		code, stdout, stderr := runPaper(t,
 			"-scale", "0.01", "-workloads", "li,worm", "-j", j, "-stats", rep,
 			"table3.1", "fig4.2", "tlbsweep")
 		if code != 0 {
@@ -149,10 +154,15 @@ func TestRunReportParallelismInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		reports[i] = maskReport(string(raw))
+		stdouts[i] = maskTimings.ReplaceAllString(stdout, "T")
 	}
 	if reports[0] != reports[1] {
 		t.Errorf("masked reports differ between -j 1 and -j 8:\n-j 1:\n%s\n-j 8:\n%s",
 			reports[0], reports[1])
+	}
+	if stdouts[0] == "" || stdouts[0] != stdouts[1] {
+		t.Errorf("stdout differs between -j 1 and -j 8:\n-j 1:\n%s\n-j 8:\n%s",
+			stdouts[0], stdouts[1])
 	}
 }
 

@@ -64,22 +64,30 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		return 2
 	}
+	// Every flag value is checked before anything runs: a bad one is a
+	// usage error naming the flag.
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "wsssim: "+format+"\n", args...)
+		return 2
+	}
 	if *warmup > 0 {
 		// The Slutz–Traiger accumulation decomposes exactly across shard
 		// boundaries, so there is no cold-start error for a warm-up to
 		// amortize; reject rather than silently ignore the flag.
-		fmt.Fprintln(stderr, "wsssim: -warmup is not applicable (the sharded static merge is exact; no warm-up phase exists)")
-		return 2
+		return usage("-warmup is not applicable (the sharded static merge is exact; no warm-up phase exists)")
 	}
-
+	if *shards < 1 {
+		return usage("-shards must be >= 1, got %d", *shards)
+	}
 	var pageSizes []addr.PageSize
+	var shifts []uint
 	for _, f := range strings.Split(*sizes, ",") {
 		v, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
 		if err != nil || !addr.PageSize(v).Valid() {
-			fmt.Fprintf(stderr, "wsssim: bad page size %q\n", f)
-			return 1
+			return usage("-sizes: bad page size %q", f)
 		}
 		pageSizes = append(pageSizes, addr.PageSize(v))
+		shifts = append(shifts, addr.PageSize(v).Shift())
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -174,14 +182,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stderr, "wsssim: -shards needs a v2 -trace file (sections require random access)")
 			return 1
 		}
-		results, c, err = staticSharded(ctx, mapped, *shards, T, pageSizes)
+		results, c, err = engine.StaticWSSSections(engine.New(*shards), ctx, mapped, 0, *shards, T, shifts, "wss-static")
 	} else {
 		var staticRefs uint64
 		staticSrc := trace.NewTee(first, func(batch []trace.Ref) { staticRefs += uint64(len(batch)) })
 		results, err = core.MeasureStaticWSS(ctx, staticSrc, T, pageSizes...)
 		if err == nil {
 			c = core.DecodeCounters(staticSrc)
-			c.Refs = staticRefs
+			c.Passes, c.Refs, c.WSSPages = 1, staticRefs, results[0].Pages
 		}
 	}
 	if err != nil {
@@ -192,8 +200,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "wsssim: %v\n", err)
 		return 1
 	}
-	c.Passes = 1
-	c.WSSPages = results[0].Pages
 	passes = append(passes, obs.Pass{Key: fmt.Sprintf("wss-static w=%s T=%d", srcName, T), Counters: c})
 	totals.Add(c)
 
@@ -248,50 +254,4 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	return 0
-}
-
-// staticSharded computes the static working-set pass over n disjoint
-// sections of a v2 trace in parallel. The Slutz–Traiger accumulation
-// decomposes exactly across a partition of the stream (wss.MergeStatic),
-// so the result is byte-identical to the serial pass for any n.
-func staticSharded(ctx context.Context, f *trace.File, n int, T uint64, sizes []addr.PageSize) ([]wss.Result, obs.Counters, error) {
-	if b := f.Blocks(); n > b {
-		n = b
-	}
-	if n < 1 {
-		n = 1
-	}
-	shifts := make([]uint, len(sizes))
-	for i, s := range sizes {
-		shifts[i] = s.Shift()
-	}
-	type part struct {
-		calc *wss.StaticShard
-		dec  trace.DecodeStats
-	}
-	eng := engine.New(n)
-	parts, err := engine.MapSections(eng, ctx, f, n, "wss-static", func(ctx context.Context, r *trace.MapReader, section int) (part, error) {
-		calc := wss.NewStaticShard(T, f.SectionStart(section, n), shifts...)
-		if _, err := trace.DrainContext(ctx, r, func(batch []trace.Ref) {
-			for _, ref := range batch {
-				calc.Step(ref.Addr)
-			}
-		}); err != nil {
-			return part{}, err
-		}
-		return part{calc: calc, dec: r.DecodeStats()}, nil
-	}).Wait(ctx)
-	if err != nil {
-		return nil, obs.Counters{}, err
-	}
-	calcs := make([]*wss.StaticShard, len(parts))
-	var c obs.Counters
-	for i, p := range parts {
-		calcs[i] = p.calc
-		c.Refs += p.calc.Steps()
-		c.DecodedRefs += p.dec.Refs
-		c.DecodedBlocks += p.dec.Blocks
-		c.DecodedBytes += p.dec.Bytes
-	}
-	return wss.MergeStatic(calcs), c, nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -200,6 +201,10 @@ func TestCommandLineTools(t *testing.T) {
 			{"paper", "-scale", []string{"-scale", "0", "-workloads", "li", "table3.1"}},
 			{"paper", "-j", []string{"-scale", "0.01", "-j", "-3", "-workloads", "li", "table3.1"}},
 			{"paper", "-shards", []string{"-scale", "0.01", "-shards", "0", "-workloads", "li", "table3.1"}},
+			{"wsssim", "-shards", []string{"-trace", v2, "-shards", "0"}},
+			{"wsssim", "-shards", []string{"-trace", v2, "-shards", "-2"}},
+			{"wsssim", "-sizes", append([]string{"-sizes", "3000"}, li...)},
+			{"wsssim", "-sizes", []string{"-trace", v2, "-sizes", "4096,abc"}},
 		}
 		bins := map[string]string{}
 		bin := func(t *testing.T, name string) string {
@@ -299,6 +304,38 @@ func TestCommandLineTools(t *testing.T) {
 		}
 		if r.Totals.Refs != 100000 {
 			t.Errorf("totals.refs = %d, want 100000 (two 50000-ref passes)", r.Totals.Refs)
+		}
+	})
+
+	// The sharded static pass merges exactly, so wsssim -shards N must
+	// print what the serial pass prints and report the same counters.
+	t.Run("wsssim-shards", func(t *testing.T) {
+		gen := buildCmd(t, dir, "tracegen")
+		bin := buildCmd(t, dir, "wsssim")
+		v2 := filepath.Join(dir, "li-shards.v2")
+		runBin(t, gen, "-workload", "li", "-refs", "200000", "-format", "v2", "-o", v2)
+		wallMS := regexp.MustCompile(`(?m)^.*"wall_ms":.*\n`)
+		run := func(shards string) (stdout, report string) {
+			rep := filepath.Join(dir, "wsssim-shards"+shards+".json")
+			stdout = runBin(t, bin, "-trace", v2, "-shards", shards, "-stats", rep)
+			b, err := os.ReadFile(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return stdout, wallMS.ReplaceAllString(string(b), "")
+		}
+		wantOut, wantRep := run("1")
+		if !strings.Contains(wantOut, "4KB/32KB") || !strings.Contains(wantRep, `"wss-static w=`) {
+			t.Fatalf("serial run malformed:\n%s\n%s", wantOut, wantRep)
+		}
+		for _, n := range []string{"2", "3", "8"} {
+			gotOut, gotRep := run(n)
+			if gotOut != wantOut {
+				t.Errorf("-shards %s stdout differs from -shards 1:\n got:\n%s\nwant:\n%s", n, gotOut, wantOut)
+			}
+			if gotRep != wantRep {
+				t.Errorf("-shards %s report differs from -shards 1:\n got:\n%s\nwant:\n%s", n, gotRep, wantRep)
+			}
 		}
 	})
 

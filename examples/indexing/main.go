@@ -77,7 +77,7 @@ func part2() {
 		tableio.F(run(func() tlb.TLB { return twoWay(tlb.IndexExact) }), 3))
 	tbl.Row("split 12+4 (per-size TLBs)",
 		tableio.F(run(func() tlb.TLB {
-			sp, err := tlb.NewSplit(tlb.Config{Entries: 12, Ways: 12}, tlb.Config{Entries: 4, Ways: 4})
+			sp, err := tlb.NewMultiSplit([]tlb.Config{{Entries: 12, Ways: 12}, {Entries: 4, Ways: 4}})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -55,7 +55,7 @@ func TestDirectVsAllAssociativity(t *testing.T) {
 func TestStaticWSSVsWindowTracker(t *testing.T) {
 	const refs = 60_000
 	const T = 4_000
-	calc := wss.NewStatic(T, addr.Shift4K)
+	calc := wss.NewStatic(T, 0, addr.Shift4K)
 	win := window.New(T)
 	var winAccum float64
 	if _, err := trace.Drain(workload.MustNew("espresso", refs), func(b []trace.Ref) {

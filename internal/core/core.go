@@ -518,7 +518,7 @@ func MeasureStaticWSS(ctx context.Context, r trace.Reader, T uint64, sizes ...ad
 		}
 		shifts[i] = s.Shift()
 	}
-	calc := wss.NewStatic(T, shifts...)
+	calc := wss.NewStatic(T, 0, shifts...)
 	_, err := trace.DrainContext(ctx, r, func(batch []trace.Ref) {
 		for _, ref := range batch {
 			calc.Step(ref.Addr)

@@ -65,9 +65,6 @@ func WithSharding(plan ShardPlan) Option {
 	return func(e *Engine) { e.shard = plan }
 }
 
-// Sharding returns the engine's shard plan (zero value when serial).
-func (e *Engine) Sharding() ShardPlan { return e.shard }
-
 // shardFor resolves the plan for one unit: the backing file and the
 // plan with Warmup defaulted from the unit's policy window. ok is false
 // when the engine is serial or the workload has no backing file.
@@ -192,37 +189,32 @@ func shardCount(f *trace.File, n int) int {
 	return n
 }
 
-// runSharded executes a unit over its backing file under plan.
-func (u Unit) runSharded(e *Engine, ctx context.Context, f *trace.File, plan ShardPlan, label string) (*core.Result, error) {
-	return RunSharded(e, ctx, f, u.Refs, plan, label, u.newSimulator)
-}
-
-// staticWSSSharded runs a static working-set pass sharded. Unlike TLB
-// simulation this merge is exact — the residency accumulation
+// StaticWSSSections computes the static working-set pass at window T
+// for the given page shifts over the first refs references of f (all
+// of them when refs is 0), in shards sections on e's pool. Unlike TLB
+// simulation the merge is exact — the residency accumulation
 // decomposes across any partition of the stream (wss.MergeStatic) — so
-// the sharded pass shares the serial unit's memoization key and needs
-// no warm-up.
-func (e *Engine) staticWSSSharded(ctx context.Context, f *trace.File, u StaticWSSUnit, shards int, key string) ([]wss.Result, error) {
-	refs := u.Refs
+// the results equal the serial pass's for any shard count and no
+// warm-up is needed. The counters hold the pass, the references
+// observed, the base scheme's pages and the sections' decode work.
+// Like RunSharded it waits on pool futures, so it must run on a
+// coordinator goroutine.
+func StaticWSSSections(e *Engine, ctx context.Context, f *trace.File, refs uint64, shards int, T uint64, shifts []uint, label string) ([]wss.Result, obs.Counters, error) {
 	if refs == 0 || refs > f.Refs() {
 		refs = f.Refs()
 	}
+	n := shardCount(f, shards)
 	type part struct {
-		calc *wss.StaticShard
+		calc *wss.Static
 		dec  trace.DecodeStats
 	}
-	parts, err := MapSections(e, ctx, f, shards, key, func(ctx context.Context, r *trace.MapReader, section int) (part, error) {
-		n := shardCount(f, shards)
+	parts, err := MapSections(e, ctx, f, n, label, func(ctx context.Context, r *trace.MapReader, section int) (part, error) {
 		start := f.SectionStart(section, n)
-		left := uint64(0)
-		if refs > start {
-			left = refs - start
-		}
 		var rd trace.Reader = r
-		if left < f.SectionRefs(section, n) {
+		if left := refs - min(refs, start); left < f.SectionRefs(section, n) {
 			rd = trace.NewLimit(r, left)
 		}
-		calc := wss.NewStaticShard(u.T, start, StaticShifts...)
+		calc := wss.NewStatic(T, start, shifts...)
 		if _, err := trace.DrainContext(ctx, rd, func(batch []trace.Ref) {
 			for _, ref := range batch {
 				calc.Step(ref.Addr)
@@ -233,24 +225,18 @@ func (e *Engine) staticWSSSharded(ctx context.Context, f *trace.File, u StaticWS
 		return part{calc: calc, dec: r.DecodeStats()}, nil
 	}).Wait(ctx)
 	if err != nil {
-		return nil, err
+		return nil, obs.Counters{}, err
 	}
-	calcs := make([]*wss.StaticShard, len(parts))
-	var c trace.DecodeStats
+	calcs := make([]*wss.Static, len(parts))
+	c := obs.Counters{Passes: 1}
 	for i, p := range parts {
 		calcs[i] = p.calc
-		c.Refs += p.dec.Refs
-		c.Blocks += p.dec.Blocks
-		c.Bytes += p.dec.Bytes
+		c.Refs += p.calc.Steps()
+		c.DecodedRefs += p.dec.Refs
+		c.DecodedBlocks += p.dec.Blocks
+		c.DecodedBytes += p.dec.Bytes
 	}
 	results := wss.MergeStatic(calcs)
-	e.Record(key, obs.Counters{
-		Passes:        1,
-		Refs:          u.Refs,
-		WSSPages:      results[0].Pages, // base (4KB) scheme
-		DecodedRefs:   c.Refs,
-		DecodedBlocks: c.Blocks,
-		DecodedBytes:  c.Bytes,
-	})
-	return results, nil
+	c.WSSPages = results[0].Pages // base scheme
+	return results, c, nil
 }

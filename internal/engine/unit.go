@@ -243,7 +243,7 @@ func (e *Engine) Pass(ctx context.Context, spec PassSpec) *Future[*core.Result] 
 			// (or differently-sharded) results in the memo cache.
 			key := fmt.Sprintf("%s shards=%d warm=%d", key, plan.Shards, plan.Warmup)
 			futs[i] = keyedOffPool(e, ctx, key, func(ctx context.Context) (*core.Result, error) {
-				res, err := u.runSharded(e, ctx, f, plan, key)
+				res, err := RunSharded(e, ctx, f, u.Refs, plan, key, u.newSimulator)
 				if err == nil {
 					e.Record(key, res.Counters)
 				}
@@ -347,7 +347,13 @@ func (e *Engine) StaticWSS(ctx context.Context, u StaticWSSUnit) *Future[[]wss.R
 		// the sharded pass shares the serial unit's key: either path
 		// may satisfy a memo hit for the other, bit for bit.
 		return keyedOffPool(e, ctx, key, func(ctx context.Context) ([]wss.Result, error) {
-			return e.staticWSSSharded(ctx, f, u, plan.Shards, key)
+			results, c, err := StaticWSSSections(e, ctx, f, u.Refs, plan.Shards, u.T, StaticShifts, key)
+			if err != nil {
+				return nil, err
+			}
+			c.Refs = u.Refs // the requested length, as the serial unit records
+			e.Record(key, c)
+			return results, nil
 		})
 	}
 	return keyed(e, ctx, key, func(ctx context.Context) ([]wss.Result, error) {

@@ -161,13 +161,13 @@ func SplitVsUnified(ctx context.Context, o *Options) (*tableio.Table, error) {
 			func(ctx context.Context) (*core.Result, error) {
 				// PA-RISC style: fully associative halves (the paper cites
 				// HP's 4-entry Block TLB for large pages).
-				split124, err := tlb.NewSplit(
-					tlb.Config{Entries: 12, Ways: 12}, tlb.Config{Entries: 4, Ways: 4})
+				split124, err := tlb.NewMultiSplit([]tlb.Config{
+					{Entries: 12, Ways: 12}, {Entries: 4, Ways: 4}})
 				if err != nil {
 					return nil, err
 				}
-				split88, err := tlb.NewSplit(
-					tlb.Config{Entries: 8, Ways: 2}, tlb.Config{Entries: 8, Ways: 4})
+				split88, err := tlb.NewMultiSplit([]tlb.Config{
+					{Entries: 8, Ways: 2}, {Entries: 8, Ways: 4}})
 				if err != nil {
 					return nil, err
 				}

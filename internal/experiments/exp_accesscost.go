@@ -51,7 +51,7 @@ func AccessCost(ctx context.Context, o *Options) (*tableio.Table, error) {
 		futs[i] = engine.Go(o.Engine, ctx, "accesscost "+s.Name,
 			func(ctx context.Context) (accessCostRow, error) {
 				unified := twoWay(16, tlb.IndexExact)
-				split, err := tlb.NewSplit(tlb.Config{Entries: 8, Ways: 2}, tlb.Config{Entries: 8, Ways: 4})
+				split, err := tlb.NewMultiSplit([]tlb.Config{{Entries: 8, Ways: 2}, {Entries: 8, Ways: 4}})
 				if err != nil {
 					return accessCostRow{}, err
 				}

@@ -19,15 +19,14 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"os"
 	"sync"
+	"time"
 
 	"twopage/internal/engine"
-	"twopage/internal/obs"
 	"twopage/internal/tableio"
 	"twopage/internal/tlb"
 	"twopage/internal/workload"
@@ -50,31 +49,13 @@ type Options struct {
 	// JSON renders the table as a JSON document (title, columns, rows)
 	// instead of an aligned table. Takes precedence over CSV.
 	JSON bool
-	// Parallelism bounds concurrent simulation passes when Engine is
-	// nil; <= 0 selects runtime.NumCPU(). Ignored when Engine is set.
-	Parallelism int
-	// Progress, when non-nil, receives one engine.Event per completed
-	// work unit. It runs on worker goroutines and must be safe for
-	// concurrent use. Ignored when Engine is set (attach an observer to
-	// the engine instead).
-	Progress func(engine.Event)
-	// Engine executes and memoizes the simulation passes. Nil means a
-	// private engine built from Parallelism and Progress; sharing one
-	// Engine across experiments (as the Runner does) deduplicates
-	// passes between them.
+	// Engine executes and memoizes the simulation passes; its own
+	// options set the parallelism, progress observer, run-report
+	// collector and sharding. Nil means a private engine at
+	// runtime.NumCPU() parallelism. Sharing one Engine across
+	// experiments (as the Runner does) deduplicates passes between
+	// them.
 	Engine *engine.Engine
-	// Collector, when non-nil, receives each executed unit's run-report
-	// counters (internal/obs). Ignored when Engine is set (attach the
-	// collector to the engine instead).
-	Collector *obs.Collector
-	// Shards splits each file-backed workload's trace into this many
-	// sections simulated in parallel and merged (engine.WithSharding);
-	// <= 1 keeps the serial, golden-pinned pass. Generated workloads
-	// always run serial. Ignored when Engine is set.
-	Shards int
-	// Warmup is the per-shard warm-up length in references; 0 selects
-	// engine.AutoWarmup of the policy window. Ignored unless Shards > 1.
-	Warmup uint64
 	// WalkPWC overrides the page-walk-cache capacity of the walkcpi
 	// experiment family: 0 keeps walk.DefaultPWCEntries, a negative
 	// value disables the PWCs. Flat-penalty experiments ignore it.
@@ -104,27 +85,8 @@ func WithCSV(csv bool) Opt { return func(o *Options) { o.CSV = csv } }
 // WithJSON toggles JSON output.
 func WithJSON(js bool) Opt { return func(o *Options) { o.JSON = js } }
 
-// WithParallelism bounds concurrent simulation passes; <= 0 selects
-// runtime.NumCPU().
-func WithParallelism(n int) Opt { return func(o *Options) { o.Parallelism = n } }
-
-// WithProgress registers a per-unit progress callback.
-func WithProgress(fn func(engine.Event)) Opt { return func(o *Options) { o.Progress = fn } }
-
-// WithEngine shares an existing engine (its parallelism and observer
-// win over WithParallelism/WithProgress).
+// WithEngine runs the experiments on e, configured with engine options.
 func WithEngine(e *engine.Engine) Opt { return func(o *Options) { o.Engine = e } }
-
-// WithCollector attaches a run-report collector to the private engine
-// normalize builds (a no-op when WithEngine supplies one).
-func WithCollector(c *obs.Collector) Opt { return func(o *Options) { o.Collector = c } }
-
-// WithShards splits file-backed traces into n sections simulated in
-// parallel and merged; n <= 1 keeps the serial pass. warmup is the
-// per-shard warm-up length (0 = auto from the policy window).
-func WithShards(n int, warmup uint64) Opt {
-	return func(o *Options) { o.Shards, o.Warmup = n, warmup }
-}
 
 // WithWalkParams overrides the walkcpi family's walk model: pwc is the
 // page-walk-cache capacity and memBytes the memory-side cache size
@@ -154,17 +116,7 @@ func (o *Options) normalize() {
 		o.Out = os.Stdout
 	}
 	if o.Engine == nil {
-		var eopts []engine.Option
-		if o.Progress != nil {
-			eopts = append(eopts, engine.WithObserver(o.Progress))
-		}
-		if o.Collector != nil {
-			eopts = append(eopts, engine.WithCollector(o.Collector))
-		}
-		if o.Shards > 1 {
-			eopts = append(eopts, engine.WithSharding(engine.ShardPlan{Shards: o.Shards, Warmup: o.Warmup}))
-		}
-		o.Engine = engine.New(o.Parallelism, eopts...)
+		o.Engine = engine.New(0)
 	}
 }
 
@@ -184,8 +136,8 @@ func (o *Options) specs() ([]workload.Spec, error) {
 	return out, nil
 }
 
-// render writes the table in the option's format.
-func (o *Options) render(tbl *tableio.Table, w io.Writer) error {
+// Render writes the table in the option's format.
+func (o *Options) Render(tbl *tableio.Table, w io.Writer) error {
 	switch {
 	case o.JSON:
 		return tbl.JSON(w)
@@ -447,10 +399,9 @@ func Get(id string) (Experiment, error) {
 }
 
 // Runner executes experiments against one shared engine, so passes
-// common to several experiments are simulated once. Tables are always
-// flushed to the output in request order, regardless of which
-// experiment finishes first — output is byte-identical to a sequential
-// run at any parallelism.
+// common to several experiments are simulated once. It is the one
+// runner: cmd/paper and the repository's tests and benchmark all run
+// experiments through it.
 type Runner struct {
 	opts *Options
 }
@@ -463,66 +414,61 @@ func NewRunner(opts ...Opt) *Runner {
 // Options exposes the runner's normalized options (shared, not a copy).
 func (r *Runner) Options() *Options { return r.opts }
 
-// Run executes one experiment and writes its table to the configured
-// output.
-func (r *Runner) Run(ctx context.Context, id string) error {
-	e, err := Get(id)
-	if err != nil {
-		return err
-	}
-	tbl, err := e.Run(ctx, r.opts)
-	if err != nil {
-		return fmt.Errorf("experiments: %s: %w", id, err)
-	}
-	return r.opts.render(tbl, r.opts.Out)
+// Outcome is one experiment's result from RunAll: the experiment (only
+// its ID when the ID is unknown), its table or its error, and its wall
+// time from start to finish. Experiments share the engine's pool, so
+// the wall time includes waiting for it.
+type Outcome struct {
+	Experiment
+	Table *tableio.Table
+	Err   error
+	Wall  time.Duration
 }
 
 // RunAll executes the named experiments (all of them when ids is empty)
-// concurrently over the shared engine and flushes their tables in
-// request order. Each experiment runs on its own coordinator goroutine;
-// the engine's pool bounds the actual simulation work. The first error
-// (in request order) is returned, and tables after it are not written —
-// matching what a sequential run would have printed.
-func (r *Runner) RunAll(ctx context.Context, ids ...string) error {
-	exps := make([]Experiment, 0, len(registry))
+// concurrently over the shared engine and returns their outcomes in
+// request order, so rendering them in that order gives output
+// byte-identical to a sequential run at any parallelism. Each
+// experiment runs on its own coordinator goroutine; the engine's pool
+// bounds the actual simulation work. A failed or unknown experiment
+// does not stop the others.
+func (r *Runner) RunAll(ctx context.Context, ids ...string) []Outcome {
 	if len(ids) == 0 {
-		exps = append(exps, registry...)
-	} else {
-		for _, id := range ids {
-			e, err := Get(id)
-			if err != nil {
-				return err
-			}
-			exps = append(exps, e)
+		ids = make([]string, len(registry))
+		for i, e := range registry {
+			ids[i] = e.ID
 		}
 	}
-
-	type outcome struct {
-		buf bytes.Buffer
-		err error
-	}
-	outs := make([]outcome, len(exps))
+	outs := make([]Outcome, len(ids))
 	var wg sync.WaitGroup
-	for i, e := range exps {
+	for i, id := range ids {
+		e, err := Get(id)
+		if err != nil {
+			outs[i] = Outcome{Experiment: Experiment{ID: id}, Err: err}
+			continue
+		}
+		outs[i].Experiment = e
 		wg.Add(1)
-		go func(i int, e Experiment) {
+		go func(o *Outcome) {
 			defer wg.Done()
-			tbl, err := e.Run(ctx, r.opts)
-			if err != nil {
-				outs[i].err = fmt.Errorf("experiments: %s: %w", e.ID, err)
-				return
+			start := time.Now() //paperlint:ignore determinism the wall time is reported beside the tables, never in them
+			o.Table, o.Err = o.Experiment.Run(ctx, r.opts)
+			o.Wall = time.Since(start)
+			if o.Err != nil {
+				o.Err = fmt.Errorf("experiments: %s: %w", o.ID, o.Err)
 			}
-			outs[i].err = r.opts.render(tbl, &outs[i].buf)
-		}(i, e)
+		}(&outs[i])
 	}
 	wg.Wait()
-	for i := range outs {
-		if outs[i].err != nil {
-			return outs[i].err
-		}
-		if _, err := outs[i].buf.WriteTo(r.opts.Out); err != nil {
-			return err
-		}
+	return outs
+}
+
+// Run executes one experiment and writes its table to the configured
+// output.
+func (r *Runner) Run(ctx context.Context, id string) error {
+	o := r.RunAll(ctx, id)[0]
+	if o.Err != nil {
+		return o.Err
 	}
-	return nil
+	return r.opts.Render(o.Table, r.opts.Out)
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"twopage/internal/engine"
 	"twopage/internal/tableio"
 	"twopage/internal/workload"
 )
@@ -334,13 +335,12 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Engine != e {
 		t.Fatal("normalize replaced the engine on second call")
 	}
-	// The functional constructor applies options then normalizes.
-	no := NewOptions(WithScale(0.5), WithWorkloads("li"), WithParallelism(2))
-	if no.Scale != 0.5 || len(no.Workloads) != 1 || no.Engine == nil {
+	// The functional constructor applies options then normalizes,
+	// keeping a supplied engine.
+	eng := engine.New(2)
+	no := NewOptions(WithScale(0.5), WithWorkloads("li"), WithEngine(eng))
+	if no.Scale != 0.5 || len(no.Workloads) != 1 || no.Engine != eng {
 		t.Fatalf("NewOptions: %+v", no)
-	}
-	if no.Engine.Parallelism() != 2 {
-		t.Fatalf("engine parallelism = %d, want 2", no.Engine.Parallelism())
 	}
 	if got := windowFor(80); got != 5_000 {
 		t.Fatalf("windowFor floor = %d", got)

@@ -267,15 +267,3 @@ func (p *TwoSize) Assign(va addr.VA) Result { return p.ladder.Assign(va) }
 func (p *TwoSize) Name() string {
 	return fmt.Sprintf("4KB/%s", addr.PageSize(1)<<p.cfg.LargeShift)
 }
-
-// LargeFraction returns the fraction of references that landed on large
-// pages so far; it quantifies how much use the policy made of large pages
-// (Section 5.2 attributes espresso/worm degradation to "insufficient use
-// of large pages during page-size assignment").
-func (p *TwoSize) LargeFraction() float64 {
-	ls := p.ladder.Stats()
-	if ls.Refs == 0 {
-		return 0
-	}
-	return float64(ls.RefsByClass[1]) / float64(ls.Refs)
-}

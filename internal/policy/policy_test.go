@@ -158,15 +158,18 @@ func TestThresholdOne(t *testing.T) {
 	}
 }
 
+// The share of references that land on large pages, as the Stats
+// counters report it.
 func TestLargeFraction(t *testing.T) {
 	p := NewTwoSize(DefaultTwoSizeConfig(1000))
-	if p.LargeFraction() != 0 {
-		t.Fatal("initial LargeFraction should be 0")
+	if st := p.Stats(); st.Refs != 0 || st.LargeRefs != 0 {
+		t.Fatalf("initial stats = %+v, want no references", st)
 	}
 	touchBlocks(p, 0, 8)
 	// 3 small refs then 5 large refs.
-	if got, want := p.LargeFraction(), 5.0/8.0; got != want {
-		t.Fatalf("LargeFraction = %v, want %v", got, want)
+	st := p.Stats()
+	if got, want := float64(st.LargeRefs)/float64(st.Refs), 5.0/8.0; got != want {
+		t.Fatalf("LargeRefs/Refs = %v, want %v", got, want)
 	}
 }
 

@@ -8,13 +8,13 @@ import (
 	"twopage/internal/policy"
 )
 
-// MultiSplit generalizes SplitTLB to N size classes: one sub-TLB per
-// class, all probed in parallel, each indexed by its own class's
+// MultiSplit is a split TLB, Section 2.2's option (c): one sub-TLB per
+// size class, all probed in parallel, each indexed by its own class's
 // page-number bits (so every half gets exact indexing for the only
-// size it ever sees). It is the natural hardware answer to the paper's
-// option (c) once the hierarchy grows past two sizes — and inherits,
-// per class, the same utilization hazard the paper notes for the
-// two-way split: a class the policy never assigns leaves its half idle.
+// size it ever sees). Over 4KB/32KB it is the paper's small/large
+// split; past two sizes it is the natural hardware answer to the same
+// question. It carries, per class, the utilization hazard the paper
+// notes: a class the policy never assigns leaves its half idle.
 type MultiSplit struct {
 	classes addr.SizeClasses
 	halves  []*SetAssoc

@@ -27,9 +27,8 @@
 // validated through addr.SizeClasses); the paper's 4KB/32KB pair is the
 // two-class default.
 //
-// SplitTLB models option (c) of Section 2.2 for two sizes: separate
-// TLBs per page size, both probed in parallel with their own index.
-// MultiSplit is its N-class generalization (one half per class).
+// MultiSplit models option (c) of Section 2.2: a separate TLB per page
+// size, all probed in parallel with their own index.
 //
 // All models count hits/misses per size class and support the entry
 // invalidation that page promotion/demotion requires.
@@ -603,83 +602,8 @@ func (t *SetAssoc) Contains(p policy.Page) bool {
 	return false
 }
 
-// SplitTLB models option (c) of Section 2.2: a separate TLB per page
-// size, accessed in parallel with different page numbers. Accesses to
-// small pages go to the small TLB, large pages to the large TLB; if the
-// workload's pages are not appropriately distributed, one side sits
-// unused — the disadvantage the paper notes. For more than two size
-// classes see MultiSplit.
-type SplitTLB struct {
-	small, large *SetAssoc
-	largeShift   uint
-}
-
-// NewSplit builds a split TLB. Both halves are built from their own
-// configs; the large half's Index is forced to IndexExact semantics by
-// construction (it only ever sees large pages, so IndexLarge and
-// IndexExact coincide; we set IndexLarge) and likewise the small half
-// uses IndexSmall.
-func NewSplit(smallCfg, largeCfg Config) (*SplitTLB, error) {
-	smallCfg.Index = IndexSmall
-	largeCfg.Index = IndexLarge
-	s, err := New(smallCfg)
-	if err != nil {
-		return nil, fmt.Errorf("small half: %w", err)
-	}
-	l, err := New(largeCfg)
-	if err != nil {
-		return nil, fmt.Errorf("large half: %w", err)
-	}
-	return &SplitTLB{small: s, large: l, largeShift: l.classes.TopShift()}, nil
-}
-
-// Access implements TLB.
-//
-//paperlint:hot
-func (t *SplitTLB) Access(va addr.VA, p policy.Page) bool {
-	if uint(p.Shift) >= t.largeShift {
-		return t.large.Access(va, p)
-	}
-	return t.small.Access(va, p)
-}
-
-// Invalidate implements TLB.
-func (t *SplitTLB) Invalidate(p policy.Page) int {
-	if uint(p.Shift) >= t.largeShift {
-		return t.large.Invalidate(p)
-	}
-	return t.small.Invalidate(p)
-}
-
-// Flush implements TLB.
-func (t *SplitTLB) Flush() {
-	t.small.Flush()
-	t.large.Flush()
-}
-
-// Stats implements TLB, merging both halves.
-func (t *SplitTLB) Stats() Stats {
-	s := t.small.Stats()
-	s.Merge(t.large.Stats())
-	return s
-}
-
-// Entries implements TLB.
-func (t *SplitTLB) Entries() int { return t.small.Entries() + t.large.Entries() }
-
-// Name implements TLB.
-func (t *SplitTLB) Name() string {
-	return fmt.Sprintf("split %d+%d-entry", t.small.Entries(), t.large.Entries())
-}
-
-// Halves returns the small and large sub-TLBs for inspection.
-func (t *SplitTLB) Halves() (small, large *SetAssoc) { return t.small, t.large }
-
-// Compile-time interface checks.
-var (
-	_ TLB = (*SetAssoc)(nil)
-	_ TLB = (*SplitTLB)(nil)
-)
+// Compile-time interface check.
+var _ TLB = (*SetAssoc)(nil)
 
 // Probe looks the page up and refreshes its replacement state on a hit,
 // but does not install anything on a miss and does not touch Stats.

@@ -311,21 +311,21 @@ func TestAccessCountsByClass(t *testing.T) {
 	}
 }
 
-func TestSplitTLB(t *testing.T) {
-	sp, err := NewSplit(Config{Entries: 8, Ways: 2}, Config{Entries: 4, Ways: 4})
+func TestMultiSplit(t *testing.T) {
+	sp, err := NewMultiSplit([]Config{{Entries: 8, Ways: 2}, {Entries: 4, Ways: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.Entries() != 12 {
 		t.Fatalf("entries = %d", sp.Entries())
 	}
-	if sp.Name() != "split 8+4-entry" {
+	if sp.Name() != "split 8+4-entry per-class" {
 		t.Fatalf("name = %q", sp.Name())
 	}
 	sva, lva := addr.VA(0x1000), addr.VA(0x20000)
 	sp.Access(sva, smallPage(sva))
 	sp.Access(lva, largePage(lva))
-	small, large := sp.Halves()
+	small, large := sp.Halves()[0], sp.Halves()[1]
 	if small.Occupied() != 1 || large.Occupied() != 1 {
 		t.Fatalf("occupancy: small=%d large=%d", small.Occupied(), large.Occupied())
 	}
@@ -345,11 +345,11 @@ func TestSplitTLB(t *testing.T) {
 	}
 }
 
-func TestSplitTLBBadConfigs(t *testing.T) {
-	if _, err := NewSplit(Config{Entries: 0}, Config{Entries: 4}); err == nil {
+func TestMultiSplitBadConfigs(t *testing.T) {
+	if _, err := NewMultiSplit([]Config{{Entries: 0}, {Entries: 4}}); err == nil {
 		t.Fatal("bad small half should error")
 	}
-	if _, err := NewSplit(Config{Entries: 4}, Config{Entries: 24, Ways: 2}); err == nil {
+	if _, err := NewMultiSplit([]Config{{Entries: 4}, {Entries: 24, Ways: 2}}); err == nil {
 		t.Fatal("bad large half should error")
 	}
 }

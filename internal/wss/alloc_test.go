@@ -8,12 +8,12 @@ import (
 	"twopage/internal/policy"
 )
 
-// TestStepAllocs pins the working-set window update at zero
-// steady-state allocations. The per-shift maps grow while the
-// footprint is first touched; after that warmup every Step must be
-// pure map updates.
+// TestStepAllocs pins the working-set window update of a whole stream
+// (start 0) at zero steady-state allocations. The per-shift maps grow
+// while the footprint is first touched; after that warmup every Step
+// must be pure map updates.
 func TestStepAllocs(t *testing.T) {
-	s := NewStatic(1<<16, addr.BlockShift, addr.ChunkShift)
+	s := NewStatic(1<<16, 0, addr.BlockShift, addr.ChunkShift)
 	// Touch the whole address range once so the maps are fully grown.
 	for i := 0; i < 1<<14; i++ {
 		s.Step(addr.VA(i * 4096))
@@ -28,12 +28,12 @@ func TestStepAllocs(t *testing.T) {
 	}
 }
 
-// TestShardStepAllocs pins the shard-local working-set step — the
-// per-reference hot loop of a sharded static pass — at zero
-// steady-state allocations, like the serial Step above. The extra
-// first-access table grows only while the footprint is new.
+// TestShardStepAllocs pins the step of a later section (start > 0) —
+// the per-reference hot loop of a sharded static pass — at zero
+// steady-state allocations, like the whole-stream Step above. The
+// section's first-access table grows only while the footprint is new.
 func TestShardStepAllocs(t *testing.T) {
-	s := NewStaticShard(1<<16, 1<<20, addr.BlockShift, addr.ChunkShift)
+	s := NewStatic(1<<16, 1<<20, addr.BlockShift, addr.ChunkShift)
 	for i := 0; i < 1<<14; i++ {
 		s.Step(addr.VA(i * 4096))
 	}
@@ -43,7 +43,7 @@ func TestShardStepAllocs(t *testing.T) {
 		i++
 	})
 	if avg != 0 {
-		t.Errorf("StaticShard.Step allocates %.2f times per call, want 0", avg)
+		t.Errorf("section Static.Step allocates %.2f times per call, want 0", avg)
 	}
 }
 

@@ -13,7 +13,7 @@ var benchShifts = []uint{addr.Shift4K, addr.Shift8K, addr.Shift16K, addr.Shift32
 // five page sizes.
 func BenchmarkStaticStep(b *testing.B) {
 	stream := kernelref.VAStream(1 << 16)
-	s := NewStatic(1<<20, benchShifts...)
+	s := NewStatic(1<<20, 0, benchShifts...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

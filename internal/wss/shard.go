@@ -5,85 +5,16 @@ import (
 	"twopage/internal/htab"
 )
 
-// StaticShard is the shard-local half of a sharded static working-set
-// pass. The Slutz–Traiger residency accumulation decomposes exactly
-// across a partition of the stream: a page accessed at global times
-// u_1 < ... < u_m contributes Σ min(u_{i+1}−u_i, T) + min(k−u_m, T),
-// and every consecutive pair either falls inside one shard (accumulated
-// locally in acc) or straddles a shard boundary (reconstructed at merge
-// time from the per-shard first/last access tables). Timestamps are
-// global — the shard is told where its section starts — so MergeStatic
-// reproduces the serial Static result bit for bit, for any shard count.
-type StaticShard struct {
-	t      uint64
-	shifts []uint
-	first  []*htab.U64 // per shift: page -> first access time in this shard
-	last   []*htab.U64 // per shift: page -> last access time in this shard
-	acc    []uint64    // per shift: intra-shard residency steps
-	start  uint64      // global time of the shard's first reference
-	steps  uint64
-}
-
-// NewStaticShard returns a shard-local calculator for window T whose
-// first reference carries global timestamp start. T must be positive;
-// shifts must be non-empty.
-func NewStaticShard(T, start uint64, shifts ...uint) *StaticShard {
-	if T == 0 {
-		panic("wss: T must be positive")
-	}
-	if len(shifts) == 0 {
-		panic("wss: need at least one page shift")
-	}
-	s := &StaticShard{
-		t:      T,
-		shifts: append([]uint(nil), shifts...),
-		first:  make([]*htab.U64, len(shifts)),
-		last:   make([]*htab.U64, len(shifts)),
-		acc:    make([]uint64, len(shifts)),
-		start:  start,
-	}
-	for i := range s.last {
-		s.first[i] = htab.NewU64(1 << 10)
-		s.last[i] = htab.NewU64(1 << 10)
-	}
-	return s
-}
-
-// Step observes one reference; time advances by one per call. The
-// per-reference shard hot path: one extra first-access probe per shift
-// compared with Static.Step, zero steady-state allocations.
-//
-//paperlint:hot
-func (s *StaticShard) Step(va addr.VA) {
-	t := s.start + s.steps
-	s.steps++
-	for i, shift := range s.shifts {
-		pn := uint64(addr.Page(va, shift))
-		if lastT, ok := s.last[i].Get(pn); ok {
-			gap := t - lastT
-			if gap > s.t {
-				gap = s.t
-			}
-			s.acc[i] += gap
-		} else {
-			s.first[i].Put(pn, t)
-		}
-		s.last[i].Put(pn, t)
-	}
-}
-
-// Steps returns how many references this shard has observed.
-func (s *StaticShard) Steps() uint64 { return s.steps }
-
-// MergeStatic folds shard-local static working-set state into the
-// per-shift results the serial Static.Finish would have produced over
-// the concatenated stream. Shards must be given in section order and
-// agree on (T, shifts); empty shards are fine. The merge is exact:
-// intra-shard gaps were accumulated locally, boundary gaps are spliced
-// here from the first/last tables, and the closing tails use the global
-// stream length — all integer arithmetic, so the result is
-// byte-identical to the serial pass for any shard count.
-func MergeStatic(shards []*StaticShard) []Result {
+// MergeStatic folds the static working-set state of consecutive
+// sections into the per-shift results Static.Finish would have
+// produced over the concatenated stream. Sections must be given in
+// stream order, each started at its global offset (NewStatic's start),
+// and agree on (T, shifts); empty sections are fine. The merge is
+// exact: intra-section gaps were accumulated locally, boundary gaps are
+// spliced here from the first/last tables, and the closing tails use
+// the global stream length — all integer arithmetic, so the result is
+// byte-identical to the serial pass for any partition.
+func MergeStatic(shards []*Static) []Result {
 	if len(shards) == 0 {
 		panic("wss: MergeStatic needs at least one shard")
 	}
@@ -101,15 +32,17 @@ func MergeStatic(shards []*StaticShard) []Result {
 		carry := htab.NewU64(1 << 10)
 		for _, sh := range shards {
 			acc += sh.acc[i]
-			sh.first[i].Iter(func(pn, firstT uint64) {
-				if lastT, ok := carry.Get(pn); ok {
-					gap := firstT - lastT
-					if gap > ref.t {
-						gap = ref.t
+			if sh.first != nil { // a section at start 0 follows only empty ones
+				sh.first[i].Iter(func(pn, firstT uint64) {
+					if lastT, ok := carry.Get(pn); ok {
+						gap := firstT - lastT
+						if gap > ref.t {
+							gap = ref.t
+						}
+						acc += gap
 					}
-					acc += gap
-				}
-			})
+				})
+			}
 			sh.last[i].Iter(func(pn, lastT uint64) {
 				carry.Put(pn, lastT)
 			})

@@ -44,14 +44,27 @@ func TestMergeStaticMatchesSerialExactly(t *testing.T) {
 	for _, n := range []int{0, 1, 5_000, 50_000} {
 		vas := genVAs(n, uint64(n)+3)
 		for _, T := range []uint64{1, 100, 5_000, 1 << 40} {
-			serial := NewStatic(T, shifts...)
+			serial := NewStatic(T, 0, shifts...)
 			for _, va := range vas {
 				serial.Step(va)
 			}
 			want := serial.Finish()
 
+			// Finish on a section treats it as the whole stream: the same
+			// references started at a later global time give the same
+			// results.
+			offset := NewStatic(T, 1<<30, shifts...)
+			for _, va := range vas {
+				offset.Step(va)
+			}
+			for i, got := range offset.Finish() {
+				if got != want[i] {
+					t.Fatalf("n=%d T=%d shift=%d: section Finish %+v, want %+v", n, T, shifts[i], got, want[i])
+				}
+			}
+
 			for _, shards := range []int{1, 2, 3, 8} {
-				parts := make([]*StaticShard, shards)
+				parts := make([]*Static, shards)
 				// Deliberately uneven split: shard i gets a slice that
 				// grows quadratically, with the last shard absorbing the
 				// remainder (and possibly nothing).
@@ -61,7 +74,7 @@ func TestMergeStaticMatchesSerialExactly(t *testing.T) {
 				}
 				cuts[shards] = n
 				for i := 0; i < shards; i++ {
-					parts[i] = NewStaticShard(T, uint64(cuts[i]), shifts...)
+					parts[i] = NewStatic(T, uint64(cuts[i]), shifts...)
 					for _, va := range vas[cuts[i]:cuts[i+1]] {
 						parts[i].Step(va)
 					}

@@ -27,7 +27,6 @@ package wss
 
 import (
 	"fmt"
-	"sort"
 
 	"twopage/internal/addr"
 	"twopage/internal/htab"
@@ -58,19 +57,33 @@ func (r Result) Normalized(base Result) float64 {
 }
 
 // Static computes average working-set sizes for several static page
-// sizes in one pass over the reference stream.
+// sizes in one pass over the reference stream, or over one section of
+// it. The residency accumulation decomposes exactly across a partition
+// of the stream: a page accessed at global times u_1 < ... < u_m
+// contributes Σ min(u_{i+1}−u_i, T) + min(k−u_m, T), and every
+// consecutive pair either falls inside one section (accumulated in acc)
+// or straddles a section boundary (spliced by MergeStatic from the
+// sections' first- and last-access tables). Timestamps are global, so
+// MergeStatic reproduces Finish's result for the whole stream bit for
+// bit, for any partition.
 type Static struct {
 	t      uint64
 	shifts []uint
+	first  []*htab.U64 // per shift: page -> first access time; nil when start is 0
 	last   []*htab.U64 // per shift: page -> last access time
 	acc    []uint64    // per shift: accumulated residency steps
+	start  uint64      // global time of the first reference
 	steps  uint64
 	done   bool
 }
 
 // NewStatic returns a calculator for window T (in references) and the
-// given page shifts. T must be positive; shifts must be non-empty.
-func NewStatic(T uint64, shifts ...uint) *Static {
+// given page shifts whose first reference carries global timestamp
+// start: 0 for a whole stream or its first section. Only a later
+// section keeps a first-access table, because only its first accesses
+// can pair with an earlier section's last ones. T must be positive;
+// shifts must be non-empty.
+func NewStatic(T, start uint64, shifts ...uint) *Static {
 	if T == 0 {
 		panic("wss: T must be positive")
 	}
@@ -82,15 +95,22 @@ func NewStatic(T uint64, shifts ...uint) *Static {
 		shifts: append([]uint(nil), shifts...),
 		last:   make([]*htab.U64, len(shifts)),
 		acc:    make([]uint64, len(shifts)),
+		start:  start,
 	}
 	for i := range s.last {
 		s.last[i] = htab.NewU64(1 << 10)
+	}
+	if start > 0 {
+		s.first = make([]*htab.U64, len(shifts))
+		for i := range s.first {
+			s.first[i] = htab.NewU64(1 << 10)
+		}
 	}
 	return s
 }
 
 // Step observes one reference. Time advances by one per call. This is
-// the per-reference hot path: the AllocsPerRun test pins it to zero
+// the per-reference hot path: the AllocsPerRun tests pin it to zero
 // steady-state allocations (table growth aside, which amortizes out).
 //
 //paperlint:hot
@@ -98,7 +118,7 @@ func (s *Static) Step(va addr.VA) {
 	if s.done {
 		panic("wss: Step after Finish")
 	}
-	t := s.steps
+	t := s.start + s.steps
 	s.steps++
 	for i, shift := range s.shifts {
 		pn := uint64(addr.Page(va, shift))
@@ -108,18 +128,23 @@ func (s *Static) Step(va addr.VA) {
 				gap = s.t
 			}
 			s.acc[i] += gap
+		} else if s.first != nil {
+			s.first[i].Put(pn, t)
 		}
 		s.last[i].Put(pn, t)
 	}
 }
 
 // Finish closes the stream and returns one Result per shift, in the
-// order the shifts were given. Further Steps panic.
+// order the shifts were given. It is the serial reference MergeStatic
+// is tested against; on a section it treats the section as the whole
+// stream. Further Steps panic.
 func (s *Static) Finish() []Result {
 	if s.done {
 		panic("wss: Finish called twice")
 	}
 	s.done = true
+	end := s.start + s.steps
 	out := make([]Result, len(s.shifts))
 	for i, shift := range s.shifts {
 		acc := s.acc[i]
@@ -127,7 +152,7 @@ func (s *Static) Finish() []Result {
 		// is order-independent, and htab layout is deterministic for a
 		// fixed reference stream anyway.
 		s.last[i].Iter(func(_, lastT uint64) {
-			gap := s.steps - lastT
+			gap := end - lastT
 			if gap > s.t {
 				gap = s.t
 			}
@@ -270,19 +295,4 @@ func FormatBytes(b float64) string {
 	default:
 		return fmt.Sprintf("%.0fB", b)
 	}
-}
-
-// SortResults orders results by ascending average size, for stable
-// report output when schemes are collected from unordered sources.
-// Equal averages are real (two schemes can tie exactly on a small
-// trace), so the sort is stable with the scheme name as tie-break —
-// otherwise the report row order would be nondeterministic precisely
-// when it matters for diffing.
-func SortResults(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		if rs[i].AvgBytes != rs[j].AvgBytes {
-			return rs[i].AvgBytes < rs[j].AvgBytes
-		}
-		return rs[i].Scheme < rs[j].Scheme
-	})
 }

@@ -41,7 +41,7 @@ func TestStaticMatchesNaive(t *testing.T) {
 	}
 	for _, T := range []uint64{1, 10, 100, 500, 5000} {
 		shifts := []uint{addr.Shift4K, addr.Shift8K, addr.Shift32K}
-		s := NewStatic(T, shifts...)
+		s := NewStatic(T, 0, shifts...)
 		for _, va := range refs {
 			s.Step(va)
 		}
@@ -59,7 +59,7 @@ func TestStaticMatchesNaive(t *testing.T) {
 }
 
 func TestStaticSchemeNames(t *testing.T) {
-	s := NewStatic(10, addr.Shift4K, addr.Shift32K)
+	s := NewStatic(10, 0, addr.Shift4K, addr.Shift32K)
 	s.Step(0)
 	res := s.Finish()
 	if res[0].Scheme != "4KB" || res[1].Scheme != "32KB" {
@@ -70,7 +70,7 @@ func TestStaticSchemeNames(t *testing.T) {
 func TestStaticSinglePageConstantStream(t *testing.T) {
 	// One page referenced k times: in the working set at every step, so
 	// average WSS = page size exactly.
-	s := NewStatic(100, addr.Shift4K)
+	s := NewStatic(100, 0, addr.Shift4K)
 	for i := 0; i < 1000; i++ {
 		s.Step(addr.VA(0x123))
 	}
@@ -81,7 +81,7 @@ func TestStaticSinglePageConstantStream(t *testing.T) {
 }
 
 func TestStaticEmptyStream(t *testing.T) {
-	s := NewStatic(10, addr.Shift4K)
+	s := NewStatic(10, 0, addr.Shift4K)
 	if got := s.Finish()[0].AvgBytes; got != 0 {
 		t.Fatalf("empty stream avg = %v", got)
 	}
@@ -96,15 +96,15 @@ func TestStaticPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("zero T", func() { NewStatic(0, addr.Shift4K) })
-	mustPanic("no shifts", func() { NewStatic(10) })
+	mustPanic("zero T", func() { NewStatic(0, 0, addr.Shift4K) })
+	mustPanic("no shifts", func() { NewStatic(10, 0) })
 	mustPanic("step after finish", func() {
-		s := NewStatic(10, addr.Shift4K)
+		s := NewStatic(10, 0, addr.Shift4K)
 		s.Finish()
 		s.Step(0)
 	})
 	mustPanic("double finish", func() {
-		s := NewStatic(10, addr.Shift4K)
+		s := NewStatic(10, 0, addr.Shift4K)
 		s.Finish()
 		s.Finish()
 	})
@@ -264,37 +264,6 @@ func TestFormatBytes(t *testing.T) {
 	}
 }
 
-func TestSortResults(t *testing.T) {
-	rs := []Result{{Scheme: "b", AvgBytes: 3}, {Scheme: "a", AvgBytes: 1}, {Scheme: "c", AvgBytes: 2}}
-	SortResults(rs)
-	if rs[0].Scheme != "a" || rs[1].Scheme != "c" || rs[2].Scheme != "b" {
-		t.Fatalf("sorted: %+v", rs)
-	}
-}
-
-// Regression: sort.Slice is unstable, so results tying on AvgBytes used
-// to land in nondeterministic order. The sort must break ties by Scheme
-// and produce the same permutation from any input order.
-func TestSortResultsEqualAverages(t *testing.T) {
-	base := []Result{
-		{Scheme: "4KB/32KB", AvgBytes: 2, Pages: 1},
-		{Scheme: "4KB", AvgBytes: 2, Pages: 2},
-		{Scheme: "32KB", AvgBytes: 2, Pages: 3},
-		{Scheme: "8KB", AvgBytes: 1, Pages: 4},
-	}
-	want := []string{"8KB", "32KB", "4KB", "4KB/32KB"}
-	// Every rotation of the input must sort to the identical order.
-	for rot := 0; rot < len(base); rot++ {
-		rs := append(append([]Result(nil), base[rot:]...), base[:rot]...)
-		SortResults(rs)
-		for i, w := range want {
-			if rs[i].Scheme != w {
-				t.Fatalf("rotation %d: order %v, want %v", rot, rs, want)
-			}
-		}
-	}
-}
-
 // Property: for any stream, larger page sizes never shrink the average
 // working-set size in bytes (each small page is contained in a large
 // one), and WSS is bounded above by footprint x size ratio.
@@ -303,7 +272,7 @@ func TestMonotoneInPageSizeProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		s := NewStatic(64, addr.Shift4K, addr.Shift8K, addr.Shift16K, addr.Shift32K)
+		s := NewStatic(64, 0, addr.Shift4K, addr.Shift8K, addr.Shift16K, addr.Shift32K)
 		for _, r := range raw {
 			s.Step(addr.VA(r) << 7) // spread over a 8MB region
 		}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -29,25 +28,32 @@ import (
 // would otherwise shift the padding by a character.
 var maskTimings = regexp.MustCompile(`\d+\.\d+x *`)
 
+// runAll runs the experiments (all of them when ids is empty) through
+// r.RunAll, the path cmd/paper ships, and returns their tables rendered
+// in request order with the designspace timing masked.
+func runAll(t *testing.T, r *experiments.Runner, ids ...string) string {
+	t.Helper()
+	var sb bytes.Buffer
+	for _, o := range r.RunAll(context.Background(), ids...) {
+		if o.Err != nil {
+			t.Fatalf("parallelism %d: %v", r.Options().Engine.Parallelism(), o.Err)
+		}
+		if err := r.Options().Render(o.Table, &sb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return maskTimings.ReplaceAllString(sb.String(), "T")
+}
+
 // renderAll runs every registered experiment through one Runner at the
 // given parallelism and returns the combined output.
 func renderAll(t *testing.T, parallelism int) string {
 	t.Helper()
-	var sb bytes.Buffer
-	r := experiments.NewRunner(
+	return runAll(t, experiments.NewRunner(
 		experiments.WithScale(0.01),
 		experiments.WithWorkloads("li", "worm"),
-		experiments.WithOut(&sb),
-		experiments.WithParallelism(parallelism),
-	)
-	ids := make([]string, 0, len(experiments.All()))
-	for _, e := range experiments.All() {
-		ids = append(ids, e.ID)
-	}
-	if err := r.RunAll(context.Background(), ids...); err != nil {
-		t.Fatalf("parallelism %d: %v", parallelism, err)
-	}
-	return maskTimings.ReplaceAllString(sb.String(), "T")
+		experiments.WithEngine(engine.New(parallelism)),
+	))
 }
 
 // The tentpole guarantee: running the whole paper concurrently produces
@@ -109,21 +115,11 @@ func TestParallelOutputMatchesSequentialOverTraceFile(t *testing.T) {
 	t.Cleanup(func() { workload.Unregister(name) })
 
 	render := func(parallelism int) string {
-		var sb bytes.Buffer
-		r := experiments.NewRunner(
+		return runAll(t, experiments.NewRunner(
 			experiments.WithScale(0.01),
 			experiments.WithWorkloads(name),
-			experiments.WithOut(&sb),
-			experiments.WithParallelism(parallelism),
-		)
-		ids := make([]string, 0, len(experiments.All()))
-		for _, e := range experiments.All() {
-			ids = append(ids, e.ID)
-		}
-		if err := r.RunAll(context.Background(), ids...); err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		return maskTimings.ReplaceAllString(sb.String(), "T")
+			experiments.WithEngine(engine.New(parallelism)),
+		))
 	}
 	seq := render(1)
 	par := render(8)
@@ -142,17 +138,11 @@ func TestParallelOutputMatchesSequentialOverTraceFile(t *testing.T) {
 // N-size machinery specifically.
 func TestLadder3DeterministicAcrossParallelism(t *testing.T) {
 	render := func(parallelism int) string {
-		var sb bytes.Buffer
-		r := experiments.NewRunner(
+		return runAll(t, experiments.NewRunner(
 			experiments.WithScale(0.01),
 			experiments.WithWorkloads("li", "worm"),
-			experiments.WithOut(&sb),
-			experiments.WithParallelism(parallelism),
-		)
-		if err := r.RunAll(context.Background(), "ladder3", "nindex"); err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		return maskTimings.ReplaceAllString(sb.String(), "T")
+			experiments.WithEngine(engine.New(parallelism)),
+		), "ladder3", "nindex")
 	}
 	seq := render(1)
 	par := render(8)
@@ -245,12 +235,12 @@ func TestRunnerCancellation(t *testing.T) {
 	r := experiments.NewRunner(
 		experiments.WithScale(0.01),
 		experiments.WithWorkloads("li"),
-		experiments.WithOut(io.Discard),
-		experiments.WithParallelism(2),
+		experiments.WithEngine(engine.New(2)),
 	)
-	err := r.RunAll(ctx, "table3.1", "fig5.1")
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, o := range r.RunAll(ctx, "table3.1", "fig5.1") {
+		if !errors.Is(o.Err, context.Canceled) || o.Table != nil {
+			t.Fatalf("%s: table %v, err = %v, want no table and context.Canceled", o.ID, o.Table, o.Err)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package twopage_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -308,22 +307,12 @@ func TestShardedExperimentsDeterministicAcrossParallelism(t *testing.T) {
 	t.Cleanup(func() { workload.Unregister(name) })
 
 	render := func(parallelism int) string {
-		var sb bytes.Buffer
-		r := experiments.NewRunner(
+		plan := engine.ShardPlan{Shards: 3, Warmup: 8_000}
+		return runAll(t, experiments.NewRunner(
 			experiments.WithScale(0.01),
 			experiments.WithWorkloads(name),
-			experiments.WithOut(&sb),
-			experiments.WithParallelism(parallelism),
-			experiments.WithShards(3, 8_000),
-		)
-		ids := make([]string, 0, len(experiments.All()))
-		for _, e := range experiments.All() {
-			ids = append(ids, e.ID)
-		}
-		if err := r.RunAll(context.Background(), ids...); err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		return maskTimings.ReplaceAllString(sb.String(), "T")
+			experiments.WithEngine(engine.New(parallelism, engine.WithSharding(plan))),
+		))
 	}
 	seq := render(1)
 	par := render(8)
