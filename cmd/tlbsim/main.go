@@ -91,8 +91,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	switch {
 	case *window < 0:
 		return usage("-T must be >= 0 (0 = refs/8), got %d", *window)
-	case *thresh < 1 || *thresh > addr.BlocksPerChunk:
-		return usage("-threshold must be in [1,%d], got %d", addr.BlocksPerChunk, *thresh)
 	case !addr.PageSize(*pageSize).Valid():
 		return usage("-pagesize must be a power of two, got %d", *pageSize)
 	case *shards < 1:
@@ -157,6 +155,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	var src trace.Reader
+	var mapped *trace.File // a v2 -trace, which -shards splits into sections
 	var srcName string
 	var nRefs uint64
 	switch {
@@ -170,7 +169,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		src, srcName = r, *traceF
 		nRefs = 1 << 22 // only used to derive a default window
 		if mr, ok := r.(*trace.MapReader); ok {
-			nRefs = mr.File().Refs()
+			mapped = mr.File()
+			nRefs = mapped.Refs()
+		}
+		if *refs > 0 {
+			src, nRefs = trace.NewLimit(r, *refs), min(nRefs, *refs)
 		}
 	case *specF != "":
 		text, err := os.ReadFile(*specF)
@@ -214,20 +217,23 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stderr, "tlbsim: -ladder needs -sizes with at least two page sizes")
 			return 1
 		}
-		if classes.Shift(0) != addr.BlockShift || classes.TopShift() > 24 {
-			fmt.Fprintf(stderr, "tlbsim: -ladder needs a 4096-byte base class and a top size of at most %d bytes\n", 1<<24)
-			return 1
-		}
 		if *wss {
 			fmt.Fprintln(stderr, "tlbsim: -wss supports only the two-size policy")
 			return 1
 		}
 		polT = policyWindow(*window, nRefs)
 		cfg := policy.DefaultLadderConfig(polT, classes)
+		if err := cfg.Validate(); err != nil {
+			fmt.Fprintf(stderr, "tlbsim: -ladder: %v\n", err)
+			return 1
+		}
 		newPolicy = func() policy.Assigner { return policy.NewLadder(cfg) }
 	case *two:
 		polT = policyWindow(*window, nRefs)
 		cfg := policy.TwoSizeConfig{T: polT, Threshold: *thresh, Demote: true, LargeShift: addr.Shift32K}
+		if err := cfg.Validate(); err != nil {
+			return usage("-T/-threshold: %v", err)
+		}
 		newPolicy = func() policy.Assigner { return policy.NewTwoSize(cfg) }
 	default:
 		if *wss {
@@ -300,8 +306,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	start := time.Now()
 	var res *core.Result
 	if *shards > 1 {
-		mr, ok := src.(*trace.MapReader)
-		if !ok {
+		if mapped == nil {
 			fmt.Fprintln(stderr, "tlbsim: -shards needs a v2 -trace file (sections require random access)")
 			return 1
 		}
@@ -310,7 +315,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			plan.Warmup = engine.AutoWarmup(polT)
 		}
 		eng := engine.New(*shards)
-		res, err = engine.RunSharded(eng, ctx, mr.File(), *refs, plan, "tlbsim", build)
+		res, err = engine.RunSharded(eng, ctx, mapped, *refs, plan, "tlbsim", build)
 	} else {
 		var sim *core.Simulator
 		if sim, err = build(); err == nil {

@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"twopage/internal/trace"
@@ -30,6 +31,12 @@ func main() {
 		format = flag.String("format", "binary", "v2, binary, or text")
 	)
 	flag.Parse()
+	newWriter, ok := writers[*format]
+	if !ok {
+		// A usage error, like a bad flag: exit 2 before any file exists.
+		fmt.Fprintf(os.Stderr, "tracegen: -format must be v2, binary, or text, got %q\n", *format)
+		os.Exit(2)
+	}
 
 	var src trace.Reader
 	var n uint64
@@ -67,59 +74,69 @@ func main() {
 	if path == "" {
 		path = name + ".trc"
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal("%v", err)
-	}
-	defer f.Close()
-	var written uint64
-	var writeErr error
-	switch *format {
-	case "v2":
-		w := trace.NewV2Writer(f)
-		written, err = trace.Drain(src, func(batch []trace.Ref) {
-			if werr := w.Write(batch); werr != nil && writeErr == nil {
-				writeErr = werr
-			}
-		})
-		if writeErr == nil {
-			writeErr = w.Flush()
-		}
-	case "binary":
-		w := trace.NewWriter(f)
-		written, err = trace.Drain(src, func(batch []trace.Ref) {
-			if werr := w.Write(batch); werr != nil && writeErr == nil {
-				writeErr = werr
-			}
-		})
-		if writeErr == nil {
-			writeErr = w.Flush()
-		}
-	case "text":
-		w := trace.NewTextWriter(f)
-		written, err = trace.Drain(src, func(batch []trace.Ref) {
-			if werr := w.Write(batch); werr != nil && writeErr == nil {
-				writeErr = werr
-			}
-		})
-		if writeErr == nil {
-			writeErr = w.Flush()
-		}
-	default:
-		fatal("unknown format %q", *format)
-	}
-	if err == nil {
-		err = writeErr
-	}
+	written, size, err := write(path, src, newWriter)
 	if err != nil {
 		fatal("writing %s: %v", path, err)
 	}
-	st, _ := f.Stat()
 	fmt.Printf("wrote %d references to %s (%d bytes, %.2f bytes/ref)\n",
-		written, path, st.Size(), float64(st.Size())/float64(written))
+		written, path, size, float64(size)/float64(written))
 }
 
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "tracegen: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// traceWriter is what the three trace encoders share.
+type traceWriter interface {
+	Write(batch []trace.Ref) error
+	Flush() error
+}
+
+// writers maps each -format value to its encoder.
+var writers = map[string]func(io.Writer) traceWriter{
+	"v2":     func(w io.Writer) traceWriter { return trace.NewV2Writer(w) },
+	"binary": func(w io.Writer) traceWriter { return trace.NewWriter(w) },
+	"text":   func(w io.Writer) traceWriter { return trace.NewTextWriter(w) },
+}
+
+// write encodes src into a new file at path, returning how many
+// references it wrote and the file's size. On any error, Close's
+// included, it removes the partial file; a path that is not a regular
+// file (a device, a pipe, a symlink) is left alone.
+func write(path string, src trace.Reader, newWriter func(io.Writer) traceWriter) (written uint64, size int64, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			if st, serr := os.Lstat(path); serr == nil && st.Mode().IsRegular() {
+				_ = os.Remove(path) // best effort; the write error is what gets reported
+			}
+		}
+	}()
+	w := newWriter(f)
+	var werr error
+	if written, err = trace.Drain(src, func(batch []trace.Ref) {
+		if werr == nil {
+			werr = w.Write(batch)
+		}
+	}); err != nil {
+		return 0, 0, err
+	}
+	if werr != nil {
+		return 0, 0, werr
+	}
+	if err := w.Flush(); err != nil {
+		return 0, 0, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	return written, st.Size(), nil
 }

@@ -53,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		sizes   = fs.String("sizes", "4096,8192,16384,32768,65536", "comma-separated page sizes in bytes")
 		two     = fs.Bool("two", true, "also compute the dynamic 4KB/32KB scheme")
 		shards  = fs.Int("shards", 1, "compute the static pass over this many v2-trace sections in parallel; the merge is exact, so any value gives the serial result (needs -trace)")
-		warmup  = fs.Uint64("warmup", 0, "accepted for interface symmetry with tlbsim/paper; the static merge is exact, so wsssim never needs (and rejects) a warm-up")
 		statsF  = fs.String("stats", "", "write a JSON run report to this file (\"-\" = stderr)")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -69,12 +68,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	usage := func(format string, args ...any) int {
 		fmt.Fprintf(stderr, "wsssim: "+format+"\n", args...)
 		return 2
-	}
-	if *warmup > 0 {
-		// The Slutz–Traiger accumulation decomposes exactly across shard
-		// boundaries, so there is no cold-start error for a warm-up to
-		// amortize; reject rather than silently ignore the flag.
-		return usage("-warmup is not applicable (the sharded static merge is exact; no warm-up phase exists)")
 	}
 	if *shards < 1 {
 		return usage("-shards must be >= 1, got %d", *shards)
@@ -93,26 +86,31 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 
-	// open returns a fresh reader over the configured source; the
-	// two-page scheme is a second pass, so it is called up to twice.
-	// v2 files are mmap'd once and reread via a new cursor for free.
+	// open returns a fresh reader over the configured source, at most
+	// -refs long; the two-page scheme is a second pass, so it is called
+	// up to twice. v2 files are mmap'd once and reread via a new cursor
+	// for free.
 	var mapped *trace.File
 	var srcName string
 	open := func() (trace.Reader, error) {
 		switch {
 		case *traceF != "":
 			srcName = *traceF
+			var r trace.Reader
 			if mapped != nil {
-				return mapped.Reader(), nil
+				r = mapped.Reader()
+			} else {
+				var err error
+				if r, _, err = trace.OpenPath(*traceF, *format); err != nil {
+					return nil, err // the file is released at process exit
+				}
+				if mr, ok := r.(*trace.MapReader); ok {
+					mapped = mr.File()
+				}
 			}
-			r, closer, err := trace.OpenPath(*traceF, *format)
-			if err != nil {
-				return nil, err
+			if *refs > 0 {
+				r = trace.NewLimit(r, *refs)
 			}
-			if mr, ok := r.(*trace.MapReader); ok {
-				mapped = mr.File()
-			}
-			_ = closer // released at process exit
 			return r, nil
 		case *wl != "":
 			spec, err := workload.Get(*wl)
@@ -150,8 +148,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if n == 0 {
 			T = 1 << 20
 		} else {
-			T = n / 8
+			T = max(n/8, 1)
 		}
+	}
+	twoCfg := policy.DefaultTwoSizeConfig(int(T))
+	if err := twoCfg.Validate(); *two && err != nil {
+		return usage("-T: %v", err)
 	}
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
@@ -182,7 +184,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stderr, "wsssim: -shards needs a v2 -trace file (sections require random access)")
 			return 1
 		}
-		results, c, err = engine.StaticWSSSections(engine.New(*shards), ctx, mapped, 0, *shards, T, shifts, "wss-static")
+		results, c, err = engine.StaticWSSSections(engine.New(*shards), ctx, mapped, *refs, *shards, T, shifts, "wss-static")
 	} else {
 		var staticRefs uint64
 		staticSrc := trace.NewTee(first, func(batch []trace.Ref) { staticRefs += uint64(len(batch)) })
@@ -218,7 +220,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		var twoRefs uint64
 		twoSrc := trace.NewTee(second, func(batch []trace.Ref) { twoRefs += uint64(len(batch)) })
-		sim := core.NewSimulator(policy.NewTwoSize(policy.DefaultTwoSizeConfig(int(T))), nil, core.WithWSS())
+		sim := core.NewSimulator(policy.NewTwoSize(twoCfg), nil, core.WithWSS())
 		out, err := sim.Run(ctx, twoSrc)
 		if err != nil {
 			if errors.Is(err, context.Canceled) && ctx.Err() != nil {

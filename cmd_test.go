@@ -177,6 +177,7 @@ func TestCommandLineTools(t *testing.T) {
 		v2 := filepath.Join(dir, "li.v2")
 		runBin(t, gen, "-workload", "li", "-refs", "20000", "-format", "v2", "-o", v2)
 		li := []string{"-workload", "li", "-refs", "20000"}
+		bogus := filepath.Join(dir, "bogus.trc")
 		cases := []struct {
 			cmd, flag string
 			args      []string
@@ -205,6 +206,7 @@ func TestCommandLineTools(t *testing.T) {
 			{"wsssim", "-shards", []string{"-trace", v2, "-shards", "-2"}},
 			{"wsssim", "-sizes", append([]string{"-sizes", "3000"}, li...)},
 			{"wsssim", "-sizes", []string{"-trace", v2, "-sizes", "4096,abc"}},
+			{"tracegen", "-format", []string{"-workload", "li", "-refs", "1000", "-format", "bogus", "-o", bogus}},
 		}
 		bins := map[string]string{}
 		bin := func(t *testing.T, name string) string {
@@ -239,10 +241,15 @@ func TestCommandLineTools(t *testing.T) {
 				}
 			})
 		}
+		// tracegen checks -format before it creates the output file.
+		if _, err := os.Stat(bogus); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("tracegen -format bogus left %s behind (stat: %v)", bogus, err)
+		}
 		// The auto window (refs/8) of a tiny trace is one reference, not
 		// a zero that the policy constructors reject.
 		runBin(t, bin(t, "tlbsim"), "-workload", "li", "-refs", "5", "-two")
 		runBin(t, bin(t, "vmsim"), "-workload", "li", "-refs", "5", "-two")
+		runBin(t, bin(t, "wsssim"), "-workload", "li", "-refs", "5")
 	})
 
 	// Minimal decode of a -stats run report: just the fields these
@@ -335,6 +342,27 @@ func TestCommandLineTools(t *testing.T) {
 			}
 			if gotRep != wantRep {
 				t.Errorf("-shards %s report differs from -shards 1:\n got:\n%s\nwant:\n%s", n, gotRep, wantRep)
+			}
+		}
+	})
+
+	// -refs truncates a trace input like a generated one, serial or
+	// sharded: both commands simulate and report the requested count.
+	t.Run("trace-refs", func(t *testing.T) {
+		gen := buildCmd(t, dir, "tracegen")
+		sim := buildCmd(t, dir, "tlbsim")
+		wss := buildCmd(t, dir, "wsssim")
+		v2 := filepath.Join(dir, "li-refs.v2")
+		runBin(t, gen, "-workload", "li", "-refs", "20000", "-format", "v2", "-o", v2)
+		for _, shards := range []string{"1", "2"} {
+			out := runBin(t, sim, "-trace", v2, "-refs", "1000", "-shards", shards, "-two")
+			if !strings.Contains(out, "refs:        1000 ") {
+				t.Errorf("tlbsim -shards %s -refs 1000:\n%s", shards, out)
+			}
+			rep := filepath.Join(dir, "wsssim-refs"+shards+".json")
+			runBin(t, wss, "-trace", v2, "-refs", "1000", "-shards", shards, "-stats", rep)
+			if r := readReport(t, rep); r.Totals.Refs != 2000 {
+				t.Errorf("wsssim -shards %s -refs 1000: totals.refs = %d, want 2000 (two 1000-ref passes)", shards, r.Totals.Refs)
 			}
 		}
 	})

@@ -509,8 +509,11 @@ func (s *Simulator) applyEvent(res policy.Result) {
 
 // MeasureStaticWSS computes average working-set sizes for a set of
 // static page sizes over a reference stream in one pass, no TLBs
-// involved (the Section 4 experiments).
+// involved (the Section 4 experiments). A zero T is an error.
 func MeasureStaticWSS(ctx context.Context, r trace.Reader, T uint64, sizes ...addr.PageSize) ([]wss.Result, error) {
+	if T == 0 {
+		return nil, fmt.Errorf("core: static working-set window T must be positive")
+	}
 	shifts := make([]uint, len(sizes))
 	for i, s := range sizes {
 		if !s.Valid() {

@@ -65,8 +65,8 @@ type Engine struct {
 	collector   *obs.Collector
 	shard       ShardPlan
 
-	mu     sync.Mutex
-	passes map[string]*Future[any]
+	mu    sync.Mutex
+	units map[string]any // memo key -> the unit's *Future[T]
 
 	submitted atomic.Int64
 	done      atomic.Int64
@@ -109,7 +109,7 @@ func New(parallelism int, opts ...Option) *Engine {
 	e := &Engine{
 		sem:         make(chan struct{}, parallelism),
 		parallelism: parallelism,
-		passes:      make(map[string]*Future[any]),
+		units:       make(map[string]any),
 	}
 	for _, o := range opts {
 		o(e)
@@ -165,17 +165,6 @@ func resolved[T any](v T, err error) *Future[T] {
 	return f
 }
 
-func (e *Engine) acquire(ctx context.Context) error {
-	select {
-	case e.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (e *Engine) release() { <-e.sem }
-
 func (e *Engine) emit(key string, hit bool, err error) {
 	done := e.done.Add(1)
 	if e.observer != nil {
@@ -195,26 +184,69 @@ func (e *Engine) emit(key string, hit bool, err error) {
 // deadlock a pool of size 1); coordinators that need staged work wait
 // between stages themselves.
 func Go[T any](e *Engine, ctx context.Context, label string, fn func(context.Context) (T, error)) *Future[T] {
+	return submit(e, ctx, label, false, false, fn)
+}
+
+// submit is the one way the engine starts work: Go tasks, memoized
+// units and MapSections' sections all come through it. It counts the
+// submission, runs fn on a goroutine of its own and emits one Event
+// when the future resolves.
+//
+// With memo set, key is a memoization key: the first submitter runs fn
+// and every concurrent or later submitter of key waits on that unit's
+// future, counted and reported as a cache hit. A failed unit is evicted
+// before its future resolves, so a retry runs again (a canceled first
+// requester must not poison the cache for live ones). Without memo, key
+// only labels the event.
+//
+// fn runs in a pool slot unless offPool is set. offPool is for a unit
+// that waits on pool futures itself, like a sharded pass waiting on its
+// sections: waiting inside a slot would deadlock a pool of size 1.
+func submit[T any](e *Engine, ctx context.Context, key string, memo, offPool bool, fn func(context.Context) (T, error)) *Future[T] {
 	e.submitted.Add(1)
 	f := newFuture[T]()
+	if memo {
+		e.mu.Lock()
+		if cached, ok := e.units[key].(*Future[T]); ok {
+			e.mu.Unlock()
+			e.hits.Add(1)
+			go func() {
+				defer close(f.done)
+				f.val, f.err = cached.Wait(ctx)
+				e.emit(key, true, f.err)
+			}()
+			return f
+		}
+		e.units[key] = f
+		e.mu.Unlock()
+	}
 	go func() {
 		defer close(f.done)
-		if err := e.acquire(ctx); err != nil {
-			f.err = err
-			e.emit(label, false, err)
-			return
+		if offPool {
+			f.val, f.err = fn(ctx)
+		} else {
+			select {
+			case e.sem <- struct{}{}: // a pool slot
+				f.val, f.err = fn(ctx)
+				<-e.sem
+			case <-ctx.Done():
+				f.err = ctx.Err()
+			}
 		}
-		defer e.release()
-		f.val, f.err = fn(ctx)
-		e.emit(label, false, f.err)
+		if f.err != nil && memo {
+			e.mu.Lock()
+			delete(e.units, key)
+			e.mu.Unlock()
+		}
+		e.emit(key, false, f.err)
 	}()
 	return f
 }
 
-// collect turns a slice of futures into a future of the slice, waiting
-// on a plain goroutine (no pool slot).
-func collect[T any](ctx context.Context, futs []*Future[T]) *Future[[]T] {
-	out := newFuture[[]T]()
+// collect waits on futs from a plain goroutine (no pool slot) and
+// resolves to fn of their values, in order, or to the first error.
+func collect[T, U any](ctx context.Context, futs []*Future[T], fn func([]T) U) *Future[U] {
+	out := newFuture[U]()
 	go func() {
 		defer close(out.done)
 		vals := make([]T, len(futs))
@@ -226,71 +258,7 @@ func collect[T any](ctx context.Context, futs []*Future[T]) *Future[[]T] {
 			}
 			vals[i] = v
 		}
-		out.val = vals
+		out.val = fn(vals)
 	}()
 	return out
-}
-
-// keyed memoizes fn under key. The first submitter executes fn on the
-// pool; concurrent and later submitters share the same future. Failed
-// units are evicted so a later submission retries (a canceled first
-// requester must not poison the cache for live ones).
-func keyed[T any](e *Engine, ctx context.Context, key string, fn func(context.Context) (T, error)) *Future[T] {
-	e.submitted.Add(1)
-	e.mu.Lock()
-	if cached, ok := e.passes[key]; ok {
-		e.mu.Unlock()
-		e.hits.Add(1)
-		return adapt[T](ctx, key, e, cached)
-	}
-	shared := newFuture[any]()
-	e.passes[key] = shared
-	e.mu.Unlock()
-
-	f := newFuture[T]()
-	go func() {
-		defer close(shared.done)
-		defer close(f.done)
-		if err := e.acquire(ctx); err != nil {
-			f.err, shared.err = err, err
-			e.evict(key)
-			e.emit(key, false, err)
-			return
-		}
-		defer e.release()
-		v, err := fn(ctx)
-		if err != nil {
-			f.err, shared.err = err, err
-			e.evict(key)
-			e.emit(key, false, err)
-			return
-		}
-		f.val, shared.val = v, v
-		e.emit(key, false, nil)
-	}()
-	return f
-}
-
-func (e *Engine) evict(key string) {
-	e.mu.Lock()
-	delete(e.passes, key)
-	e.mu.Unlock()
-}
-
-// adapt narrows a cached Future[any] to a typed future, reporting the
-// cache hit once resolved.
-func adapt[T any](ctx context.Context, key string, e *Engine, shared *Future[any]) *Future[T] {
-	f := newFuture[T]()
-	go func() {
-		defer close(f.done)
-		v, err := shared.Wait(ctx)
-		if err != nil {
-			f.err = err
-			e.emit(key, true, err)
-			return
-		}
-		f.val = v.(T)
-		e.emit(key, true, nil)
-	}()
-	return f
 }

@@ -15,6 +15,8 @@ import (
 	"twopage/internal/obs"
 	"twopage/internal/policy"
 	"twopage/internal/tlb"
+	"twopage/internal/window"
+	"twopage/internal/workload"
 )
 
 func TestGoRunsTask(t *testing.T) {
@@ -32,11 +34,11 @@ func TestGoRunsTask(t *testing.T) {
 	}
 }
 
-func TestKeyedMemoizes(t *testing.T) {
+func TestSubmitMemoizes(t *testing.T) {
 	e := New(4)
 	var calls atomic.Int64
 	run := func() (int, error) {
-		f := keyed(e, context.Background(), "k", func(ctx context.Context) (int, error) {
+		f := submit(e, context.Background(), "k", true, false, func(ctx context.Context) (int, error) {
 			calls.Add(1)
 			return 7, nil
 		})
@@ -56,7 +58,7 @@ func TestKeyedMemoizes(t *testing.T) {
 	}
 }
 
-func TestKeyedConcurrentSharesOneExecution(t *testing.T) {
+func TestSubmitConcurrentSharesOneExecution(t *testing.T) {
 	e := New(8)
 	var calls atomic.Int64
 	release := make(chan struct{})
@@ -67,7 +69,7 @@ func TestKeyedConcurrentSharesOneExecution(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f := keyed(e, context.Background(), "slow", func(ctx context.Context) (int, error) {
+			f := submit(e, context.Background(), "slow", true, false, func(ctx context.Context) (int, error) {
 				calls.Add(1)
 				<-release
 				return 1, nil
@@ -89,21 +91,48 @@ func TestKeyedConcurrentSharesOneExecution(t *testing.T) {
 	}
 }
 
-func TestKeyedErrorEvicts(t *testing.T) {
+func TestSubmitErrorEvicts(t *testing.T) {
 	e := New(1)
 	boom := errors.New("boom")
-	fail := keyed(e, context.Background(), "k", func(ctx context.Context) (int, error) {
+	fail := submit(e, context.Background(), "k", true, false, func(ctx context.Context) (int, error) {
 		return 0, boom
 	})
 	if _, err := fail.Wait(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("first call err = %v", err)
 	}
 	// The failed unit must have been evicted: a retry re-executes.
-	ok := keyed(e, context.Background(), "k", func(ctx context.Context) (int, error) {
+	ok := submit(e, context.Background(), "k", true, false, func(ctx context.Context) (int, error) {
 		return 9, nil
 	})
 	if v, err := ok.Wait(context.Background()); err != nil || v != 9 {
 		t.Fatalf("retry = (%d, %v)", v, err)
+	}
+}
+
+// An off-pool unit memoizes like a pooled one and holds no slot, so on
+// a one-slot pool it can wait on a pool task of its own: the
+// coordinator form of a sharded pass waiting on its sections. Run in a
+// slot instead, it would deadlock until the timeout.
+func TestSubmitOffPoolMemoizes(t *testing.T) {
+	e := New(1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var calls atomic.Int64
+	coordinator := func(ctx context.Context) (int, error) {
+		calls.Add(1)
+		return Go(e, ctx, "section", func(ctx context.Context) (int, error) { return 5, nil }).Wait(ctx)
+	}
+	for i := 0; i < 3; i++ {
+		if v, err := submit(e, ctx, "k", true, true, coordinator).Wait(ctx); err != nil || v != 5 {
+			t.Fatalf("call %d: (%d, %v)", i, v, err)
+		}
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("fn executed %d times, want 1", calls.Load())
+	}
+	// Three unit submissions, two of them hits, plus the section task.
+	if st := e.Stats(); st.Submitted != 4 || st.Done != 4 || st.CacheHits != 2 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -174,10 +203,10 @@ func TestObserverEvents(t *testing.T) {
 		mu.Unlock()
 	}))
 	ctx := context.Background()
-	if _, err := keyed(e, ctx, "k", func(ctx context.Context) (int, error) { return 1, nil }).Wait(ctx); err != nil {
+	if _, err := submit(e, ctx, "k", true, false, func(ctx context.Context) (int, error) { return 1, nil }).Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := keyed(e, ctx, "k", func(ctx context.Context) (int, error) { return 1, nil }).Wait(ctx); err != nil {
+	if _, err := submit(e, ctx, "k", true, false, func(ctx context.Context) (int, error) { return 1, nil }).Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -347,6 +376,79 @@ func TestMisconfiguredUnitFailsItsFuture(t *testing.T) {
 	}
 }
 
+// A unit whose policy config or window is out of range fails its own
+// future with an error naming the field; it must not panic the pool
+// worker, and the engine keeps serving valid units on the same pool.
+func TestBadUnitFailsItsFuture(t *testing.T) {
+	f, _ := sectionFile(t, 5000, 64)
+	const file = "engine:bad-unit"
+	if err := workload.RegisterFile(file, f); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { workload.Unregister(file) })
+
+	two := func(edit func(*policy.TwoSizeConfig)) PolicySpec {
+		cfg := policy.DefaultTwoSizeConfig(1000)
+		edit(&cfg)
+		return TwoSizePolicy(cfg)
+	}
+	ladder := func(classes addr.SizeClasses, edit func(*policy.LadderConfig)) PolicySpec {
+		cfg := policy.DefaultLadderConfig(1000, classes)
+		edit(&cfg)
+		return LadderPolicy(cfg)
+	}
+	keep := func(*policy.LadderConfig) {}
+	pass := func(pol PolicySpec) func(*Engine, context.Context) error {
+		return func(e *Engine, ctx context.Context) error {
+			_, err := e.Pass(ctx, PassSpec{Workload: "li", Refs: 10_000, Policy: pol,
+				TLBs: []tlb.Config{{Entries: 16}}}).Wait(ctx)
+			return err
+		}
+	}
+	staticWSS := func(u StaticWSSUnit) func(*Engine, context.Context) error {
+		return func(e *Engine, ctx context.Context) error {
+			_, err := e.StaticWSS(ctx, u).Wait(ctx)
+			return err
+		}
+	}
+	cases := []struct {
+		name  string
+		field string // the error must name it
+		run   func(*Engine, context.Context) error
+	}{
+		{"threshold-0", "Threshold", pass(two(func(c *policy.TwoSizeConfig) { c.Threshold = 0 }))},
+		{"threshold-9", "Threshold", pass(two(func(c *policy.TwoSizeConfig) { c.Threshold = 9 }))},
+		{"largeshift-12", "LargeShift", pass(two(func(c *policy.TwoSizeConfig) { c.LargeShift = addr.BlockShift }))},
+		{"largeshift-25", "LargeShift", pass(two(func(c *policy.TwoSizeConfig) { c.LargeShift = 25 }))},
+		{"ladder-8KB-base", "Classes", pass(ladder(addr.MustShiftClasses(addr.Shift8K, addr.Shift32K), keep))},
+		{"ladder-top-shift", "Classes", pass(ladder(addr.MustShiftClasses(addr.Shift4K, addr.Shift32K, window.MaxChunkShift+1), keep))},
+		{"ladder-thresholds", "Thresholds", pass(ladder(addr.MustShiftClasses(addr.Shift4K, addr.Shift32K, addr.Shift256K),
+			func(c *policy.LadderConfig) { c.Thresholds = c.Thresholds[:1] }))},
+		{"two-wss-T-0", "TwoSizeConfig.T", func(e *Engine, ctx context.Context) error {
+			_, err := e.TwoSizeWSS(ctx, TwoSizeWSSUnit{Workload: "li", Refs: 10_000,
+				Cfg: policy.DefaultTwoSizeConfig(0)}).Wait(ctx)
+			return err
+		}},
+		{"static-wss-T-0", "window T", staticWSS(StaticWSSUnit{Workload: "li", Refs: 10_000})},
+		{"static-wss-T-0-sharded", "window T", staticWSS(StaticWSSUnit{Workload: file, Refs: f.Refs()})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(2, WithSharding(ShardPlan{Shards: 2}))
+			ctx := context.Background()
+			if err := tc.run(e, ctx); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("Wait error = %v, want one naming %s", err, tc.field)
+			}
+			if err := pass(SinglePolicy(addr.Size4K))(e, ctx); err != nil {
+				t.Fatalf("valid pass after the failure: %v", err)
+			}
+			if _, err := e.StaticWSS(ctx, StaticWSSUnit{Workload: file, Refs: f.Refs(), T: 500}).Wait(ctx); err != nil {
+				t.Fatalf("valid sharded unit after the failure: %v", err)
+			}
+		})
+	}
+}
+
 // WSS units: the ladder measures all five shifts; the two-size unit
 // couples WSS with policy counters. Both memoize.
 func TestWSSUnits(t *testing.T) {
@@ -370,8 +472,14 @@ func TestWSSUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if two.WSS.AvgBytes <= 0 || two.Stats.Refs == 0 {
-		t.Fatalf("two-size unit empty: %+v", two)
+	pass, err := e.Pass(ctx, PassSpec{
+		Workload: "li", Refs: 20_000, Policy: TwoSizePolicy(policy.DefaultTwoSizeConfig(2000)), WSS: true,
+	}).Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if two.AvgBytes <= 0 || two != *pass.WSS {
+		t.Fatalf("two-size unit = %+v, want the WSS pass's %+v", two, *pass.WSS)
 	}
 	before := e.Stats()
 	if _, err := e.StaticWSS(ctx, StaticWSSUnit{Workload: "li", Refs: 20_000, T: 2000}).Wait(ctx); err != nil {

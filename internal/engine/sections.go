@@ -21,21 +21,24 @@ import (
 // on other engine futures (the Go rule), and each invocation sees an
 // independent MapReader, so no locking is needed on the trace side.
 func MapSections[T any](e *Engine, ctx context.Context, f *trace.File, n int, label string, fn func(ctx context.Context, r *trace.MapReader, section int) (T, error)) *Future[[]T] {
-	if n <= 0 {
-		n = e.parallelism
-	}
-	if b := f.Blocks(); n > b {
-		n = b
-	}
-	if n < 1 {
-		n = 1
-	}
+	n = e.sections(f, n)
 	futs := make([]*Future[T], n)
-	for i := 0; i < n; i++ {
-		i := i
+	for i := range futs {
 		futs[i] = Go(e, ctx, fmt.Sprintf("%s[%d/%d]", label, i, n), func(ctx context.Context) (T, error) {
 			return fn(ctx, f.Section(i, n), i)
 		})
 	}
-	return collect(ctx, futs)
+	return collect(ctx, futs, func(parts []T) []T { return parts })
+}
+
+// sections is the section count MapSections uses for a request of n:
+// n <= 0 selects the engine's parallelism, and the count is clamped to
+// the file's block count (at least one section, the whole file).
+// Callers that index sections themselves (SectionStart, Preroll) ask
+// it for the same n MapSections will use.
+func (e *Engine) sections(f *trace.File, n int) int {
+	if n <= 0 {
+		n = e.parallelism
+	}
+	return max(1, min(n, f.Blocks()))
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 
 	"twopage/internal/core"
 	"twopage/internal/obs"
@@ -83,41 +84,6 @@ func (e *Engine) shardFor(name string, pol PolicySpec) (*trace.File, ShardPlan, 
 	return s.File, plan, true
 }
 
-// keyedOffPool memoizes fn under key like keyed, but runs it on a plain
-// goroutine instead of a pool slot. This is the coordinator form: a
-// sharded unit submits MapSections work to the pool and waits for it,
-// which must never happen from inside a slot (a pool of size 1 would
-// deadlock waiting for itself). Cache hits and events behave exactly as
-// for keyed units.
-func keyedOffPool[T any](e *Engine, ctx context.Context, key string, fn func(context.Context) (T, error)) *Future[T] {
-	e.submitted.Add(1)
-	e.mu.Lock()
-	if cached, ok := e.passes[key]; ok {
-		e.mu.Unlock()
-		e.hits.Add(1)
-		return adapt[T](ctx, key, e, cached)
-	}
-	shared := newFuture[any]()
-	e.passes[key] = shared
-	e.mu.Unlock()
-
-	f := newFuture[T]()
-	go func() {
-		defer close(shared.done)
-		defer close(f.done)
-		v, err := fn(ctx)
-		if err != nil {
-			f.err, shared.err = err, err
-			e.evict(key)
-			e.emit(key, false, err)
-			return
-		}
-		f.val, shared.val = v, v
-		e.emit(key, false, nil)
-	}()
-	return f
-}
-
 // RunSharded simulates a memory-mapped trace in plan.Shards disjoint
 // block-aligned sections and merges the per-shard results. build must
 // return a fresh simulator per call (each shard owns its policy, TLBs,
@@ -125,48 +91,24 @@ func keyedOffPool[T any](e *Engine, ctx context.Context, key string, fn func(con
 // workload.Spec.New, refs == 0 runs the whole file. Every shard after
 // the first warms up on the plan.Warmup references preceding its
 // section (clamped to the start of the file) before measuring.
+// plan.Shards <= 1 maps one section, the whole file, whose result
+// core.MergeResults returns unchanged: the serial pass, bit for bit.
 //
 // RunSharded waits on pool futures, so it must run on a coordinator
-// goroutine, never inside a pool slot (use keyedOffPool or call it from
-// the submitting goroutine). plan.Shards <= 1 runs the serial path on
-// the calling goroutine, byte-identical to an unsharded run.
+// goroutine, never inside a pool slot (the engine's sharded units run
+// it off the pool).
 func RunSharded(e *Engine, ctx context.Context, f *trace.File, refs uint64, plan ShardPlan, label string, build func() (*core.Simulator, error)) (*core.Result, error) {
-	if refs == 0 || refs > f.Refs() {
-		refs = f.Refs()
-	}
-	if plan.Shards <= 1 {
-		sim, err := build()
-		if err != nil {
-			return nil, err
-		}
-		var r trace.Reader = f.Reader()
-		if refs < f.Refs() {
-			r = trace.NewLimit(r, refs)
-		}
-		return sim.Run(ctx, r)
-	}
-	n := plan.Shards
+	n := e.sections(f, max(plan.Shards, 1))
 	parts, err := MapSections(e, ctx, f, n, label, func(ctx context.Context, r *trace.MapReader, section int) (*core.Result, error) {
-		// MapSections may have clamped n to the block count; recover
-		// the effective count from the reader's own file so section
-		// arithmetic stays consistent.
-		start := f.SectionStart(section, shardCount(f, n))
-		left := uint64(0)
-		if refs > start {
-			left = refs - start
-		}
 		sim, err := build()
 		if err != nil {
 			return nil, err
 		}
+		rd, left := limitSection(f, r, section, n, refs)
 		if section > 0 && plan.Warmup > 0 && left > 0 {
-			if err := sim.Warm(ctx, f.Preroll(section, shardCount(f, n), plan.Warmup)); err != nil {
+			if err := sim.Warm(ctx, f.Preroll(section, n, plan.Warmup)); err != nil {
 				return nil, err
 			}
-		}
-		var rd trace.Reader = r
-		if left < f.SectionRefs(section, shardCount(f, n)) {
-			rd = trace.NewLimit(r, left)
 		}
 		return sim.Run(ctx, rd)
 	}).Wait(ctx)
@@ -176,22 +118,24 @@ func RunSharded(e *Engine, ctx context.Context, f *trace.File, refs uint64, plan
 	return core.MergeResults(parts), nil
 }
 
-// shardCount mirrors MapSections' clamping of the requested section
-// count, so section indices passed to SectionStart/Preroll line up with
-// the sections the workers actually received.
-func shardCount(f *trace.File, n int) int {
-	if b := f.Blocks(); n > b {
-		n = b
+// limitSection truncates section r of n to the part of it that lies
+// within the first refs references of f (all of them when refs is 0),
+// returning the reader and how many references it yields.
+func limitSection(f *trace.File, r *trace.MapReader, section, n int, refs uint64) (trace.Reader, uint64) {
+	if refs == 0 || refs > f.Refs() {
+		refs = f.Refs()
 	}
-	if n < 1 {
-		n = 1
+	left := refs - min(refs, f.SectionStart(section, n))
+	if left < f.SectionRefs(section, n) {
+		return trace.NewLimit(r, left), left
 	}
-	return n
+	return r, left
 }
 
 // StaticWSSSections computes the static working-set pass at window T
 // for the given page shifts over the first refs references of f (all
-// of them when refs is 0), in shards sections on e's pool. Unlike TLB
+// of them when refs is 0), in shards sections on e's pool (counted as
+// MapSections counts them); a zero T is an error. Unlike TLB
 // simulation the merge is exact — the residency accumulation
 // decomposes across any partition of the stream (wss.MergeStatic) — so
 // the results equal the serial pass's for any shard count and no
@@ -200,21 +144,17 @@ func shardCount(f *trace.File, n int) int {
 // Like RunSharded it waits on pool futures, so it must run on a
 // coordinator goroutine.
 func StaticWSSSections(e *Engine, ctx context.Context, f *trace.File, refs uint64, shards int, T uint64, shifts []uint, label string) ([]wss.Result, obs.Counters, error) {
-	if refs == 0 || refs > f.Refs() {
-		refs = f.Refs()
+	if T == 0 {
+		return nil, obs.Counters{}, fmt.Errorf("engine: static working-set window T must be positive")
 	}
-	n := shardCount(f, shards)
+	n := e.sections(f, shards)
 	type part struct {
 		calc *wss.Static
 		dec  trace.DecodeStats
 	}
 	parts, err := MapSections(e, ctx, f, n, label, func(ctx context.Context, r *trace.MapReader, section int) (part, error) {
-		start := f.SectionStart(section, n)
-		var rd trace.Reader = r
-		if left := refs - min(refs, start); left < f.SectionRefs(section, n) {
-			rd = trace.NewLimit(r, left)
-		}
-		calc := wss.NewStatic(T, start, shifts...)
+		rd, _ := limitSection(f, r, section, n, refs)
+		calc := wss.NewStatic(T, f.SectionStart(section, n), shifts...)
 		if _, err := trace.DrainContext(ctx, rd, func(batch []trace.Ref) {
 			for _, ref := range batch {
 				calc.Step(ref.Addr)

@@ -7,6 +7,7 @@ import (
 
 	"twopage/internal/addr"
 	"twopage/internal/core"
+	"twopage/internal/obs"
 	"twopage/internal/policy"
 	"twopage/internal/tlb"
 	"twopage/internal/walk"
@@ -54,16 +55,16 @@ func (p PolicySpec) New() (policy.Assigner, error) {
 		if p.Ladder.Deny != nil {
 			return nil, fmt.Errorf("engine: Deny hooks cannot be memoized; use an opaque task")
 		}
-		if p.Ladder.T <= 0 {
-			return nil, fmt.Errorf("engine: ladder policy needs T > 0")
+		if err := p.Ladder.Validate(); err != nil {
+			return nil, err
 		}
 		return policy.NewLadder(p.Ladder), nil
 	}
 	if p.Two.DenyPromotion != nil {
 		return nil, fmt.Errorf("engine: DenyPromotion hooks cannot be memoized; use an opaque task")
 	}
-	if p.Two.T <= 0 {
-		return nil, fmt.Errorf("engine: two-size policy needs T > 0")
+	if err := p.Two.Validate(); err != nil {
+		return nil, err
 	}
 	return policy.NewTwoSize(p.Two), nil
 }
@@ -231,45 +232,37 @@ func (e *Engine) Pass(ctx context.Context, spec PassSpec) *Future[*core.Result] 
 	units := spec.Units()
 	futs := make([]*Future[*core.Result], len(units))
 	for i, u := range units {
-		u := u
-		key, err := u.Key()
-		if err != nil {
-			futs[i] = resolved[*core.Result](nil, err)
-			continue
-		}
-		if f, plan, ok := e.shardFor(u.Workload, u.Policy); ok {
-			// Sharded results are approximations of the serial pass;
-			// the plan is part of the key so they never alias serial
-			// (or differently-sharded) results in the memo cache.
-			key := fmt.Sprintf("%s shards=%d warm=%d", key, plan.Shards, plan.Warmup)
-			futs[i] = keyedOffPool(e, ctx, key, func(ctx context.Context) (*core.Result, error) {
-				res, err := RunSharded(e, ctx, f, u.Refs, plan, key, u.newSimulator)
-				if err == nil {
-					e.Record(key, res.Counters)
-				}
-				return res, err
-			})
-			continue
-		}
-		futs[i] = keyed(e, ctx, key, func(ctx context.Context) (*core.Result, error) {
-			res, err := u.run(ctx)
-			if err == nil {
-				e.Record(key, res.Counters)
-			}
-			return res, err
-		})
+		futs[i] = e.unit(ctx, u)
 	}
-	merged := newFuture[*core.Result]()
-	go func() {
-		defer close(merged.done)
-		parts, err := collect(ctx, futs).Wait(ctx)
-		if err != nil {
-			merged.err = err
-			return
+	return collect(ctx, futs, mergeParts)
+}
+
+// unit submits one Unit: on a pool slot, or sharded off the pool when
+// the engine shards the unit's workload.
+func (e *Engine) unit(ctx context.Context, u Unit) *Future[*core.Result] {
+	key, err := u.Key()
+	if err != nil {
+		return resolved[*core.Result](nil, err)
+	}
+	run := u.run
+	f, plan, sharded := e.shardFor(u.Workload, u.Policy)
+	if sharded {
+		// Sharded results are approximations of the serial pass; the
+		// plan is part of the key so they never alias serial (or
+		// differently-sharded) results in the memo cache.
+		key = fmt.Sprintf("%s shards=%d warm=%d", key, plan.Shards, plan.Warmup)
+		run = func(ctx context.Context) (*core.Result, error) {
+			return RunSharded(e, ctx, f, u.Refs, plan, key, u.newSimulator)
 		}
-		merged.val = mergeParts(parts)
-	}()
-	return merged
+	}
+	return submit(e, ctx, key, true, sharded, func(ctx context.Context) (*core.Result, error) {
+		res, err := run(ctx)
+		if err != nil {
+			return nil, err
+		}
+		e.Record(key, res.Counters)
+		return res, nil
+	})
 }
 
 // mergeParts reassembles single-TLB unit results into one Result in
@@ -342,48 +335,46 @@ func (u StaticWSSUnit) key() string {
 // indexed as StaticShifts. Results are shared; treat as read-only.
 func (e *Engine) StaticWSS(ctx context.Context, u StaticWSSUnit) *Future[[]wss.Result] {
 	key := u.key()
-	if f, plan, ok := e.shardFor(u.Workload, PolicySpec{}); ok {
-		// The static working-set merge is exact (wss.MergeStatic), so
-		// the sharded pass shares the serial unit's key: either path
-		// may satisfy a memo hit for the other, bit for bit.
-		return keyedOffPool(e, ctx, key, func(ctx context.Context) ([]wss.Result, error) {
-			results, c, err := StaticWSSSections(e, ctx, f, u.Refs, plan.Shards, u.T, StaticShifts, key)
-			if err != nil {
-				return nil, err
-			}
-			c.Refs = u.Refs // the requested length, as the serial unit records
-			e.Record(key, c)
-			return results, nil
-		})
+	// The static working-set merge is exact (wss.MergeStatic), so the
+	// sharded pass shares the serial unit's key: either path may
+	// satisfy a memo hit for the other, bit for bit.
+	run := u.run
+	f, plan, sharded := e.shardFor(u.Workload, PolicySpec{})
+	if sharded {
+		run = func(ctx context.Context) ([]wss.Result, obs.Counters, error) {
+			return StaticWSSSections(e, ctx, f, u.Refs, plan.Shards, u.T, StaticShifts, key)
+		}
 	}
-	return keyed(e, ctx, key, func(ctx context.Context) ([]wss.Result, error) {
-		s, err := workload.Get(u.Workload)
+	return submit(e, ctx, key, true, sharded, func(ctx context.Context) ([]wss.Result, error) {
+		results, c, err := run(ctx)
 		if err != nil {
 			return nil, err
 		}
-		sizes := make([]addr.PageSize, len(StaticShifts))
-		for i, sh := range StaticShifts {
-			sizes[i] = addr.PageSize(1) << sh
-		}
-		r := s.New(u.Refs)
-		results, err := core.MeasureStaticWSS(ctx, r, u.T, sizes...)
-		if err != nil {
-			return nil, err
-		}
-		c := core.DecodeCounters(r)
-		c.Passes = 1
-		c.Refs = u.Refs
-		c.WSSPages = results[0].Pages // base (4KB) scheme
+		c.Refs = u.Refs // the requested length, on either path
 		e.Record(key, c)
 		return results, nil
 	})
 }
 
-// TwoWSS couples the dynamic scheme's working-set result with the
-// policy counters of the pass that produced it.
-type TwoWSS struct {
-	WSS   wss.Result
-	Stats policy.TwoSizeStats
+// run is the serial static pass over the unit's generated stream.
+func (u StaticWSSUnit) run(ctx context.Context) ([]wss.Result, obs.Counters, error) {
+	s, err := workload.Get(u.Workload)
+	if err != nil {
+		return nil, obs.Counters{}, err
+	}
+	sizes := make([]addr.PageSize, len(StaticShifts))
+	for i, sh := range StaticShifts {
+		sizes[i] = addr.PageSize(1) << sh
+	}
+	r := s.New(u.Refs)
+	results, err := core.MeasureStaticWSS(ctx, r, u.T, sizes...)
+	if err != nil {
+		return nil, obs.Counters{}, err
+	}
+	c := core.DecodeCounters(r)
+	c.Passes = 1
+	c.WSSPages = results[0].Pages // base (4KB) scheme
+	return results, c, nil
 }
 
 // TwoSizeWSSUnit is a memoizable working-set pass of the dynamic
@@ -401,30 +392,31 @@ func (u TwoSizeWSSUnit) key() string {
 	return fmt.Sprintf("wss-two w=%s refs=%d pol=%s", u.Workload, u.Refs, TwoSizePolicy(u.Cfg).key())
 }
 
-// TwoSizeWSS submits the unit. The configuration's DenyPromotion hook
-// must be nil (see PolicySpec).
-func (e *Engine) TwoSizeWSS(ctx context.Context, u TwoSizeWSSUnit) *Future[TwoWSS] {
+// TwoSizeWSS submits the unit, returning the dynamic scheme's average
+// working set. The configuration's DenyPromotion hook must be nil (see
+// PolicySpec).
+func (e *Engine) TwoSizeWSS(ctx context.Context, u TwoSizeWSSUnit) *Future[wss.Result] {
 	key := u.key()
-	return keyed(e, ctx, key, func(ctx context.Context) (TwoWSS, error) {
-		if u.Cfg.DenyPromotion != nil {
-			return TwoWSS{}, fmt.Errorf("engine: DenyPromotion hooks cannot be memoized")
+	return submit(e, ctx, key, true, false, func(ctx context.Context) (wss.Result, error) {
+		pol, err := TwoSizePolicy(u.Cfg).New()
+		if err != nil {
+			return wss.Result{}, err
 		}
 		s, err := workload.Get(u.Workload)
 		if err != nil {
-			return TwoWSS{}, err
+			return wss.Result{}, err
 		}
 		r := s.New(u.Refs)
-		res, err := core.NewSimulator(policy.NewTwoSize(u.Cfg), nil, core.WithWSS()).Run(ctx, r)
+		res, err := core.NewSimulator(pol, nil, core.WithWSS()).Run(ctx, r)
 		if err != nil {
-			return TwoWSS{}, err
+			return wss.Result{}, err
 		}
-		stats := *res.PolicyStats
 		c := core.DecodeCounters(r)
 		c.Passes = 1
 		c.Refs = u.Refs
-		c.Promotions = stats.Promotions
-		c.Demotions = stats.Demotions
+		c.Promotions = res.PolicyStats.Promotions
+		c.Demotions = res.PolicyStats.Demotions
 		e.Record(key, c)
-		return TwoWSS{WSS: *res.WSS, Stats: stats}, nil
+		return *res.WSS, nil
 	})
 }

@@ -149,7 +149,7 @@ func Fig42(ctx context.Context, o *Options) (*tableio.Table, error) {
 	shifts := []uint{addr.Shift8K, addr.Shift16K, addr.Shift32K}
 	type row struct {
 		ladder *engine.Future[[]wss.Result]
-		two    *engine.Future[engine.TwoWSS]
+		two    *engine.Future[wss.Result]
 	}
 	rows := make([]row, len(specs))
 	for i, s := range specs {
@@ -182,7 +182,7 @@ func Fig42(ctx context.Context, o *Options) (*tableio.Table, error) {
 			sums[j] += n
 			row = append(row, tableio.F(n, 2))
 		}
-		two := metrics.WSNormalized(twoRes.WSS.AvgBytes, base)
+		two := metrics.WSNormalized(twoRes.AvgBytes, base)
 		sums[3] += two
 		row = append(row, tableio.F(two, 2))
 		tbl.Row(row...)
@@ -205,7 +205,7 @@ func SensitivityT(ctx context.Context, o *Options) (*tableio.Table, error) {
 	}
 	type row struct {
 		ladders []*engine.Future[[]wss.Result]
-		twos    []*engine.Future[engine.TwoWSS]
+		twos    []*engine.Future[wss.Result]
 	}
 	rows := make([]row, len(specs))
 	for i, s := range specs {
@@ -238,7 +238,7 @@ func SensitivityT(ctx context.Context, o *Options) (*tableio.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			normTwo[j] = metrics.WSNormalized(twoRes.WSS.AvgBytes,
+			normTwo[j] = metrics.WSNormalized(twoRes.AvgBytes,
 				ladder[engine.StaticIndex(addr.Shift4K)].AvgBytes)
 		}
 		tbl.Row(s.Name,

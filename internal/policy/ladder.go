@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 
 	"twopage/internal/addr"
 	"twopage/internal/htab"
@@ -110,32 +111,14 @@ type Ladder struct {
 	stats  LadderStats
 }
 
-// NewLadder returns the N-level policy for the given configuration.
+// NewLadder returns the N-level policy for the given configuration. It
+// panics on a configuration Validate rejects; callers building one from
+// outside input validate it first.
 func NewLadder(cfg LadderConfig) *Ladder {
-	if cfg.T <= 0 {
-		panic("policy: LadderConfig.T must be positive")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	n := cfg.Classes.N()
-	if n < 2 {
-		panic(fmt.Sprintf("policy: ladder needs at least two size classes, got %d", n))
-	}
-	if cfg.Classes.Shift(0) != addr.BlockShift {
-		panic(fmt.Sprintf("policy: ladder base class must be the 4KB block, got shift %d",
-			cfg.Classes.Shift(0)))
-	}
-	if top := cfg.Classes.TopShift(); top > window.MaxChunkShift {
-		panic(fmt.Sprintf("policy: top shift %d out of range (%d,%d]",
-			top, addr.BlockShift, window.MaxChunkShift))
-	}
-	if len(cfg.Thresholds) != n-1 {
-		panic(fmt.Sprintf("policy: ladder needs %d thresholds for %d classes, got %d",
-			n-1, n, len(cfg.Thresholds)))
-	}
-	for k := 1; k < n; k++ {
-		if thr, fan := cfg.Thresholds[k-1], cfg.Classes.Fanout(k); thr < 1 || thr > fan {
-			panic(fmt.Sprintf("policy: class-%d threshold %d out of range [1,%d]", k, thr, fan))
-		}
-	}
 	l := &Ladder{
 		cfg: cfg,
 		win: window.NewWithChunkShift(cfg.T, cfg.Classes.Shift(1)),
@@ -280,3 +263,34 @@ func (l *Ladder) Name() string {
 }
 
 var _ MultiSize = (*Ladder)(nil)
+
+// Validate reports the first field out of range: T must be positive
+// and fit the window's uint32 count; Classes must hold 2 or more sizes,
+// the 4KB block first and none above window.MaxChunkShift; and
+// Thresholds must hold one entry per class above the base, each in
+// [1, Classes.Fanout(k)].
+func (c LadderConfig) Validate() error {
+	if c.T <= 0 || uint64(c.T) > math.MaxUint32 {
+		return fmt.Errorf("policy: LadderConfig.T %d out of range [1,%d]", c.T, uint32(math.MaxUint32))
+	}
+	n := c.Classes.N()
+	switch {
+	case n < 2:
+		return fmt.Errorf("policy: LadderConfig.Classes has %d size classes, need at least two", n)
+	case c.Classes.Shift(0) != addr.BlockShift:
+		return fmt.Errorf("policy: LadderConfig.Classes base shift %d, want the 4KB block (%d)",
+			c.Classes.Shift(0), addr.BlockShift)
+	case c.Classes.TopShift() > window.MaxChunkShift:
+		return fmt.Errorf("policy: LadderConfig.Classes top shift %d out of range (%d,%d]",
+			c.Classes.TopShift(), addr.BlockShift, window.MaxChunkShift)
+	case len(c.Thresholds) != n-1:
+		return fmt.Errorf("policy: LadderConfig.Thresholds has %d entries, want %d for %d classes",
+			len(c.Thresholds), n-1, n)
+	}
+	for k := 1; k < n; k++ {
+		if thr, fan := c.Thresholds[k-1], c.Classes.Fanout(k); thr < 1 || thr > fan {
+			return fmt.Errorf("policy: LadderConfig.Thresholds[%d] %d out of range [1,%d]", k-1, thr, fan)
+		}
+	}
+	return nil
+}

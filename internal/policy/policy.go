@@ -18,6 +18,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 
 	"twopage/internal/addr"
 	"twopage/internal/window"
@@ -147,6 +148,24 @@ func (c TwoSizeConfig) BlocksPerChunk() int {
 	return 1 << (ls - addr.BlockShift)
 }
 
+// Validate reports the first field out of range: T must be positive
+// and fit the window's uint32 count, LargeShift (zero means 32KB) must
+// lie in (BlockShift, window.MaxChunkShift], and Threshold in
+// [1, BlocksPerChunk].
+func (c TwoSizeConfig) Validate() error {
+	if c.T <= 0 || uint64(c.T) > math.MaxUint32 {
+		return fmt.Errorf("policy: TwoSizeConfig.T %d out of range [1,%d]", c.T, uint32(math.MaxUint32))
+	}
+	if ls := c.LargeShift; ls != 0 && (ls <= addr.BlockShift || ls > window.MaxChunkShift) {
+		return fmt.Errorf("policy: TwoSizeConfig.LargeShift %d out of range (%d,%d]",
+			ls, addr.BlockShift, window.MaxChunkShift)
+	}
+	if bpc := c.BlocksPerChunk(); c.Threshold < 1 || c.Threshold > bpc {
+		return fmt.Errorf("policy: TwoSizeConfig.Threshold %d out of range [1,%d]", c.Threshold, bpc)
+	}
+	return nil
+}
+
 // DefaultTwoSizeConfig returns the paper's parameters for a given window:
 // 4KB/32KB with the half-or-more promotion threshold.
 func DefaultTwoSizeConfig(T int) TwoSizeConfig {
@@ -199,21 +218,14 @@ type TwoSize struct {
 }
 
 // NewTwoSize returns the dynamic policy for the given configuration.
+// It panics on a configuration Validate rejects; callers building one
+// from outside input validate it first.
 func NewTwoSize(cfg TwoSizeConfig) *TwoSize {
-	if cfg.T <= 0 {
-		panic("policy: TwoSizeConfig.T must be positive")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	if cfg.LargeShift == 0 {
 		cfg.LargeShift = addr.ChunkShift
-	}
-	if cfg.LargeShift <= addr.BlockShift || cfg.LargeShift > window.MaxChunkShift {
-		panic(fmt.Sprintf("policy: large shift %d out of range (%d,%d]",
-			cfg.LargeShift, addr.BlockShift, window.MaxChunkShift))
-	}
-	bpc := cfg.BlocksPerChunk()
-	if cfg.Threshold < 1 || cfg.Threshold > bpc {
-		panic(fmt.Sprintf("policy: threshold %d out of range [1,%d]",
-			cfg.Threshold, bpc))
 	}
 	lcfg := LadderConfig{
 		T:          cfg.T,

@@ -55,6 +55,9 @@ func TestTwoSizeConfigValidation(t *testing.T) {
 		{T: 10, Threshold: 0},
 		{T: 10, Threshold: 9},
 	} {
+		if cfg.Validate() == nil {
+			t.Errorf("Validate accepted %+v", cfg)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -324,6 +327,9 @@ func TestLargeShiftValidation(t *testing.T) {
 		{T: 10, Threshold: 1, LargeShift: 30},              // absurdly large
 		{T: 10, Threshold: 5, LargeShift: addr.Shift16K},   // threshold > 4 blocks
 	} {
+		if cfg.Validate() == nil {
+			t.Errorf("Validate accepted %+v", cfg)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {

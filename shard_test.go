@@ -296,7 +296,7 @@ func TestShardedStaticWSSExact(t *testing.T) {
 // Sharded experiment rendering stays deterministic across engine
 // parallelism: the full registry over a file-backed workload with a
 // 3-shard plan renders byte-identically at -j 1 and -j 8, pinning the
-// keyedOffPool coordinator and the per-shard counter merge under stable
+// off-pool coordinator units and the per-shard counter merge under stable
 // obs keys.
 func TestShardedExperimentsDeterministicAcrossParallelism(t *testing.T) {
 	f := writeV2Workload(t, "li", 80_000, 4096)
