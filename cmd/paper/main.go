@@ -164,8 +164,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}()
 
 	if *traceF != "" {
-		name, err := registerTrace(*traceF)
+		name, err := registerTrace(ctx, *traceF)
 		if err != nil {
+			if ctx.Err() != nil {
+				fmt.Fprintln(stderr, "paper: interrupted")
+				return 130
+			}
 			fmt.Fprintf(stderr, "paper: %v\n", err)
 			return 1
 		}
@@ -300,30 +304,16 @@ func splitWorkloads(s string) ([]string, error) {
 }
 
 // registerTrace makes a trace file available as a workload named
-// trace:<basename>. v2 files are memory-mapped and shared across all
-// concurrent passes; v1 and text traces are decoded once into memory
-// and replayed from the slice.
-func registerTrace(path string) (string, error) {
+// trace:<basename>. The file is opened once (a v2 file memory-mapped, a
+// v1 or text file held as its v2 encoding) and shared across all
+// concurrent passes.
+func registerTrace(ctx context.Context, path string) (string, error) {
 	name := "trace:" + strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	if f, err := trace.OpenFile(path); err == nil {
-		return name, workload.RegisterFile(name, f)
-	} else if !errors.Is(err, trace.ErrNotV2) {
-		return "", err
-	}
-	r, closer, err := trace.OpenPath(path, "auto")
+	f, err := trace.OpenFile(ctx, path)
 	if err != nil {
 		return "", err
 	}
-	defer closer.Close()
-	var refs []trace.Ref
-	if _, err := trace.Drain(r, func(batch []trace.Ref) {
-		refs = append(refs, batch...)
-	}); err != nil {
-		return "", fmt.Errorf("reading %s: %w", path, err)
-	}
-	desc := fmt.Sprintf("trace file %s (%d refs, in-memory replay)", path, len(refs))
-	return name, workload.RegisterSource(name, desc, uint64(len(refs)), false,
-		func(uint64) trace.Reader { return trace.NewSliceReader(refs) })
+	return name, workload.RegisterFile(name, f)
 }
 
 // render writes an experiment's table into w as an ASCII chart when

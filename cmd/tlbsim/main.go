@@ -10,7 +10,7 @@
 //	tlbsim -workload li -two -walk -walkpwc -1 -walkmem -1 # walk, caches off
 //	tlbsim -workload li -sizes 4096,32768,262144 -ladder   # three-size ladder
 //	tlbsim -workload li -sizes 4096,32768,262144 -ladder -index class1
-//	tlbsim -trace foo.trc -pagesize 8192        # format sniffed (v2/binary/text)
+//	tlbsim -trace foo.trc -pagesize 8192        # v2, binary or text, by its magic
 //	tlbsim -workload li -stats -                # JSON run report on stderr
 package main
 
@@ -53,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		specF    = fs.String("spec", "", "custom workload spec file (see workload.Parse)")
 		refs     = fs.Uint64("refs", 0, "trace length (0 = workload default)")
 		traceF   = fs.String("trace", "", "trace file to simulate instead of a workload")
-		format   = fs.String("format", "auto", "trace file format: auto, v2, binary, or text")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		statsF   = fs.String("stats", "", "write a JSON run report to this file (\"-\" = stderr)")
@@ -71,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		walkF    = fs.Bool("walk", false, "model multi-level page walks with MMU walk caches: CPI_TLB becomes emergent instead of MPI x penalty (needs -two or -ladder; implies -pt)")
 		walkPWC  = fs.Int("walkpwc", 0, "page-walk-cache entries per level (0 = default, negative = disable; needs -walk)")
 		walkMem  = fs.Int("walkmem", 0, "memory-side cache bytes for walk loads (0 = default, negative = disable; needs -walk)")
-		shards   = fs.Int("shards", 1, "split a v2 trace into this many sections simulated in parallel and merged (1 = exact serial pass; needs -trace)")
+		shards   = fs.Int("shards", 1, "split the trace into this many sections simulated in parallel and merged (1 = exact serial pass; needs -trace)")
 		warmup   = fs.Uint64("warmup", 0, "per-shard warm-up references replayed before measuring (0 = auto from the policy window; needs -shards > 1)")
 		list     = fs.Bool("listworkloads", false, "list synthetic workloads and exit")
 	)
@@ -95,6 +94,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return usage("-pagesize must be a power of two, got %d", *pageSize)
 	case *shards < 1:
 		return usage("-shards must be >= 1, got %d", *shards)
+	case *shards > 1 && *traceF == "":
+		// A generated workload has no sections to split.
+		return usage("-shards > 1 needs -trace")
 	case *warmup > 0 && *shards == 1:
 		// The serial pass has no warm-up phase; silently ignoring the
 		// flag would report cold-state metrics as if they were warm.
@@ -110,6 +112,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
+	// fail reports err; an interrupt is a one-line notice, exit 130.
+	fail := func(err error) int {
+		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
+			fmt.Fprintln(stderr, "tlbsim: interrupted")
+			return 130
+		}
+		fmt.Fprintf(stderr, "tlbsim: %v\n", err)
+		return 1
+	}
 
 	var classes addr.SizeClasses
 	if *sizes != "" {
@@ -155,25 +166,19 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	var src trace.Reader
-	var mapped *trace.File // a v2 -trace, which -shards splits into sections
+	var file *trace.File // the -trace input, which -shards splits into sections
 	var srcName string
 	var nRefs uint64
 	switch {
 	case *traceF != "":
-		r, closer, err := trace.OpenPath(*traceF, *format)
+		f, err := trace.OpenFile(ctx, *traceF)
 		if err != nil {
-			fmt.Fprintf(stderr, "tlbsim: %v\n", err)
-			return 1
+			return fail(err)
 		}
-		defer closer.Close()
-		src, srcName = r, *traceF
-		nRefs = 1 << 22 // only used to derive a default window
-		if mr, ok := r.(*trace.MapReader); ok {
-			mapped = mr.File()
-			nRefs = mapped.Refs()
-		}
+		defer f.Close()
+		file, src, srcName, nRefs = f, f.Reader(), *traceF, f.Refs()
 		if *refs > 0 {
-			src, nRefs = trace.NewLimit(r, *refs), min(nRefs, *refs)
+			src, nRefs = trace.NewLimit(src, *refs), min(nRefs, *refs)
 		}
 	case *specF != "":
 		text, err := os.ReadFile(*specF)
@@ -306,16 +311,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	start := time.Now()
 	var res *core.Result
 	if *shards > 1 {
-		if mapped == nil {
-			fmt.Fprintln(stderr, "tlbsim: -shards needs a v2 -trace file (sections require random access)")
-			return 1
-		}
 		plan := engine.ShardPlan{Shards: *shards, Warmup: *warmup}
 		if plan.Warmup == 0 {
 			plan.Warmup = engine.AutoWarmup(polT)
 		}
 		eng := engine.New(*shards)
-		res, err = engine.RunSharded(eng, ctx, mapped, *refs, plan, "tlbsim", build)
+		res, err = engine.RunSharded(eng, ctx, file, *refs, plan, "tlbsim", build)
 	} else {
 		var sim *core.Simulator
 		if sim, err = build(); err == nil {
@@ -323,12 +324,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	if err != nil {
-		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-			fmt.Fprintln(stderr, "tlbsim: interrupted")
-			return 130
-		}
-		fmt.Fprintf(stderr, "tlbsim: %v\n", err)
-		return 1
+		return fail(err)
 	}
 
 	tr := res.TLBs[0]

@@ -7,11 +7,12 @@
 //
 //	traceinfo -workload worm
 //	traceinfo -workload matrix300 -refs 2000000
-//	traceinfo -trace m300.trc
+//	traceinfo -trace m300.trc -refs 1000000     # v2, binary or text, by its magic
 //	traceinfo -all            # one-line summary for all 12 programs
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -27,7 +28,6 @@ func main() {
 		wl     = flag.String("workload", "", "synthetic workload name")
 		refs   = flag.Uint64("refs", 0, "trace length (0 = workload default)")
 		traceF = flag.String("trace", "", "trace file instead of a workload")
-		format = flag.String("format", "auto", "trace file format: auto, v2, binary, or text")
 		all    = flag.Bool("all", false, "summarize all twelve programs (one line each)")
 	)
 	flag.Parse()
@@ -57,16 +57,16 @@ func main() {
 	var src trace.Reader
 	switch {
 	case *traceF != "":
-		r, closer, err := trace.OpenPath(*traceF, *format)
+		f, err := trace.OpenFile(context.Background(), *traceF)
 		if err != nil {
 			fatal("%v", err)
 		}
-		defer closer.Close()
-		src = r
-		if mr, ok := r.(*trace.MapReader); ok {
-			f := mr.File()
-			fmt.Printf("v2 trace:        %d blocks, %d refs, %d bytes (%.3f bytes/ref)\n",
-				f.Blocks(), f.Refs(), f.Size(), f.BytesPerRef())
+		defer f.Close()
+		fmt.Printf("v2 trace:        %d blocks, %d refs, %d bytes (%.3f bytes/ref)\n",
+			f.Blocks(), f.Refs(), f.Size(), f.BytesPerRef())
+		src = f.Reader()
+		if *refs > 0 {
+			src = trace.NewLimit(src, *refs)
 		}
 	case *wl != "":
 		spec, err := workload.Get(*wl)

@@ -6,7 +6,7 @@
 //
 //	wsssim -workload li                         # 4K..64K + two-page
 //	wsssim -workload tomcatv -T 2000000 -sizes 4096,32768
-//	wsssim -trace foo.trc -format text
+//	wsssim -trace foo.trc -shards 2             # v2, binary or text, by its magic
 //	wsssim -workload li -stats -                # JSON run report on stderr
 package main
 
@@ -48,11 +48,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		wl      = fs.String("workload", "", "synthetic workload name")
 		refs    = fs.Uint64("refs", 0, "trace length (0 = workload default)")
 		traceF  = fs.String("trace", "", "trace file instead of a workload")
-		format  = fs.String("format", "auto", "trace file format: auto, v2, binary, or text")
 		window  = fs.Uint64("T", 0, "working-set window in references (0 = refs/8)")
 		sizes   = fs.String("sizes", "4096,8192,16384,32768,65536", "comma-separated page sizes in bytes")
 		two     = fs.Bool("two", true, "also compute the dynamic 4KB/32KB scheme")
-		shards  = fs.Int("shards", 1, "compute the static pass over this many v2-trace sections in parallel; the merge is exact, so any value gives the serial result (needs -trace)")
+		shards  = fs.Int("shards", 1, "compute the static pass over this many trace sections in parallel; the merge is exact, so any value gives the serial result (needs -trace)")
 		statsF  = fs.String("stats", "", "write a JSON run report to this file (\"-\" = stderr)")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -69,8 +68,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "wsssim: "+format+"\n", args...)
 		return 2
 	}
-	if *shards < 1 {
+	switch {
+	case *shards < 1:
 		return usage("-shards must be >= 1, got %d", *shards)
+	case *shards > 1 && *traceF == "":
+		// A generated workload has no sections to split.
+		return usage("-shards > 1 needs -trace")
 	}
 	var pageSizes []addr.PageSize
 	var shifts []uint
@@ -86,70 +89,51 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 
-	// open returns a fresh reader over the configured source, at most
-	// -refs long; the two-page scheme is a second pass, so it is called
-	// up to twice. v2 files are mmap'd once and reread via a new cursor
-	// for free.
-	var mapped *trace.File
-	var srcName string
-	open := func() (trace.Reader, error) {
-		switch {
-		case *traceF != "":
-			srcName = *traceF
-			var r trace.Reader
-			if mapped != nil {
-				r = mapped.Reader()
-			} else {
-				var err error
-				if r, _, err = trace.OpenPath(*traceF, *format); err != nil {
-					return nil, err // the file is released at process exit
-				}
-				if mr, ok := r.(*trace.MapReader); ok {
-					mapped = mr.File()
-				}
-			}
-			if *refs > 0 {
-				r = trace.NewLimit(r, *refs)
-			}
-			return r, nil
-		case *wl != "":
-			spec, err := workload.Get(*wl)
-			if err != nil {
-				return nil, err
-			}
-			srcName = *wl
-			n := *refs
-			if n == 0 {
-				n = spec.DefaultRefs
-			}
-			return spec.New(n), nil
-		default:
-			return nil, errors.New("need -workload or -trace")
+	// fail reports err; an interrupt is a one-line notice, exit 130.
+	fail := func(err error) int {
+		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
+			fmt.Fprintln(stderr, "wsssim: interrupted")
+			return 130
 		}
-	}
-
-	first, err := open()
-	if err != nil {
 		fmt.Fprintf(stderr, "wsssim: %v\n", err)
 		return 1
 	}
+
+	// open returns a fresh reader over the input, n references long (at
+	// most, for a trace): the two-page scheme is a second pass.
+	var open func() trace.Reader
+	var file *trace.File
+	var srcName string
 	n := *refs
-	if n == 0 {
-		if *wl != "" {
-			if spec, err := workload.Get(*wl); err == nil {
-				n = spec.DefaultRefs
-			}
-		} else if mapped != nil {
-			n = mapped.Refs()
+	switch {
+	case *traceF != "":
+		f, err := trace.OpenFile(ctx, *traceF)
+		if err != nil {
+			return fail(err)
 		}
+		defer f.Close()
+		file, srcName = f, *traceF
+		if n == 0 {
+			n = f.Refs()
+		}
+		open = func() trace.Reader { return trace.NewLimit(f.Reader(), n) }
+	case *wl != "":
+		spec, err := workload.Get(*wl)
+		if err != nil {
+			return fail(err)
+		}
+		srcName = *wl
+		if n == 0 {
+			n = spec.DefaultRefs
+		}
+		open = func() trace.Reader { return spec.New(n) }
+	default:
+		fmt.Fprintln(stderr, "wsssim: need -workload or -trace")
+		return 1
 	}
 	T := *window
 	if T == 0 {
-		if n == 0 {
-			T = 1 << 20
-		} else {
-			T = max(n/8, 1)
-		}
+		T = max(n/8, 1)
 	}
 	twoCfg := policy.DefaultTwoSizeConfig(int(T))
 	if err := twoCfg.Validate(); *two && err != nil {
@@ -170,37 +154,21 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}()
 
-	// Counters for the -stats report: references observed per pass via a
-	// Tee (the static pass may be shorter than requested when a trace
-	// file runs out), decode work harvested from the readers at the end.
 	var totals obs.Counters
 	var passes []obs.Pass
 	start := time.Now()
 
+	// A trace's static pass runs in sections (one when -shards is 1),
+	// which merge exactly into the serial result.
 	var results []wss.Result
 	var c obs.Counters
-	if *shards > 1 {
-		if mapped == nil {
-			fmt.Fprintln(stderr, "wsssim: -shards needs a v2 -trace file (sections require random access)")
-			return 1
-		}
-		results, c, err = engine.StaticWSSSections(engine.New(*shards), ctx, mapped, *refs, *shards, T, shifts, "wss-static")
-	} else {
-		var staticRefs uint64
-		staticSrc := trace.NewTee(first, func(batch []trace.Ref) { staticRefs += uint64(len(batch)) })
-		results, err = core.MeasureStaticWSS(ctx, staticSrc, T, pageSizes...)
-		if err == nil {
-			c = core.DecodeCounters(staticSrc)
-			c.Passes, c.Refs, c.WSSPages = 1, staticRefs, results[0].Pages
-		}
+	if file != nil {
+		results, c, err = engine.StaticWSSSections(engine.New(*shards), ctx, file, *refs, *shards, T, shifts, "wss-static")
+	} else if results, err = core.MeasureStaticWSS(ctx, open(), T, pageSizes...); err == nil {
+		c = obs.Counters{Passes: 1, Refs: results[0].Samples, WSSPages: results[0].Pages}
 	}
 	if err != nil {
-		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-			fmt.Fprintln(stderr, "wsssim: interrupted")
-			return 130
-		}
-		fmt.Fprintf(stderr, "wsssim: %v\n", err)
-		return 1
+		return fail(err)
 	}
 	passes = append(passes, obs.Pass{Key: fmt.Sprintf("wss-static w=%s T=%d", srcName, T), Counters: c})
 	totals.Add(c)
@@ -213,27 +181,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			metrics.WSNormalized(r.AvgBytes, base.AvgBytes))
 	}
 	if *two {
-		second, err := open()
-		if err != nil {
-			fmt.Fprintf(stderr, "wsssim: %v\n", err)
-			return 1
-		}
-		var twoRefs uint64
-		twoSrc := trace.NewTee(second, func(batch []trace.Ref) { twoRefs += uint64(len(batch)) })
+		src := open()
 		sim := core.NewSimulator(policy.NewTwoSize(twoCfg), nil, core.WithWSS())
-		out, err := sim.Run(ctx, twoSrc)
+		out, err := sim.Run(ctx, src)
 		if err != nil {
-			if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-				fmt.Fprintln(stderr, "wsssim: interrupted")
-				return 130
-			}
-			fmt.Fprintf(stderr, "wsssim: %v\n", err)
-			return 1
+			return fail(err)
 		}
 		res, stats := out.WSS, out.PolicyStats
-		c := core.DecodeCounters(twoSrc)
+		c := core.DecodeCounters(src)
 		c.Passes = 1
-		c.Refs = twoRefs
+		c.Refs = out.Refs
 		c.Promotions = stats.Promotions
 		c.Demotions = stats.Demotions
 		passes = append(passes, obs.Pass{Key: fmt.Sprintf("wss-two w=%s T=%d", srcName, T), Counters: c})

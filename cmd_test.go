@@ -190,6 +190,7 @@ func TestCommandLineTools(t *testing.T) {
 			{"tlbsim", "-T", []string{"-trace", v2, "-shards", "2", "-two", "-T", "-5"}},
 			{"tlbsim", "-shards", []string{"-trace", v2, "-shards", "0"}},
 			{"tlbsim", "-shards", []string{"-trace", v2, "-shards", "-2"}},
+			{"tlbsim", "-shards", append([]string{"-shards", "2"}, li...)},
 			{"vmsim", "-T", []string{"-workload", "li", "-refs", "20000", "-two", "-T", "-5"}},
 			{"vmsim", "-mem", append([]string{"-mem", "17592186044417M"}, li...)},
 			{"vmsim", "-mem", append([]string{"-mem", "1073741824M"}, li...)},
@@ -204,6 +205,7 @@ func TestCommandLineTools(t *testing.T) {
 			{"paper", "-shards", []string{"-scale", "0.01", "-shards", "0", "-workloads", "li", "table3.1"}},
 			{"wsssim", "-shards", []string{"-trace", v2, "-shards", "0"}},
 			{"wsssim", "-shards", []string{"-trace", v2, "-shards", "-2"}},
+			{"wsssim", "-shards", append([]string{"-shards", "2"}, li...)},
 			{"wsssim", "-sizes", append([]string{"-sizes", "3000"}, li...)},
 			{"wsssim", "-sizes", []string{"-trace", v2, "-sizes", "4096,abc"}},
 			{"tracegen", "-format", []string{"-workload", "li", "-refs", "1000", "-format", "bogus", "-o", bogus}},
@@ -281,6 +283,21 @@ func TestCommandLineTools(t *testing.T) {
 		return r
 	}
 
+	// traceFiles writes the first refs references of li once in each
+	// trace format and returns the paths, v2 first.
+	traceFiles := func(t *testing.T, base, refs string) []string {
+		t.Helper()
+		gen := buildCmd(t, dir, "tracegen")
+		var paths []string
+		for _, format := range []string{"v2", "binary", "text"} {
+			path := filepath.Join(dir, base+"."+format)
+			runBin(t, gen, "-workload", "li", "-refs", refs, "-format", format, "-o", path)
+			paths = append(paths, path)
+		}
+		return paths
+	}
+	wallMS := regexp.MustCompile(`(?m)^.*"wall_ms":.*\n`)
+
 	t.Run("tlbsim-stats", func(t *testing.T) {
 		bin := buildCmd(t, dir, "tlbsim")
 		rep := filepath.Join(dir, "tlbsim-report.json")
@@ -315,55 +332,107 @@ func TestCommandLineTools(t *testing.T) {
 	})
 
 	// The sharded static pass merges exactly, so wsssim -shards N must
-	// print what the serial pass prints and report the same counters.
+	// print what the serial pass prints and report the same counters,
+	// whatever the trace's format.
 	t.Run("wsssim-shards", func(t *testing.T) {
-		gen := buildCmd(t, dir, "tracegen")
 		bin := buildCmd(t, dir, "wsssim")
-		v2 := filepath.Join(dir, "li-shards.v2")
-		runBin(t, gen, "-workload", "li", "-refs", "200000", "-format", "v2", "-o", v2)
-		wallMS := regexp.MustCompile(`(?m)^.*"wall_ms":.*\n`)
-		run := func(shards string) (stdout, report string) {
-			rep := filepath.Join(dir, "wsssim-shards"+shards+".json")
-			stdout = runBin(t, bin, "-trace", v2, "-shards", shards, "-stats", rep)
-			b, err := os.ReadFile(rep)
-			if err != nil {
-				t.Fatal(err)
+		for _, trc := range traceFiles(t, "li-shards", "200000") {
+			run := func(shards string) (stdout, report string) {
+				rep := filepath.Join(dir, "wsssim-shards"+shards+".json")
+				stdout = runBin(t, bin, "-trace", trc, "-shards", shards, "-stats", rep)
+				b, err := os.ReadFile(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return stdout, wallMS.ReplaceAllString(string(b), "")
 			}
-			return stdout, wallMS.ReplaceAllString(string(b), "")
-		}
-		wantOut, wantRep := run("1")
-		if !strings.Contains(wantOut, "4KB/32KB") || !strings.Contains(wantRep, `"wss-static w=`) {
-			t.Fatalf("serial run malformed:\n%s\n%s", wantOut, wantRep)
-		}
-		for _, n := range []string{"2", "3", "8"} {
-			gotOut, gotRep := run(n)
-			if gotOut != wantOut {
-				t.Errorf("-shards %s stdout differs from -shards 1:\n got:\n%s\nwant:\n%s", n, gotOut, wantOut)
+			wantOut, wantRep := run("1")
+			if !strings.Contains(wantOut, "4KB/32KB") || !strings.Contains(wantRep, `"wss-static w=`) {
+				t.Fatalf("%s: serial run malformed:\n%s\n%s", filepath.Base(trc), wantOut, wantRep)
 			}
-			if gotRep != wantRep {
-				t.Errorf("-shards %s report differs from -shards 1:\n got:\n%s\nwant:\n%s", n, gotRep, wantRep)
+			for _, n := range []string{"2", "3", "8"} {
+				gotOut, gotRep := run(n)
+				if gotOut != wantOut {
+					t.Errorf("%s -shards %s stdout differs from -shards 1:\n got:\n%s\nwant:\n%s", filepath.Base(trc), n, gotOut, wantOut)
+				}
+				if gotRep != wantRep {
+					t.Errorf("%s -shards %s report differs from -shards 1:\n got:\n%s\nwant:\n%s", filepath.Base(trc), n, gotRep, wantRep)
+				}
 			}
 		}
 	})
 
 	// -refs truncates a trace input like a generated one, serial or
-	// sharded: both commands simulate and report the requested count.
+	// sharded and in every format: each command simulates, analyses and
+	// reports the requested count.
 	t.Run("trace-refs", func(t *testing.T) {
-		gen := buildCmd(t, dir, "tracegen")
 		sim := buildCmd(t, dir, "tlbsim")
 		wss := buildCmd(t, dir, "wsssim")
-		v2 := filepath.Join(dir, "li-refs.v2")
-		runBin(t, gen, "-workload", "li", "-refs", "20000", "-format", "v2", "-o", v2)
-		for _, shards := range []string{"1", "2"} {
-			out := runBin(t, sim, "-trace", v2, "-refs", "1000", "-shards", shards, "-two")
-			if !strings.Contains(out, "refs:        1000 ") {
-				t.Errorf("tlbsim -shards %s -refs 1000:\n%s", shards, out)
+		info := buildCmd(t, dir, "traceinfo")
+		for _, trc := range traceFiles(t, "li-refs", "20000") {
+			name := filepath.Base(trc)
+			for _, shards := range []string{"1", "2"} {
+				out := runBin(t, sim, "-trace", trc, "-refs", "1000", "-shards", shards, "-two")
+				if !strings.Contains(out, "refs:        1000 ") {
+					t.Errorf("tlbsim %s -shards %s -refs 1000:\n%s", name, shards, out)
+				}
+				rep := filepath.Join(dir, "wsssim-refs"+shards+".json")
+				runBin(t, wss, "-trace", trc, "-refs", "1000", "-shards", shards, "-stats", rep)
+				if r := readReport(t, rep); r.Totals.Refs != 2000 {
+					t.Errorf("wsssim %s -shards %s -refs 1000: totals.refs = %d, want 2000 (two 1000-ref passes)", name, shards, r.Totals.Refs)
+				}
 			}
-			rep := filepath.Join(dir, "wsssim-refs"+shards+".json")
-			runBin(t, wss, "-trace", v2, "-refs", "1000", "-shards", shards, "-stats", rep)
-			if r := readReport(t, rep); r.Totals.Refs != 2000 {
-				t.Errorf("wsssim -shards %s -refs 1000: totals.refs = %d, want 2000 (two 1000-ref passes)", shards, r.Totals.Refs)
+			if out := runBin(t, info, "-trace", trc, "-refs", "1000"); !strings.Contains(out, "references:      1000 ") {
+				t.Errorf("traceinfo %s -refs 1000:\n%s", name, out)
 			}
+		}
+	})
+
+	// The format of a trace file does not change the answer: the v2, v1
+	// and text encodings of one trace give the same window, stdout and,
+	// but for the path, run report, serial or sharded; and paper shards
+	// a v1 trace as it shards a v2 one.
+	t.Run("trace-formats", func(t *testing.T) {
+		sim := buildCmd(t, dir, "tlbsim")
+		wss := buildCmd(t, dir, "wsssim")
+		paper := buildCmd(t, dir, "paper")
+		files := traceFiles(t, "li-formats", "50000")
+		run := func(bin, trc string, args []string) (stdout, report string) {
+			rep := filepath.Join(dir, "formats.json")
+			stdout = runBin(t, bin, append([]string{"-trace", trc, "-stats", rep}, args...)...)
+			b, err := os.ReadFile(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return stdout, strings.ReplaceAll(wallMS.ReplaceAllString(string(b), ""), trc, "TRACE")
+		}
+		for _, shards := range []string{"1", "2", "3"} {
+			for _, tc := range []struct {
+				bin  string
+				args []string
+			}{
+				{sim, []string{"-two", "-shards", shards}},
+				{wss, []string{"-shards", shards}},
+			} {
+				wantOut, wantRep := run(tc.bin, files[0], tc.args)
+				for _, trc := range files[1:] {
+					if gotOut, gotRep := run(tc.bin, trc, tc.args); gotOut != wantOut || gotRep != wantRep {
+						t.Errorf("%s %s %v differs from the v2 file:\n got:\n%s%s\nwant:\n%s%s",
+							filepath.Base(tc.bin), filepath.Base(trc), tc.args, gotOut, gotRep, wantOut, wantRep)
+					}
+				}
+			}
+		}
+		rep := filepath.Join(dir, "paper-v1.json")
+		runBin(t, paper, "-trace", files[1], "-shards", "2", "-stats", rep, "fig5.1")
+		sharded := 0
+		for _, p := range readReport(t, rep).Passes {
+			if strings.Contains(p.Key, " shards=2 ") {
+				sharded++
+			}
+		}
+		if sharded == 0 {
+			t.Errorf("paper -trace %s -shards 2 recorded no shards=2 pass", filepath.Base(files[1]))
 		}
 	})
 

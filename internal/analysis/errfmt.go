@@ -11,9 +11,9 @@ import (
 // of the I/O paths (trace open/decode, workload registration):
 //
 //   - fmt.Errorf that formats an error argument must use %w, so
-//     callers can match the cause with errors.Is/errors.As (the format
-//     sniffing in trace.OpenPath depends on ErrNotV2 surviving
-//     wrapping);
+//     callers can match the cause with errors.Is/errors.As (the
+//     commands tell an interrupt from a failure by matching
+//     context.Canceled through trace.OpenFile's wrapping);
 //   - a call whose result set includes an error must not be used as a
 //     bare statement: the error vanishes silently. Assign it
 //     (_ = f() when the drop is deliberate) or handle it. Deferred

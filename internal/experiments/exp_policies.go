@@ -45,11 +45,14 @@ func runPolicyVariantOn(ctx context.Context, src trace.Reader, pol largenessOrac
 				instrs++
 			}
 			res := pol.Assign(ref.Addr)
-			if res.Event == policy.EventPromote {
+			switch res.Event {
+			case policy.EventPromote:
 				first := addr.FirstBlock(res.Chunk)
 				for i := addr.PN(0); i < addr.BlocksPerChunk; i++ {
 					hw.Invalidate(policy.Page{Number: first + i, Shift: addr.BlockShift})
 				}
+			case policy.EventDemote:
+				hw.Invalidate(policy.Page{Number: res.Chunk, Shift: addr.ChunkShift})
 			}
 			hw.Access(ref.Addr, res.Page)
 			win.StepVA(ref.Addr)

@@ -55,22 +55,7 @@ func Table31(ctx context.Context, o *Options) (*tableio.Table, error) {
 		T := uint64(windowFor(refs))
 		rows[i].ladder = staticWSS(ctx, o, s, refs, T)
 		rows[i].count = engine.Go(o.Engine, ctx, "count "+s.Name,
-			func(ctx context.Context) (trace.Count, error) {
-				var count trace.Count
-				err := drainInto(ctx, s.New(refs), func(batch []trace.Ref) {
-					for _, ref := range batch {
-						switch ref.Kind {
-						case trace.Instr:
-							count.Instr++
-						case trace.Load:
-							count.Load++
-						default:
-							count.Store++
-						}
-					}
-				})
-				return count, err
-			})
+			func(ctx context.Context) (trace.Count, error) { return trace.CountRefs(ctx, s.New(refs)) })
 	}
 	tbl := tableio.New("Table 3.1: Workloads (synthetic reproductions)",
 		"Program", "Refs(M)", "RPI", "WS@4KB(T=refs/8)", "Class")

@@ -116,10 +116,11 @@ func (c Count) RPI() float64 {
 	return float64(c.Total()) / float64(c.Instr)
 }
 
-// CountRefs drains r and tallies reference kinds.
-func CountRefs(r Reader) (Count, error) {
+// CountRefs drains r and tallies reference kinds, checking ctx between
+// batches like DrainContext.
+func CountRefs(ctx context.Context, r Reader) (Count, error) {
 	var c Count
-	_, err := Drain(r, func(b []Ref) {
+	_, err := DrainContext(ctx, r, func(b []Ref) {
 		for _, ref := range b {
 			switch ref.Kind {
 			case Instr:

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -245,7 +246,7 @@ func TestDrainAndCount(t *testing.T) {
 			wantCount.Store++
 		}
 	}
-	got, err := CountRefs(NewSliceReader(refs))
+	got, err := CountRefs(context.Background(), NewSliceReader(refs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -274,7 +276,7 @@ func TestOpenFileAndClose(t *testing.T) {
 	if err := os.WriteFile(path, encodeV2(t, refs, 1024), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := OpenFile(path)
+	f, err := OpenFile(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,82 +300,83 @@ func TestOpenFileAndClose(t *testing.T) {
 	}
 }
 
+// A file with the v1 magic but a corrupt body fails to open: it is
+// neither mapped as v2 nor read as text.
 func TestOpenFileNotV2(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.trc")
 	if err := os.WriteFile(path, []byte("TP92 nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFile(path); err == nil {
-		t.Fatal("OpenFile accepted a v1 file")
+	if _, err := OpenFile(context.Background(), path); err == nil {
+		t.Fatal("OpenFile accepted a corrupt v1 file")
 	}
 }
 
-func TestOpenPathSniffing(t *testing.T) {
-	refs := genRefs(300, 5)
+// The format of a trace file does not change what it replays: the same
+// references written as v2, v1 and text open to Files with the same
+// bytes, so every consumer sees the same references, sections and
+// decode counters.
+func TestOpenFileFormats(t *testing.T) {
+	refs := genRefs(3*V2BlockRefs+100, 5)
+	type encoder interface {
+		Write([]Ref) error
+		Flush() error
+	}
+	encoders := map[string]func(io.Writer) encoder{
+		"v2":   func(w io.Writer) encoder { return NewV2Writer(w) },
+		"v1":   func(w io.Writer) encoder { return NewWriter(w) },
+		"text": func(w io.Writer) encoder { return NewTextWriter(w) },
+	}
 	dir := t.TempDir()
-	write := func(name string, enc func(io.Writer) error) string {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
+	paths := map[string]string{}
+	for format, enc := range encoders {
+		var buf bytes.Buffer
+		w := enc(&buf)
+		if err := w.Write(refs); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		paths[format] = filepath.Join(dir, format+".trc")
+		if err := os.WriteFile(paths[format], buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := OpenFile(context.Background(), paths["v2"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Close()
+	for _, format := range []string{"v2", "v1", "text"} {
+		f, err := OpenFile(context.Background(), paths[format])
 		if err != nil {
+			t.Fatalf("OpenFile(%s): %v", format, err)
+		}
+		if !bytes.Equal(f.data, want.data) || f.Size() != want.Size() || f.Blocks() != want.Blocks() {
+			t.Errorf("OpenFile(%s): %d bytes in %d blocks, want the v2 file's %d in %d",
+				format, f.Size(), f.Blocks(), want.Size(), want.Blocks())
+		}
+		got := readAll(t, f.Reader(), 100)
+		if len(got) != len(refs) {
+			t.Fatalf("OpenFile(%s): %d refs, want %d", format, len(got), len(refs))
+		}
+		for i := range refs {
+			if got[i] != refs[i] {
+				t.Fatalf("OpenFile(%s): ref %d = %v, want %v", format, i, got[i], refs[i])
+			}
+		}
+		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		defer f.Close()
-		if err := enc(f); err != nil {
-			t.Fatal(err)
-		}
-		return path
 	}
-	paths := map[string]string{
-		"v2": write("a.trc", func(w io.Writer) error {
-			tw := NewV2Writer(w)
-			if err := tw.Write(refs); err != nil {
-				return err
-			}
-			return tw.Flush()
-		}),
-		"binary": write("b.trc", func(w io.Writer) error {
-			tw := NewWriter(w)
-			if err := tw.Write(refs); err != nil {
-				return err
-			}
-			return tw.Flush()
-		}),
-		"text": write("c.trc", func(w io.Writer) error {
-			tw := NewTextWriter(w)
-			if err := tw.Write(refs); err != nil {
-				return err
-			}
-			return tw.Flush()
-		}),
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := OpenFile(ctx, paths["text"]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("OpenFile(text) under a cancelled context: %v, want context.Canceled", err)
 	}
-	for format, path := range paths {
-		for _, ask := range []string{"auto", "", format} {
-			r, closer, err := OpenPath(path, ask)
-			if err != nil {
-				t.Fatalf("OpenPath(%s as %q): %v", format, ask, err)
-			}
-			got := readAll(t, r, 100)
-			if err := closer.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(refs) {
-				t.Fatalf("OpenPath(%s as %q): %d refs, want %d", format, ask, len(got), len(refs))
-			}
-			for i := range refs {
-				if got[i] != refs[i] {
-					t.Fatalf("OpenPath(%s as %q): ref %d = %v, want %v", format, ask, i, got[i], refs[i])
-				}
-			}
-		}
-	}
-	if _, _, err := OpenPath(paths["v2"], "nonsense"); err == nil {
-		t.Fatal("OpenPath accepted a bogus format")
-	}
-	if _, _, err := OpenPath(paths["binary"], "v2"); err == nil {
-		t.Fatal("OpenPath read a v1 file as v2")
-	}
-	if _, _, err := OpenPath(filepath.Join(dir, "missing.trc"), "auto"); err == nil {
-		t.Fatal("OpenPath opened a missing file")
+	if _, err := OpenFile(context.Background(), filepath.Join(dir, "missing.trc")); err == nil {
+		t.Fatal("OpenFile opened a missing file")
 	}
 }
 

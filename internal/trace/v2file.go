@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,9 +13,9 @@ import (
 	"twopage/internal/addr"
 )
 
-// ErrNotV2 reports that a file or byte slice does not start with the v2
-// magic. Callers sniffing formats (see OpenPath) match it with
-// errors.Is and fall back to the v1 or text decoders.
+// ErrNotV2 reports that a byte slice handed to NewFileBytes does not
+// start with the v2 magic. OpenFile never returns it: it reads the magic
+// first and decodes the other formats into v2.
 var ErrNotV2 = errors.New("trace: not a v2 trace (bad magic)")
 
 // v2Block is the parsed header of one block: byte extents of the three
@@ -29,11 +31,12 @@ type v2Block struct {
 	cum          uint64
 }
 
-// File is a v2 trace opened for zero-copy reading: the whole file is
-// memory-mapped (or, on platforms without mmap, read once) and a block
-// index built from the headers. A File is immutable after OpenFile and
-// safe for concurrent use; every Reader/Section call returns an
-// independent cursor over the shared mapping.
+// File is a v2 trace opened for zero-copy reading: a memory-mapped v2
+// file (or, on platforms without mmap, one read into memory), or the
+// in-memory v2 encoding of a v1 or text file, with a block index built
+// from the headers. A File is immutable once opened and safe for
+// concurrent use; every Reader/Section call returns an independent
+// cursor over the shared bytes.
 type File struct {
 	data   []byte
 	blocks []v2Block
@@ -41,32 +44,82 @@ type File struct {
 	unmap  func() error
 }
 
-// OpenFile memory-maps path and parses its block index. The returned
-// File holds the mapping until Close. If the file does not carry the v2
-// magic the error matches ErrNotV2.
-func OpenFile(path string) (*File, error) {
+// OpenFile opens the trace at path, in any of the repository's
+// formats, as a File; the magic decides the format. A v2 file ("TPV2")
+// is memory-mapped and its block index parsed. A v1 ("TP92") or text
+// file is decoded once into an in-memory v2 encoding, polling ctx
+// between batches, so every format replays the same references through
+// the same sections and decode counters. The File holds its mapping
+// or buffer until Close.
+func OpenFile(ctx context.Context, path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	var magic [len(v2Magic)]byte
+	n, err := f.ReadAt(magic[:], 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, err
+	}
+	var tf *File
+	switch string(magic[:n]) {
+	case v2Magic:
+		tf, err = mapV2(f)
+	case binaryMagic:
+		tf, err = encodeV2File(ctx, NewBinaryReader(f))
+	default:
+		// Anything else, short files included, is text; its decoder
+		// names the offending line.
+		tf, err = encodeV2File(ctx, NewTextReader(f))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("trace: %s: %w", path, err)
+	}
+	return tf, nil
+}
+
+// mapV2 memory-maps the v2 file f and parses its block index.
+func mapV2(f *os.File) (*File, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
 	data, unmap, err := mapFile(f, st.Size())
 	if err != nil {
-		return nil, fmt.Errorf("trace: mapping %s: %w", path, err)
+		return nil, fmt.Errorf("mapping: %w", err)
 	}
 	tf, err := NewFileBytes(data)
 	if err != nil {
 		if unmap != nil {
 			_ = unmap()
 		}
-		return nil, fmt.Errorf("trace: %s: %w", path, err)
+		return nil, err
 	}
 	tf.unmap = unmap
 	return tf, nil
+}
+
+// encodeV2File drains r into an in-memory v2 File, checking ctx between
+// batches.
+func encodeV2File(ctx context.Context, r Reader) (*File, error) {
+	var buf bytes.Buffer
+	w := NewV2Writer(&buf)
+	var werr error
+	if _, err := DrainContext(ctx, r, func(batch []Ref) {
+		if werr == nil {
+			werr = w.Write(batch)
+		}
+	}); err != nil {
+		return nil, err
+	}
+	if werr != nil {
+		return nil, werr
+	}
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	return NewFileBytes(buf.Bytes())
 }
 
 // NewFileBytes parses a v2 trace already in memory (tests, fuzzers, or
@@ -126,7 +179,8 @@ func (f *File) Refs() uint64 { return f.refs }
 // Blocks returns the number of blocks in the file.
 func (f *File) Blocks() int { return len(f.blocks) }
 
-// Size returns the on-disk size in bytes.
+// Size returns the size of the v2 encoding in bytes: the file's size
+// for a v2 file.
 func (f *File) Size() int64 { return int64(len(f.data)) }
 
 // BytesPerRef returns the encoded density, bytes per reference.
@@ -214,8 +268,8 @@ func (f *File) Preroll(i, n int, w uint64) *MapReader {
 	return &MapReader{f: f, start: b0, end: lo, blk: b0}
 }
 
-// Close releases the mapping. Readers derived from the File must not be
-// used afterwards.
+// Close releases the mapping or buffer. Readers derived from the File
+// must not be used afterwards.
 func (f *File) Close() error {
 	f.data, f.blocks = nil, nil
 	if f.unmap != nil {

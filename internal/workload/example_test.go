@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,7 @@ uniform base=32M size=16K align=8 weight=0.3 store=0.5
 	if err != nil {
 		log.Fatal(err)
 	}
-	c, err := trace.CountRefs(src)
+	c, err := trace.CountRefs(context.Background(), src)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,13 +10,15 @@ import (
 // runtime registrations and the only ones Unregister may remove.
 var nBuiltin = len(specs)
 
-// RegisterSource adds a runtime-defined workload to the registry, so
-// trace files (or any other reference source) plug into the same
-// experiment machinery as the twelve modelled programs. open must
-// return a fresh deterministic Reader for each call; refs == 0 means
-// the source's natural length. The name must not collide with a
-// registered workload.
-func RegisterSource(name, description string, defaultRefs uint64, largeWS bool, open func(refs uint64) trace.Reader) error {
+// RegisterFile registers a trace (see trace.OpenFile) as a workload
+// named name, so it plugs into the same experiment machinery as the
+// twelve modelled programs. Every New call returns an independent
+// cursor over the shared File, truncated to refs when refs > 0, so
+// experiments running the workload in parallel decode concurrently
+// without rereading the file. The name must not be empty or collide
+// with a registered workload. The caller keeps ownership of f and must
+// not Close it while the workload is in use.
+func RegisterFile(name string, f *trace.File) error {
 	if name == "" {
 		return fmt.Errorf("workload: empty source name")
 	}
@@ -25,23 +27,22 @@ func RegisterSource(name, description string, defaultRefs uint64, largeWS bool, 
 	}
 	specs = append(specs, Spec{
 		Name:        name,
-		Description: description,
-		DefaultRefs: defaultRefs,
-		LargeWS:     largeWS,
+		Description: fmt.Sprintf("v2 trace file (%d refs, %.2f bytes/ref)", f.Refs(), f.BytesPerRef()),
+		DefaultRefs: f.Refs(),
+		File:        f,
 		New: func(refs uint64) trace.Reader {
-			r := open(refs)
 			if refs > 0 {
-				return trace.NewLimit(r, refs)
+				return trace.NewLimit(f.Reader(), refs)
 			}
-			return r
+			return f.Reader()
 		},
 	})
 	return nil
 }
 
-// Unregister removes a source added with RegisterSource or
-// RegisterFile, reporting whether it was present. The twelve modelled
-// programs cannot be removed.
+// Unregister removes a trace registered with RegisterFile, reporting
+// whether it was present. The twelve modelled programs cannot be
+// removed.
 func Unregister(name string) bool {
 	for i := nBuiltin; i < len(specs); i++ {
 		if specs[i].Name == name {
@@ -50,20 +51,4 @@ func Unregister(name string) bool {
 		}
 	}
 	return false
-}
-
-// RegisterFile registers a memory-mapped v2 trace as a workload named
-// name. Every New call returns an independent cursor over the shared
-// mapping, so experiments running the workload in parallel decode
-// concurrently without rereading the file. The caller keeps ownership
-// of f and must not Close it while the workload is in use.
-func RegisterFile(name string, f *trace.File) error {
-	desc := fmt.Sprintf("v2 trace file (%d refs, %.2f bytes/ref)", f.Refs(), f.BytesPerRef())
-	if err := RegisterSource(name, desc, f.Refs(), false, func(refs uint64) trace.Reader {
-		return f.Reader()
-	}); err != nil {
-		return err
-	}
-	specs[len(specs)-1].File = f
-	return nil
 }

@@ -33,12 +33,10 @@ func snapshotRegistry(t *testing.T) {
 	t.Cleanup(func() { specs = old })
 }
 
-func TestRegisterFile(t *testing.T) {
-	snapshotRegistry(t)
-	refs := make([]trace.Ref, 1000)
-	for i := range refs {
-		refs[i] = trace.Ref{Addr: addr.VA(0x1000 + i*64), Kind: trace.Kind(i % 3)}
-	}
+// testFile encodes refs as an in-memory v2 trace of 128-reference
+// blocks.
+func testFile(t *testing.T, refs []trace.Ref) *trace.File {
+	t.Helper()
 	var buf bytes.Buffer
 	w := trace.NewV2WriterBlock(&buf, 128)
 	if err := w.Write(refs); err != nil {
@@ -51,6 +49,16 @@ func TestRegisterFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
+
+func TestRegisterFile(t *testing.T) {
+	snapshotRegistry(t)
+	refs := make([]trace.Ref, 1000)
+	for i := range refs {
+		refs[i] = trace.Ref{Addr: addr.VA(0x1000 + i*64), Kind: trace.Kind(i % 3)}
+	}
+	f := testFile(t, refs)
 
 	const name = "trace:file_test"
 	if err := RegisterFile(name, f); err != nil {
@@ -97,8 +105,7 @@ func TestRegisterFile(t *testing.T) {
 
 func TestUnregister(t *testing.T) {
 	snapshotRegistry(t)
-	open := func(refs uint64) trace.Reader { return trace.NewSliceReader(nil) }
-	if err := RegisterSource("trace:tmp", "d", 0, false, open); err != nil {
+	if err := RegisterFile("trace:tmp", testFile(t, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if !Unregister("trace:tmp") {
@@ -115,13 +122,13 @@ func TestUnregister(t *testing.T) {
 	}
 }
 
-func TestRegisterSourceValidation(t *testing.T) {
+func TestRegisterFileValidation(t *testing.T) {
 	snapshotRegistry(t)
-	open := func(refs uint64) trace.Reader { return trace.NewSliceReader(nil) }
-	if err := RegisterSource("", "d", 0, false, open); err == nil {
+	f := testFile(t, nil)
+	if err := RegisterFile("", f); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if err := RegisterSource("li", "d", 0, false, open); err == nil {
+	if err := RegisterFile("li", f); err == nil {
 		t.Fatal("collision with built-in workload accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -25,7 +26,7 @@ func TestParseGoodSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	refs := collect(t, r, 50_000)
-	c, err := trace.CountRefs(trace.NewSliceReader(refs))
+	c, err := trace.CountRefs(context.Background(), trace.NewSliceReader(refs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestParseDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	refs := collect(t, r, 5_000)
-	c, _ := trace.CountRefs(trace.NewSliceReader(refs))
+	c, _ := trace.CountRefs(context.Background(), trace.NewSliceReader(refs))
 	if c.Instr == 0 || c.Data() == 0 {
 		t.Fatalf("counts: %+v", c)
 	}

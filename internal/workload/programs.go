@@ -21,9 +21,9 @@ type Spec struct {
 	// New builds a fresh deterministic generator producing refs
 	// references.
 	New func(refs uint64) trace.Reader
-	// File is the backing memory-mapped trace for workloads registered
-	// with RegisterFile, nil for generated programs. A non-nil File is
-	// what makes a workload shardable: sections of the mapping can be
+	// File is the backing trace for workloads registered with
+	// RegisterFile, nil for generated programs. A non-nil File is
+	// what makes a workload shardable: sections of the trace can be
 	// simulated independently and merged (engine.RunSharded).
 	File *trace.File
 }

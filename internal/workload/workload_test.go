@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"errors"
 	"io"
 	"testing"
@@ -95,7 +96,7 @@ func TestRPIInPlausibleRange(t *testing.T) {
 	// roughly [1.25, 1.45] like SPARC traces of the era.
 	for _, name := range Names() {
 		refs := collect(t, MustNew(name, 100_000), 100_000)
-		c, err := trace.CountRefs(trace.NewSliceReader(refs))
+		c, err := trace.CountRefs(context.Background(), trace.NewSliceReader(refs))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,7 +94,7 @@ func writeV2Workload(t *testing.T, name string, refs uint64, blockRefs int) *tra
 	if err := out.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := trace.OpenFile(path)
+	f, err := trace.OpenFile(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}

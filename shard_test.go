@@ -78,7 +78,7 @@ func writeRandomV2(t *testing.T, n, blockRefs int, seed uint64) *trace.File {
 	if err := out.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := trace.OpenFile(path)
+	f, err := trace.OpenFile(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
