@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -195,12 +196,27 @@ func TestDemotionInvalidatesLargeEntry(t *testing.T) {
 
 func TestMultipleTLBsShareOnePass(t *testing.T) {
 	refs := makeTrace(2000, 32)
-	a := tlb.NewFullyAssoc(8)
-	b := tlb.MustNew(tlb.Config{Entries: 32, Ways: 2, Index: tlb.IndexSmall})
-	sim := NewSimulator(policy.NewSingle(addr.Size4K), []tlb.TLB{a, b})
-	res, err := sim.Run(context.Background(), trace.NewSliceReader(refs))
+	newTLBs := func() []tlb.TLB {
+		return []tlb.TLB{tlb.NewFullyAssoc(8), tlb.MustNew(tlb.Config{Entries: 32, Ways: 2, Index: tlb.IndexSmall})}
+	}
+	pol := func() policy.Assigner { return policy.NewSingle(addr.Size4K) }
+	res, err := NewSimulator(pol(), newTLBs()).Run(context.Background(), trace.NewSliceReader(refs))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Split gives each TLB the Result of the same pass with it alone.
+	parts, err := res.Split()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tl := range newTLBs() {
+		solo, err := NewSimulator(pol(), []tlb.TLB{tl}).Run(context.Background(), trace.NewSliceReader(refs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(parts[i], solo) {
+			t.Errorf("Split part %d = %+v, want the one-TLB pass's %+v", i, parts[i], solo)
+		}
 	}
 	if len(res.TLBs) != 2 {
 		t.Fatalf("got %d TLB results", len(res.TLBs))
@@ -213,6 +229,20 @@ func TestMultipleTLBsShareOnePass(t *testing.T) {
 	if res.TLBs[0].MPI <= res.TLBs[1].MPI {
 		t.Fatalf("8-entry MPI %v should exceed 32-entry MPI %v",
 			res.TLBs[0].MPI, res.TLBs[1].MPI)
+	}
+}
+
+// The page-table shadow and the walk model follow the first TLB's
+// misses, so a result carrying their counters cannot be split per TLB.
+func TestSplitRefusesFirstTLBCounters(t *testing.T) {
+	fa := []tlb.TLB{tlb.NewFullyAssoc(8), tlb.NewFullyAssoc(16)}
+	sim := NewSimulator(policy.NewTwoSize(policy.DefaultTwoSizeConfig(100)), fa, WithPageTable())
+	res, err := sim.Run(context.Background(), trace.NewSliceReader(makeTrace(50, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.Split(); err == nil {
+		t.Fatal("Split accepted a result with page-table counters")
 	}
 }
 

@@ -1,6 +1,10 @@
 package core
 
-import "twopage/internal/obs"
+import (
+	"fmt"
+
+	"twopage/internal/obs"
+)
 
 // MergeResults folds per-shard simulation results, given in section
 // order, into the Result a single pass over the concatenated stream
@@ -44,9 +48,7 @@ func MergeResults(parts []*Result) *Result {
 		out.Instrs += p.Instrs
 		// Decode work is the one genuinely per-shard quantity of the
 		// run-report block; finish rebuilds the rest from merged stats.
-		decode.DecodedRefs += p.Counters.DecodedRefs
-		decode.DecodedBlocks += p.Counters.DecodedBlocks
-		decode.DecodedBytes += p.Counters.DecodedBytes
+		decode.Add(p.decode())
 	}
 
 	for i, tr := range live[0].TLBs {
@@ -129,4 +131,51 @@ func MergeResults(parts []*Result) *Result {
 	// (one logical pass, gauges not multiply counted).
 	out.finish(decode)
 	return out
+}
+
+// Split returns, for each of r's TLBs in order, the Result that the same
+// pass with that TLB alone would have returned. TLBs never interact, and
+// nothing else a pass reports depends on them: the policy's decisions,
+// the working set and the reader's decode work are the same whichever
+// TLBs ride along. Each part is assembled by finish, as Run assembles a
+// pass, so it equals the one-TLB pass's Result field for field. A result
+// with a page-table shadow, walk model or memory stage cannot be split,
+// because those follow the first TLB's misses.
+func (r *Result) Split() ([]*Result, error) {
+	if r.PageTable != nil || r.Walk != nil || r.Memory != nil {
+		return nil, fmt.Errorf("core: Split: the page-table, walk and memory counters follow the first TLB only")
+	}
+	parts := make([]*Result, len(r.TLBs))
+	for i, tr := range r.TLBs {
+		p := &Result{
+			Policy: r.Policy,
+			Refs:   r.Refs,
+			Instrs: r.Instrs,
+			TLBs:   []TLBResult{{Name: tr.Name, Stats: tr.Stats, MissPenalty: tr.MissPenalty}},
+		}
+		if r.WSS != nil {
+			w := *r.WSS
+			p.WSS = &w
+		}
+		if r.PolicyStats != nil {
+			st := *r.PolicyStats
+			p.PolicyStats = &st
+		}
+		if r.LadderStats != nil {
+			st := *r.LadderStats
+			p.LadderStats = &st
+		}
+		p.finish(r.decode())
+		parts[i] = p
+	}
+	return parts, nil
+}
+
+// decode returns the trace-decode part of r's run-report block.
+func (r *Result) decode() obs.Counters {
+	return obs.Counters{
+		DecodedRefs:   r.Counters.DecodedRefs,
+		DecodedBlocks: r.Counters.DecodedBlocks,
+		DecodedBytes:  r.Counters.DecodedBytes,
+	}
 }

@@ -12,6 +12,12 @@
 // deterministic order — so output is byte-identical regardless of the
 // parallelism level.
 //
+// Units are the memoization and reporting granularity; fused groups are
+// the execution granularity. Pending units that share a workload,
+// length and policy, submitted under one ctx, run as one pass that
+// drives all their TLBs, and each unit gets the Result it would have had
+// alone (fuse.go).
+//
 // Two rules keep the pool deadlock-free:
 //
 //   - Work submitted to the pool must never block on another future;
@@ -65,8 +71,9 @@ type Engine struct {
 	collector   *obs.Collector
 	shard       ShardPlan
 
-	mu    sync.Mutex
-	units map[string]any // memo key -> the unit's *Future[T]
+	mu      sync.Mutex
+	units   map[string]any       // memo key -> the unit's *Future[T]
+	pending map[string][]*ticket // stream -> fusable units waiting for a slot
 
 	submitted atomic.Int64
 	done      atomic.Int64
@@ -110,6 +117,7 @@ func New(parallelism int, opts ...Option) *Engine {
 		sem:         make(chan struct{}, parallelism),
 		parallelism: parallelism,
 		units:       make(map[string]any),
+		pending:     make(map[string][]*ticket),
 	}
 	for _, o := range opts {
 		o(e)
@@ -184,7 +192,7 @@ func (e *Engine) emit(key string, hit bool, err error) {
 // deadlock a pool of size 1); coordinators that need staged work wait
 // between stages themselves.
 func Go[T any](e *Engine, ctx context.Context, label string, fn func(context.Context) (T, error)) *Future[T] {
-	return submit(e, ctx, label, false, false, fn)
+	return submit(e, ctx, label, false, false, nil, fn)
 }
 
 // submit is the one way the engine starts work: Go tasks, memoized
@@ -201,8 +209,11 @@ func Go[T any](e *Engine, ctx context.Context, label string, fn func(context.Con
 //
 // fn runs in a pool slot unless offPool is set. offPool is for a unit
 // that waits on pool futures itself, like a sharded pass waiting on its
-// sections: waiting inside a slot would deadlock a pool of size 1.
-func submit[T any](e *Engine, ctx context.Context, key string, memo, offPool bool, fn func(context.Context) (T, error)) *Future[T] {
+// sections: waiting inside a slot would deadlock a pool of size 1. A
+// memoized unit with a ticket t is fusable (fuse.go): it joins the
+// pending set with its memo entry, and if a group claims it before it
+// gets a slot, fn runs outside the pool and only waits for the group.
+func submit[T any](e *Engine, ctx context.Context, key string, memo, offPool bool, t *ticket, fn func(context.Context) (T, error)) *Future[T] {
 	e.submitted.Add(1)
 	f := newFuture[T]()
 	if memo {
@@ -218,20 +229,20 @@ func submit[T any](e *Engine, ctx context.Context, key string, memo, offPool boo
 			return f
 		}
 		e.units[key] = f
+		e.pend(t)
 		e.mu.Unlock()
 	}
 	go func() {
 		defer close(f.done)
-		if offPool {
+		held := false
+		if !offPool {
+			held, f.err = e.acquire(ctx, t)
+		}
+		if f.err == nil {
 			f.val, f.err = fn(ctx)
-		} else {
-			select {
-			case e.sem <- struct{}{}: // a pool slot
-				f.val, f.err = fn(ctx)
-				<-e.sem
-			case <-ctx.Done():
-				f.err = ctx.Err()
-			}
+		}
+		if held {
+			<-e.sem
 		}
 		if f.err != nil && memo {
 			e.mu.Lock()

@@ -38,7 +38,7 @@ func TestSubmitMemoizes(t *testing.T) {
 	e := New(4)
 	var calls atomic.Int64
 	run := func() (int, error) {
-		f := submit(e, context.Background(), "k", true, false, func(ctx context.Context) (int, error) {
+		f := submit(e, context.Background(), "k", true, false, nil, func(ctx context.Context) (int, error) {
 			calls.Add(1)
 			return 7, nil
 		})
@@ -69,7 +69,7 @@ func TestSubmitConcurrentSharesOneExecution(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f := submit(e, context.Background(), "slow", true, false, func(ctx context.Context) (int, error) {
+			f := submit(e, context.Background(), "slow", true, false, nil, func(ctx context.Context) (int, error) {
 				calls.Add(1)
 				<-release
 				return 1, nil
@@ -94,14 +94,14 @@ func TestSubmitConcurrentSharesOneExecution(t *testing.T) {
 func TestSubmitErrorEvicts(t *testing.T) {
 	e := New(1)
 	boom := errors.New("boom")
-	fail := submit(e, context.Background(), "k", true, false, func(ctx context.Context) (int, error) {
+	fail := submit(e, context.Background(), "k", true, false, nil, func(ctx context.Context) (int, error) {
 		return 0, boom
 	})
 	if _, err := fail.Wait(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("first call err = %v", err)
 	}
 	// The failed unit must have been evicted: a retry re-executes.
-	ok := submit(e, context.Background(), "k", true, false, func(ctx context.Context) (int, error) {
+	ok := submit(e, context.Background(), "k", true, false, nil, func(ctx context.Context) (int, error) {
 		return 9, nil
 	})
 	if v, err := ok.Wait(context.Background()); err != nil || v != 9 {
@@ -123,7 +123,7 @@ func TestSubmitOffPoolMemoizes(t *testing.T) {
 		return Go(e, ctx, "section", func(ctx context.Context) (int, error) { return 5, nil }).Wait(ctx)
 	}
 	for i := 0; i < 3; i++ {
-		if v, err := submit(e, ctx, "k", true, true, coordinator).Wait(ctx); err != nil || v != 5 {
+		if v, err := submit(e, ctx, "k", true, true, nil, coordinator).Wait(ctx); err != nil || v != 5 {
 			t.Fatalf("call %d: (%d, %v)", i, v, err)
 		}
 	}
@@ -203,10 +203,10 @@ func TestObserverEvents(t *testing.T) {
 		mu.Unlock()
 	}))
 	ctx := context.Background()
-	if _, err := submit(e, ctx, "k", true, false, func(ctx context.Context) (int, error) { return 1, nil }).Wait(ctx); err != nil {
+	if _, err := submit(e, ctx, "k", true, false, nil, func(ctx context.Context) (int, error) { return 1, nil }).Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := submit(e, ctx, "k", true, false, func(ctx context.Context) (int, error) { return 1, nil }).Wait(ctx); err != nil {
+	if _, err := submit(e, ctx, "k", true, false, nil, func(ctx context.Context) (int, error) { return 1, nil }).Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

@@ -98,10 +98,12 @@ func (p PolicySpec) key() string {
 
 // Unit is one memoizable unit of simulation work: one workload trace
 // driven through one policy and at most one TLB configuration. Units
-// are the scheduling and deduplication granularity of the engine —
+// are the memoization and reporting granularity of the engine —
 // experiments that share a (workload, refs, policy, TLB-config) tuple
 // simulate it once per Engine, no matter how their multi-TLB passes
-// were originally grouped.
+// were originally grouped, and each executed unit records its own
+// counters. Execution may fuse units: pending units of one stream run
+// as one pass, each still resolving to its solo Result (fuse.go).
 type Unit struct {
 	// Workload is the registered program name (workload.Get).
 	Workload string
@@ -144,44 +146,13 @@ func (u Unit) Key() (string, error) {
 	return b.String(), nil
 }
 
-// newSimulator builds a fresh simulator for the unit: its own policy
-// and TLB instances, so shard workers running the same unit in parallel
-// share nothing.
-func (u Unit) newSimulator() (*core.Simulator, error) {
-	pol, err := u.Policy.New()
-	if err != nil {
-		return nil, err
-	}
-	var tlbs []tlb.TLB
+// pass is the unit as a one-TLB (or TLB-less) pass.
+func (u Unit) pass() PassSpec {
+	p := PassSpec{Workload: u.Workload, Refs: u.Refs, Policy: u.Policy, WSS: u.WSS, Walk: u.Walk}
 	if u.TLB != nil {
-		t, err := tlb.New(*u.TLB)
-		if err != nil {
-			return nil, err
-		}
-		tlbs = []tlb.TLB{t}
+		p.TLBs = []tlb.Config{*u.TLB}
 	}
-	var opts []core.Option
-	if u.WSS {
-		opts = append(opts, core.WithWSS())
-	}
-	if u.Walk != nil {
-		opts = append(opts, core.WithWalkModel(*u.Walk))
-	}
-	return core.NewSimulator(pol, tlbs, opts...), nil
-}
-
-// run executes the unit. The returned Result has exactly one TLBResult
-// when u.TLB is set, none otherwise.
-func (u Unit) run(ctx context.Context) (*core.Result, error) {
-	s, err := workload.Get(u.Workload)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := u.newSimulator()
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(ctx, s.New(u.Refs))
+	return p
 }
 
 // PassSpec describes a pass of one policy over one workload trace
@@ -200,6 +171,46 @@ type PassSpec struct {
 	// Walk, when set, runs every unit of the pass under the modeled
 	// page walk instead of the flat miss penalty.
 	Walk *walk.Config
+}
+
+// newSimulator builds a fresh simulator for the whole pass: its own
+// policy and TLB instances, so shard workers running the same unit in
+// parallel share nothing.
+func (p PassSpec) newSimulator() (*core.Simulator, error) {
+	pol, err := p.Policy.New()
+	if err != nil {
+		return nil, err
+	}
+	var tlbs []tlb.TLB
+	for _, cfg := range p.TLBs {
+		t, err := tlb.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		tlbs = append(tlbs, t)
+	}
+	var opts []core.Option
+	if p.WSS {
+		opts = append(opts, core.WithWSS())
+	}
+	if p.Walk != nil {
+		opts = append(opts, core.WithWalkModel(*p.Walk))
+	}
+	return core.NewSimulator(pol, tlbs, opts...), nil
+}
+
+// run simulates the whole pass with one simulator over one generation of
+// the workload's stream. The returned Result has one TLBResult per TLB.
+func (p PassSpec) run(ctx context.Context) (*core.Result, error) {
+	s, err := workload.Get(p.Workload)
+	if err != nil {
+		return nil, err
+	}
+	sim, err := p.newSimulator()
+	if err != nil {
+		return nil, err
+	}
+	return sim.Run(ctx, s.New(p.Refs))
 }
 
 // Units returns the spec's decomposition into memoizable units. A spec
@@ -237,14 +248,16 @@ func (e *Engine) Pass(ctx context.Context, spec PassSpec) *Future[*core.Result] 
 	return collect(ctx, futs, mergeParts)
 }
 
-// unit submits one Unit: on a pool slot, or sharded off the pool when
-// the engine shards the unit's workload.
+// unit submits one Unit: sharded off the pool when the engine shards
+// the unit's workload, otherwise on a pool slot, fused with the pending
+// units of its stream when it can be (fuse.go).
 func (e *Engine) unit(ctx context.Context, u Unit) *Future[*core.Result] {
 	key, err := u.Key()
 	if err != nil {
 		return resolved[*core.Result](nil, err)
 	}
-	run := u.run
+	var t *ticket
+	run := u.pass().run
 	f, plan, sharded := e.shardFor(u.Workload, u.Policy)
 	if sharded {
 		// Sharded results are approximations of the serial pass; the
@@ -252,10 +265,12 @@ func (e *Engine) unit(ctx context.Context, u Unit) *Future[*core.Result] {
 		// differently-sharded) results in the memo cache.
 		key = fmt.Sprintf("%s shards=%d warm=%d", key, plan.Shards, plan.Warmup)
 		run = func(ctx context.Context) (*core.Result, error) {
-			return RunSharded(e, ctx, f, u.Refs, plan, key, u.newSimulator)
+			return RunSharded(e, ctx, f, u.Refs, plan, key, u.pass().newSimulator)
 		}
+	} else if t = newTicket(ctx, u); t != nil {
+		run = t.result
 	}
-	return submit(e, ctx, key, true, sharded, func(ctx context.Context) (*core.Result, error) {
+	return submit(e, ctx, key, true, sharded, t, func(ctx context.Context) (*core.Result, error) {
 		res, err := run(ctx)
 		if err != nil {
 			return nil, err
@@ -345,7 +360,7 @@ func (e *Engine) StaticWSS(ctx context.Context, u StaticWSSUnit) *Future[[]wss.R
 			return StaticWSSSections(e, ctx, f, u.Refs, plan.Shards, u.T, StaticShifts, key)
 		}
 	}
-	return submit(e, ctx, key, true, sharded, func(ctx context.Context) ([]wss.Result, error) {
+	return submit(e, ctx, key, true, sharded, nil, func(ctx context.Context) ([]wss.Result, error) {
 		results, c, err := run(ctx)
 		if err != nil {
 			return nil, err
@@ -397,7 +412,7 @@ func (u TwoSizeWSSUnit) key() string {
 // PolicySpec).
 func (e *Engine) TwoSizeWSS(ctx context.Context, u TwoSizeWSSUnit) *Future[wss.Result] {
 	key := u.key()
-	return submit(e, ctx, key, true, false, func(ctx context.Context) (wss.Result, error) {
+	return submit(e, ctx, key, true, false, nil, func(ctx context.Context) (wss.Result, error) {
 		pol, err := TwoSizePolicy(u.Cfg).New()
 		if err != nil {
 			return wss.Result{}, err

@@ -36,6 +36,7 @@ package tlb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"twopage/internal/addr"
@@ -259,10 +260,15 @@ type TLB interface {
 	Name() string
 }
 
-type entry struct {
-	pn       addr.PN
-	shift    uint16
-	valid    bool
+// tagOf packs a page into a way's tag: pn<<6 | shift. Page shifts lie in
+// [1, 63] (addr.NewShiftClasses) and a page number under a shift of at
+// least 6 fits in 58 bits, so distinct pages get distinct tags and no
+// page's tag is 0, which marks an empty way.
+func tagOf(p policy.Page) uint64 { return uint64(p.Number)<<6 | uint64(p.Shift) }
+
+// stamp is a way's replacement state, kept apart from the tags so that a
+// scan reads 8 bytes per way; only the hit way and a filled way touch it.
+type stamp struct {
 	lastUse  uint64 // LRU timestamp
 	loadedAt uint64 // FIFO timestamp
 }
@@ -380,7 +386,12 @@ type SetAssoc struct {
 	// idxShift is the fixed indexing shift, or -1 for exact indexing
 	// (index with the accessed page's own shift).
 	idxShift int
-	entries  []entry // sets × ways
+	tags     []uint64 // sets × ways, tagOf of each resident page, 0 if empty
+	stamps   []stamp  // parallel to tags
+	// recent holds a fully associative TLB's two most recently hit or
+	// filled ways, most recent first. Access checks them before its scan;
+	// the tag compare verifies each, so they only reorder the search.
+	recent   [2]int
 	clock    uint64
 	rng      uint64
 	stats    Stats
@@ -424,7 +435,8 @@ func New(cfg Config) (*SetAssoc, error) {
 		sets:     sets,
 		setBits:  setBits,
 		idxShift: idxShift,
-		entries:  make([]entry, cfg.Entries),
+		tags:     make([]uint64, cfg.Entries),
+		stamps:   make([]stamp, cfg.Entries),
 		rng:      seed,
 		stats:    NewStats(classes),
 	}
@@ -500,41 +512,79 @@ func (t *SetAssoc) Access(va addr.VA, p policy.Page) bool {
 	t.clock++
 	t.stats.Accesses++
 	k := t.classOf[min(p.Shift, 63)]
-	idx := t.index(va, p)
-	base := int(idx) * t.cfg.Ways
-	set := t.entries[base : base+t.cfg.Ways]
-	victim := -1
-	for i := range set {
-		e := &set[i]
-		if !e.valid {
-			if victim < 0 {
-				victim = i
+	tag := tagOf(p)
+	base := 0
+	if t.sets == 1 {
+		for _, w := range t.recent {
+			if t.tags[w] == tag {
+				t.touch(w)
+				t.stats.HitsByClass[k]++
+				return true
 			}
-			continue
 		}
-		if e.pn == p.Number && uint(e.shift) == p.Shift {
-			e.lastUse = t.clock
+	} else {
+		base = int(t.index(va, p)) * t.cfg.Ways
+	}
+	set := t.tags[base : base+t.cfg.Ways]
+	for i, g := range set {
+		if g == tag {
+			t.touch(base + i)
 			t.stats.HitsByClass[k]++
 			return true
 		}
 	}
 	t.stats.MissesByClass[k]++
-	if victim < 0 {
-		victim = t.pickVictim(set)
-	} else {
-		t.occupied++
+	w := -1
+	if t.occupied < t.cfg.Entries {
+		w = t.empty(base)
 	}
-	set[victim] = entry{
-		pn:       p.Number,
-		shift:    uint16(p.Shift),
-		valid:    true,
-		lastUse:  t.clock,
-		loadedAt: t.clock,
+	if w < 0 {
+		w = base + t.pickVictim(base)
 	}
+	t.load(w, tag)
 	return false
 }
 
-func (t *SetAssoc) pickVictim(set []entry) int {
+// touch refreshes way w's LRU timestamp on a hit.
+func (t *SetAssoc) touch(w int) {
+	t.stamps[w].lastUse = t.clock
+	if t.sets == 1 {
+		t.hint(w)
+	}
+}
+
+// hint makes way w the most recently used of a fully associative TLB.
+func (t *SetAssoc) hint(w int) {
+	if w != t.recent[0] {
+		t.recent[0], t.recent[1] = w, t.recent[0]
+	}
+}
+
+// load installs tag in way w, stamped with the current time.
+func (t *SetAssoc) load(w int, tag uint64) {
+	t.tags[w] = tag
+	t.stamps[w] = stamp{lastUse: t.clock, loadedAt: t.clock}
+	if t.sets == 1 {
+		t.hint(w)
+	}
+}
+
+// empty takes the first empty way of the set starting at base, or
+// returns -1 if the set is full.
+func (t *SetAssoc) empty(base int) int {
+	for i, g := range t.tags[base : base+t.cfg.Ways] {
+		if g == 0 {
+			t.occupied++
+			return base + i
+		}
+	}
+	return -1
+}
+
+// pickVictim returns the way of the full set starting at base that the
+// replacement policy evicts.
+func (t *SetAssoc) pickVictim(base int) int {
+	set := t.stamps[base : base+t.cfg.Ways]
 	switch t.cfg.Repl {
 	case FIFO:
 		v, oldest := 0, set[0].loadedAt
@@ -560,13 +610,14 @@ func (t *SetAssoc) pickVictim(set []entry) int {
 // Invalidate implements TLB. Because IndexSmall can replicate one large
 // page across several sets, invalidation scans the whole array; TLBs are
 // tiny (tens of entries) and invalidations are rare (page promotions), so
-// this costs nothing measurable.
+// this costs nothing measurable. A recent-way hint may go on naming an
+// emptied way: Access verifies hints by their tags.
 func (t *SetAssoc) Invalidate(p policy.Page) int {
+	tag := tagOf(p)
 	n := 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && e.pn == p.Number && uint(e.shift) == p.Shift {
-			e.valid = false
+	for i, g := range t.tags {
+		if g == tag {
+			t.tags[i] = 0
 			n++
 		}
 	}
@@ -577,9 +628,7 @@ func (t *SetAssoc) Invalidate(p policy.Page) int {
 
 // Flush implements TLB.
 func (t *SetAssoc) Flush() {
-	for i := range t.entries {
-		t.entries[i] = entry{}
-	}
+	clear(t.tags)
 	t.occupied = 0
 }
 
@@ -593,13 +642,7 @@ func (t *SetAssoc) Occupied() int { return t.occupied }
 // Contains reports whether the page currently has a valid entry, without
 // disturbing replacement state. For tests and inspection.
 func (t *SetAssoc) Contains(p policy.Page) bool {
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && e.pn == p.Number && uint(e.shift) == p.Shift {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(t.tags, tagOf(p))
 }
 
 // Compile-time interface check.
@@ -610,18 +653,14 @@ var _ TLB = (*SetAssoc)(nil)
 // It is the building block wrappers (victim buffers, prefetchers) use
 // to compose TLBs while keeping their own accounting.
 func (t *SetAssoc) Probe(va addr.VA, p policy.Page) bool {
-	idx := t.index(va, p)
-	base := int(idx) * t.cfg.Ways
-	set := t.entries[base : base+t.cfg.Ways]
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.pn == p.Number && uint(e.shift) == p.Shift {
-			t.clock++
-			e.lastUse = t.clock
-			return true
-		}
+	base := int(t.index(va, p)) * t.cfg.Ways
+	i := slices.Index(t.tags[base:base+t.cfg.Ways], tagOf(p))
+	if i < 0 {
+		return false
 	}
-	return false
+	t.clock++
+	t.touch(base + i)
+	return true
 }
 
 // Insert installs the page (evicting if the set is full), returning the
@@ -630,36 +669,18 @@ func (t *SetAssoc) Probe(va addr.VA, p policy.Page) bool {
 // index scheme as Access.
 func (t *SetAssoc) Insert(va addr.VA, p policy.Page) (evicted policy.Page, hadEvict bool) {
 	t.clock++
-	idx := t.index(va, p)
-	base := int(idx) * t.cfg.Ways
-	set := t.entries[base : base+t.cfg.Ways]
-	victim := -1
-	for i := range set {
-		e := &set[i]
-		if !e.valid {
-			if victim < 0 {
-				victim = i
-			}
-			continue
-		}
-		if e.pn == p.Number && uint(e.shift) == p.Shift {
-			e.lastUse = t.clock
-			return policy.Page{}, false // already present
-		}
+	base := int(t.index(va, p)) * t.cfg.Ways
+	tag := tagOf(p)
+	if i := slices.Index(t.tags[base:base+t.cfg.Ways], tag); i >= 0 {
+		t.touch(base + i)
+		return policy.Page{}, false // already present
 	}
-	if victim < 0 {
-		victim = t.pickVictim(set)
-		evicted = policy.Page{Number: set[victim].pn, Shift: uint(set[victim].shift)}
-		hadEvict = true
-	} else {
-		t.occupied++
+	w := t.empty(base)
+	if w < 0 {
+		w = base + t.pickVictim(base)
+		old := t.tags[w]
+		evicted, hadEvict = policy.Page{Number: addr.PN(old >> 6), Shift: uint(old & 63)}, true
 	}
-	set[victim] = entry{
-		pn:       p.Number,
-		shift:    uint16(p.Shift),
-		valid:    true,
-		lastUse:  t.clock,
-		loadedAt: t.clock,
-	}
+	t.load(w, tag)
 	return evicted, hadEvict
 }

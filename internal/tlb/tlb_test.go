@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -187,6 +188,32 @@ func TestIndexExactSetSelection(t *testing.T) {
 	}
 	if !tl.Contains(l1) {
 		t.Fatal("l1 in set 1 should survive")
+	}
+}
+
+// The recent-way check only orders the search: once the hinted way is
+// invalidated and refilled with another page, the old page misses.
+func TestRecentWayHintIsVerified(t *testing.T) {
+	tl := NewFullyAssoc(4)
+	a, b := smallPage(0x1000), smallPage(0x2000)
+	tl.Access(0x1000, a)
+	if !tl.Access(0x1000, a) {
+		t.Fatal("a should hit")
+	}
+	if n := tl.Invalidate(a); n != 1 {
+		t.Fatalf("Invalidate removed %d entries, want 1", n)
+	}
+	if tl.Access(0x2000, b) {
+		t.Fatal("b must miss")
+	}
+	if w := tl.recent[0]; tl.tags[w] != tagOf(b) {
+		t.Fatalf("b went to way %d, not the hinted way %d", slices.Index(tl.tags, tagOf(b)), w)
+	}
+	if tl.Access(0x1000, a) {
+		t.Fatal("a was invalidated, yet hit")
+	}
+	if st := tl.Stats(); st.Hits() != 1 || st.Misses() != 3 || st.Invalidations != 1 {
+		t.Fatalf("stats: %+v", st)
 	}
 }
 
@@ -406,17 +433,39 @@ func TestFACapacityProperty(t *testing.T) {
 	}
 }
 
+// BenchmarkFullyAssocAccess drives a 64-entry fully associative TLB with
+// uniform-random pages over 64MB (miss-heavy: the full scan and the
+// victim search) and with a local stream, where most references fall in
+// the last one or two pages touched, as in real programs (hit-heavy: the
+// recent-way check).
 func BenchmarkFullyAssocAccess(b *testing.B) {
-	tl := NewFullyAssoc(64)
 	rng := rand.New(rand.NewSource(1))
-	vas := make([]addr.VA, 1<<14)
-	for i := range vas {
-		vas[i] = addr.VA(rng.Intn(1 << 26))
+	random := make([]addr.VA, 1<<14)
+	for i := range random {
+		random[i] = addr.VA(rng.Intn(1 << 26))
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		va := vas[i&(len(vas)-1)]
-		tl.Access(va, smallPage(va))
+	local := make([]addr.VA, 1<<14)
+	pages := []addr.VA{0, 1 << addr.Shift4K}
+	for i := range local {
+		switch r := rng.Intn(100); {
+		case r < 10: // a new page from a 256KB region
+			pages[0], pages[1] = addr.VA(rng.Intn(64))<<addr.Shift4K, pages[0]
+		case r < 30: // back to the previous page
+			pages[0], pages[1] = pages[1], pages[0]
+		}
+		local[i] = pages[0] + addr.VA(rng.Intn(1<<addr.Shift4K))
+	}
+	for _, bc := range []struct {
+		name string
+		vas  []addr.VA
+	}{{"random", random}, {"local", local}} {
+		b.Run(bc.name, func(b *testing.B) {
+			tl := NewFullyAssoc(64)
+			for i := 0; i < b.N; i++ {
+				va := bc.vas[i&(len(bc.vas)-1)]
+				tl.Access(va, smallPage(va))
+			}
+		})
 	}
 }
 

@@ -99,6 +99,15 @@ func TestTLBDifferential(t *testing.T) {
 		{"16-entry FA",
 			tlb.Config{Entries: 16, Ways: 16},
 			tworef.Config{Entries: 16, Ways: 16}},
+		{"64-entry FA",
+			tlb.Config{Entries: 64, Ways: 64},
+			tworef.Config{Entries: 64, Ways: 64}},
+		{"16-entry FA FIFO",
+			tlb.Config{Entries: 16, Ways: 16, Repl: tlb.FIFO},
+			tworef.Config{Entries: 16, Ways: 16, Repl: tworef.FIFO}},
+		{"16-entry FA random, same seed",
+			tlb.Config{Entries: 16, Ways: 16, Repl: tlb.Random, Seed: 7},
+			tworef.Config{Entries: 16, Ways: 16, Repl: tworef.Random, Seed: 7}},
 		{"16-entry 2-way exact",
 			tlb.Config{Entries: 16, Ways: 2, Index: tlb.IndexExact},
 			tworef.Config{Entries: 16, Ways: 2, Index: tworef.IndexExact}},
