@@ -19,8 +19,8 @@ test:
 
 # paperlint runs the repository's own invariant analyzers (package
 # twopage/internal/analysis): determinism, hotalloc (interprocedural),
-# powtwo, ctxcheck, errfmt, mergecheck, keycheck, deprcheck, plus the
-# stale-suppression audit. Zero tolerance: any unsuppressed diagnostic
+# powtwo, ctxcheck, errfmt, mergecheck, keycheck, deprcheck, oneloop,
+# plus the stale-suppression audit. Zero tolerance: any unsuppressed diagnostic
 # fails the build. deprcheck subsumes the old grep-based
 # deprecation-gate target: uses of Deprecated-marked identifiers
 # outside their defining package are findings, resolved by object so a

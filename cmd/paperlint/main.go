@@ -14,6 +14,8 @@
 //     internal/engine) that own reference-drain loops;
 //   - errfmt runs on the I/O boundary (internal/trace,
 //     internal/workload);
+//   - oneloop runs on internal/experiments, the package whose tasks
+//     would otherwise keep private per-reference loops beside core's;
 //   - hotalloc and powtwo run everywhere: hot annotations and
 //     power-of-two construction sites may appear in any package;
 //   - mergecheck, keycheck and deprcheck run everywhere: merge-shaped
@@ -96,6 +98,12 @@ var errScope = map[string]bool{
 	"twopage/internal/workload": true,
 }
 
+// oneLoopScope holds the packages whose policy and TLB work must run
+// through core's per-reference loop.
+var oneLoopScope = map[string]bool{
+	"twopage/internal/experiments": true,
+}
+
 // Lint applies the scoped analyzer suite to every loaded package and
 // returns the surviving diagnostics in stable order. Whole-program
 // facts (call graph, field uses, deprecation index) and the
@@ -113,6 +121,7 @@ func Lint(res *load.Result) []analysis.Diagnostic {
 		merge = analysis.MergeCheck()
 		key   = analysis.KeyCheck()
 		depr  = analysis.DeprCheck()
+		one   = analysis.OneLoop(analysis.DefaultOneLoopConfig())
 	)
 	prog := analysis.NewProgram(res.Fset, res.Info)
 	supp := analysis.NewSuppressions(res.Fset)
@@ -132,6 +141,9 @@ func Lint(res *load.Result) []analysis.Diagnostic {
 		}
 		if errScope[p.ImportPath] {
 			suite = append(suite, errf)
+		}
+		if oneLoopScope[p.ImportPath] {
+			suite = append(suite, one)
 		}
 		ds, err := analysis.RunPkg(prog, supp, p.Types, p.Files, suite)
 		if err != nil {

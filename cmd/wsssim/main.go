@@ -113,7 +113,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		defer f.Close()
 		file, srcName = f, *traceF
-		if n == 0 {
+		// -refs truncates the trace, never extends it: the auto window
+		// is sized by what is read, as in tlbsim.
+		if n == 0 || n > f.Refs() {
 			n = f.Refs()
 		}
 		open = func() trace.Reader { return trace.NewLimit(f.Reader(), n) }

@@ -385,6 +385,11 @@ func TestCommandLineTools(t *testing.T) {
 			if out := runBin(t, info, "-trace", trc, "-refs", "1000"); !strings.Contains(out, "references:      1000 ") {
 				t.Errorf("traceinfo %s -refs 1000:\n%s", name, out)
 			}
+			// A -refs longer than the trace reads the whole trace, and
+			// the auto window T = refs/8 counts only what was read.
+			if out := runBin(t, wss, "-trace", trc, "-refs", "10000000"); !strings.HasPrefix(out, "T = 2500 references\n") {
+				t.Errorf("wsssim %s -refs 10000000 on 20000 references:\n%s", name, out)
+			}
 		}
 	})
 

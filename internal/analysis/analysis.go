@@ -31,7 +31,10 @@
 //     configurations differing only in a new knob cannot collide in
 //     the cache;
 //   - deprcheck: no use of a declaration carrying the conventional
-//     "Deprecated:" doc marker outside its defining package.
+//     "Deprecated:" doc marker outside its defining package;
+//   - oneloop: no page-size policy Assign or TLB Access call in the
+//     experiments outside core's per-reference loop, unless the loop
+//     carries a reason (a private copy of the loop drifts from core).
 //
 // The model mirrors x/tools deliberately — Analyzer with a Run func,
 // Pass carrying files and type information, Reportf for diagnostics —
@@ -354,5 +357,6 @@ func All() []*Analyzer {
 		MergeCheck(),
 		KeyCheck(),
 		DeprCheck(),
+		OneLoop(DefaultOneLoopConfig()),
 	}
 }

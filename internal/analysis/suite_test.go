@@ -56,3 +56,8 @@ func TestKeyCheck(t *testing.T) {
 func TestDeprCheck(t *testing.T) {
 	analysistest.Run(t, "testdata", "deprcheck", analysis.DeprCheck())
 }
+
+func TestOneLoop(t *testing.T) {
+	cfg := analysis.OneLoopConfig{Interfaces: []string{"oneloop/fake.Assigner", "oneloop/fake.TLB"}}
+	analysistest.Run(t, "testdata", "oneloop", analysis.OneLoop(cfg))
+}

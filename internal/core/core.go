@@ -1,7 +1,8 @@
 // Package core wires the pieces together: it drives a reference stream
 // through a page-size assignment policy and one or more TLB models,
-// optionally tracking the working-set size of the dynamic two-page
-// scheme, and reports the paper's metrics (CPI_TLB, MPI, miss ratio).
+// optionally tracking the policy's working-set size (exactly for the
+// dynamic two-page scheme, sampled for any multi-size policy), and
+// reports the paper's metrics (CPI_TLB, MPI, miss ratio).
 //
 // This is the package the examples and the experiment harness build on.
 // Typical use:
@@ -50,10 +51,12 @@ type Result struct {
 	Instrs uint64 // instruction fetches (for per-instruction metrics)
 	TLBs   []TLBResult
 
-	// WSS is the average working-set size of the two-page scheme, set
-	// only when the simulator was built with WithWSS.
+	// WSS is the policy's average working-set size, set only when the
+	// simulator was built with WithWSS (exact, two-page scheme) or
+	// WithSampledWSS (sampled, any multi-size policy).
 	WSS *wss.Result
-	// PolicyStats holds promotion/demotion counters for TwoSize policies.
+	// PolicyStats holds promotion/demotion counters for the two-size
+	// policies (TwoSize, Region, Cumulative).
 	PolicyStats *policy.TwoSizeStats
 	// LadderStats holds per-class counters for N-level ladder and NAPOT
 	// policies (nil for two-size and single-size runs).
@@ -98,6 +101,7 @@ type Simulator struct {
 	tlbs        []tlb.TLB
 	missPenalty float64
 	wssCalc     *wss.TwoSize
+	sampled     *wss.Sampled     // sampled working set (WithSampledWSS)
 	classes     addr.SizeClasses // hierarchy of a MultiSize policy (zero for single-size)
 	pt          *ptShadow        // page-table shadow (WithPageTable)
 	walker      *walk.Walker     // modeled radix walk (WithWalkModel)
@@ -130,6 +134,31 @@ func WithWSS() Option {
 			return
 		}
 		s.wssCalc = wss.NewTwoSize(pol)
+	}
+}
+
+// WithSampledWSS attaches the sampled working-set calculator
+// (wss.Sampled) over the last T references: every 256 references it
+// sizes the working set from the policy's current mapping, reading the
+// policy's own window when that window has length T. It serves any
+// MultiSize policy, including the windowless Region and Cumulative. A
+// single-size policy, a T the window cannot hold, or a simulator that
+// also has WithWSS is a configuration error, and so is a later Warm:
+// samples fall on every 256th reference of the whole stream, which a
+// warmed-up section cannot line up with.
+func WithSampledWSS(T int) Option {
+	return func(s *Simulator) {
+		pol, ok := s.pol.(policy.MultiSize)
+		if !ok {
+			s.fail(fmt.Errorf("core: WithSampledWSS requires a MultiSize policy, got %q", s.pol.Name()))
+			return
+		}
+		calc, err := wss.NewSampled(pol, T, 0)
+		if err != nil {
+			s.fail(fmt.Errorf("core: WithSampledWSS: %w", err))
+			return
+		}
+		s.sampled = calc
 	}
 }
 
@@ -223,6 +252,9 @@ func NewSimulator(pol policy.Assigner, tlbs []tlb.TLB, opts ...Option) *Simulato
 	if s.mem != nil && s.pt != nil {
 		s.fail(fmt.Errorf("core: WithMemory does not combine with WithPageTable or WithWalkModel"))
 	}
+	if s.wssCalc != nil && s.sampled != nil {
+		s.fail(fmt.Errorf("core: WithWSS does not combine with WithSampledWSS"))
+	}
 	return s
 }
 
@@ -237,10 +269,14 @@ func NewSimulator(pol policy.Assigner, tlbs []tlb.TLB, opts ...Option) *Simulato
 //
 // Warm may be called once, before Run. The working-set averages are
 // untouched by design: WSS samples start at the first Run reference. A
-// simulator with a memory stage cannot warm up (see WithMemory).
+// simulator with a memory stage or a sampled working set cannot warm up
+// (see WithMemory and WithSampledWSS).
 func (s *Simulator) Warm(ctx context.Context, r trace.Reader) error {
 	if s.mem != nil {
 		s.fail(fmt.Errorf("core: Warm is not supported with WithMemory"))
+	}
+	if s.sampled != nil {
+		s.fail(fmt.Errorf("core: Warm is not supported with WithSampledWSS"))
 	}
 	if s.err != nil {
 		return s.err
@@ -273,8 +309,12 @@ func (s *Simulator) Run(ctx context.Context, r trace.Reader) (*Result, error) {
 		out.sub(s.warm)
 	}
 	out.Policy, out.Refs, out.Instrs = s.pol.Name(), refs, instrs
-	if s.wssCalc != nil {
+	switch {
+	case s.wssCalc != nil:
 		res := s.wssCalc.Result()
+		out.WSS = &res
+	case s.sampled != nil:
+		res := s.sampled.Result()
 		out.WSS = &res
 	}
 	out.finish(DecodeCounters(r))
@@ -285,7 +325,7 @@ func (s *Simulator) Run(ctx context.Context, r trace.Reader) (*Result, error) {
 // assigns a page, then the TLBs (or the page-table shadow, which drives
 // them and the walk model, or the memory stage) look it up, then the
 // WSS calculator observes the assignment — without sampling during
-// warm-up.
+// warm-up — or the sampled calculator steps.
 func (s *Simulator) drain(ctx context.Context, r trace.Reader, warm bool) (refs, instrs uint64, err error) {
 	//paperlint:hot
 	refs, err = trace.DrainContext(ctx, r, func(batch []trace.Ref) {
@@ -313,6 +353,9 @@ func (s *Simulator) drain(ctx context.Context, r trace.Reader, warm bool) (refs,
 					s.wssCalc.Observe(res)
 				}
 			}
+			if s.sampled != nil {
+				s.sampled.Step(ref.Addr)
+			}
 		}
 	})
 	return refs, instrs, err
@@ -329,13 +372,10 @@ func (s *Simulator) counts() *Result {
 		out.TLBs = append(out.TLBs, TLBResult{Name: t.Name(), Stats: t.Stats(), MissPenalty: s.missPenalty})
 	}
 	switch pol := s.pol.(type) {
-	case *policy.TwoSize:
+	case interface{ Stats() policy.TwoSizeStats }:
 		st := pol.Stats()
 		out.PolicyStats = &st
-	case *policy.Ladder:
-		st := pol.Stats()
-		out.LadderStats = &st
-	case *policy.Napot:
+	case interface{ Stats() policy.LadderStats }:
 		st := pol.Stats()
 		out.LadderStats = &st
 	}

@@ -15,6 +15,7 @@ import (
 	"twopage/internal/trace"
 	"twopage/internal/walk"
 	"twopage/internal/workload"
+	"twopage/internal/wss"
 )
 
 // makeTrace builds a tiny hand-rolled stream: instruction fetches to one
@@ -89,6 +90,7 @@ func TestOptionErrors(t *testing.T) {
 	ladder := func() policy.Assigner { return policy.NewLadder(policy.DefaultLadderConfig(100, three)) }
 	fa := func() []tlb.TLB { return []tlb.TLB{tlb.NewFullyAssoc(8)} }
 	flatWalk := walk.Config{MissCycles: 24}
+	both := func(a, b Option) Option { return func(s *Simulator) { a(s); b(s) } }
 	tests := []struct {
 		name    string
 		pol     policy.Assigner
@@ -108,6 +110,11 @@ func TestOptionErrors(t *testing.T) {
 		{name: "WithWalkModel with an invalid cache geometry", pol: two(), tlbs: fa(),
 			opt: WithWalkModel(walk.Config{MemBytes: 3000, MemWays: 4, MissCycles: 24}), wantErr: "cache"},
 		{name: "WithWalkModel on two sizes", pol: two(), tlbs: fa(), opt: WithWalkModel(flatWalk)},
+		{name: "WithSampledWSS on a single size", pol: single(), tlbs: fa(), opt: WithSampledWSS(100), wantErr: "WithSampledWSS"},
+		{name: "WithSampledWSS with WithWSS", pol: two(), tlbs: fa(), opt: both(WithWSS(), WithSampledWSS(100)), wantErr: "combine"},
+		{name: "WithWSS after WithSampledWSS", pol: two(), opt: both(WithSampledWSS(100), WithWSS()), wantErr: "combine"},
+		{name: "WithSampledWSS with a zero window", pol: two(), tlbs: fa(), opt: WithSampledWSS(0), wantErr: "WithSampledWSS"},
+		{name: "WithSampledWSS followed by Warm", pol: ladder(), tlbs: fa(), opt: WithSampledWSS(100), wantErr: "Warm"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,6 +135,57 @@ func TestOptionErrors(t *testing.T) {
 			_, err := sim.Run(context.Background(), trace.NewSliceReader(refs))
 			check("Run", err)
 		})
+	}
+}
+
+// TestSampledWSSMatchesDirect checks core's sampled working set against
+// the same sampler driven by hand, for a policy whose window it shares
+// (TwoSize) and a windowless one (Cumulative), and that attaching it
+// changes neither the TLB's nor the policy's counters.
+func TestSampledWSSMatchesDirect(t *testing.T) {
+	ctx := context.Background()
+	var refs []trace.Ref
+	if _, err := trace.DrainContext(ctx, workload.MustNew("li", 40000), func(b []trace.Ref) {
+		refs = append(refs, b...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const T = 5000
+	for _, mk := range []func() policy.MultiSize{
+		func() policy.MultiSize { return policy.NewTwoSize(policy.DefaultTwoSizeConfig(T)) },
+		func() policy.MultiSize { return policy.NewCumulative(policy.CumulativeConfig{Threshold: 4}) },
+	} {
+		name := mk().Name()
+		got, err := NewSimulator(mk(), []tlb.TLB{tlb.NewFullyAssoc(16)}, WithSampledWSS(T)).Run(ctx, trace.NewSliceReader(refs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := NewSimulator(mk(), []tlb.TLB{tlb.NewFullyAssoc(16)}).Run(ctx, trace.NewSliceReader(refs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol := mk()
+		s, err := wss.NewSampled(pol, T, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range refs {
+			pol.Assign(r.Addr)
+			s.Step(r.Addr)
+		}
+		if want := s.Result(); got.WSS == nil || *got.WSS != want || want.AvgBytes == 0 {
+			t.Errorf("%s: WSS = %+v, want the hand-driven sampler's %+v", name, got.WSS, want)
+		}
+		if plain.WSS != nil {
+			t.Errorf("%s: WSS = %+v without the option", name, plain.WSS)
+		}
+		if got.TLBs[0].Stats != plain.TLBs[0].Stats || !reflect.DeepEqual(got.PolicyStats, plain.PolicyStats) {
+			t.Errorf("%s: the sampler moved counters: TLB %+v vs %+v, policy %+v vs %+v", name,
+				got.TLBs[0].Stats, plain.TLBs[0].Stats, got.PolicyStats, plain.PolicyStats)
+		}
+		if got.PolicyStats == nil || got.PolicyStats.Promotions == 0 || got.Counters.Promotions != got.PolicyStats.Promotions {
+			t.Errorf("%s: policy stats %+v, report promotions %d", name, got.PolicyStats, got.Counters.Promotions)
+		}
 	}
 }
 

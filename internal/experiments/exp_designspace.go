@@ -53,7 +53,7 @@ func DesignSpace(ctx context.Context, o *Options) (*tableio.Table, error) {
 				}
 				var instrs uint64
 				startSweep := time.Now() //paperlint:ignore determinism wall time lands in the cell golden_test masks to "T"
-				if err := drainInto(ctx, s.New(refs), func(batch []trace.Ref) {
+				if _, err := trace.DrainContext(ctx, s.New(refs), func(batch []trace.Ref) {
 					for _, ref := range batch {
 						if ref.Kind == trace.Instr {
 							instrs++
@@ -69,7 +69,8 @@ func DesignSpace(ctx context.Context, o *Options) (*tableio.Table, error) {
 				direct := tlb.NewFullyAssoc(16)
 				pol := policy.NewSingle(addr.Size4K)
 				startDirect := time.Now() //paperlint:ignore determinism wall time lands in the cell golden_test masks to "T"
-				if err := drainInto(ctx, s.New(refs), func(batch []trace.Ref) {
+				if _, err := trace.DrainContext(ctx, s.New(refs), func(batch []trace.Ref) {
+					//paperlint:ignore oneloop one size, no policy events: this bare loop is the wall-clock baseline of the sweep/direct ratio, so it stays as lean as the sweep's own loop above
 					for _, ref := range batch {
 						res := pol.Assign(ref.Addr)
 						direct.Access(ref.Addr, res.Page)

@@ -167,7 +167,7 @@ func TLBSweep(ctx context.Context, o *Options) (*tableio.Table, error) {
 				sim4 := allassoc.MustNew(1, addr.Shift4K, maxWays)
 				sim32 := allassoc.MustNew(1, addr.Shift32K, maxWays)
 				var row tlbSweepRow
-				if err := drainInto(ctx, s.New(refs), func(batch []trace.Ref) {
+				if _, err := trace.DrainContext(ctx, s.New(refs), func(batch []trace.Ref) {
 					for _, ref := range batch {
 						if ref.Kind == trace.Instr {
 							row.instrs++

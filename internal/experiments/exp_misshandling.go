@@ -84,7 +84,8 @@ func MissHandling(ctx context.Context, o *Options) (*tableio.Table, error) {
 					}
 				}
 
-				if err := drainInto(ctx, s.New(refs), func(batch []trace.Ref) {
+				if _, err := trace.DrainContext(ctx, s.New(refs), func(batch []trace.Ref) {
+					//paperlint:ignore oneloop every TLB miss is replayed against hashed tables and an STLB, and each promotion and demotion updates them; those structures belong to this experiment alone
 					for _, ref := range batch {
 						res := pol.Assign(ref.Addr)
 						switch res.Event {

@@ -10,7 +10,6 @@ import (
 	"twopage/internal/policy"
 	"twopage/internal/tableio"
 	"twopage/internal/tlb"
-	"twopage/internal/trace"
 	"twopage/internal/workload"
 	"twopage/internal/wss"
 )
@@ -30,11 +29,11 @@ func faCfgN(entries int, classes addr.SizeClasses) tlb.Config {
 }
 
 // sampledLadderWSS runs a policy-only pass of the ladder configuration
-// over the workload, sampling the instantaneous N-size working-set size
-// (wss.Sampled). It is deliberately a separate pass from the TLB
-// simulation: the engine memoizes the TLB pass across experiments, and
-// re-running the cheap policy loop here keeps the sampled calculator
-// out of the simulator's hot path.
+// over the workload through core, with no TLB and the sampled N-size
+// working set attached (core.WithSampledWSS). It is deliberately a
+// separate pass from the TLB simulation: the engine memoizes and fuses
+// the TLB pass across experiments, and the sampler is no part of its
+// key.
 func sampledLadderWSS(ctx context.Context, o *Options, wl string, refs uint64, cfg policy.LadderConfig) *engine.Future[float64] {
 	key := fmt.Sprintf("ladder3 ws %s T=%d thr=%v", wl, cfg.T, cfg.Thresholds)
 	return engine.Go(o.Engine, ctx, key, func(ctx context.Context) (float64, error) {
@@ -42,18 +41,11 @@ func sampledLadderWSS(ctx context.Context, o *Options, wl string, refs uint64, c
 		if err != nil {
 			return 0, err
 		}
-		pol := policy.NewLadder(cfg)
-		samp := wss.NewSampled(pol, 0)
-		err = drainInto(ctx, s.New(refs), func(batch []trace.Ref) {
-			for _, ref := range batch {
-				pol.Assign(ref.Addr)
-				samp.Step()
-			}
-		})
+		res, err := core.NewSimulator(policy.NewLadder(cfg), nil, core.WithSampledWSS(cfg.T)).Run(ctx, s.New(refs))
 		if err != nil {
 			return 0, err
 		}
-		return samp.Result().AvgBytes, nil
+		return res.WSS.AvgBytes, nil
 	})
 }
 

@@ -54,14 +54,14 @@ func Phases(ctx context.Context, o *Options) (*tableio.Table, error) {
 	T := windowFor(refsPerPhase)
 
 	names := []string{"dynamic (demote on)", "dynamic (demote off)", "cumulative"}
-	mkPol := []func() largenessOracle{
-		func() largenessOracle { return policy.NewTwoSize(policy.DefaultTwoSizeConfig(T)) },
-		func() largenessOracle {
+	mkPol := []func() policy.MultiSize{
+		func() policy.MultiSize { return policy.NewTwoSize(policy.DefaultTwoSizeConfig(T)) },
+		func() policy.MultiSize {
 			demoteOff := policy.DefaultTwoSizeConfig(T)
 			demoteOff.Demote = false
 			return policy.NewTwoSize(demoteOff)
 		},
-		func() largenessOracle {
+		func() policy.MultiSize {
 			return policy.NewCumulative(policy.CumulativeConfig{Threshold: addr.BlocksPerChunk / 2})
 		},
 	}
@@ -70,19 +70,13 @@ func Phases(ctx context.Context, o *Options) (*tableio.Table, error) {
 		mk := mk
 		futs[i] = engine.Go(o.Engine, ctx, "phases "+names[i],
 			func(ctx context.Context) (phasesRun, error) {
-				pol := mk()
-				cpi, avgWSS, _, err := runPolicyVariantOn(ctx, phasedSource(refsPerPhase), pol, T)
+				res, err := runPolicyVariant(ctx, phasedSource(refsPerPhase), mk(), T)
 				if err != nil {
 					return phasesRun{}, err
 				}
-				var st policy.TwoSizeStats
-				switch p := pol.(type) {
-				case *policy.TwoSize:
-					st = p.Stats()
-				case *policy.Cumulative:
-					st = p.Stats()
-				}
-				return phasesRun{cpi: cpi, avgWSS: avgWSS, promos: st.Promotions, demos: st.Demotions}, nil
+				st := res.PolicyStats
+				return phasesRun{cpi: res.TLBs[0].CPITLB, avgWSS: res.WSS.AvgBytes,
+					promos: st.Promotions, demos: st.Demotions}, nil
 			})
 	}
 	tbl := tableio.New("Extension: phased program (dense region later revisited sparsely), 16-entry FA",

@@ -5,91 +5,22 @@ import (
 	"sort"
 
 	"twopage/internal/addr"
+	"twopage/internal/core"
 	"twopage/internal/engine"
-	"twopage/internal/metrics"
 	"twopage/internal/policy"
 	"twopage/internal/tableio"
 	"twopage/internal/tlb"
 	"twopage/internal/trace"
-	"twopage/internal/window"
 	"twopage/internal/workload"
 	"twopage/internal/wss"
 )
 
-// largenessOracle is the subset of Assigner the sampled working-set
-// calculator needs: the current page-size mapping of a chunk.
-type largenessOracle interface {
-	policy.Assigner
-	IsLarge(c addr.PN) bool
-}
-
-// runPolicyVariant drives one alternative policy over the workload with
-// a 16-entry FA TLB, sampling the two-page working-set size from a
-// sliding window every sampleEvery references (the incremental WSS
-// calculator is specific to the paper's TwoSize policy; sampling is
-// exact at the sample points and plenty for an ablation).
-func runPolicyVariant(ctx context.Context, s workload.Spec, refs uint64, pol largenessOracle, T int) (cpi float64, avgWSS float64, largeFrac float64, err error) {
-	return runPolicyVariantOn(ctx, s.New(refs), pol, T)
-}
-
-// runPolicyVariantOn is runPolicyVariant over an arbitrary stream.
-func runPolicyVariantOn(ctx context.Context, src trace.Reader, pol largenessOracle, T int) (cpi float64, avgWSS float64, largeFrac float64, err error) {
-	hw := tlb.NewFullyAssoc(16)
-	win := window.New(T)
-	const sampleEvery = 256
-	var instrs, samples uint64
-	var wssSum float64
-	err = drainInto(ctx, src, func(batch []trace.Ref) {
-		for _, ref := range batch {
-			if ref.Kind == trace.Instr {
-				instrs++
-			}
-			res := pol.Assign(ref.Addr)
-			switch res.Event {
-			case policy.EventPromote:
-				first := addr.FirstBlock(res.Chunk)
-				for i := addr.PN(0); i < addr.BlocksPerChunk; i++ {
-					hw.Invalidate(policy.Page{Number: first + i, Shift: addr.BlockShift})
-				}
-			case policy.EventDemote:
-				hw.Invalidate(policy.Page{Number: res.Chunk, Shift: addr.ChunkShift})
-			}
-			hw.Access(ref.Addr, res.Page)
-			win.StepVA(ref.Addr)
-			if win.Steps()%sampleEvery == 0 {
-				var w uint64
-				win.ActiveChunks(func(c addr.PN, blocks int) {
-					if pol.IsLarge(c) {
-						w += addr.ChunkSize
-					} else {
-						w += uint64(blocks) * addr.BlockSize
-					}
-				})
-				wssSum += float64(w)
-				samples++
-			}
-		}
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	cpi = metrics.CPITLB(hw.Stats().Misses(), instrs, metrics.MissPenaltyTwo)
-	if samples > 0 {
-		avgWSS = wssSum / float64(samples)
-	}
-	var st policy.TwoSizeStats
-	switch p := pol.(type) {
-	case *policy.TwoSize:
-		st = p.Stats()
-	case *policy.Region:
-		st = p.Stats()
-	case *policy.Cumulative:
-		st = p.Stats()
-	}
-	if st.Refs > 0 {
-		largeFrac = float64(st.LargeRefs) / float64(st.Refs)
-	}
-	return cpi, avgWSS, largeFrac, nil
+// runPolicyVariant drives one page-size policy over src through core:
+// a 16-entry fully associative TLB, and the working set sampled over
+// the last T references (wss.Sampled, every 256 references; the exact
+// calculator serves only the paper's TwoSize policy).
+func runPolicyVariant(ctx context.Context, src trace.Reader, pol policy.MultiSize, T int) (*core.Result, error) {
+	return core.NewSimulator(pol, []tlb.TLB{tlb.NewFullyAssoc(16)}, core.WithSampledWSS(T)).Run(ctx, src)
 }
 
 // oracleRegions derives static large-page hints from a profiling pass:
@@ -98,7 +29,7 @@ func runPolicyVariantOn(ctx context.Context, src trace.Reader, pol largenessOrac
 // perfect knowledge.
 func oracleRegions(ctx context.Context, s workload.Spec, refs uint64) ([]policy.Range, error) {
 	blocks := map[addr.PN]bool{}
-	if err := drainInto(ctx, s.New(refs), func(batch []trace.Ref) {
+	if _, err := trace.DrainContext(ctx, s.New(refs), func(batch []trace.Ref) {
 		for _, ref := range batch {
 			blocks[addr.Block(ref.Addr)] = true
 		}
@@ -168,14 +99,14 @@ func Policies(ctx context.Context, o *Options) (*tableio.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mkPol := []func() (largenessOracle, error){
-			func() (largenessOracle, error) {
+		mkPol := []func() (policy.MultiSize, error){
+			func() (policy.MultiSize, error) {
 				return policy.NewTwoSize(policy.DefaultTwoSizeConfig(T)), nil
 			},
-			func() (largenessOracle, error) {
+			func() (policy.MultiSize, error) {
 				return policy.NewRegion(policy.RegionConfig{LargeRegions: ranges})
 			},
-			func() (largenessOracle, error) {
+			func() (policy.MultiSize, error) {
 				return policy.NewCumulative(policy.CumulativeConfig{Threshold: addr.BlocksPerChunk / 2}), nil
 			},
 		}
@@ -188,11 +119,15 @@ func Policies(ctx context.Context, o *Options) (*tableio.Table, error) {
 					if err != nil {
 						return policyVariantRun{}, err
 					}
-					cpi, w, lg, err := runPolicyVariant(ctx, s, refs, pol, T)
+					res, err := runPolicyVariant(ctx, s.New(refs), pol, T)
 					if err != nil {
 						return policyVariantRun{}, err
 					}
-					return policyVariantRun{cpi: cpi, wss: w, lg: lg}, nil
+					run := policyVariantRun{cpi: res.TLBs[0].CPITLB, wss: res.WSS.AvgBytes}
+					if st := res.PolicyStats; st.Refs > 0 {
+						run.lg = float64(st.LargeRefs) / float64(st.Refs)
+					}
+					return run, nil
 				}))
 		}
 	}

@@ -11,9 +11,11 @@ import (
 	"twopage/internal/trace"
 )
 
-// runPolicyVariantOn keeps the TLB as core.Simulator does: a demotion
-// drops the chunk's 32KB entry, so a chunk promoted again misses on
-// its new large page instead of hitting the stale translation.
+// runPolicyVariant runs its policy through core, whose TLB keeps up
+// with the policy: a demotion drops the chunk's 32KB entry, so a chunk
+// promoted again misses on its new large page instead of hitting the
+// stale translation. Attaching the sampled working set must leave
+// core's FA16 counters as they are without it.
 func TestPolicyVariantInvalidatesOnDemote(t *testing.T) {
 	const chunkA, blockB = addr.VA(0x100000), addr.VA(0x200000)
 	block := func(i int) trace.Ref {
@@ -44,11 +46,23 @@ func TestPolicyVariantInvalidatesOnDemote(t *testing.T) {
 	if ps := want.PolicyStats; ps.Promotions != 2 || ps.Demotions != 1 {
 		t.Fatalf("stream made %d promotions and %d demotions, want 2 and 1", ps.Promotions, ps.Demotions)
 	}
-	cpi, _, _, err := runPolicyVariantOn(context.Background(), trace.NewSliceReader(refs), policy.NewTwoSize(cfg), cfg.T)
+	// Four small and one large miss, B's one miss, then after the
+	// demotion three small misses and the re-promoted chunk's miss.
+	if m := want.TLBs[0].Stats.Misses(); m != 9 {
+		t.Fatalf("core's FA16 missed %d times, want 9", m)
+	}
+	got, err := runPolicyVariant(context.Background(), trace.NewSliceReader(refs), policy.NewTwoSize(cfg), cfg.T)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cpi != want.TLBs[0].CPITLB {
-		t.Fatalf("CPI_TLB = %v, want core.Simulator's %v (%d misses)", cpi, want.TLBs[0].CPITLB, want.TLBs[0].Stats.Misses())
+	if got.TLBs[0].Stats != want.TLBs[0].Stats || got.TLBs[0].CPITLB != want.TLBs[0].CPITLB {
+		t.Fatalf("with the sampler: %+v (CPI_TLB %v), without: %+v (CPI_TLB %v)",
+			got.TLBs[0].Stats, got.TLBs[0].CPITLB, want.TLBs[0].Stats, want.TLBs[0].CPITLB)
+	}
+	if *got.PolicyStats != *want.PolicyStats {
+		t.Fatalf("policy stats with the sampler %+v, without %+v", *got.PolicyStats, *want.PolicyStats)
+	}
+	if got.WSS == nil {
+		t.Fatal("runPolicyVariant reported no working set")
 	}
 }

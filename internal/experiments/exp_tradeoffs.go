@@ -112,7 +112,7 @@ func Protect(ctx context.Context, o *Options) (*tableio.Table, error) {
 			func(ctx context.Context) (protProfile, error) {
 				var blocks []addr.PN
 				seen := map[addr.PN]bool{}
-				if err := drainInto(ctx, s.New(refs), func(batch []trace.Ref) {
+				if _, err := trace.DrainContext(ctx, s.New(refs), func(batch []trace.Ref) {
 					for _, ref := range batch {
 						b := addr.Block(ref.Addr)
 						if !seen[b] {
@@ -159,7 +159,8 @@ func Protect(ctx context.Context, o *Options) (*tableio.Table, error) {
 						pol = policy.NewTwoSize(veto)
 					}
 					var st protStats
-					err := drainInto(ctx, s.New(refs), func(batch []trace.Ref) {
+					_, err := trace.DrainContext(ctx, s.New(refs), func(batch []trace.Ref) {
+						//paperlint:ignore oneloop the store check needs each reference's kind and mapped page, and no TLB; it belongs to this experiment alone
 						for _, ref := range batch {
 							res := pol.Assign(ref.Addr)
 							if ref.Kind != trace.Store {

@@ -14,12 +14,6 @@ import (
 	"twopage/internal/wss"
 )
 
-// drainInto pulls a reader to completion through fn.
-func drainInto(ctx context.Context, r trace.Reader, fn func([]trace.Ref)) error {
-	_, err := trace.DrainContext(ctx, r, fn)
-	return err
-}
-
 // staticWSS submits the canonical static working-set ladder for one
 // workload. Every working-set experiment keys on the same
 // (workload, refs, T) unit, so fig4.1, fig4.2, table3.1 and the

@@ -115,6 +115,15 @@ func (p *Region) SizeClasses() addr.SizeClasses {
 	return addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift)
 }
 
+// TopMappedClass implements MultiSize: 1 for a chunk in a declared
+// large region, 0 otherwise.
+func (p *Region) TopMappedClass(c addr.PN) int {
+	if p.inLarge(c) {
+		return 1
+	}
+	return 0
+}
+
 // Stats returns reference counters.
 func (p *Region) Stats() TwoSizeStats { return p.stats }
 
@@ -203,14 +212,18 @@ func (p *Cumulative) Stats() TwoSizeStats {
 	return s
 }
 
-// IsLarge reports whether chunk c has been promoted.
-func (p *Cumulative) IsLarge(c addr.PN) bool { return p.large.Has(uint64(c)) }
+// TopMappedClass implements MultiSize: 1 for a promoted chunk, 0
+// otherwise.
+func (p *Cumulative) TopMappedClass(c addr.PN) int {
+	if p.large.Has(uint64(c)) {
+		return 1
+	}
+	return 0
+}
 
 // Compile-time interface checks.
 var (
-	_ Assigner = (*Region)(nil)
-	_ Assigner = (*Cumulative)(nil)
+	_ MultiSize = (*Region)(nil)
+	_ MultiSize = (*Cumulative)(nil)
+	_ MultiSize = (*TwoSize)(nil)
 )
-
-// IsLarge reports whether chunk c falls in a declared large region.
-func (p *Region) IsLarge(c addr.PN) bool { return p.inLarge(c) }

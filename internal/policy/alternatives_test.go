@@ -137,7 +137,7 @@ func TestCumulativePromotesOnceForever(t *testing.T) {
 	if res.Event != EventPromote || res.Chunk != 0 {
 		t.Fatalf("expected promotion: %+v", res)
 	}
-	if !p.IsLarge(0) {
+	if p.TopMappedClass(0) != 1 {
 		t.Fatal("chunk 0 should be large")
 	}
 	// Never demotes, no matter what happens afterwards.

@@ -11,12 +11,18 @@ import (
 
 // MultiSize is implemented by every policy that assigns pages from a
 // multi-size hierarchy. The simulator uses it to size the miss-penalty
-// model and to know which classes a promotion/demotion event spans.
+// model and to know which classes a promotion/demotion event spans;
+// the sampled working-set calculator (internal/wss) uses it to size
+// each active chunk.
 type MultiSize interface {
 	Assigner
 	// SizeClasses returns the policy's page-size hierarchy, smallest
 	// class first.
 	SizeClasses() addr.SizeClasses
+	// TopMappedClass returns the largest class whose current mapping
+	// covers the class-1 chunk c, or 0 if references in c resolve to
+	// base blocks.
+	TopMappedClass(c addr.PN) int
 }
 
 // LadderConfig parameterizes the N-level promotion ladder, the
@@ -164,9 +170,7 @@ func (l *Ladder) MappedAt(k int, region addr.PN) bool {
 // MappedCount returns how many regions are mapped at class k (k >= 1).
 func (l *Ladder) MappedCount(k int) int { return l.mapped[k].Len() }
 
-// TopMappedClass returns the largest class at which the class-1 chunk c
-// is covered by a mapping, or 0 if references in c resolve to base
-// blocks. Used by the sampled N-size working-set calculator.
+// TopMappedClass implements MultiSize.
 func (l *Ladder) TopMappedClass(c addr.PN) int {
 	for k := l.cfg.Classes.N() - 1; k >= 1; k-- {
 		if l.mapped[k].Has(uint64(l.cfg.Classes.Up(c, 1, k))) {

@@ -74,9 +74,7 @@ func (p *Napot) MappedAt(k int, region addr.PN) bool {
 // MappedCount returns how many regions are promoted at class k (k >= 1).
 func (p *Napot) MappedCount(k int) int { return p.mapped[k].Len() }
 
-// TopMappedClass returns the largest class covering the class-1 chunk c,
-// or 0 if references in c resolve to base blocks. Used by the sampled
-// N-size working-set calculator.
+// TopMappedClass implements MultiSize.
 func (p *Napot) TopMappedClass(c addr.PN) int {
 	for k := p.cfg.Classes.N() - 1; k >= 1; k-- {
 		if p.mapped[k].Has(uint64(p.cfg.Classes.Up(c, 1, k))) {

@@ -267,6 +267,9 @@ func (p *TwoSize) Stats() TwoSizeStats {
 // IsLarge reports whether chunk c is currently mapped as a large page.
 func (p *TwoSize) IsLarge(c addr.PN) bool { return p.ladder.MappedAt(1, c) }
 
+// TopMappedClass implements MultiSize.
+func (p *TwoSize) TopMappedClass(c addr.PN) int { return p.ladder.TopMappedClass(c) }
+
 // Assign implements Assigner: it records the reference in the window,
 // applies the promotion/demotion rule to the referenced chunk, and
 // returns the page the reference falls on under the resulting mapping.

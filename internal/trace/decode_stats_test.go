@@ -35,9 +35,9 @@ func TestMapReaderDecodeStats(t *testing.T) {
 	}
 }
 
-// Limit and Tee wrap the readers handed to simulations (RegisterFile
-// wraps every trace workload in a Limit); both must forward
-// DecodeStats from a counting inner reader and report zero otherwise.
+// Limit wraps the readers handed to simulations (RegisterFile wraps
+// every trace workload in one); it must forward DecodeStats from a
+// counting inner reader and report zero otherwise.
 func TestDecodeStatsForwarding(t *testing.T) {
 	refs := genRefs(3000, 4)
 	f, err := NewFileBytes(encodeV2(t, refs, 100))
@@ -51,21 +51,10 @@ func TestDecodeStatsForwarding(t *testing.T) {
 		t.Errorf("Limit did not forward DecodeStats: %+v", ds)
 	}
 
-	tee := NewTee(f.Reader(), func([]Ref) {})
-	readAll(t, tee, 257)
-	if ds := tee.DecodeStats(); ds.Refs != f.Refs() {
-		t.Errorf("Tee DecodeStats.Refs = %d, want %d", ds.Refs, f.Refs())
-	}
-
 	// Non-counting inner readers yield the zero value, not a panic.
 	plain := NewLimit(NewSliceReader(refs), 100)
 	readAll(t, plain, 64)
 	if ds := plain.DecodeStats(); ds != (DecodeStats{}) {
 		t.Errorf("Limit over SliceReader reported %+v, want zero", ds)
-	}
-	pt := NewTee(NewSliceReader(refs), func([]Ref) {})
-	readAll(t, pt, 64)
-	if ds := pt.DecodeStats(); ds != (DecodeStats{}) {
-		t.Errorf("Tee over SliceReader reported %+v, want zero", ds)
 	}
 }

@@ -196,34 +196,6 @@ func (l *Limit) DecodeStats() DecodeStats {
 	return DecodeStats{}
 }
 
-// Tee wraps r, forwarding every batch it reads to fn before returning it
-// to the caller. It lets one pass feed several consumers (e.g. a TLB
-// simulator and a working-set tracker).
-type Tee struct {
-	r  Reader
-	fn func([]Ref)
-}
-
-// NewTee returns a Reader that mirrors all references read from r to fn.
-func NewTee(r Reader, fn func([]Ref)) *Tee { return &Tee{r: r, fn: fn} }
-
-// Read implements Reader.
-func (t *Tee) Read(batch []Ref) (int, error) {
-	n, err := t.r.Read(batch)
-	if n > 0 {
-		t.fn(batch[:n])
-	}
-	return n, err
-}
-
-// DecodeStats forwards to the wrapped reader's counters.
-func (t *Tee) DecodeStats() DecodeStats {
-	if dc, ok := t.r.(DecodeCounter); ok {
-		return dc.DecodeStats()
-	}
-	return DecodeStats{}
-}
-
 // Concat chains readers back to back.
 type Concat struct {
 	rs []Reader

@@ -209,18 +209,6 @@ func TestLimit(t *testing.T) {
 	}
 }
 
-func TestTee(t *testing.T) {
-	refs := genRefs(300, 6)
-	var mirrored []Ref
-	tee := NewTee(NewSliceReader(refs), func(b []Ref) {
-		mirrored = append(mirrored, b...)
-	})
-	got := readAll(t, tee, 71)
-	if !reflect.DeepEqual(got, refs) || !reflect.DeepEqual(mirrored, refs) {
-		t.Fatal("tee did not mirror the stream faithfully")
-	}
-}
-
 func TestConcat(t *testing.T) {
 	a := genRefs(100, 7)
 	b := genRefs(50, 8)

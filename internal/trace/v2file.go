@@ -329,7 +329,7 @@ type DecodeStats struct {
 }
 
 // DecodeCounter is implemented by readers that expose decode counters.
-// Wrapper readers (Limit, Tee) forward to their inner reader so callers
+// Wrapper readers (Limit) forward to their inner reader so callers
 // can harvest counters without unwrapping. The interface is consulted
 // once per pass, after the drain loop — never on the hot path.
 type DecodeCounter interface {

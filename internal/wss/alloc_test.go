@@ -90,16 +90,16 @@ func TestObserveAllocs(t *testing.T) {
 }
 
 // TestSampledCurrentAllocs pins a warmed-up Sampled.Current — the
-// ActiveChunks walk ladder3 and nindex run every sample period — at zero
-// allocations: the window keeps its sorted-key scratch, and Current's
-// callback does not escape.
+// ActiveChunks walk core.WithSampledWSS runs every sample period — at
+// zero allocations: the window keeps its sorted-key scratch, and
+// Current's callback does not escape.
 func TestSampledCurrentAllocs(t *testing.T) {
 	classes := addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift, addr.Shift256K)
 	pol := policy.NewLadder(policy.DefaultLadderConfig(1<<12, classes))
-	s := NewSampled(pol, 0)
+	s := mustSampled(t, pol, 1<<12, 0)
 	for _, va := range kernelref.VAStream(1 << 15) {
 		pol.Assign(va)
-		s.Step()
+		s.Step(va)
 	}
 	if s.Current() == 0 {
 		t.Fatal("empty working set; the stream did not warm the window")
