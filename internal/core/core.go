@@ -258,6 +258,11 @@ func NewSimulator(pol policy.Assigner, tlbs []tlb.TLB, opts ...Option) *Simulato
 	return s
 }
 
+// Err returns the simulator's first configuration error, nil if it has
+// none: the error Warm, Run and RunMany would return before reading a
+// reference.
+func (s *Simulator) Err() error { return s.err }
+
 // Warm replays a reference stream to build simulator state — TLB
 // contents, policy window and mapped regions, page-table shadow, the
 // two-page WSS calculator's incremental split — without contributing to
@@ -284,7 +289,7 @@ func (s *Simulator) Warm(ctx context.Context, r trace.Reader) error {
 	if s.warm != nil {
 		return fmt.Errorf("core: Warm called twice")
 	}
-	if _, _, err := s.drain(ctx, r, true); err != nil {
+	if _, err := trace.DrainContext(ctx, r, func(batch []trace.Ref) { s.step(batch, true) }); err != nil {
 		return fmt.Errorf("core: warm-up failed: %w", err)
 	}
 	s.warm = s.counts()
@@ -292,18 +297,69 @@ func (s *Simulator) Warm(ctx context.Context, r trace.Reader) error {
 }
 
 // Run consumes the reference stream to completion and returns metrics.
-// A Simulator is single-use: Run may only be called once.
+// A Simulator is single-use: Run may only be called once. It is RunMany
+// of s alone.
 //
 // Cancellation is checked between batches: when ctx is canceled the
 // simulation stops mid-trace and Run returns the context's error.
 func (s *Simulator) Run(ctx context.Context, r trace.Reader) (*Result, error) {
-	if s.err != nil {
-		return nil, s.err
+	res, err := RunMany(ctx, r, []*Simulator{s})
+	if err != nil {
+		return nil, err
 	}
-	refs, instrs, err := s.drain(ctx, r, false)
+	return res[0], nil
+}
+
+// RunMany reads r once and hands each batch of references to every
+// simulator in turn, so simulators of different policies, hierarchies
+// or stages share one generation or decode of a stream (the paper's
+// one pass per trace, Section 3.3). Simulators never interact: each
+// result equals, field for field, the Result its simulator's own Run
+// over the same stream returns, the reader's decode counters included.
+// Each simulator is single-use, as under Run, and appears once.
+//
+// A configuration error in any simulator fails RunMany before it reads
+// a reference. Cancellation is checked between batches, as in Run.
+func RunMany(ctx context.Context, r trace.Reader, sims []*Simulator) ([]*Result, error) {
+	for _, s := range sims {
+		if s.err != nil {
+			return nil, s.err
+		}
+	}
+	var instrs uint64
+	refs, err := trace.DrainContext(ctx, r, func(batch []trace.Ref) {
+		instrs += countInstrs(batch)
+		for _, s := range sims {
+			s.step(batch, false)
+		}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: simulation failed: %w", err)
 	}
+	decode := DecodeCounters(r)
+	out := make([]*Result, len(sims))
+	for i, s := range sims {
+		out[i] = s.result(refs, instrs, decode)
+	}
+	return out, nil
+}
+
+// countInstrs returns the batch's instruction fetches. A loop of its own
+// counts them once for every simulator of a pass, and keeps the count
+// out of the per-reference loop, where it would live across the
+// policy's call.
+func countInstrs(batch []trace.Ref) (n uint64) {
+	for i := range batch {
+		if batch[i].Kind == trace.Instr {
+			n++
+		}
+	}
+	return n
+}
+
+// result assembles the Result of a pass that drove refs references,
+// instrs of them instruction fetches, through s.
+func (s *Simulator) result(refs, instrs uint64, decode obs.Counters) *Result {
 	out := s.counts()
 	if s.warm != nil {
 		out.sub(s.warm)
@@ -317,48 +373,44 @@ func (s *Simulator) Run(ctx context.Context, r trace.Reader) (*Result, error) {
 		res := s.sampled.Result()
 		out.WSS = &res
 	}
-	out.finish(DecodeCounters(r))
-	return out, nil
+	out.finish(decode)
+	return out
 }
 
-// drain is the per-reference loop shared by Warm and Run: the policy
-// assigns a page, then the TLBs (or the page-table shadow, which drives
-// them and the walk model, or the memory stage) look it up, then the
-// WSS calculator observes the assignment — without sampling during
-// warm-up — or the sampled calculator steps.
-func (s *Simulator) drain(ctx context.Context, r trace.Reader, warm bool) (refs, instrs uint64, err error) {
-	//paperlint:hot
-	refs, err = trace.DrainContext(ctx, r, func(batch []trace.Ref) {
-		for _, ref := range batch {
-			if ref.Kind == trace.Instr {
-				instrs++
-			}
-			res := s.pol.Assign(ref.Addr)
-			if res.Event != policy.EventNone {
-				s.applyEvent(res) //paperlint:ignore hotalloc event path: page-table node alloc/free runs per promotion/demotion, not per reference
-			}
-			if s.pt != nil {
-				s.ptStep(ref.Addr, res)
-			} else if s.mem != nil {
-				s.mem.step(ref.Addr, res.Page)
-			} else {
-				for _, t := range s.tlbs {
-					t.Access(ref.Addr, res.Page)
-				}
-			}
-			if s.wssCalc != nil {
-				if warm {
-					s.wssCalc.ObserveWarm(res)
-				} else {
-					s.wssCalc.Observe(res)
-				}
-			}
-			if s.sampled != nil {
-				s.sampled.Step(ref.Addr)
+// step is the one per-reference loop, shared by Warm, Run and RunMany:
+// for each reference of the batch the policy assigns a page, then the
+// TLBs (or the page-table shadow, which drives them and the walk model,
+// or the memory stage) look it up, then the WSS calculator observes the
+// assignment — without sampling during warm-up — or the sampled
+// calculator steps.
+//
+//paperlint:hot
+func (s *Simulator) step(batch []trace.Ref, warm bool) {
+	for _, ref := range batch {
+		res := s.pol.Assign(ref.Addr)
+		if res.Event != policy.EventNone {
+			s.applyEvent(res) //paperlint:ignore hotalloc event path: page-table node alloc/free runs per promotion/demotion, not per reference
+		}
+		if s.pt != nil {
+			s.ptStep(ref.Addr, res)
+		} else if s.mem != nil {
+			s.mem.step(ref.Addr, res.Page)
+		} else {
+			for _, t := range s.tlbs {
+				t.Access(ref.Addr, res.Page)
 			}
 		}
-	})
-	return refs, instrs, err
+		if s.wssCalc != nil {
+			if warm {
+				s.wssCalc.ObserveWarm(res)
+			} else {
+				s.wssCalc.Observe(res)
+			}
+		}
+		if s.sampled != nil {
+			s.sampled.Step(ref.Addr)
+		}
+	}
 }
 
 // counts snapshots the simulator's raw counters into a Result: each

@@ -44,9 +44,7 @@ func access(t *testing.T, s *Simulator, vas ...addr.VA) float64 {
 	for i, va := range vas {
 		refs[i] = trace.Ref{Addr: va, Kind: trace.Load}
 	}
-	if _, _, err := s.drain(context.Background(), trace.NewSliceReader(refs), false); err != nil {
-		t.Fatal(err)
-	}
+	s.step(refs, false)
 	return s.mem.stats.Cycles - before
 }
 

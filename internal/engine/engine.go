@@ -6,17 +6,17 @@
 // simulation pass is independent of every other, the same property that
 // lets one stack-simulation pass stand in for 84 TLB configurations
 // (Section 3.3). The engine exploits the coarser grain: experiments
-// submit their work units up front (Unit, PassSpec, or opaque funcs via
-// Go), the pool executes them on up to Parallelism goroutines, and the
-// experiments reassemble rows from the returned futures in their own
-// deterministic order — so output is byte-identical regardless of the
-// parallelism level.
+// submit their work units up front (Unit, PassSpec, opaque core passes
+// via Ride, or opaque funcs via Go), the pool executes them on up to
+// Parallelism goroutines, and the experiments reassemble rows from the
+// returned futures in their own deterministic order — so output is
+// byte-identical regardless of the parallelism level.
 //
 // Units are the memoization and reporting granularity; fused groups are
-// the execution granularity. Pending units that share a workload,
-// length and policy, submitted under one ctx, run as one pass that
-// drives all their TLBs, and each unit gets the Result it would have had
-// alone (fuse.go).
+// the execution granularity. Pending units and rides (Engine.Ride) that
+// share a workload and length, submitted under one ctx, run in one read
+// of that stream, and each gets the Result it would have had alone
+// (fuse.go).
 //
 // Two rules keep the pool deadlock-free:
 //
@@ -196,8 +196,8 @@ func Go[T any](e *Engine, ctx context.Context, label string, fn func(context.Con
 }
 
 // submit is the one way the engine starts work: Go tasks, memoized
-// units and MapSections' sections all come through it. It counts the
-// submission, runs fn on a goroutine of its own and emits one Event
+// units, rides and MapSections' sections all come through it. It counts
+// the submission, runs fn on a goroutine of its own and emits one Event
 // when the future resolves.
 //
 // With memo set, key is a memoization key: the first submitter runs fn
@@ -210,25 +210,28 @@ func Go[T any](e *Engine, ctx context.Context, label string, fn func(context.Con
 // fn runs in a pool slot unless offPool is set. offPool is for a unit
 // that waits on pool futures itself, like a sharded pass waiting on its
 // sections: waiting inside a slot would deadlock a pool of size 1. A
-// memoized unit with a ticket t is fusable (fuse.go): it joins the
-// pending set with its memo entry, and if a group claims it before it
-// gets a slot, fn runs outside the pool and only waits for the group.
+// unit or ride with a ticket t is fusable (fuse.go): it joins the
+// pending set (a unit with its memo entry), and if a group claims it
+// before it gets a slot, fn runs outside the pool and only waits for
+// the group.
 func submit[T any](e *Engine, ctx context.Context, key string, memo, offPool bool, t *ticket, fn func(context.Context) (T, error)) *Future[T] {
 	e.submitted.Add(1)
 	f := newFuture[T]()
-	if memo {
+	if memo || t != nil {
 		e.mu.Lock()
-		if cached, ok := e.units[key].(*Future[T]); ok {
-			e.mu.Unlock()
-			e.hits.Add(1)
-			go func() {
-				defer close(f.done)
-				f.val, f.err = cached.Wait(ctx)
-				e.emit(key, true, f.err)
-			}()
-			return f
+		if memo {
+			if cached, ok := e.units[key].(*Future[T]); ok {
+				e.mu.Unlock()
+				e.hits.Add(1)
+				go func() {
+					defer close(f.done)
+					f.val, f.err = cached.Wait(ctx)
+					e.emit(key, true, f.err)
+				}()
+				return f
+			}
+			e.units[key] = f
 		}
-		e.units[key] = f
 		e.pend(t)
 		e.mu.Unlock()
 	}

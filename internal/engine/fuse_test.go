@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"twopage/internal/policy"
 	"twopage/internal/tlb"
 	"twopage/internal/trace"
+	"twopage/internal/walk"
 	"twopage/internal/workload"
 )
 
@@ -111,13 +113,70 @@ func soloResults(t *testing.T, units []Unit, col *obs.Collector) []*core.Result 
 	return out
 }
 
-// Units of one stream submitted under one ctx run as one fused group,
-// yet every future gets exactly the Result its unit has alone, and the
-// run report equals the unfused one. The units cover fully associative
-// TLBs under LRU, FIFO and seeded Random replacement (each Random TLB
-// keeps its own generator), 2-way TLBs under each index scheme, a
-// member that asks for the working set, and a v2 trace file whose
-// shared reader's decode counters every member reports.
+// ride is a ride's arguments, for the tests.
+type ride struct {
+	label, workload string
+	refs            uint64
+	build           func() (*core.Simulator, error)
+}
+
+// solo runs the ride's pass alone, with its own read of the stream.
+func (r ride) solo(t *testing.T) *core.Result {
+	t.Helper()
+	s, err := workload.Get(r.workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := r.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run(context.Background(), s.New(r.refs))
+	if err != nil {
+		t.Fatalf("ride %s alone: %v", r.label, err)
+	}
+	return res
+}
+
+// mixedStream returns the members of one stream (li, 25,000 references)
+// that a group splits across simulators: flat units of three policies,
+// a walk-model unit and two rides, one with a memory stage and one with
+// the sampled working set and no TLB.
+func mixedStream() ([]Unit, []ride) {
+	const wl, refs = "li", 25_000
+	three := addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift, addr.Shift256K)
+	ladder := policy.DefaultLadderConfig(3000, three)
+	fa3 := tlb.Config{Entries: 16, Ways: 16, Shifts: three.Shifts()}
+	wc := walk.Default(three)
+	two := policy.DefaultTwoSizeConfig(3000)
+	units := []Unit{
+		{Workload: wl, Refs: refs, Policy: TwoSizePolicy(two), TLB: &tlb.Config{Entries: 16}, WSS: true},
+		{Workload: wl, Refs: refs, Policy: TwoSizePolicy(two), TLB: &tlb.Config{Entries: 32, Ways: 2}},
+		{Workload: wl, Refs: refs, Policy: SinglePolicy(addr.Size4K), TLB: &tlb.Config{Entries: 16}},
+		{Workload: wl, Refs: refs, Policy: LadderPolicy(ladder), TLB: &fa3},
+		{Workload: wl, Refs: refs, Policy: LadderPolicy(ladder), TLB: &fa3, Walk: &wc},
+	}
+	rides := []ride{
+		{"memory", wl, refs, func() (*core.Simulator, error) {
+			return core.NewSimulator(policy.NewTwoSize(two), []tlb.TLB{tlb.NewFullyAssoc(16)},
+				core.WithMemory(core.Memory{Size: 512 << 10})), nil
+		}},
+		{"sampled", wl, refs, func() (*core.Simulator, error) {
+			return core.NewSimulator(policy.NewLadder(ladder), nil, core.WithSampledWSS(ladder.T)), nil
+		}},
+	}
+	return units, rides
+}
+
+// Members of one stream submitted under one ctx run as one fused group,
+// one read of the stream, yet every future gets exactly the Result its
+// member has alone, and the run report equals the unfused one. The
+// units cover fully associative TLBs under LRU, FIFO and seeded Random
+// replacement (each Random TLB keeps its own generator), 2-way TLBs
+// under each index scheme, a member that asks for the working set, a v2
+// trace file whose shared reader's decode counters every member
+// reports, and a stream whose members need five simulators: three
+// policies' flat units, a walk-model unit and two rides.
 func TestFusedUnitsMatchSolo(t *testing.T) {
 	file, f := programFile(t, "li", 30_000)
 	tlbs := []tlb.Config{
@@ -147,10 +206,16 @@ func TestFusedUnitsMatchSolo(t *testing.T) {
 				TLB: &tlbs[i], WSS: s.wss && i == 1})
 		}
 	}
+	mixed, rides := mixedStream()
+	units = append(units, mixed...)
 	unfused := obs.NewCollector()
 	solo := soloResults(t, units, unfused)
 	if solo[len(tlbs)].Counters.DecodedRefs == 0 {
 		t.Fatal("the trace-file units report no decode counters")
+	}
+	soloRides := make([]*core.Result, len(rides))
+	for i, r := range rides {
+		soloRides[i] = r.solo(t)
 	}
 
 	for _, parallelism := range []int{1, 2} {
@@ -162,9 +227,13 @@ func TestFusedUnitsMatchSolo(t *testing.T) {
 		for i, u := range units {
 			futs[i] = e.unit(ctx, u)
 		}
+		rideFuts := make([]*Future[*core.Result], len(rides))
+		for i, r := range rides {
+			rideFuts[i] = e.Ride(ctx, r.label, r.workload, r.refs, r.build)
+		}
 		tickets := pendingTickets(e)
-		if len(tickets) != len(units) {
-			t.Fatalf("j=%d: %d of %d units pending", parallelism, len(tickets), len(units))
+		if len(tickets) != len(units)+len(rides) {
+			t.Fatalf("j=%d: %d of %d members pending", parallelism, len(tickets), len(units)+len(rides))
 		}
 		release()
 		for i, fut := range futs {
@@ -177,9 +246,24 @@ func TestFusedUnitsMatchSolo(t *testing.T) {
 					parallelism, i, res.TLBs[0].Name, res, solo[i])
 			}
 		}
-		for stream, ls := range leaders(e, tickets) {
+		for i, fut := range rideFuts {
+			res, err := fut.Wait(ctx)
+			if err != nil {
+				t.Fatalf("j=%d ride %s: %v", parallelism, rides[i].label, err)
+			}
+			if !reflect.DeepEqual(res, soloRides[i]) {
+				t.Errorf("j=%d ride %s: fused result\n%+v\nwant the solo result\n%+v",
+					parallelism, rides[i].label, res, soloRides[i])
+			}
+		}
+		// A group opens its stream once, for all its simulators.
+		groups := leaders(e, tickets)
+		if len(groups) != 4 {
+			t.Errorf("j=%d: %d streams, want 4", parallelism, len(groups))
+		}
+		for stream, ls := range groups {
 			if len(ls) != 1 {
-				t.Errorf("j=%d: stream %q ran in %d groups, want 1", parallelism, stream, len(ls))
+				t.Errorf("j=%d: stream %q ran in %d groups (reads), want 1", parallelism, stream, len(ls))
 			}
 		}
 		if got, want := col.Passes(), unfused.Passes(); !reflect.DeepEqual(got, want) {
@@ -307,28 +391,157 @@ func TestFusedGroupAtParallelismOne(t *testing.T) {
 	}
 }
 
-// A member whose configuration fails (a working set under a fixed page
-// size) fails alone: the rest of its group still get their solo results.
+// A member whose simulator cannot be built fails alone: a unit asking
+// for a working set under a fixed page size (its policy's shared
+// simulator is rebuilt per member), a ride whose builder errs and a
+// ride whose simulator has a configuration error. The rest of the group
+// — a unit of the same policy, a walk-model unit and a good ride —
+// still get their solo results from the one read of the stream.
 func TestFusedGroupIsolatesAFailingMember(t *testing.T) {
 	single := SinglePolicy(addr.Size4K)
-	good := Unit{Workload: "li", Refs: 20_000, Policy: single, TLB: &tlb.Config{Entries: 16}}
-	bad := Unit{Workload: "li", Refs: 20_000, Policy: single, TLB: &tlb.Config{Entries: 32}, WSS: true}
-	solo := soloResults(t, []Unit{good}, obs.NewCollector())
+	mixed, rides := mixedStream()
+	good := Unit{Workload: "li", Refs: 25_000, Policy: single, TLB: &tlb.Config{Entries: 16}}
+	walker := mixed[len(mixed)-1]
+	bad := Unit{Workload: "li", Refs: 25_000, Policy: single, TLB: &tlb.Config{Entries: 32}, WSS: true}
+	solo := soloResults(t, []Unit{good, walker}, obs.NewCollector())
+	soloRide := rides[0].solo(t)
 	e := New(1)
 	ctx := context.Background()
 	release := hold(t, e)
-	goodF, badF := e.unit(ctx, good), e.unit(ctx, bad)
+	goodF, walkF, badF := e.unit(ctx, good), e.unit(ctx, walker), e.unit(ctx, bad)
+	rideF := e.Ride(ctx, rides[0].label, rides[0].workload, rides[0].refs, rides[0].build)
+	errF := e.Ride(ctx, "build error", "li", 25_000, func() (*core.Simulator, error) {
+		return nil, errors.New("no simulator for this ride")
+	})
+	cfgF := e.Ride(ctx, "config error", "li", 25_000, func() (*core.Simulator, error) {
+		return core.NewSimulator(policy.NewSingle(addr.Size4K), nil, core.WithSampledWSS(100)), nil
+	})
 	tickets := pendingTickets(e)
 	release()
-	if res, err := goodF.Wait(ctx); err != nil || !reflect.DeepEqual(res, solo[0]) {
-		t.Fatalf("good member: err %v, or result differs from solo", err)
+	for i, f := range []*Future[*core.Result]{goodF, walkF} {
+		if res, err := f.Wait(ctx); err != nil || !reflect.DeepEqual(res, solo[i]) {
+			t.Fatalf("good unit %d: err %v, or result differs from solo", i, err)
+		}
 	}
-	if _, err := badF.Wait(ctx); err == nil || !strings.Contains(err.Error(), "WithWSS") {
-		t.Fatalf("bad member: err = %v, want one naming WithWSS", err)
+	if res, err := rideF.Wait(ctx); err != nil || !reflect.DeepEqual(res, soloRide) {
+		t.Fatalf("good ride: err %v, or result differs from solo", err)
+	}
+	for _, c := range []struct {
+		name string
+		f    *Future[*core.Result]
+		want string
+	}{
+		{"unit with a working set", badF, "WithWSS"},
+		{"ride whose builder errs", errF, "no simulator"},
+		{"ride with a configuration error", cfgF, "WithSampledWSS"},
+	} {
+		if _, err := c.f.Wait(ctx); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: err = %v, want one naming %s", c.name, err, c.want)
+		}
 	}
 	for _, ls := range leaders(e, tickets) {
-		if len(tickets) != 2 || len(ls) != 1 {
-			t.Fatalf("%d units in %d groups, want 2 in 1", len(tickets), len(ls))
+		if len(tickets) != 6 || len(ls) != 1 {
+			t.Fatalf("%d members in %d groups, want 6 in 1", len(tickets), len(ls))
 		}
+	}
+}
+
+// A group holds at most maxSims simulators. Members past the bound
+// stay pending and a later group reads the stream again for them, while
+// a flat unit whose policy's simulator is already in a group joins it
+// past the bound. Every member still gets its solo result.
+func TestFusedGroupBoundsItsSimulators(t *testing.T) {
+	const wl, refs = "li", 5_000
+	rides := make([]ride, maxSims+maxSims/2)
+	for i := range rides {
+		entries := 4 + i
+		rides[i] = ride{fmt.Sprintf("fa%d", entries), wl, refs, func() (*core.Simulator, error) {
+			return core.NewSimulator(policy.NewSingle(addr.Size4K), []tlb.TLB{tlb.NewFullyAssoc(entries)}), nil
+		}}
+	}
+	two := TwoSizePolicy(policy.DefaultTwoSizeConfig(1000))
+	first := Unit{Workload: wl, Refs: refs, Policy: two, TLB: &tlb.Config{Entries: 16}}
+	last := Unit{Workload: wl, Refs: refs, Policy: two, TLB: &tlb.Config{Entries: 32}}
+	solo := soloResults(t, []Unit{first, last}, obs.NewCollector())
+	for _, parallelism := range []int{1, 2} {
+		e := New(parallelism)
+		ctx := context.Background()
+		release := hold(t, e)
+		futs := []*Future[*core.Result]{e.unit(ctx, first)}
+		for _, r := range rides {
+			futs = append(futs, e.Ride(ctx, r.label, r.workload, r.refs, r.build))
+		}
+		futs = append(futs, e.unit(ctx, last))
+		tickets := pendingTickets(e)
+		release()
+		for i, f := range futs {
+			res, err := f.Wait(ctx)
+			if err != nil {
+				t.Fatalf("j=%d member %d: %v", parallelism, i, err)
+			}
+			var want *core.Result
+			switch i {
+			case 0:
+				want = solo[0]
+			case len(futs) - 1:
+				want = solo[1]
+			default:
+				want = rides[i-1].solo(t)
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Errorf("j=%d member %d: fused result differs from its solo result", parallelism, i)
+			}
+		}
+		e.mu.Lock()
+		sims := make(map[*ticket]map[any]bool)
+		for _, tk := range tickets {
+			if sims[tk.leader] == nil {
+				sims[tk.leader] = make(map[any]bool)
+			}
+			sims[tk.leader][tk.sim()] = true
+		}
+		together := tickets[0].leader == tickets[len(tickets)-1].leader
+		e.mu.Unlock()
+		if len(sims) != 2 {
+			t.Errorf("j=%d: %d members ran in %d groups, want 2", parallelism, len(tickets), len(sims))
+		}
+		for _, g := range sims {
+			if len(g) > maxSims {
+				t.Errorf("j=%d: a group held %d simulators, want at most %d", parallelism, len(g), maxSims)
+			}
+		}
+		if !together {
+			t.Errorf("j=%d: the two flat units of one policy ran in different groups", parallelism)
+		}
+	}
+}
+
+// uncomparableCtx is a ctx whose dynamic type cannot be compared, so no
+// group can match it.
+type uncomparableCtx struct {
+	context.Context
+	_ []int
+}
+
+// A member whose ctx cannot be compared runs as a group of its own, and
+// still gets its solo result: a unit and a ride.
+func TestUncomparableCtxRunsAlone(t *testing.T) {
+	units, rides := mixedStream()
+	solo := soloResults(t, units[:1], obs.NewCollector())
+	soloRide := rides[0].solo(t)
+	e := New(1)
+	ctx := uncomparableCtx{Context: context.Background()}
+	release := hold(t, e)
+	unitF := e.unit(ctx, units[0])
+	rideF := e.Ride(ctx, rides[0].label, rides[0].workload, rides[0].refs, rides[0].build)
+	if n := len(pendingTickets(e)); n != 0 {
+		t.Fatalf("%d members pending, want none", n)
+	}
+	release()
+	if res, err := unitF.Wait(ctx); err != nil || !reflect.DeepEqual(res, solo[0]) {
+		t.Fatalf("unit: err %v, or result differs from solo", err)
+	}
+	if res, err := rideF.Wait(ctx); err != nil || !reflect.DeepEqual(res, soloRide) {
+		t.Fatalf("ride: err %v, or result differs from solo", err)
 	}
 }

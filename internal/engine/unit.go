@@ -102,8 +102,8 @@ func (p PolicySpec) key() string {
 // experiments that share a (workload, refs, policy, TLB-config) tuple
 // simulate it once per Engine, no matter how their multi-TLB passes
 // were originally grouped, and each executed unit records its own
-// counters. Execution may fuse units: pending units of one stream run
-// as one pass, each still resolving to its solo Result (fuse.go).
+// counters. Execution fuses units: pending units of one stream run in
+// one read of it, each still resolving to its solo Result (fuse.go).
 type Unit struct {
 	// Workload is the registered program name (workload.Get).
 	Workload string
@@ -199,20 +199,6 @@ func (p PassSpec) newSimulator() (*core.Simulator, error) {
 	return core.NewSimulator(pol, tlbs, opts...), nil
 }
 
-// run simulates the whole pass with one simulator over one generation of
-// the workload's stream. The returned Result has one TLBResult per TLB.
-func (p PassSpec) run(ctx context.Context) (*core.Result, error) {
-	s, err := workload.Get(p.Workload)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := p.newSimulator()
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(ctx, s.New(p.Refs))
-}
-
 // Units returns the spec's decomposition into memoizable units. A spec
 // with no TLBs is a single policy/WSS-only unit; the WSS calculator
 // rides on the first unit only (its result is independent of the TLB).
@@ -249,15 +235,15 @@ func (e *Engine) Pass(ctx context.Context, spec PassSpec) *Future[*core.Result] 
 }
 
 // unit submits one Unit: sharded off the pool when the engine shards
-// the unit's workload, otherwise on a pool slot, fused with the pending
-// units of its stream when it can be (fuse.go).
+// the unit's workload, otherwise on a pool slot, in a fused group with
+// the pending members of its stream (fuse.go).
 func (e *Engine) unit(ctx context.Context, u Unit) *Future[*core.Result] {
 	key, err := u.Key()
 	if err != nil {
 		return resolved[*core.Result](nil, err)
 	}
 	var t *ticket
-	run := u.pass().run
+	var run func(context.Context) (*core.Result, error)
 	f, plan, sharded := e.shardFor(u.Workload, u.Policy)
 	if sharded {
 		// Sharded results are approximations of the serial pass; the
@@ -267,7 +253,12 @@ func (e *Engine) unit(ctx context.Context, u Unit) *Future[*core.Result] {
 		run = func(ctx context.Context) (*core.Result, error) {
 			return RunSharded(e, ctx, f, u.Refs, plan, key, u.pass().newSimulator)
 		}
-	} else if t = newTicket(ctx, u); t != nil {
+	} else {
+		t = newTicket(ctx, u.Workload, u.Refs)
+		t.unit = u
+		if u.TLB != nil && u.Walk == nil {
+			t.policy = u.Policy.key()
+		}
 		run = t.result
 	}
 	return submit(e, ctx, key, true, sharded, t, func(ctx context.Context) (*core.Result, error) {
@@ -278,6 +269,19 @@ func (e *Engine) unit(ctx context.Context, u Unit) *Future[*core.Result] {
 		e.Record(key, res.Counters)
 		return res, nil
 	})
+}
+
+// Ride submits an opaque core pass over refs references of a registered
+// workload: build returns the pass's simulator, and the future resolves
+// to its Result. A ride joins its stream's fused group as a unit does,
+// so one read of the stream serves both (fuse.go), but it is no unit:
+// nothing keys, memoizes or records it. label identifies it in progress
+// events, as Go's label does, and a caller that reports the pass
+// records its counters itself (Record).
+func (e *Engine) Ride(ctx context.Context, label, workload string, refs uint64, build func() (*core.Simulator, error)) *Future[*core.Result] {
+	t := newTicket(ctx, workload, refs)
+	t.build = build
+	return submit(e, ctx, label, false, false, t, t.result)
 }
 
 // mergeParts reassembles single-TLB unit results into one Result in

@@ -145,8 +145,8 @@ func Combos(ctx context.Context, o *Options) (*tableio.Table, error) {
 // SplitVsUnified compares Section 2.2's option (c) — split per-size
 // TLBs — against a unified exact-index TLB and a fully associative TLB
 // of the same total capacity, all under the two-page policy. Split TLBs
-// are not expressible as one tlb.Config, so each workload runs as an
-// opaque task driving all four organizations in one pass.
+// are not expressible as one tlb.Config, so each workload runs as one
+// ride driving all four organizations.
 func SplitVsUnified(ctx context.Context, o *Options) (*tableio.Table, error) {
 	specs, err := o.ablationSpecs()
 	if err != nil {
@@ -154,11 +154,10 @@ func SplitVsUnified(ctx context.Context, o *Options) (*tableio.Table, error) {
 	}
 	futs := make([]*engine.Future[*core.Result], len(specs))
 	for i, s := range specs {
-		s := s
 		refs := refsFor(s, o.Scale)
 		T := windowFor(refs)
-		futs[i] = engine.Go(o.Engine, ctx, "split "+s.Name,
-			func(ctx context.Context) (*core.Result, error) {
+		futs[i] = o.Engine.Ride(ctx, "split "+s.Name, s.Name, refs,
+			func() (*core.Simulator, error) {
 				// PA-RISC style: fully associative halves (the paper cites
 				// HP's 4-entry Block TLB for large pages).
 				split124, err := tlb.NewMultiSplit([]tlb.Config{
@@ -177,8 +176,7 @@ func SplitVsUnified(ctx context.Context, o *Options) (*tableio.Table, error) {
 					split88,
 					tlb.NewFullyAssoc(16),
 				}
-				pol := policy.NewTwoSize(policy.DefaultTwoSizeConfig(T))
-				return core.NewSimulator(pol, tlbs).Run(ctx, s.New(refs))
+				return core.NewSimulator(policy.NewTwoSize(policy.DefaultTwoSizeConfig(T)), tlbs), nil
 			})
 	}
 	tbl := tableio.New("Ablation: split vs unified two-page TLBs (16 entries total, CPI_TLB)",

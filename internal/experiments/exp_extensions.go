@@ -26,9 +26,9 @@ var multiprogMixes = map[int][]string{
 	4: {"li", "x11perf", "espresso", "eqntott"},
 }
 
-// multiprogRun is one (degree, mode, policy) simulation's outcome.
+// multiprogRun is one (degree, policy) simulation's outcome.
 type multiprogRun struct {
-	cpis     [2]float64 // FA16, FA64
+	cpis     [2][2]float64 // per mode (ASID, flush): FA16, FA64
 	switches uint64
 }
 
@@ -36,17 +36,15 @@ type multiprogRun struct {
 // behaviour under multiprogramming, with ASID-tagged entries versus
 // flush-on-context-switch, for the 4KB baseline and the two-page
 // scheme, on 16- and 64-entry fully associative TLBs. Each
-// (degree, mode, policy) combination is one opaque task; the scheduler
-// interleaves them freely because rows are assembled afterwards in
-// fixed order.
+// (degree, policy) combination is one opaque task: one simulator drives
+// an ASID-tagged FA16/FA64 pair and a flushed pair, and a context
+// switch flushes only the flushed pair (a flush touches no other TLB).
+// The scheduler interleaves the tasks freely because rows are assembled
+// afterwards in fixed order.
 func Multiprog(ctx context.Context, o *Options) (*tableio.Table, error) {
 	degrees := []int{1, 2, 4}
-	type cell struct {
-		futs [2]*engine.Future[multiprogRun] // per policy: 4KB, two-page
-	}
-	cells := map[int]map[bool]*cell{}
+	futs := map[int][2]*engine.Future[multiprogRun]{} // per policy: 4KB, two-page
 	for _, degree := range degrees {
-		degree := degree
 		mix := multiprogMixes[degree]
 		// Per-process length shrinks with degree so each row simulates
 		// comparable total work.
@@ -65,74 +63,67 @@ func Multiprog(ctx context.Context, o *Options) (*tableio.Table, error) {
 		}
 		T := windowFor(perProc * uint64(degree))
 
-		cells[degree] = map[bool]*cell{}
-		for _, flush := range []bool{false, true} {
-			flush := flush
-			c := &cell{}
-			for pi, two := range []bool{false, true} {
-				two := two
-				label := fmt.Sprintf("multiprog d=%d flush=%t two=%t", degree, flush, two)
-				c.futs[pi] = engine.Go(o.Engine, ctx, label,
-					func(ctx context.Context) (multiprogRun, error) {
-						var pol policy.Assigner
-						if two {
-							pol = policy.NewTwoSize(policy.DefaultTwoSizeConfig(T))
-						} else {
-							pol = policy.NewSingle(addr.Size4K)
-						}
-						tlbs := []tlb.TLB{tlb.NewFullyAssoc(16), tlb.NewFullyAssoc(64)}
-						procs := make([]multiprog.Process, degree)
-						for i, name := range mix {
-							s, err := workload.Get(name)
-							if err != nil {
-								return multiprogRun{}, err
-							}
-							procs[i] = multiprog.Process{Name: name, Source: s.New(perProc)}
-						}
-						mp, err := multiprog.New(procs, quantum)
+		var pair [2]*engine.Future[multiprogRun]
+		for pi, two := range []bool{false, true} {
+			label := fmt.Sprintf("multiprog d=%d two=%t", degree, two)
+			pair[pi] = engine.Go(o.Engine, ctx, label,
+				func(ctx context.Context) (multiprogRun, error) {
+					var pol policy.Assigner
+					if two {
+						pol = policy.NewTwoSize(policy.DefaultTwoSizeConfig(T))
+					} else {
+						pol = policy.NewSingle(addr.Size4K)
+					}
+					// ASID FA16, ASID FA64, flushed FA16, flushed FA64.
+					tlbs := []tlb.TLB{tlb.NewFullyAssoc(16), tlb.NewFullyAssoc(64),
+						tlb.NewFullyAssoc(16), tlb.NewFullyAssoc(64)}
+					procs := make([]multiprog.Process, degree)
+					for i, name := range mix {
+						s, err := workload.Get(name)
 						if err != nil {
 							return multiprogRun{}, err
 						}
-						if flush {
-							mp.OnSwitch = func(from, to int) {
-								for _, t := range tlbs {
-									t.Flush()
-								}
-							}
+						procs[i] = multiprog.Process{Name: name, Source: s.New(perProc)}
+					}
+					mp, err := multiprog.New(procs, quantum)
+					if err != nil {
+						return multiprogRun{}, err
+					}
+					mp.OnSwitch = func(from, to int) {
+						for _, t := range tlbs[2:] {
+							t.Flush()
 						}
-						res, err := core.NewSimulator(pol, tlbs).Run(ctx, mp)
-						if err != nil {
-							return multiprogRun{}, err
-						}
-						return multiprogRun{
-							cpis:     [2]float64{res.TLBs[0].CPITLB, res.TLBs[1].CPITLB},
-							switches: mp.Switches(),
-						}, nil
-					})
-			}
-			cells[degree][flush] = c
+					}
+					res, err := core.NewSimulator(pol, tlbs).Run(ctx, mp)
+					if err != nil {
+						return multiprogRun{}, err
+					}
+					return multiprogRun{
+						cpis: [2][2]float64{
+							{res.TLBs[0].CPITLB, res.TLBs[1].CPITLB},
+							{res.TLBs[2].CPITLB, res.TLBs[3].CPITLB},
+						},
+						switches: mp.Switches(),
+					}, nil
+				})
 		}
+		futs[degree] = pair
 	}
 	tbl := tableio.New("Extension: multiprogramming (CPI_TLB, fully associative TLBs)",
 		"Degree", "Mode", "4KB FA16", "4KB FA64", "4K/32K FA16", "4K/32K FA64", "switches")
 	for _, degree := range degrees {
-		for _, flush := range []bool{false, true} {
-			mode := "asid"
-			if flush {
-				mode = "flush"
-			}
-			c := cells[degree][flush]
-			r4, err := c.futs[0].Wait(ctx)
-			if err != nil {
-				return nil, err
-			}
-			r2, err := c.futs[1].Wait(ctx)
-			if err != nil {
-				return nil, err
-			}
+		r4, err := futs[degree][0].Wait(ctx)
+		if err != nil {
+			return nil, err
+		}
+		r2, err := futs[degree][1].Wait(ctx)
+		if err != nil {
+			return nil, err
+		}
+		for mi, mode := range []string{"asid", "flush"} {
 			tbl.Row(fmt.Sprintf("%d", degree), mode,
-				tableio.F(r4.cpis[0], 3), tableio.F(r4.cpis[1], 3),
-				tableio.F(r2.cpis[0], 3), tableio.F(r2.cpis[1], 3),
+				tableio.F(r4.cpis[mi][0], 3), tableio.F(r4.cpis[mi][1], 3),
+				tableio.F(r2.cpis[mi][0], 3), tableio.F(r2.cpis[mi][1], 3),
 				fmt.Sprintf("%d", r2.switches))
 		}
 	}

@@ -89,7 +89,7 @@ func CacheTLB(ctx context.Context, o *Options) (*tableio.Table, error) {
 // associativity): a victim buffer and next-page prefetching behind a
 // 16-entry two-way exact-index TLB, under the two-page policy. The
 // augmented TLBs (tlbx) are not expressible as a plain tlb.Config, so
-// each workload runs as one opaque task driving all four organizations.
+// each workload runs as one ride driving all four organizations.
 func Conflict(ctx context.Context, o *Options) (*tableio.Table, error) {
 	specs, err := o.ablationSpecs()
 	if err != nil {
@@ -97,11 +97,10 @@ func Conflict(ctx context.Context, o *Options) (*tableio.Table, error) {
 	}
 	futs := make([]*engine.Future[*core.Result], len(specs))
 	for i, s := range specs {
-		s := s
 		refs := refsFor(s, o.Scale)
 		T := windowFor(refs)
-		futs[i] = engine.Go(o.Engine, ctx, "conflict "+s.Name,
-			func(ctx context.Context) (*core.Result, error) {
+		futs[i] = o.Engine.Ride(ctx, "conflict "+s.Name, s.Name, refs,
+			func() (*core.Simulator, error) {
 				vict, err := tlbx.NewVictim(tlb.Config{Entries: 16, Ways: 2, Index: tlb.IndexExact}, 4)
 				if err != nil {
 					return nil, err
@@ -116,8 +115,7 @@ func Conflict(ctx context.Context, o *Options) (*tableio.Table, error) {
 					pf,
 					tlb.NewFullyAssoc(16),
 				}
-				pol := policy.NewTwoSize(policy.DefaultTwoSizeConfig(T))
-				return core.NewSimulator(pol, tlbs).Run(ctx, s.New(refs))
+				return core.NewSimulator(policy.NewTwoSize(policy.DefaultTwoSizeConfig(T)), tlbs), nil
 			})
 	}
 	tbl := tableio.New("Extension: conflict mitigation for two-page set-associative TLBs (CPI_TLB)",

@@ -10,7 +10,6 @@ import (
 	"twopage/internal/policy"
 	"twopage/internal/tableio"
 	"twopage/internal/tlb"
-	"twopage/internal/workload"
 	"twopage/internal/wss"
 )
 
@@ -28,24 +27,16 @@ func faCfgN(entries int, classes addr.SizeClasses) tlb.Config {
 	return tlb.Config{Entries: entries, Ways: entries, Shifts: classes.Shifts()}
 }
 
-// sampledLadderWSS runs a policy-only pass of the ladder configuration
-// over the workload through core, with no TLB and the sampled N-size
-// working set attached (core.WithSampledWSS). It is deliberately a
-// separate pass from the TLB simulation: the engine memoizes and fuses
-// the TLB pass across experiments, and the sampler is no part of its
-// key.
-func sampledLadderWSS(ctx context.Context, o *Options, wl string, refs uint64, cfg policy.LadderConfig) *engine.Future[float64] {
+// sampledLadderWSS rides a policy-only pass of the ladder configuration
+// on the workload's stream, with no TLB and the sampled N-size working
+// set attached (core.WithSampledWSS); the Result's WSS holds it. It is
+// deliberately a separate pass from the TLB simulation: the engine
+// memoizes the TLB pass across experiments, and the sampler is no part
+// of its key.
+func sampledLadderWSS(ctx context.Context, o *Options, wl string, refs uint64, cfg policy.LadderConfig) *engine.Future[*core.Result] {
 	key := fmt.Sprintf("ladder3 ws %s T=%d thr=%v", wl, cfg.T, cfg.Thresholds)
-	return engine.Go(o.Engine, ctx, key, func(ctx context.Context) (float64, error) {
-		s, err := workload.Get(wl)
-		if err != nil {
-			return 0, err
-		}
-		res, err := core.NewSimulator(policy.NewLadder(cfg), nil, core.WithSampledWSS(cfg.T)).Run(ctx, s.New(refs))
-		if err != nil {
-			return 0, err
-		}
-		return res.WSS.AvgBytes, nil
+	return o.Engine.Ride(ctx, key, wl, refs, func() (*core.Simulator, error) {
+		return core.NewSimulator(policy.NewLadder(cfg), nil, core.WithSampledWSS(cfg.T)), nil
 	})
 }
 
@@ -67,12 +58,11 @@ func Ladder3(ctx context.Context, o *Options) (*tableio.Table, error) {
 	type variant struct {
 		name string
 		pass *engine.Future[*core.Result]
-		ws   *engine.Future[float64] // nil for NAPOT
+		ws   *engine.Future[*core.Result] // nil for NAPOT
 	}
 	rows := make([][]variant, len(specs))
 	ladders := make([]*engine.Future[[]wss.Result], len(specs))
 	for i, s := range specs {
-		s := s
 		refs := refsFor(s, o.Scale)
 		T := windowFor(refs)
 		ladders[i] = staticWSS(ctx, o, s, refs, uint64(T))
@@ -89,11 +79,11 @@ func Ladder3(ctx context.Context, o *Options) (*tableio.Table, error) {
 		}
 		rows[i] = append(rows[i], variant{
 			name: "napot",
-			pass: engine.Go(o.Engine, ctx, "ladder3 napot "+s.Name,
-				func(ctx context.Context) (*core.Result, error) {
+			pass: o.Engine.Ride(ctx, "ladder3 napot "+s.Name, s.Name, refs,
+				func() (*core.Simulator, error) {
 					pol := policy.NewNapot(policy.NapotConfig{Classes: classes})
 					hw := tlb.MustNew(faCfgN(16, classes))
-					return core.NewSimulator(pol, []tlb.TLB{hw}).Run(ctx, s.New(refs))
+					return core.NewSimulator(pol, []tlb.TLB{hw}), nil
 				}),
 		})
 	}
@@ -120,7 +110,7 @@ func Ladder3(ctx context.Context, o *Options) (*tableio.Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				wsCell = tableio.F(w/base, 2)
+				wsCell = tableio.F(w.WSS.AvgBytes/base, 2)
 			}
 			tbl.Row(s.Name, v.name,
 				tableio.F(res.TLBs[0].CPITLB, 3),
@@ -155,12 +145,10 @@ func NIndex(ctx context.Context, o *Options) (*tableio.Table, error) {
 	}
 	rows := make([][]row, len(specs))
 	for i, s := range specs {
-		s := s
 		refs := refsFor(s, o.Scale)
 		T := windowFor(refs)
 		cfg := policy.DefaultLadderConfig(T, classes)
 		for _, entries := range entriesSweep {
-			entries := entries
 			var cfgs []tlb.Config
 			for k := 0; k < classes.N(); k++ {
 				cfgs = append(cfgs, tlb.Config{
@@ -176,9 +164,8 @@ func NIndex(ctx context.Context, o *Options) (*tableio.Table, error) {
 			rows[i] = append(rows[i], row{
 				entries: entries,
 				pass:    passFuture(ctx, o, s.Name, refs, engine.LadderPolicy(cfg), cfgs...),
-				split: engine.Go(o.Engine, ctx,
-					fmt.Sprintf("nindex split %s e%d", s.Name, entries),
-					func(ctx context.Context) (*core.Result, error) {
+				split: o.Engine.Ride(ctx, fmt.Sprintf("nindex split %s e%d", s.Name, entries), s.Name, refs,
+					func() (*core.Simulator, error) {
 						// Half the entries to the base class, a quarter to
 						// each large class — the 8+4+4 shape of the paper's
 						// PA-RISC example, scaled.
@@ -192,8 +179,7 @@ func NIndex(ctx context.Context, o *Options) (*tableio.Table, error) {
 						if err != nil {
 							return nil, err
 						}
-						pol := policy.NewLadder(cfg)
-						return core.NewSimulator(pol, []tlb.TLB{ms}).Run(ctx, s.New(refs))
+						return core.NewSimulator(policy.NewLadder(cfg), []tlb.TLB{ms}), nil
 					}),
 			})
 		}

@@ -70,7 +70,7 @@ func Phases(ctx context.Context, o *Options) (*tableio.Table, error) {
 		mk := mk
 		futs[i] = engine.Go(o.Engine, ctx, "phases "+names[i],
 			func(ctx context.Context) (phasesRun, error) {
-				res, err := runPolicyVariant(ctx, phasedSource(refsPerPhase), mk(), T)
+				res, err := policyVariantSim(mk(), T).Run(ctx, phasedSource(refsPerPhase))
 				if err != nil {
 					return phasesRun{}, err
 				}

@@ -15,12 +15,12 @@ import (
 	"twopage/internal/wss"
 )
 
-// runPolicyVariant drives one page-size policy over src through core:
-// a 16-entry fully associative TLB, and the working set sampled over
-// the last T references (wss.Sampled, every 256 references; the exact
-// calculator serves only the paper's TwoSize policy).
-func runPolicyVariant(ctx context.Context, src trace.Reader, pol policy.MultiSize, T int) (*core.Result, error) {
-	return core.NewSimulator(pol, []tlb.TLB{tlb.NewFullyAssoc(16)}, core.WithSampledWSS(T)).Run(ctx, src)
+// policyVariantSim builds the core pass that drives one page-size
+// policy: a 16-entry fully associative TLB, and the working set sampled
+// over the last T references (wss.Sampled, every 256 references; the
+// exact calculator serves only the paper's TwoSize policy).
+func policyVariantSim(pol policy.MultiSize, T int) *core.Simulator {
+	return core.NewSimulator(pol, []tlb.TLB{tlb.NewFullyAssoc(16)}, core.WithSampledWSS(T))
 }
 
 // oracleRegions derives static large-page hints from a profiling pass:
@@ -58,11 +58,6 @@ func oracleRegions(ctx context.Context, s workload.Spec, refs uint64) ([]policy.
 	return ranges, nil
 }
 
-// policyVariantRun is one (workload, policy-variant) outcome.
-type policyVariantRun struct {
-	cpi, wss, lg float64
-}
-
 // Policies compares page-size assignment policies — the axis the
 // paper's conclusion flags as its biggest unknown: the dynamic windowed
 // policy (Section 3.4), a static-hint oracle (profile-derived large
@@ -90,9 +85,8 @@ func Policies(ctx context.Context, o *Options) (*tableio.Table, error) {
 				return oracleRegions(ctx, s, refs)
 			})
 	}
-	variants := make([][]*engine.Future[policyVariantRun], len(specs))
+	variants := make([][]*engine.Future[*core.Result], len(specs))
 	for i, s := range specs {
-		s := s
 		refs := refsFor(s, o.Scale)
 		T := windowFor(refs)
 		ranges, err := profiles[i].Wait(ctx)
@@ -112,22 +106,13 @@ func Policies(ctx context.Context, o *Options) (*tableio.Table, error) {
 		}
 		names := []string{"dyn", "static", "cumul"}
 		for j, mk := range mkPol {
-			mk := mk
-			variants[i] = append(variants[i], engine.Go(o.Engine, ctx, "policies "+s.Name+" "+names[j],
-				func(ctx context.Context) (policyVariantRun, error) {
+			variants[i] = append(variants[i], o.Engine.Ride(ctx, "policies "+s.Name+" "+names[j], s.Name, refs,
+				func() (*core.Simulator, error) {
 					pol, err := mk()
 					if err != nil {
-						return policyVariantRun{}, err
+						return nil, err
 					}
-					res, err := runPolicyVariant(ctx, s.New(refs), pol, T)
-					if err != nil {
-						return policyVariantRun{}, err
-					}
-					run := policyVariantRun{cpi: res.TLBs[0].CPITLB, wss: res.WSS.AvgBytes}
-					if st := res.PolicyStats; st.Refs > 0 {
-						run.lg = float64(st.LargeRefs) / float64(st.Refs)
-					}
-					return run, nil
+					return policyVariantSim(pol, T), nil
 				}))
 		}
 	}
@@ -141,13 +126,17 @@ func Policies(ctx context.Context, o *Options) (*tableio.Table, error) {
 		base := ladder[engine.StaticIndex(addr.Shift4K)].AvgBytes
 		var cpis, wsns, lgs []float64
 		for _, f := range variants[i] {
-			run, err := f.Wait(ctx)
+			res, err := f.Wait(ctx)
 			if err != nil {
 				return nil, err
 			}
-			cpis = append(cpis, run.cpi)
-			wsns = append(wsns, run.wss/base)
-			lgs = append(lgs, 100*run.lg)
+			var lg float64
+			if st := res.PolicyStats; st.Refs > 0 {
+				lg = float64(st.LargeRefs) / float64(st.Refs)
+			}
+			cpis = append(cpis, res.TLBs[0].CPITLB)
+			wsns = append(wsns, res.WSS.AvgBytes/base)
+			lgs = append(lgs, 100*lg)
 		}
 		tbl.Row(s.Name,
 			tableio.F(cpis[0], 3), tableio.F(cpis[1], 3), tableio.F(cpis[2], 3),

@@ -11,7 +11,7 @@ import (
 	"twopage/internal/trace"
 )
 
-// runPolicyVariant runs its policy through core, whose TLB keeps up
+// policyVariantSim runs its policy through core, whose TLB keeps up
 // with the policy: a demotion drops the chunk's 32KB entry, so a chunk
 // promoted again misses on its new large page instead of hitting the
 // stale translation. Attaching the sampled working set must leave
@@ -51,7 +51,7 @@ func TestPolicyVariantInvalidatesOnDemote(t *testing.T) {
 	if m := want.TLBs[0].Stats.Misses(); m != 9 {
 		t.Fatalf("core's FA16 missed %d times, want 9", m)
 	}
-	got, err := runPolicyVariant(context.Background(), trace.NewSliceReader(refs), policy.NewTwoSize(cfg), cfg.T)
+	got, err := policyVariantSim(policy.NewTwoSize(cfg), cfg.T).Run(context.Background(), trace.NewSliceReader(refs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +63,6 @@ func TestPolicyVariantInvalidatesOnDemote(t *testing.T) {
 		t.Fatalf("policy stats with the sampler %+v, without %+v", *got.PolicyStats, *want.PolicyStats)
 	}
 	if got.WSS == nil {
-		t.Fatal("runPolicyVariant reported no working set")
+		t.Fatal("policyVariantSim reported no working set")
 	}
 }

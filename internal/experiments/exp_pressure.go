@@ -10,19 +10,18 @@ import (
 	"twopage/internal/policy"
 	"twopage/internal/tableio"
 	"twopage/internal/tlb"
-	"twopage/internal/trace"
 )
 
-// memoryPass drives r through the 4KB baseline or, when two is set,
-// the two-page policy with window T, one TLB and a memory stage.
-func memoryPass(ctx context.Context, two bool, T int, tl tlb.TLB, m core.Memory, r trace.Reader) (*core.Result, error) {
+// memorySim builds the 4KB baseline or, when two is set, the two-page
+// policy with window T, over one TLB and a memory stage.
+func memorySim(two bool, T int, tl tlb.TLB, m core.Memory) *core.Simulator {
 	var pol policy.Assigner
 	if two {
 		pol = policy.NewTwoSize(policy.DefaultTwoSizeConfig(T))
 	} else {
 		pol = policy.NewSingle(addr.Size4K)
 	}
-	return core.NewSimulator(pol, []tlb.TLB{tl}, core.WithMemory(m)).Run(ctx, r)
+	return core.NewSimulator(pol, []tlb.TLB{tl}, core.WithMemory(m))
 }
 
 // Pressure drives the full translation path (TLB + page table + buddy
@@ -37,25 +36,19 @@ func Pressure(ctx context.Context, o *Options) (*tableio.Table, error) {
 		return nil, err
 	}
 	memSizes := []int{16 << 10, 1 << 10, 512}
+	var labels []string
 	var futs []*engine.Future[*core.Result]
 	for _, s := range specs {
-		s := s
 		refs := refsFor(s, o.Scale)
 		T := windowFor(refs)
 		for _, memKB := range memSizes {
-			memKB := memKB
 			for _, two := range []bool{false, true} {
-				two := two
 				label := fmt.Sprintf("pressure %s %dKB two=%t", s.Name, memKB, two)
-				futs = append(futs, engine.Go(o.Engine, ctx, label,
-					func(ctx context.Context) (*core.Result, error) {
-						res, err := memoryPass(ctx, two, T, tlb.NewFullyAssoc(16),
-							core.Memory{Size: addr.PageSize(memKB << 10)}, s.New(refs))
-						if err != nil {
-							return nil, err
-						}
-						o.Engine.Record(label, res.Counters)
-						return res, nil
+				labels = append(labels, label)
+				futs = append(futs, o.Engine.Ride(ctx, label, s.Name, refs,
+					func() (*core.Simulator, error) {
+						return memorySim(two, T, tlb.NewFullyAssoc(16),
+							core.Memory{Size: addr.PageSize(memKB << 10)}), nil
 					}))
 			}
 		}
@@ -74,6 +67,7 @@ func Pressure(ctx context.Context, o *Options) (*tableio.Table, error) {
 				if err != nil {
 					return nil, err
 				}
+				o.Engine.Record(labels[i], res.Counters)
 				per := float64(res.Refs) / 1000
 				mem := fmt.Sprintf("%dKB", memKB)
 				if memKB >= 1<<10 {

@@ -35,35 +35,43 @@ func SharedMem(ctx context.Context, o *Options) (*tableio.Table, error) {
 	T := windowFor(perProc * uint64(len(mix)))
 
 	memSizes := []int{16, 4, 2}
-	var futs []*engine.Future[*core.Result]
-	for _, memMB := range memSizes {
-		memMB := memMB
-		for _, two := range []bool{false, true} {
-			two := two
-			label := fmt.Sprintf("sharedmem %dMB two=%t", memMB, two)
-			futs = append(futs, engine.Go(o.Engine, ctx, label,
-				func(ctx context.Context) (*core.Result, error) {
-					procs := make([]multiprog.Process, len(mix))
-					for i, wname := range mix {
-						s, err := workload.Get(wname)
-						if err != nil {
-							return nil, err
-						}
-						procs[i] = multiprog.Process{Name: wname, Source: s.New(perProc)}
-					}
-					mp, err := multiprog.New(procs, quantum)
-					if err != nil {
-						return nil, err
-					}
-					res, err := memoryPass(ctx, two, T, tlb.NewFullyAssoc(64),
-						core.Memory{Size: addr.PageSize(memMB << 20)}, mp)
-					if err != nil {
-						return nil, err
-					}
-					o.Engine.Record(label, res.Counters)
-					return res, nil
-				}))
-		}
+	// The six memory passes read one interleaving of the mix, and each
+	// records its counters under its own label.
+	fut := engine.Go(o.Engine, ctx, "sharedmem",
+		func(ctx context.Context) ([]*core.Result, error) {
+			var labels []string
+			var sims []*core.Simulator
+			for _, memMB := range memSizes {
+				for _, two := range []bool{false, true} {
+					labels = append(labels, fmt.Sprintf("sharedmem %dMB two=%t", memMB, two))
+					sims = append(sims, memorySim(two, T, tlb.NewFullyAssoc(64),
+						core.Memory{Size: addr.PageSize(memMB << 20)}))
+				}
+			}
+			procs := make([]multiprog.Process, len(mix))
+			for i, wname := range mix {
+				s, err := workload.Get(wname)
+				if err != nil {
+					return nil, err
+				}
+				procs[i] = multiprog.Process{Name: wname, Source: s.New(perProc)}
+			}
+			mp, err := multiprog.New(procs, quantum)
+			if err != nil {
+				return nil, err
+			}
+			results, err := core.RunMany(ctx, mp, sims)
+			if err != nil {
+				return nil, err
+			}
+			for i, res := range results {
+				o.Engine.Record(labels[i], res.Counters)
+			}
+			return results, nil
+		})
+	results, err := fut.Wait(ctx)
+	if err != nil {
+		return nil, err
 	}
 	tbl := tableio.New("Extension: four processes sharing memory under the full MMU (per 1000 accesses)",
 		"Memory", "Policy", "cyc/access", "TLB miss%", "faults", "evictions", "copiedKB")
@@ -74,10 +82,7 @@ func SharedMem(ctx context.Context, o *Options) (*tableio.Table, error) {
 			if two {
 				name = "4KB/32KB"
 			}
-			res, err := futs[i].Wait(ctx)
-			if err != nil {
-				return nil, err
-			}
+			res := results[i]
 			per := float64(res.Refs) / 1000
 			tbl.Row(fmt.Sprintf("%dMB", memMB), name,
 				tableio.F(res.CyclesPerRef(), 2),

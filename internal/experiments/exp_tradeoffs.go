@@ -32,19 +32,16 @@ func DiskIO(ctx context.Context, o *Options) (*tableio.Table, error) {
 	}
 	var cells []cell
 	for _, s := range specs {
-		s := s
 		refs := refsFor(s, o.Scale)
 		T := windowFor(refs)
 		for _, two := range []bool{false, true} {
-			two := two
 			name := "4KB"
 			if two {
 				name = "4KB/32KB"
 			}
-			cells = append(cells, cell{name, engine.Go(o.Engine, ctx, "diskio "+s.Name+" "+name,
-				func(ctx context.Context) (*core.Result, error) {
-					return memoryPass(ctx, two, T, tlb.NewFullyAssoc(16),
-						core.Memory{Size: 1 << 20, Disk: &dm}, s.New(refs))
+			cells = append(cells, cell{name, o.Engine.Ride(ctx, "diskio "+s.Name+" "+name, s.Name, refs,
+				func() (*core.Simulator, error) {
+					return memorySim(two, T, tlb.NewFullyAssoc(16), core.Memory{Size: 1 << 20, Disk: &dm}), nil
 				})})
 		}
 	}

@@ -104,8 +104,8 @@ func diffStream(rng *rand.Rand, per int) addr.PN {
 // two-counter shadow with the same streams and compares them after
 // every step: ActiveBlocks, Step's return, ChunkActive of the stepped
 // and the expired chunk, BlockActive, and the enter/leave sequence with
-// the counts the hooks saw. At checkpoints it compares ActiveChunks and
-// ActiveBlocksOf in full.
+// the counts the hooks saw. At checkpoints it compares ActiveChunks,
+// Chunks and ActiveBlocksOf in full.
 func TestAgainstTwoCounterShadow(t *testing.T) {
 	for _, shift := range []uint{13, 14, 15, 16, 18} {
 		for _, T := range []int{1, 2, 7, 4096} {
@@ -164,8 +164,9 @@ func checkAgainstShadow(t *testing.T, shift uint, T int) {
 	}
 }
 
-// compareInFull checks ActiveChunks against the shadow's chunk map and
-// ActiveBlocksOf for every active chunk and one inactive one.
+// compareInFull checks ActiveChunks and Chunks against the shadow's
+// chunk map and ActiveBlocksOf for every active chunk and one inactive
+// one.
 func compareInFull(t *testing.T, step int, w *Tracker, m *shadow) {
 	t.Helper()
 	var chunks []addr.PN
@@ -182,6 +183,16 @@ func compareInFull(t *testing.T, step int, w *Tracker, m *shadow) {
 	slices.Sort(want)
 	if !slices.Equal(chunks, want) {
 		t.Fatalf("step %d: ActiveChunks visited %#x, want %#x", step, chunks, want)
+	}
+	chunks = chunks[:0]
+	w.Chunks(func(c addr.PN, blocks int) {
+		if blocks != m.chunks[c] {
+			t.Fatalf("step %d: Chunks gave chunk %#x %d blocks, want %d", step, c, blocks, m.chunks[c])
+		}
+		chunks = append(chunks, c)
+	})
+	if slices.Sort(chunks); !slices.Equal(chunks, want) {
+		t.Fatalf("step %d: Chunks visited %#x, want %#x", step, chunks, want)
 	}
 	for _, c := range append(want, 1<<30) {
 		if got, want := w.ActiveBlocksOf(c), m.activeBlocksOf(c); !slices.Equal(got, want) {

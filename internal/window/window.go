@@ -259,6 +259,18 @@ func (w *Tracker) ActiveBlocksOf(c addr.PN) []uint {
 	return out
 }
 
+// Chunks calls fn for every chunk with at least one active block, with
+// its active-block count, in no particular order: a walk of the record
+// arena, with no sort and no index probe, for sums that need no order.
+// fn must not step the tracker.
+func (w *Tracker) Chunks(fn func(c addr.PN, blocks int)) {
+	for i := range w.recs {
+		if r := &w.recs[i]; r.active > 0 {
+			fn(r.chunk, int(r.active))
+		}
+	}
+}
+
 // ActiveChunks calls fn for every chunk with at least one active block,
 // with its active-block count, in ascending chunk order. O(active
 // chunks log active chunks), for periodic sampling rather than the

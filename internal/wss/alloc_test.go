@@ -90,21 +90,27 @@ func TestObserveAllocs(t *testing.T) {
 }
 
 // TestSampledCurrentAllocs pins a warmed-up Sampled.Current — the
-// ActiveChunks walk core.WithSampledWSS runs every sample period — at
-// zero allocations: the window keeps its sorted-key scratch, and
-// Current's callback does not escape.
+// chunk walk core.WithSampledWSS runs every sample period — at zero
+// allocations, for a three-class ladder (the ascending ActiveChunks
+// walk, whose sorted-key scratch the window keeps) and a two-class
+// policy (the unordered Chunks walk): Current's callbacks do not
+// escape.
 func TestSampledCurrentAllocs(t *testing.T) {
 	classes := addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift, addr.Shift256K)
-	pol := policy.NewLadder(policy.DefaultLadderConfig(1<<12, classes))
-	s := mustSampled(t, pol, 1<<12, 0)
-	for _, va := range kernelref.VAStream(1 << 15) {
-		pol.Assign(va)
-		s.Step(va)
-	}
-	if s.Current() == 0 {
-		t.Fatal("empty working set; the stream did not warm the window")
-	}
-	if avg := testing.AllocsPerRun(100, func() { s.Current() }); avg != 0 {
-		t.Errorf("Sampled.Current allocates %.2f times per call, want 0", avg)
+	for _, pol := range []policy.MultiSize{
+		policy.NewLadder(policy.DefaultLadderConfig(1<<12, classes)),
+		policy.NewTwoSize(policy.DefaultTwoSizeConfig(1 << 12)),
+	} {
+		s := mustSampled(t, pol, 1<<12, 0)
+		for _, va := range kernelref.VAStream(1 << 15) {
+			pol.Assign(va)
+			s.Step(va)
+		}
+		if s.Current() == 0 {
+			t.Fatalf("%s: empty working set; the stream did not warm the window", pol.Name())
+		}
+		if avg := testing.AllocsPerRun(100, func() { s.Current() }); avg != 0 {
+			t.Errorf("%s: Sampled.Current allocates %.2f times per call, want 0", pol.Name(), avg)
+		}
 	}
 }

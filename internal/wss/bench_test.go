@@ -24,9 +24,9 @@ func BenchmarkStaticStep(b *testing.B) {
 
 // BenchmarkSampledStep measures the sampled working-set step that
 // core.WithSampledWSS adds to every reference: "shared" reads the
-// policy's own window, so a step is a counter and, every 256th, an
-// ActiveChunks walk; "own" serves a windowless policy, so every step
-// also advances the sampler's window. The policy assigns the stream
+// two-size policy's own window, so a step is a counter and, every
+// 256th, a walk of the window's chunks; "own" serves a windowless
+// policy, so every step also advances the sampler's window. The policy assigns the stream
 // once first, so the timed loop is the sampler alone.
 func BenchmarkSampledStep(b *testing.B) {
 	stream := kernelref.VAStream(1 << 16)

@@ -25,7 +25,8 @@ const DefaultSampleEvery = 256
 //	     + 4KB × (active blocks under no mapping)
 //
 // walking the window's active chunks in ascending order and counting
-// each covering upper-class region once. Sampling every 256 references
+// each covering upper-class region once; with two classes each region
+// is one chunk, so the walk takes the chunks in any order. Sampling every 256 references
 // keeps the cost below one table probe per reference amortized while
 // the estimate stays within sampling noise of the exact average (the
 // window only turns over fully every T references, T >> 256).
@@ -100,6 +101,20 @@ func (s *Sampled) Step(va addr.VA) {
 // Current recomputes the instantaneous working-set size in bytes.
 func (s *Sampled) Current() uint64 {
 	var bytes uint64
+	if s.classes.N() == 2 {
+		// Every class-1 region is one window chunk, so no region can be
+		// counted twice, and the integer sum needs no order: walk the
+		// window's live records as they lie.
+		large := uint64(s.classes.Size(1))
+		s.win.Chunks(func(c addr.PN, blocks int) {
+			if s.pol.TopMappedClass(c) == 0 {
+				bytes += uint64(blocks) * addr.BlockSize
+			} else {
+				bytes += large
+			}
+		})
+		return bytes
+	}
 	// ActiveChunks iterates class-1 regions ascending, so each upper
 	// region's chunks arrive consecutively: remembering the last-counted
 	// region per class is enough to count it exactly once.
