@@ -1,5 +1,9 @@
 // Command tlbsim runs a single TLB simulation over a synthetic workload
-// or a trace file and prints the paper's metrics.
+// or a trace file and prints the paper's metrics. With -mem it also
+// runs core's memory stage (demand paging, buddy allocation, clock
+// replacement and promotion copies over a 4KB/32KB page table) and
+// prints the whole translation path's cost. Every bad flag value or
+// combination is a usage error (exit 2) reported before anything runs.
 //
 // Examples:
 //
@@ -12,6 +16,8 @@
 //	tlbsim -workload li -sizes 4096,32768,262144 -ladder -index class1
 //	tlbsim -trace foo.trc -pagesize 8192        # v2, binary or text, by its magic
 //	tlbsim -workload li -stats -                # JSON run report on stderr
+//	tlbsim -workload matrix300 -mem 4M -two               # memory stage
+//	tlbsim -workload li -mem 128K -two -disk              # faults priced by the disk model
 package main
 
 import (
@@ -20,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -28,8 +35,10 @@ import (
 
 	"twopage/internal/addr"
 	"twopage/internal/core"
+	"twopage/internal/disk"
 	"twopage/internal/engine"
 	"twopage/internal/obs"
+	"twopage/internal/physmem"
 	"twopage/internal/policy"
 	"twopage/internal/profiling"
 	"twopage/internal/tlb"
@@ -72,6 +81,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		walkMem  = fs.Int("walkmem", 0, "memory-side cache bytes for walk loads (0 = default, negative = disable; needs -walk)")
 		shards   = fs.Int("shards", 1, "split the trace into this many sections simulated in parallel and merged (1 = exact serial pass; needs -trace)")
 		warmup   = fs.Uint64("warmup", 0, "per-shard warm-up references replayed before measuring (0 = auto from the policy window; needs -shards > 1)")
+		mem      = fs.String("mem", "", "run the memory stage with this much physical memory, e.g. 512K, 4M (a multiple of 32KB; needs 4KB or 32KB pages; not with -pt, -walk or -shards > 1)")
+		fault    = fs.Float64("faultcycles", 0, "cycles per page fault (0 = default 500; needs -mem)")
+		useDisk  = fs.Bool("disk", false, "price faults with the 1992 positional disk model instead of -faultcycles (needs -mem)")
 		list     = fs.Bool("listworkloads", false, "list synthetic workloads and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -101,6 +113,20 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// The serial pass has no warm-up phase; silently ignoring the
 		// flag would report cold-state metrics as if they were warm.
 		return usage("-warmup requires -shards > 1 (the serial pass replays no warm-up)")
+	case *mem == "" && *fault != 0:
+		return usage("-faultcycles needs -mem")
+	case *mem == "" && *useDisk:
+		return usage("-disk needs -mem")
+	case !(*fault >= 0) || math.IsInf(*fault, 1):
+		return usage("-faultcycles must be a finite number >= 0, got %g", *fault)
+	case *useDisk && *fault != 0:
+		return usage("-disk prices faults with the disk model; it does not combine with -faultcycles")
+	case *wss && (*ladder || !*two):
+		return usage("-wss supports only the two-size policy (-two); use wsssim for single sizes")
+	case *pt && !*two && !*ladder:
+		return usage("-pt needs a multi-size policy (-two or -ladder)")
+	case *walkF && !*two && !*ladder:
+		return usage("-walk needs a multi-size policy (-two or -ladder)")
 	}
 
 	if *list {
@@ -128,16 +154,20 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		for _, part := range strings.Split(*sizes, ",") {
 			v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
 			if err != nil {
-				fmt.Fprintf(stderr, "tlbsim: bad -sizes entry %q: %v\n", part, err)
-				return 1
+				return usage("bad -sizes entry %q: %v", part, err)
 			}
 			ps = append(ps, addr.PageSize(v))
 		}
 		var err error
 		if classes, err = addr.NewSizeClasses(ps...); err != nil {
-			fmt.Fprintf(stderr, "tlbsim: %v\n", err)
-			return 1
+			return usage("-sizes %s: %v", *sizes, err)
 		}
+		if classes.N() < 2 {
+			return usage("-sizes needs at least two page sizes, got %s", *sizes)
+		}
+	}
+	if *ladder && classes.N() < 2 {
+		return usage("-ladder needs -sizes with at least two page sizes")
 	}
 
 	ix, ok := map[string]tlb.IndexScheme{
@@ -147,22 +177,49 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		k, err := strconv.Atoi(strings.TrimPrefix(*index, "class"))
 		if !strings.HasPrefix(*index, "class") || err != nil ||
 			k < 0 || k >= addr.MaxSizeClasses {
-			fmt.Fprintf(stderr, "tlbsim: unknown index scheme %q\n", *index)
-			return 1
+			return usage("-index: unknown scheme %q (want small, large, exact or classK)", *index)
 		}
 		ix = tlb.IndexByClass(k)
 	}
-	w := *ways
-	if w == 0 {
-		w = *entries
+	if _, err := (tlb.Config{Entries: *entries, Ways: *ways}).Normalized(); err != nil {
+		return usage("-entries %d -ways %d: %v", *entries, *ways, err)
 	}
-	tlbCfg := tlb.Config{Entries: *entries, Ways: w, Index: ix}
+	tlbCfg := tlb.Config{Entries: *entries, Ways: *ways, Index: ix}
 	if classes.N() > 0 {
 		tlbCfg.Shifts = classes.Shifts()
 	}
 	if _, err := tlb.New(tlbCfg); err != nil {
-		fmt.Fprintf(stderr, "tlbsim: %v\n", err)
-		return 1
+		// The geometry and the hierarchy are valid, so the index is not.
+		return usage("-index %s: %v", *index, err)
+	}
+
+	// The memory stage backs only 4KB and 32KB frames, walks its own
+	// page table, and has no exact warm-up, so it cannot shard.
+	var memory *core.Memory
+	if *mem != "" {
+		size, err := workload.ParseSize(*mem)
+		if err == nil {
+			err = physmem.CheckSize(addr.PageSize(size))
+		}
+		switch {
+		case err != nil:
+			return usage("-mem %s: %v", *mem, err)
+		case *pt:
+			return usage("-pt does not combine with -mem (the memory stage walks its own page table)")
+		case *walkF:
+			return usage("-walk does not combine with -mem (the memory stage walks its own page table)")
+		case *shards > 1:
+			return usage("-shards > 1 does not combine with -mem (a memory pass has no exact warm-up)")
+		case *ladder && classes != addr.MustShiftClasses(addr.Shift4K, addr.Shift32K):
+			return usage("-mem needs a -ladder over -sizes 4096,32768, got %s", classes)
+		case !*ladder && !*two && addr.PageSize(*pageSize) != addr.Size4K && addr.PageSize(*pageSize) != addr.Size32K:
+			return usage("-mem needs -pagesize 4096 or 32768, got %d", *pageSize)
+		}
+		memory = &core.Memory{Size: addr.PageSize(size), FaultCycles: *fault}
+		if *useDisk {
+			dm := disk.Default()
+			memory.Disk = &dm
+		}
 	}
 
 	var src trace.Reader
@@ -199,8 +256,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	case *wl != "":
 		spec, err := workload.Get(*wl)
 		if err != nil {
-			fmt.Fprintf(stderr, "tlbsim: %v\n", err)
-			return 1
+			return usage("-workload: %v", err)
 		}
 		nRefs = *refs
 		if nRefs == 0 {
@@ -208,8 +264,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		src, srcName = spec.New(nRefs), *wl
 	default:
-		fmt.Fprintln(stderr, "tlbsim: need -workload, -spec, or -trace (try -listworkloads)")
-		return 1
+		return usage("need -workload, -spec, or -trace (try -listworkloads)")
 	}
 
 	// newPolicy builds a fresh policy per simulator: sharded runs give
@@ -218,19 +273,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	polT := 0 // policy window, for the auto warm-up length
 	switch {
 	case *ladder:
-		if classes.N() < 2 {
-			fmt.Fprintln(stderr, "tlbsim: -ladder needs -sizes with at least two page sizes")
-			return 1
-		}
-		if *wss {
-			fmt.Fprintln(stderr, "tlbsim: -wss supports only the two-size policy")
-			return 1
-		}
 		polT = policyWindow(*window, nRefs)
 		cfg := policy.DefaultLadderConfig(polT, classes)
 		if err := cfg.Validate(); err != nil {
-			fmt.Fprintf(stderr, "tlbsim: -ladder: %v\n", err)
-			return 1
+			return usage("-ladder: %v", err)
 		}
 		newPolicy = func() policy.Assigner { return policy.NewLadder(cfg) }
 	case *two:
@@ -241,21 +287,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		newPolicy = func() policy.Assigner { return policy.NewTwoSize(cfg) }
 	default:
-		if *wss {
-			fmt.Fprintln(stderr, "tlbsim: -wss requires -two (use wsssim for single sizes)")
-			return 1
-		}
 		newPolicy = func() policy.Assigner {
 			return policy.NewSingle(addr.MustPow2(addr.PageSize(*pageSize)))
 		}
-	}
-	if *pt && !*two && !*ladder {
-		fmt.Fprintln(stderr, "tlbsim: -pt needs a multi-size policy (-two or -ladder)")
-		return 1
-	}
-	if *walkF && !*two && !*ladder {
-		fmt.Fprintln(stderr, "tlbsim: -walk needs a multi-size policy (-two or -ladder)")
-		return 1
 	}
 	wcfg := walk.Config{
 		// Classes stay zero: core derives them from the policy.
@@ -290,6 +324,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		if *walkF {
 			opts = append(opts, core.WithWalkModel(wcfg))
+		}
+		if memory != nil {
+			opts = append(opts, core.WithMemory(*memory))
 		}
 		return core.NewSimulator(newPolicy(), []tlb.TLB{t}, opts...), nil
 	}
@@ -347,9 +384,22 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stdout, "CPI_TLB:     %.4f  (penalty %.0f cycles)\n", tr.CPITLB, tr.MissPenalty)
 	}
 	fmt.Fprintf(stdout, "reprobes:    %d (sequential exact-index cost model)\n", tr.Stats.Reprobes())
-	if res.PageTable != nil {
+	if ms, pt := res.Memory, res.PageTable; ms != nil {
+		fmt.Fprintf(stdout, "walks:        %d (%d refills, %d faults)\n", pt.Lookups, pt.Lookups-pt.Misses, pt.Misses)
+		fmt.Fprintf(stdout, "replacement:  %d evictions (%d large)\n", ms.Evictions, ms.EvictionsByClass[1])
+		fmt.Fprintf(stdout, "promotion:    %d promotions, %d demotions, %.1f KB copied\n",
+			pt.Promotions, pt.Demotions, float64(pt.CopiedBytes)/1024)
+		fmt.Fprintf(stdout, "memory:       %d/%d frames free, %d large allocs, %d fragmentation-blocked\n",
+			ms.FreeFrames, ms.TotalFrames, ms.Buddy.LargeAllocs, ms.Buddy.FailedLargeFragmented)
+		if ms.IO.PageIns > 0 {
+			fmt.Fprintf(stdout, "disk I/O:     %d page-ins, %.2f MB, %.0f ms\n",
+				ms.IO.PageIns, float64(ms.IO.BytesIn)/(1<<20),
+				ms.IO.IOCycles/(memory.Disk.CPUMHz*1e3))
+		}
+		fmt.Fprintf(stdout, "translation:  %.3f cycles/access (%.0f total)\n", res.CyclesPerRef(), ms.Cycles)
+	} else if pt != nil {
 		fmt.Fprintf(stdout, "pt walks:    %d (faults %d, %.0f walk cycles)\n",
-			res.PageTable.Lookups, res.PageTable.Misses, res.PTWalkCycles)
+			pt.Lookups, pt.Misses, res.PTWalkCycles)
 	}
 	if ws := res.Walk; ws != nil {
 		fmt.Fprintf(stdout, "walk model:  %d walks, %d loads, %.1f cycles/walk\n",

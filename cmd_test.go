@@ -137,7 +137,7 @@ func TestCommandLineTools(t *testing.T) {
 			}
 		}
 		// -walk without a multi-size policy is a usage error.
-		if code, out := runBinErr(t, bin, "-workload", "li", "-refs", "50000", "-walk"); code != 1 || !strings.Contains(out, "-walk needs a multi-size policy") {
+		if code, out := runBinErr(t, bin, "-workload", "li", "-refs", "50000", "-walk"); code != 2 || !strings.Contains(out, "-walk needs a multi-size policy") {
 			t.Errorf("single-size -walk: exit %d, output:\n%s", code, out)
 		}
 	})
@@ -169,9 +169,12 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
-	// A bad flag value is a usage error: exit 2 with a message naming
-	// the flag. A Go panic also exits 2, so each case also rules out a
-	// panic trace, and a watchdog turns a hang into a failure.
+	// A bad flag value or combination is a usage error: exit 2 with a
+	// message naming the flag. A Go panic also exits 2, so each case
+	// also rules out a panic trace, and an undefined flag prints every
+	// flag's name, so each case rules that out too; a watchdog turns a
+	// hang into a failure. A boolean flag named in a case's name is
+	// followed by the flag it does not combine with, if any.
 	t.Run("bad-flag-values", func(t *testing.T) {
 		gen := buildCmd(t, dir, "tracegen")
 		v2 := filepath.Join(dir, "li.v2")
@@ -191,13 +194,28 @@ func TestCommandLineTools(t *testing.T) {
 			{"tlbsim", "-shards", []string{"-trace", v2, "-shards", "0"}},
 			{"tlbsim", "-shards", []string{"-trace", v2, "-shards", "-2"}},
 			{"tlbsim", "-shards", append([]string{"-shards", "2"}, li...)},
-			{"vmsim", "-T", []string{"-workload", "li", "-refs", "20000", "-two", "-T", "-5"}},
-			{"vmsim", "-mem", append([]string{"-mem", "17592186044417M"}, li...)},
-			{"vmsim", "-mem", append([]string{"-mem", "1073741824M"}, li...)},
-			{"vmsim", "-mem", append([]string{"-mem", "5000"}, li...)},
-			{"vmsim", "-faultcycles", append([]string{"-faultcycles", "-1"}, li...)},
-			{"vmsim", "-entries", append([]string{"-entries", "0"}, li...)},
-			{"vmsim", "-ways", append([]string{"-entries", "16", "-ways", "3"}, li...)},
+			{"tlbsim", "-workload", []string{"-workload", "bogus", "-refs", "20000"}},
+			{"tlbsim", "-index", append([]string{"-index", "bogus"}, li...)},
+			{"tlbsim", "-sizes", append([]string{"-sizes", "4096,abc"}, li...)},
+			{"tlbsim", "-ladder", append(li, "-ladder")},
+			{"tlbsim", "-wss", append(li, "-wss")},
+			{"tlbsim", "-pt", append(li, "-pt")},
+			{"tlbsim", "-walk", append(li, "-walk")},
+			{"tlbsim", "-entries", append([]string{"-entries", "0"}, li...)},
+			{"tlbsim", "-ways", append([]string{"-entries", "16", "-ways", "3"}, li...)},
+			{"tlbsim", "-mem", append([]string{"-mem", "17592186044417M"}, li...)},
+			{"tlbsim", "-mem", append([]string{"-mem", "1073741824M"}, li...)},
+			{"tlbsim", "-mem", append([]string{"-mem", "5000"}, li...)},
+			{"tlbsim", "-pt", append([]string{"-pt", "-mem", "256K", "-two"}, li...)},
+			{"tlbsim", "-walk", append([]string{"-walk", "-mem", "256K", "-two"}, li...)},
+			{"tlbsim", "-shards", []string{"-trace", v2, "-shards", "3", "-mem", "256K"}},
+			{"tlbsim", "-pagesize", append([]string{"-pagesize", "8192", "-mem", "256K"}, li...)},
+			{"tlbsim", "-ladder", append([]string{"-ladder", "-mem", "256K", "-sizes", "4096,32768,262144"}, li...)},
+			{"tlbsim", "-faultcycles", append([]string{"-faultcycles", "500"}, li...)},
+			{"tlbsim", "-disk", append(li, "-disk")},
+			{"tlbsim", "-disk", append([]string{"-disk", "-faultcycles", "2000", "-mem", "16M"}, li...)},
+			{"tlbsim", "-faultcycles", append([]string{"-mem", "16M", "-faultcycles", "-1"}, li...)},
+			{"tlbsim", "-T", append([]string{"-mem", "16M", "-two", "-T", "-5"}, li...)},
 			{"paper", "-scale", []string{"-scale", "NaN", "-workloads", "li", "table3.1"}},
 			{"paper", "-scale", []string{"-scale", "-1", "-workloads", "li", "table3.1"}},
 			{"paper", "-scale", []string{"-scale", "0", "-workloads", "li", "table3.1"}},
@@ -241,6 +259,9 @@ func TestCommandLineTools(t *testing.T) {
 				if strings.Contains(string(out), "panic:") || strings.Contains(string(out), "goroutine") {
 					t.Errorf("%s %v: panicked:\n%s", tc.cmd, tc.args, out)
 				}
+				if strings.Contains(string(out), "flag provided but not defined") {
+					t.Errorf("%s %v: uses an undefined flag:\n%s", tc.cmd, tc.args, out)
+				}
 			})
 		}
 		// tracegen checks -format before it creates the output file.
@@ -250,7 +271,7 @@ func TestCommandLineTools(t *testing.T) {
 		// The auto window (refs/8) of a tiny trace is one reference, not
 		// a zero that the policy constructors reject.
 		runBin(t, bin(t, "tlbsim"), "-workload", "li", "-refs", "5", "-two")
-		runBin(t, bin(t, "vmsim"), "-workload", "li", "-refs", "5", "-two")
+		runBin(t, bin(t, "tlbsim"), "-workload", "li", "-refs", "5", "-two", "-mem", "16M")
 		runBin(t, bin(t, "wsssim"), "-workload", "li", "-refs", "5")
 	})
 
@@ -477,22 +498,42 @@ func TestCommandLineTools(t *testing.T) {
 		}
 	})
 
-	t.Run("vmsim", func(t *testing.T) {
-		bin := buildCmd(t, dir, "vmsim")
-		out := runBin(t, bin, "-workload", "matrix300", "-refs", "100000", "-mem", "1M", "-two")
-		for _, want := range []string{"TLB:", "walks:", "promotion:", "cycles/access"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("vmsim output missing %q:\n%s", want, out)
+	// The memory stage over a trace file answers as over the generated
+	// workload it was written from, and its counters reach the run
+	// report.
+	t.Run("tlbsim-mem", func(t *testing.T) {
+		bin := buildCmd(t, dir, "tlbsim")
+		trc := filepath.Join(dir, "li-mem.v2")
+		runBin(t, buildCmd(t, dir, "tracegen"), "-workload", "li", "-refs", "100000", "-format", "v2", "-o", trc)
+		args := []string{"-mem", "256K", "-two"}
+		rep := filepath.Join(dir, "tlbsim-mem.json")
+		want := runBin(t, bin, append([]string{"-workload", "li", "-refs", "100000", "-stats", rep}, args...)...)
+		if got := runBin(t, bin, append([]string{"-trace", trc}, args...)...); got != want {
+			t.Errorf("tlbsim -mem over a v2 trace differs from the generated workload:\n got:\n%s\nwant:\n%s", got, want)
+		}
+		b, err := os.ReadFile(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r struct {
+			Totals map[string]uint64 `json:"totals"`
+		}
+		if err := json.Unmarshal(b, &r); err != nil {
+			t.Fatalf("%s: %v", rep, err)
+		}
+		for _, key := range []string{"faults", "evictions", "buddy_splits", "buddy_coalesces", "buddy_peak_resident"} {
+			if r.Totals[key] == 0 {
+				t.Errorf("tlbsim -mem -stats: totals.%s = %d, want > 0\n%s", key, r.Totals[key], b)
 			}
 		}
 	})
 
-	// vmsim's whole report, byte for byte, on configurations that
-	// evict pages of both sizes, price faults with the disk model, use
-	// a set-associative TLB and a non-default fault cost. Rewrite
-	// testdata/vmsim with -update after an intentional output change.
-	t.Run("vmsim-golden", func(t *testing.T) {
-		bin := buildCmd(t, dir, "vmsim")
+	// The memory stage's whole report, byte for byte, on configurations
+	// that evict pages of both sizes, price faults with the disk model,
+	// use a set-associative TLB and a non-default fault cost. Rewrite
+	// testdata/tlbsim with -update after an intentional output change.
+	t.Run("tlbsim-mem-golden", func(t *testing.T) {
+		bin := buildCmd(t, dir, "tlbsim")
 		cases := []struct {
 			name string
 			args []string
@@ -508,9 +549,9 @@ func TestCommandLineTools(t *testing.T) {
 			t.Run(tc.name, func(t *testing.T) {
 				got, err := exec.Command(bin, tc.args...).Output()
 				if err != nil {
-					t.Fatalf("vmsim %v: %v", tc.args, err)
+					t.Fatalf("tlbsim %v: %v", tc.args, err)
 				}
-				path := filepath.Join("testdata", "vmsim", tc.name+".txt")
+				path := filepath.Join("testdata", "tlbsim", tc.name+".txt")
 				if *update {
 					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 						t.Fatal(err)
@@ -524,7 +565,7 @@ func TestCommandLineTools(t *testing.T) {
 					t.Fatal(err)
 				}
 				if string(got) != string(want) {
-					t.Errorf("vmsim %v drifted from %s:\n got:\n%s\nwant:\n%s", tc.args, path, got, want)
+					t.Errorf("tlbsim %v drifted from %s:\n got:\n%s\nwant:\n%s", tc.args, path, got, want)
 				}
 			})
 		}

@@ -14,7 +14,7 @@ import (
 // Regenerate the golden corpus with:
 //
 //	go test -run TestGolden -update   (or: make golden-update)
-var update = flag.Bool("update", false, "rewrite testdata/golden and testdata/vmsim from current output")
+var update = flag.Bool("update", false, "rewrite testdata/golden and testdata/tlbsim from current output")
 
 // goldenPath maps an experiment ID to its golden file. IDs like
 // "table3.1" are already safe filenames.

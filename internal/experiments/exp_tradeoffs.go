@@ -91,10 +91,12 @@ type protStats struct {
 // (DenyPromotion) shows the OS fix: keep chunks with sub-page
 // protection on small pages.
 //
-// The profile pass must finish before the scheme passes can start, so
+// The profile pass must finish before the scheme pass can start, so
 // the experiment stages its submissions: all profiles first, then each
-// workload's four schemes as its profile lands (tasks themselves never
-// wait on other tasks).
+// workload's scheme pass as its profile lands (tasks themselves never
+// wait on other tasks). The scheme pass drives all four schemes' policies
+// through one read of the stream, handing each batch to every policy
+// in turn.
 func Protect(ctx context.Context, o *Options) (*tableio.Table, error) {
 	specs, err := o.ablationSpecs()
 	if err != nil {
@@ -129,7 +131,7 @@ func Protect(ctx context.Context, o *Options) (*tableio.Table, error) {
 				return p, nil
 			})
 	}
-	schemes := make([][]*engine.Future[protStats], len(specs))
+	schemes := make([]*engine.Future[[]protStats], len(specs))
 	for i, s := range specs {
 		s := s
 		refs := refsFor(s, o.Scale)
@@ -138,25 +140,20 @@ func Protect(ctx context.Context, o *Options) (*tableio.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, name := range schemeNames {
-			name := name
-			schemes[i] = append(schemes[i], engine.Go(o.Engine, ctx, "protect "+s.Name+" "+name,
-				func(ctx context.Context) (protStats, error) {
-					var pol policy.Assigner
-					switch name {
-					case "4KB":
-						pol = policy.NewSingle(addr.Size4K)
-					case "32KB":
-						pol = policy.NewSingle(addr.Size32K)
-					case "4KB/32KB":
-						pol = policy.NewTwoSize(policy.DefaultTwoSizeConfig(T))
-					default:
-						veto := policy.DefaultTwoSizeConfig(T)
-						veto.DenyPromotion = func(c addr.PN) bool { return prof.protChunk[c] }
-						pol = policy.NewTwoSize(veto)
-					}
-					var st protStats
-					_, err := trace.DrainContext(ctx, s.New(refs), func(batch []trace.Ref) {
+		schemes[i] = engine.Go(o.Engine, ctx, "protect "+s.Name,
+			func(ctx context.Context) ([]protStats, error) {
+				veto := policy.DefaultTwoSizeConfig(T)
+				veto.DenyPromotion = func(c addr.PN) bool { return prof.protChunk[c] }
+				pols := []policy.Assigner{ // in schemeNames order
+					policy.NewSingle(addr.Size4K),
+					policy.NewSingle(addr.Size32K),
+					policy.NewTwoSize(policy.DefaultTwoSizeConfig(T)),
+					policy.NewTwoSize(veto),
+				}
+				stats := make([]protStats, len(pols))
+				_, err := trace.DrainContext(ctx, s.New(refs), func(batch []trace.Ref) {
+					for j, pol := range pols {
+						st := &stats[j]
 						//paperlint:ignore oneloop the store check needs each reference's kind and mapped page, and no TLB; it belongs to this experiment alone
 						for _, ref := range batch {
 							res := pol.Assign(ref.Addr)
@@ -180,19 +177,20 @@ func Protect(ctx context.Context, o *Options) (*tableio.Table, error) {
 								}
 							}
 						}
-					})
-					return st, err
-				}))
-		}
+					}
+				})
+				return stats, err
+			})
 	}
 	tbl := tableio.New("Extension: sub-page write protection (faults per 1000 stores)",
 		"Program", "Scheme", "true", "spurious", "spurious ratio")
 	for i, s := range specs {
+		stats, err := schemes[i].Wait(ctx)
+		if err != nil {
+			return nil, err
+		}
 		for j, name := range schemeNames {
-			st, err := schemes[i][j].Wait(ctx)
-			if err != nil {
-				return nil, err
-			}
+			st := stats[j]
 			per := float64(st.stores) / 1000
 			ratio := 0.0
 			if st.trueF > 0 {

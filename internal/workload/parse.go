@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -81,8 +82,11 @@ func parseFields(parts []string) (fields, error) {
 	return f, nil
 }
 
-// size parses "128", "4K", "16M", "0x1000".
-func parseSize(s string) (uint64, error) {
+// ParseSize parses a byte count in the spec language's size syntax:
+// decimal or 0x-prefixed hexadecimal, with an optional K, M or G suffix
+// (powers of 1024), as in "128", "4K", "16M", "0x1000". A count whose
+// byte value overflows 64 bits is an error.
+func ParseSize(s string) (uint64, error) {
 	mult := uint64(1)
 	up := strings.ToUpper(s)
 	switch {
@@ -103,6 +107,9 @@ func parseSize(s string) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
+	if v > math.MaxUint64/mult {
+		return 0, fmt.Errorf("size %q overflows 64 bits", s)
+	}
 	return v * mult, nil
 }
 
@@ -111,7 +118,7 @@ func (f fields) size(key string, def uint64) (uint64, error) {
 	if !ok {
 		return def, nil
 	}
-	return parseSize(s)
+	return ParseSize(s)
 }
 
 func (f fields) sizeReq(key string) (uint64, error) {
@@ -119,7 +126,7 @@ func (f fields) sizeReq(key string) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("missing required field %q", key)
 	}
-	return parseSize(s)
+	return ParseSize(s)
 }
 
 func (f fields) float(key string, def float64) (float64, error) {
@@ -139,7 +146,7 @@ func (f fields) intVal(key string, def int) (int, error) {
 	if !ok {
 		return def, nil
 	}
-	v, err := parseSize(s)
+	v, err := ParseSize(s)
 	if err != nil {
 		return 0, err
 	}
@@ -341,7 +348,7 @@ func (p *specParser) parseStream(kind string, f fields) error {
 		}
 		var bases []addr.VA
 		for _, b := range strings.Split(raw, ",") {
-			v, err := parseSize(b)
+			v, err := ParseSize(b)
 			if err != nil {
 				return err
 			}

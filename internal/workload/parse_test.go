@@ -125,14 +125,14 @@ func TestParseSizeSuffixes(t *testing.T) {
 		"2k":     2048,
 	}
 	for in, want := range cases {
-		got, err := parseSize(in)
+		got, err := ParseSize(in)
 		if err != nil || got != want {
-			t.Errorf("parseSize(%q) = %d, %v; want %d", in, got, err, want)
+			t.Errorf("ParseSize(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "abc", "4KB", "-3"} {
-		if _, err := parseSize(bad); err == nil {
-			t.Errorf("parseSize(%q) should fail", bad)
+	for _, bad := range []string{"", "abc", "4KB", "-3", "17592186044417M", "0x400000000G"} {
+		if _, err := ParseSize(bad); err == nil {
+			t.Errorf("ParseSize(%q) should fail", bad)
 		}
 	}
 }
@@ -154,6 +154,7 @@ func TestParseErrors(t *testing.T) {
 		{"robin size=4K weight=1", "missing bases"},
 		{"chase base=1M span=8K clusters=4 csize=4K weight=1", "span >= clusters*csize"},
 		{"uniform base=1M size=4K weight=1 junk", "malformed field"},
+		{"uniform base=1M size=17592186044417M weight=1", "overflows 64 bits"},
 		{"", "no data streams"},
 	}
 	for _, c := range cases {
