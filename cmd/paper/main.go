@@ -182,8 +182,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	names, err := splitWorkloads(*workloads)
 	if err != nil {
-		fmt.Fprintf(stderr, "paper: %v\n", err)
-		return 1
+		return usage("%v", err)
 	}
 
 	// One engine serves every experiment: -j bounds its pool, and it

@@ -258,12 +258,12 @@ func TestSplitWorkloads(t *testing.T) {
 	}
 }
 
-// Bad -workloads tokens must fail fast with exit 1, before any
+// Bad -workloads tokens are a usage error: exit 2, before any
 // experiment runs.
 func TestBadWorkloadFlagFailsFast(t *testing.T) {
 	code, stdout, stderr := runPaper(t, "-scale", "0.01", "-workloads", "li,,bogus", "table3.1")
-	if code != 1 {
-		t.Errorf("exit = %d, want 1", code)
+	if code != 2 {
+		t.Errorf("exit = %d, want 2", code)
 	}
 	if stdout != "" {
 		t.Errorf("stdout not empty on flag error:\n%s", stdout)

@@ -13,7 +13,7 @@
 //	tlbsim -workload li -two -walk                         # modeled page walks
 //	tlbsim -workload li -two -walk -walkpwc -1 -walkmem -1 # walk, caches off
 //	tlbsim -workload li -sizes 4096,32768,262144 -ladder   # three-size ladder
-//	tlbsim -workload li -sizes 4096,32768,262144 -ladder -index class1
+//	tlbsim -workload li -sizes 4096,32768,262144 -ladder -ways 2 -index class1
 //	tlbsim -trace foo.trc -pagesize 8192        # v2, binary or text, by its magic
 //	tlbsim -workload li -stats -                # JSON run report on stderr
 //	tlbsim -workload matrix300 -mem 4M -two               # memory stage
@@ -94,12 +94,31 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	// Every flag value is checked before anything is built: a bad one
 	// is a usage error naming the flag, never a panic in a constructor
-	// (or on a shard worker) and never a silently substituted default.
+	// (or on a shard worker), never a silently substituted default, and
+	// never a flag the configuration ignores.
 	usage := func(format string, args ...any) int {
 		fmt.Fprintf(stderr, "tlbsim: "+format+"\n", args...)
 		return 2
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
+	case set["workload"] && (*traceF != "" || *specF != ""):
+		return usage("-workload does not combine with -trace or -spec")
+	case set["spec"] && *traceF != "":
+		return usage("-spec does not combine with -trace")
+	case *two && *ladder:
+		return usage("-two does not combine with -ladder (the ladder is the policy)")
+	case set["threshold"] && !*two:
+		return usage("-threshold needs -two (the ladder uses its default thresholds)")
+	case set["T"] && !*two && !*ladder:
+		return usage("-T needs -two or -ladder (a single page size has no window)")
+	case set["pagesize"] && (*two || *ladder):
+		return usage("-pagesize sets a single page size; it does not combine with -two or -ladder")
+	case set["walkpwc"] && !*walkF:
+		return usage("-walkpwc needs -walk")
+	case set["walkmem"] && !*walkF:
+		return usage("-walkmem needs -walk")
 	case *window < 0:
 		return usage("-T must be >= 0 (0 = refs/8), got %d", *window)
 	case !addr.PageSize(*pageSize).Valid():
@@ -181,8 +200,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		ix = tlb.IndexByClass(k)
 	}
-	if _, err := (tlb.Config{Entries: *entries, Ways: *ways}).Normalized(); err != nil {
+	geom, err := (tlb.Config{Entries: *entries, Ways: *ways}).Normalized()
+	if err != nil {
 		return usage("-entries %d -ways %d: %v", *entries, *ways, err)
+	}
+	if set["index"] && geom.Ways == geom.Entries {
+		return usage("-index needs a set-associative TLB (-ways below -entries); a fully associative one has no set index")
 	}
 	tlbCfg := tlb.Config{Entries: *entries, Ways: *ways, Index: ix}
 	if classes.N() > 0 {

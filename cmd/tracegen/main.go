@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,29 +24,53 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole program behind a single os.Exit. Every bad flag
+// value or combination is a usage error (exit 2) reported before any
+// file exists.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		wl     = flag.String("workload", "", "synthetic workload name")
-		specF  = flag.String("spec", "", "custom workload spec file (see workload.Parse)")
-		refs   = flag.Uint64("refs", 0, "trace length (0 = workload default)")
-		out    = flag.String("o", "", "output file (default <workload>.trc)")
-		format = flag.String("format", "binary", "v2, binary, or text")
+		wl     = fs.String("workload", "", "synthetic workload name")
+		specF  = fs.String("spec", "", "custom workload spec file (see workload.Parse)")
+		refs   = fs.Uint64("refs", 0, "trace length (0 = workload default)")
+		out    = fs.String("o", "", "output file (default <workload>.trc)")
+		format = fs.String("format", "binary", "v2, binary, or text")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "tracegen: "+format+"\n", args...)
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "tracegen: "+format+"\n", args...)
+		return 1
+	}
 	newWriter, ok := writers[*format]
-	if !ok {
-		// A usage error, like a bad flag: exit 2 before any file exists.
-		fmt.Fprintf(os.Stderr, "tracegen: -format must be v2, binary, or text, got %q\n", *format)
-		os.Exit(2)
+	switch {
+	case !ok:
+		return usage("-format must be v2, binary, or text, got %q", *format)
+	case *wl == "" && *specF == "":
+		return usage("need -workload or -spec (workloads: %v)", workload.Names())
+	case *wl != "" && *specF != "":
+		return usage("-workload does not combine with -spec")
 	}
 
 	var src trace.Reader
 	var n uint64
 	name := ""
-	switch {
-	case *specF != "":
+	if *specF != "" {
 		text, err := os.ReadFile(*specF)
 		if err != nil {
-			fatal("%v", err)
+			return fail("%v", err)
 		}
 		n = *refs
 		if n == 0 {
@@ -53,13 +78,13 @@ func main() {
 		}
 		src, err = workload.Parse(*specF, n, string(text))
 		if err != nil {
-			fatal("%v", err)
+			return fail("%v", err)
 		}
 		name = "custom"
-	case *wl != "":
+	} else {
 		spec, err := workload.Get(*wl)
 		if err != nil {
-			fatal("%v", err)
+			return usage("-workload: %v", err)
 		}
 		n = *refs
 		if n == 0 {
@@ -67,8 +92,6 @@ func main() {
 		}
 		src = spec.New(n)
 		name = spec.Name
-	default:
-		fatal("need -workload or -spec (workloads: %v)", workload.Names())
 	}
 	path := *out
 	if path == "" {
@@ -76,15 +99,11 @@ func main() {
 	}
 	written, size, err := write(path, src, newWriter)
 	if err != nil {
-		fatal("writing %s: %v", path, err)
+		return fail("writing %s: %v", path, err)
 	}
-	fmt.Printf("wrote %d references to %s (%d bytes, %.2f bytes/ref)\n",
+	fmt.Fprintf(stdout, "wrote %d references to %s (%d bytes, %.2f bytes/ref)\n",
 		written, path, size, float64(size)/float64(written))
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "tracegen: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }
 
 // traceWriter is what the three trace encoders share.

@@ -13,8 +13,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"twopage/internal/addr"
@@ -24,16 +26,48 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole program behind a single os.Exit, so the trace file
+// is closed on every exit path. Every bad flag value or combination is
+// a usage error (exit 2) reported before anything is read.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("traceinfo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		wl     = flag.String("workload", "", "synthetic workload name")
-		refs   = flag.Uint64("refs", 0, "trace length (0 = workload default)")
-		traceF = flag.String("trace", "", "trace file instead of a workload")
-		all    = flag.Bool("all", false, "summarize all twelve programs (one line each)")
+		wl     = fs.String("workload", "", "synthetic workload name")
+		refs   = fs.Uint64("refs", 0, "trace length (0 = workload default)")
+		traceF = fs.String("trace", "", "trace file instead of a workload")
+		all    = fs.Bool("all", false, "summarize all twelve programs (one line each)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "traceinfo: "+format+"\n", args...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "traceinfo: %v\n", err)
+		return 1
+	}
+	switch {
+	case *all && *wl != "":
+		return usage("-all summarizes every program; it does not combine with -workload")
+	case *all && *traceF != "":
+		return usage("-all summarizes every program; it does not combine with -trace")
+	case !*all && *wl == "" && *traceF == "":
+		return usage("need -workload, -trace, or -all")
+	case *wl != "" && *traceF != "":
+		return usage("-workload does not combine with -trace")
+	}
 
 	if *all {
-		fmt.Printf("%-10s %-9s %-10s %-12s %-12s %s\n",
+		fmt.Fprintf(stdout, "%-10s %-9s %-10s %-12s %-12s %s\n",
 			"program", "refs(M)", "footprint", "blocks/chunk", "promotable", "sequential")
 		for _, s := range workload.All() {
 			n := *refs
@@ -42,56 +76,49 @@ func main() {
 			}
 			rep, err := tracestat.Analyze(s.New(n))
 			if err != nil {
-				fatal("%v", err)
+				return fail(err)
 			}
-			fmt.Printf("%-10s %-9.1f %-10s %-12.2f %-12s %s\n",
+			fmt.Fprintf(stdout, "%-10s %-9.1f %-10s %-12.2f %-12s %s\n",
 				s.Name, float64(n)/1e6,
 				fmt.Sprintf("%.2fMB", float64(rep.FootprintBytes)/(1<<20)),
 				rep.MeanDensity(),
 				fmt.Sprintf("%.0f%%", 100*rep.PromotableFraction(addr.BlocksPerChunk/2)),
 				fmt.Sprintf("%.0f%%", 100*rep.SeqFraction()))
 		}
-		return
+		return 0
 	}
 
 	var src trace.Reader
-	switch {
-	case *traceF != "":
+	if *traceF != "" {
 		f, err := trace.OpenFile(context.Background(), *traceF)
 		if err != nil {
-			fatal("%v", err)
+			return fail(err)
 		}
 		defer f.Close()
-		fmt.Printf("v2 trace:        %d blocks, %d refs, %d bytes (%.3f bytes/ref)\n",
+		fmt.Fprintf(stdout, "v2 trace:        %d blocks, %d refs, %d bytes (%.3f bytes/ref)\n",
 			f.Blocks(), f.Refs(), f.Size(), f.BytesPerRef())
 		src = f.Reader()
 		if *refs > 0 {
 			src = trace.NewLimit(src, *refs)
 		}
-	case *wl != "":
+	} else {
 		spec, err := workload.Get(*wl)
 		if err != nil {
-			fatal("%v", err)
+			return usage("-workload: %v", err)
 		}
 		n := *refs
 		if n == 0 {
 			n = spec.DefaultRefs
 		}
 		src = spec.New(n)
-	default:
-		fatal("need -workload, -trace, or -all")
 	}
 
 	rep, err := tracestat.Analyze(src)
 	if err != nil {
-		fatal("%v", err)
+		return fail(err)
 	}
-	if _, err := rep.WriteTo(os.Stdout); err != nil {
-		fatal("%v", err)
+	if _, err := rep.WriteTo(stdout); err != nil {
+		return fail(err)
 	}
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "traceinfo: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

@@ -71,6 +71,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	switch {
 	case *shards < 1:
 		return usage("-shards must be >= 1, got %d", *shards)
+	case *traceF == "" && *wl == "":
+		return usage("need -workload or -trace")
+	case *traceF != "" && *wl != "":
+		return usage("-workload does not combine with -trace")
 	case *shards > 1 && *traceF == "":
 		// A generated workload has no sections to split.
 		return usage("-shards > 1 needs -trace")
@@ -119,19 +123,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			n = f.Refs()
 		}
 		open = func() trace.Reader { return trace.NewLimit(f.Reader(), n) }
-	case *wl != "":
+	default:
 		spec, err := workload.Get(*wl)
 		if err != nil {
-			return fail(err)
+			return usage("-workload: %v", err)
 		}
 		srcName = *wl
 		if n == 0 {
 			n = spec.DefaultRefs
 		}
 		open = func() trace.Reader { return spec.New(n) }
-	default:
-		fmt.Fprintln(stderr, "wsssim: need -workload or -trace")
-		return 1
 	}
 	T := *window
 	if T == 0 {
@@ -166,8 +167,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var c obs.Counters
 	if file != nil {
 		results, c, err = engine.StaticWSSSections(engine.New(*shards), ctx, file, *refs, *shards, T, shifts, "wss-static")
-	} else if results, err = core.MeasureStaticWSS(ctx, open(), T, pageSizes...); err == nil {
-		c = obs.Counters{Passes: 1, Refs: results[0].Samples, WSSPages: results[0].Pages}
+	} else {
+		sim := core.NewSimulator(policy.NewSingle(addr.Size4K), nil, core.WithStaticWSS(T, pageSizes...))
+		var out *core.Result
+		if out, err = sim.Run(ctx, open()); err == nil {
+			results, c = out.StaticWSS, out.Counters
+		}
 	}
 	if err != nil {
 		return fail(err)
@@ -183,20 +188,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			metrics.WSNormalized(r.AvgBytes, base.AvgBytes))
 	}
 	if *two {
-		src := open()
 		sim := core.NewSimulator(policy.NewTwoSize(twoCfg), nil, core.WithWSS())
-		out, err := sim.Run(ctx, src)
+		out, err := sim.Run(ctx, open())
 		if err != nil {
 			return fail(err)
 		}
 		res, stats := out.WSS, out.PolicyStats
-		c := core.DecodeCounters(src)
-		c.Passes = 1
-		c.Refs = out.Refs
-		c.Promotions = stats.Promotions
-		c.Demotions = stats.Demotions
-		passes = append(passes, obs.Pass{Key: fmt.Sprintf("wss-two w=%s T=%d", srcName, T), Counters: c})
-		totals.Add(c)
+		passes = append(passes, obs.Pass{Key: fmt.Sprintf("wss-two w=%s T=%d", srcName, T), Counters: out.Counters})
+		totals.Add(out.Counters)
 		fmt.Fprintf(stdout, "%-10s %-12s %.3f   (promotions %d, demotions %d)\n",
 			res.Scheme, wss.FormatBytes(res.AvgBytes),
 			metrics.WSNormalized(res.AvgBytes, base.AvgBytes),

@@ -100,7 +100,7 @@ func TestCommandLineTools(t *testing.T) {
 		if _, err := os.Stat(trc); err != nil {
 			t.Fatal(err)
 		}
-		out = runBin(t, sim, "-trace", trc, "-entries", "16", "-T", "6000")
+		out = runBin(t, sim, "-trace", trc, "-entries", "16", "-two", "-T", "6000")
 		if !strings.Contains(out, "CPI_TLB") || !strings.Contains(out, "refs:        50000") {
 			t.Errorf("tlbsim output:\n%s", out)
 		}
@@ -216,17 +216,44 @@ func TestCommandLineTools(t *testing.T) {
 			{"tlbsim", "-disk", append([]string{"-disk", "-faultcycles", "2000", "-mem", "16M"}, li...)},
 			{"tlbsim", "-faultcycles", append([]string{"-mem", "16M", "-faultcycles", "-1"}, li...)},
 			{"tlbsim", "-T", append([]string{"-mem", "16M", "-two", "-T", "-5"}, li...)},
+			// A flag the configuration ignores is a usage error too.
+			{"tlbsim", "-threshold", append([]string{"-threshold", "2"}, li...)},
+			{"tlbsim", "-threshold", append([]string{"-ladder", "-sizes", "4096,32768,262144", "-threshold", "3"}, li...)},
+			{"tlbsim", "-T", append([]string{"-T", "7"}, li...)},
+			{"tlbsim", "-pagesize", append([]string{"-two", "-pagesize", "16384"}, li...)},
+			{"tlbsim", "-pagesize", append([]string{"-ladder", "-sizes", "4096,32768", "-pagesize", "4096"}, li...)},
+			{"tlbsim", "-walkpwc", append([]string{"-two", "-walkpwc", "2"}, li...)},
+			{"tlbsim", "-walkmem", append([]string{"-two", "-walkmem", "64"}, li...)},
+			{"tlbsim", "-index", append([]string{"-index", "large"}, li...)},
+			{"tlbsim", "-index", append([]string{"-entries", "8", "-ways", "8", "-index", "small"}, li...)},
+			{"tlbsim", "-index", append([]string{"-ladder", "-sizes", "4096,32768,262144", "-index", "class1"}, li...)},
+			{"tlbsim", "-two", append([]string{"-two", "-ladder", "-sizes", "4096,32768"}, li...)},
+			{"tlbsim", "-workload", []string{"-trace", v2, "-workload", "li"}},
+			{"tlbsim", "-workload", []string{"-spec", "w.spec", "-workload", "li"}},
+			{"tlbsim", "-spec", []string{"-trace", v2, "-spec", "w.spec"}},
 			{"paper", "-scale", []string{"-scale", "NaN", "-workloads", "li", "table3.1"}},
 			{"paper", "-scale", []string{"-scale", "-1", "-workloads", "li", "table3.1"}},
 			{"paper", "-scale", []string{"-scale", "0", "-workloads", "li", "table3.1"}},
 			{"paper", "-j", []string{"-scale", "0.01", "-j", "-3", "-workloads", "li", "table3.1"}},
 			{"paper", "-shards", []string{"-scale", "0.01", "-shards", "0", "-workloads", "li", "table3.1"}},
+			{"paper", "-workloads", []string{"-scale", "0.01", "-workloads", "bogus", "table3.1"}},
 			{"wsssim", "-shards", []string{"-trace", v2, "-shards", "0"}},
 			{"wsssim", "-shards", []string{"-trace", v2, "-shards", "-2"}},
 			{"wsssim", "-shards", append([]string{"-shards", "2"}, li...)},
 			{"wsssim", "-sizes", append([]string{"-sizes", "3000"}, li...)},
 			{"wsssim", "-sizes", []string{"-trace", v2, "-sizes", "4096,abc"}},
+			{"wsssim", "-workload", []string{"-workload", "bogus", "-refs", "20000"}},
+			{"wsssim", "-workload", []string{"-refs", "20000"}},
+			{"wsssim", "-workload", []string{"-trace", v2, "-workload", "li"}},
 			{"tracegen", "-format", []string{"-workload", "li", "-refs", "1000", "-format", "bogus", "-o", bogus}},
+			{"tracegen", "-workload", []string{"-workload", "bogus", "-refs", "1000", "-o", bogus}},
+			{"tracegen", "-workload", []string{"-refs", "1000", "-o", bogus}},
+			{"tracegen", "-workload", []string{"-spec", "w.spec", "-workload", "li", "-o", bogus}},
+			{"traceinfo", "-workload", []string{"-workload", "bogus", "-refs", "1000"}},
+			{"traceinfo", "-workload", []string{"-refs", "1000"}},
+			{"traceinfo", "-workload", []string{"-trace", v2, "-workload", "li"}},
+			{"traceinfo", "-all", []string{"-all", "-workload", "li"}},
+			{"traceinfo", "-all", []string{"-all", "-trace", v2}},
 		}
 		bins := map[string]string{}
 		bin := func(t *testing.T, name string) string {
@@ -264,7 +291,8 @@ func TestCommandLineTools(t *testing.T) {
 				}
 			})
 		}
-		// tracegen checks -format before it creates the output file.
+		// tracegen checks -format and its input before it creates the
+		// output file.
 		if _, err := os.Stat(bogus); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("tracegen -format bogus left %s behind (stat: %v)", bogus, err)
 		}

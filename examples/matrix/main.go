@@ -37,16 +37,12 @@ func singleSize(size addr.PageSize) (cpiFA, cpi2W float64, avgWS float64) {
 	sim := core.NewSimulator(policy.NewSingle(addr.MustPow2(size)), []tlb.TLB{
 		tlb.NewFullyAssoc(16),
 		tlb.MustNew(tlb.Config{Entries: 16, Ways: 2, Index: tlb.IndexExact}),
-	})
+	}, core.WithStaticWSS(T, addr.MustPow2(size)))
 	res, err := sim.Run(context.Background(), workload.MustNew("matrix300", refs))
 	if err != nil {
 		log.Fatal(err)
 	}
-	wr, err := core.MeasureStaticWSS(context.Background(), workload.MustNew("matrix300", refs), T, addr.MustPow2(size))
-	if err != nil {
-		log.Fatal(err)
-	}
-	return res.TLBs[0].CPITLB, res.TLBs[1].CPITLB, wr[0].AvgBytes
+	return res.TLBs[0].CPITLB, res.TLBs[1].CPITLB, res.StaticWSS[0].AvgBytes
 }
 
 func twoSize() (cpiFA, cpi2W float64, avgWS float64, promos uint64) {

@@ -165,7 +165,7 @@ func TestAllWorkloadsAccounting(t *testing.T) {
 		const refs = 60_000
 		pol := policy.NewTwoSize(policy.DefaultTwoSizeConfig(refs / 8))
 		hw := tlb.NewFullyAssoc(16)
-		sim := core.NewSimulator(pol, []tlb.TLB{hw}, core.WithWSS())
+		sim := core.NewSimulator(pol, []tlb.TLB{hw}, core.WithWSS(), core.WithStaticWSS(refs/8, addr.Size4K))
 		res, err := sim.Run(context.Background(), workload.MustNew(spec.Name, refs))
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
@@ -188,12 +188,8 @@ func TestAllWorkloadsAccounting(t *testing.T) {
 			t.Errorf("%s: WSS = %v", spec.Name, res.WSS.AvgBytes)
 		}
 		// The two-page working set is bounded by twice the 4KB one
-		// (Section 3.4's worst case); compare against a fresh static pass.
-		static, err := core.MeasureStaticWSS(context.Background(), workload.MustNew(spec.Name, refs),
-			uint64(refs/8), addr.Size4K)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// (Section 3.4's worst case), measured over the same stream.
+		static := res.StaticWSS
 		if res.WSS.AvgBytes > 2*static[0].AvgBytes+1 {
 			t.Errorf("%s: two-page WSS %v exceeds 2x 4KB WSS %v",
 				spec.Name, res.WSS.AvgBytes, static[0].AvgBytes)

@@ -68,7 +68,7 @@ func DefaultPowTwoConfig() PowTwoConfig {
 	return PowTwoConfig{
 		Targets: []PowTwoTarget{
 			{Func: "twopage/internal/policy.NewSingle", Args: []int{0}},
-			{Func: "twopage/internal/core.MeasureStaticWSS", Rest: 3},
+			{Func: "twopage/internal/core.WithStaticWSS", Rest: 1},
 		},
 		Geometries: []PowTwoGeometry{
 			{Type: "twopage/internal/tlb.Config", TotalField: "Entries", WaysField: "Ways"},

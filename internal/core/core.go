@@ -55,6 +55,9 @@ type Result struct {
 	// simulator was built with WithWSS (exact, two-page scheme) or
 	// WithSampledWSS (sampled, any multi-size policy).
 	WSS *wss.Result
+	// StaticWSS holds the average working set of each static page size
+	// of WithStaticWSS, in the order given; nil without it.
+	StaticWSS []wss.Result
 	// PolicyStats holds promotion/demotion counters for the two-size
 	// policies (TwoSize, Region, Cumulative).
 	PolicyStats *policy.TwoSizeStats
@@ -106,6 +109,7 @@ type Simulator struct {
 	pt          *ptShadow        // page-table shadow (WithPageTable)
 	walker      *walk.Walker     // modeled radix walk (WithWalkModel)
 	mem         *memStage        // demand paging and replacement (WithMemory)
+	static      *wss.Static      // static page sizes' working sets (WithStaticWSS)
 	err         error            // first configuration error, returned by Warm and Run
 	warm        *Result          // counters at the end of Warm, subtracted by Run
 }
@@ -124,8 +128,7 @@ func (s *Simulator) fail(err error) {
 
 // WithWSS attaches a two-page working-set calculator. Only valid when
 // the policy is a *policy.TwoSize; any other policy is a configuration
-// error. For static page sizes use MeasureStaticWSS, which needs no TLB
-// pass.
+// error. For static page sizes use WithStaticWSS.
 func WithWSS() Option {
 	return func(s *Simulator) {
 		pol, ok := s.pol.(*policy.TwoSize)
@@ -159,6 +162,37 @@ func WithSampledWSS(T int) Option {
 			return
 		}
 		s.sampled = calc
+	}
+}
+
+// WithStaticWSS attaches the static working-set calculator
+// (wss.Static) over window T for the given page sizes, which
+// Result.StaticWSS reports in the order given (the Section 4 metric).
+// It observes addresses only, so it fits any policy and TLBs; the
+// static pass of its own is a simulator with a 4KB Single policy and
+// no TLBs. A zero T, no sizes or an invalid size is a configuration
+// error, and so is a later Warm: the averages cover the whole stream.
+// MergeResults drops them; engine.StaticWSSSections is the sectioned
+// static pass, and merges exactly.
+func WithStaticWSS(T uint64, sizes ...addr.PageSize) Option {
+	return func(s *Simulator) {
+		if T == 0 {
+			s.fail(fmt.Errorf("core: WithStaticWSS: window T must be positive"))
+			return
+		}
+		if len(sizes) == 0 {
+			s.fail(fmt.Errorf("core: WithStaticWSS: need at least one page size"))
+			return
+		}
+		shifts := make([]uint, len(sizes))
+		for i, size := range sizes {
+			if !size.Valid() {
+				s.fail(fmt.Errorf("core: WithStaticWSS: invalid page size %d", size))
+				return
+			}
+			shifts[i] = size.Shift()
+		}
+		s.static = wss.NewStatic(T, 0, shifts...)
 	}
 }
 
@@ -274,14 +308,17 @@ func (s *Simulator) Err() error { return s.err }
 //
 // Warm may be called once, before Run. The working-set averages are
 // untouched by design: WSS samples start at the first Run reference. A
-// simulator with a memory stage or a sampled working set cannot warm up
-// (see WithMemory and WithSampledWSS).
+// simulator with a memory stage, a sampled working set or static working
+// sets cannot warm up (see WithMemory, WithSampledWSS and WithStaticWSS).
 func (s *Simulator) Warm(ctx context.Context, r trace.Reader) error {
 	if s.mem != nil {
 		s.fail(fmt.Errorf("core: Warm is not supported with WithMemory"))
 	}
 	if s.sampled != nil {
 		s.fail(fmt.Errorf("core: Warm is not supported with WithSampledWSS"))
+	}
+	if s.static != nil {
+		s.fail(fmt.Errorf("core: Warm is not supported with WithStaticWSS"))
 	}
 	if s.err != nil {
 		return s.err
@@ -331,6 +368,14 @@ func RunMany(ctx context.Context, r trace.Reader, sims []*Simulator) ([]*Result,
 		instrs += countInstrs(batch)
 		for _, s := range sims {
 			s.step(batch, false)
+			// The static calculator needs no assignment, so it steps in
+			// a loop of its own, which costs a simulator without it one
+			// check per batch and leaves step's loop as it is.
+			if s.static != nil {
+				for _, ref := range batch {
+					s.static.Step(ref.Addr)
+				}
+			}
 		}
 	})
 	if err != nil {
@@ -372,6 +417,9 @@ func (s *Simulator) result(refs, instrs uint64, decode obs.Counters) *Result {
 	case s.sampled != nil:
 		res := s.sampled.Result()
 		out.WSS = &res
+	}
+	if s.static != nil {
+		out.StaticWSS = s.static.Finish()
 	}
 	out.finish(decode)
 	return out
@@ -496,6 +544,9 @@ func (r *Result) finish(decode obs.Counters) {
 		}
 	}
 	c := obs.Counters{Passes: 1, Refs: r.Refs, Instrs: r.Instrs}
+	if len(r.StaticWSS) > 0 {
+		c.WSSPages = r.StaticWSS[0].Pages // the first (base) size
+	}
 	for _, tr := range r.TLBs {
 		c.Add(tr.Stats.Counters())
 	}
@@ -597,30 +648,4 @@ func (s *Simulator) applyEvent(res policy.Result) {
 			t.Invalidate(p)
 		}
 	}
-}
-
-// MeasureStaticWSS computes average working-set sizes for a set of
-// static page sizes over a reference stream in one pass, no TLBs
-// involved (the Section 4 experiments). A zero T is an error.
-func MeasureStaticWSS(ctx context.Context, r trace.Reader, T uint64, sizes ...addr.PageSize) ([]wss.Result, error) {
-	if T == 0 {
-		return nil, fmt.Errorf("core: static working-set window T must be positive")
-	}
-	shifts := make([]uint, len(sizes))
-	for i, s := range sizes {
-		if !s.Valid() {
-			return nil, fmt.Errorf("core: invalid page size %d", s)
-		}
-		shifts[i] = s.Shift()
-	}
-	calc := wss.NewStatic(T, 0, shifts...)
-	_, err := trace.DrainContext(ctx, r, func(batch []trace.Ref) {
-		for _, ref := range batch {
-			calc.Step(ref.Addr)
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: WSS pass failed: %w", err)
-	}
-	return calc.Finish(), nil
 }

@@ -115,6 +115,10 @@ func TestOptionErrors(t *testing.T) {
 		{name: "WithWSS after WithSampledWSS", pol: two(), opt: both(WithSampledWSS(100), WithWSS()), wantErr: "combine"},
 		{name: "WithSampledWSS with a zero window", pol: two(), tlbs: fa(), opt: WithSampledWSS(0), wantErr: "WithSampledWSS"},
 		{name: "WithSampledWSS followed by Warm", pol: ladder(), tlbs: fa(), opt: WithSampledWSS(100), wantErr: "Warm"},
+		{name: "WithStaticWSS with a zero window", pol: single(), opt: WithStaticWSS(0, addr.Size4K), wantErr: "WithStaticWSS"},
+		{name: "WithStaticWSS without sizes", pol: single(), opt: WithStaticWSS(100), wantErr: "WithStaticWSS"},
+		{name: "WithStaticWSS with an invalid size", pol: single(), opt: WithStaticWSS(100, addr.Size4K, 3000), wantErr: "WithStaticWSS"},
+		{name: "WithStaticWSS followed by Warm", pol: two(), tlbs: fa(), opt: WithStaticWSS(100, addr.Size4K), wantErr: "Warm"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -319,27 +323,64 @@ func TestWithWSSProducesResult(t *testing.T) {
 	}
 }
 
-func TestMeasureStaticWSS(t *testing.T) {
-	// A stream cycling over 4 pages with T covering everything: average
-	// WSS converges to 4 pages (x page size).
-	refs := makeTrace(4000, 4)
-	got, err := MeasureStaticWSS(context.Background(), trace.NewSliceReader(refs), 1<<20, addr.Size4K, addr.Size32K)
+// WithStaticWSS reports what wss.Static stepped over the same
+// addresses reports, whatever else the simulator drives, and it changes
+// none of the other counters.
+func TestWithStaticWSS(t *testing.T) {
+	const T = 3000
+	sizes := []addr.PageSize{addr.Size4K, addr.Size8K, addr.Size32K, addr.Size64K}
+	shifts := make([]uint, len(sizes))
+	for i, size := range sizes {
+		shifts[i] = size.Shift()
+	}
+	var refs []trace.Ref
+	if _, err := trace.DrainContext(context.Background(), workload.MustNew("li", 50_000), func(b []trace.Ref) {
+		refs = append(refs, b...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	calc := wss.NewStatic(T, 0, shifts...)
+	for _, ref := range refs {
+		calc.Step(ref.Addr)
+	}
+	want := calc.Finish()
+
+	run := func(opts ...Option) *Result {
+		pol := policy.NewTwoSize(policy.DefaultTwoSizeConfig(T))
+		res, err := NewSimulator(pol, []tlb.TLB{tlb.NewFullyAssoc(16)}, opts...).Run(context.Background(), trace.NewSliceReader(refs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	got := run(WithStaticWSS(T, sizes...))
+	if !reflect.DeepEqual(got.StaticWSS, want) {
+		t.Fatalf("StaticWSS = %+v, want wss.Static's %+v", got.StaticWSS, want)
+	}
+	if got.Counters.WSSPages != want[0].Pages {
+		t.Errorf("wss_pages = %d, want the first size's %d", got.Counters.WSSPages, want[0].Pages)
+	}
+	plain := run()
+	got.StaticWSS, got.Counters.WSSPages = nil, 0
+	if !reflect.DeepEqual(got, plain) {
+		t.Errorf("WithStaticWSS changed the pass's other results:\n%+v\nwant\n%+v", got, plain)
+	}
+
+	// A stream cycling over 4 data pages and 1 code page with T
+	// covering everything: the averages converge to the pages touched.
+	res, err := NewSimulator(policy.NewSingle(addr.Size4K), nil, WithStaticWSS(1<<20, addr.Size4K, addr.Size32K)).
+		Run(context.Background(), trace.NewSliceReader(makeTrace(4000, 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 data pages + 1 code page.
 	want4K := 5.0 * float64(addr.BlockSize)
-	if math.Abs(got[0].AvgBytes-want4K) > 0.05*want4K {
-		t.Fatalf("4KB WSS = %v, want ≈%v", got[0].AvgBytes, want4K)
+	if got := res.StaticWSS[0].AvgBytes; math.Abs(got-want4K) > 0.05*want4K {
+		t.Fatalf("4KB WSS = %v, want ≈%v", got, want4K)
 	}
-	// At 32KB: data pages 0x100000.. span one 32KB page... data pages
-	// 0x100000-0x104000 lie in chunk 32; code in chunk 0 → 2 pages.
+	// Data pages 0x100000-0x104000 lie in chunk 32, code in chunk 0.
 	want32K := 2.0 * float64(addr.ChunkSize)
-	if math.Abs(got[1].AvgBytes-want32K) > 0.05*want32K {
-		t.Fatalf("32KB WSS = %v, want ≈%v", got[1].AvgBytes, want32K)
-	}
-	if _, err := MeasureStaticWSS(context.Background(), trace.NewSliceReader(refs), 10, addr.PageSize(3000)); err == nil {
-		t.Fatal("invalid page size should error")
+	if got := res.StaticWSS[1].AvgBytes; math.Abs(got-want32K) > 0.05*want32K {
+		t.Fatalf("32KB WSS = %v, want ≈%v", got, want32K)
 	}
 }
 
@@ -404,7 +445,8 @@ func TestRunPropagatesReaderErrors(t *testing.T) {
 	if _, err := sim.Run(context.Background(), &failingReader{n: 5}); err == nil {
 		t.Fatal("reader error should propagate")
 	}
-	if _, err := MeasureStaticWSS(context.Background(), &failingReader{n: 2}, 10, addr.Size4K); err == nil {
+	static := NewSimulator(policy.NewSingle(addr.Size4K), nil, WithStaticWSS(10, addr.Size4K))
+	if _, err := static.Run(context.Background(), &failingReader{n: 2}); err == nil {
 		t.Fatal("WSS pass should propagate reader errors")
 	}
 	wssOnly := NewSimulator(policy.NewTwoSize(policy.DefaultTwoSizeConfig(10)), nil, WithWSS())

@@ -41,22 +41,22 @@ func ExampleSimulator() {
 	// large-page hits: 2
 }
 
-// ExampleMeasureStaticWSS computes the Section 4 metric for two page
+// ExampleWithStaticWSS computes the Section 4 metric for two page
 // sizes over a toy stream: two distinct 4KB pages that share one 32KB
-// page.
-func ExampleMeasureStaticWSS() {
+// page. The static pass needs no TLB.
+func ExampleWithStaticWSS() {
 	refs := make([]trace.Ref, 0, 100)
 	for i := 0; i < 50; i++ {
 		refs = append(refs,
 			trace.Ref{Addr: 0x0000, Kind: trace.Load},
 			trace.Ref{Addr: 0x1000, Kind: trace.Load})
 	}
-	results, err := core.MeasureStaticWSS(context.Background(), trace.NewSliceReader(refs), 1000,
-		addr.Size4K, addr.Size32K)
+	sim := core.NewSimulator(policy.NewSingle(addr.Size4K), nil, core.WithStaticWSS(1000, addr.Size4K, addr.Size32K))
+	res, err := sim.Run(context.Background(), trace.NewSliceReader(refs))
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range results {
+	for _, r := range res.StaticWSS {
 		fmt.Printf("%s pages: average working set %.0f KB\n", r.Scheme, r.AvgBytes/1024)
 	}
 	// Output:

@@ -23,8 +23,8 @@ type runManyBuild struct {
 }
 
 // runManyBuilds returns builders of fresh simulators that cover every
-// stage of the per-reference loop: several TLBs, the exact and the
-// sampled working set, the page-table shadow, the walk model and the
+// stage of the per-reference loop: several TLBs, the exact, sampled
+// and static working sets, the page-table shadow, the walk model and the
 // memory stage with and without the disk model.
 func runManyBuilds() []runManyBuild {
 	three := addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift, addr.Shift256K)
@@ -48,6 +48,9 @@ func runManyBuilds() []runManyBuild {
 		}},
 		{"ladder, WithSampledWSS, no TLB", func() *Simulator {
 			return NewSimulator(ladder(), nil, WithSampledWSS(1000))
+		}},
+		{"single, WithStaticWSS, no TLB", func() *Simulator {
+			return NewSimulator(policy.NewSingle(addr.Size4K), nil, WithStaticWSS(2000, addr.Size4K, addr.Size32K))
 		}},
 		{"two-size, WithPageTable", func() *Simulator {
 			return NewSimulator(two(), []tlb.TLB{tlb.MustNew(tlb.Config{Entries: 32, Ways: 2,

@@ -425,8 +425,8 @@ func TestBadUnitFailsItsFuture(t *testing.T) {
 		{"ladder-thresholds", "Thresholds", pass(ladder(addr.MustShiftClasses(addr.Shift4K, addr.Shift32K, addr.Shift256K),
 			func(c *policy.LadderConfig) { c.Thresholds = c.Thresholds[:1] }))},
 		{"two-wss-T-0", "TwoSizeConfig.T", func(e *Engine, ctx context.Context) error {
-			_, err := e.TwoSizeWSS(ctx, TwoSizeWSSUnit{Workload: "li", Refs: 10_000,
-				Cfg: policy.DefaultTwoSizeConfig(0)}).Wait(ctx)
+			_, err := e.Pass(ctx, PassSpec{Workload: "li", Refs: 10_000,
+				Policy: TwoSizePolicy(policy.DefaultTwoSizeConfig(0)), WSS: true}).Wait(ctx)
 			return err
 		}},
 		{"static-wss-T-0", "window T", staticWSS(StaticWSSUnit{Workload: "li", Refs: 10_000})},
@@ -449,8 +449,9 @@ func TestBadUnitFailsItsFuture(t *testing.T) {
 	}
 }
 
-// WSS units: the ladder measures all five shifts; the two-size unit
-// couples WSS with policy counters. Both memoize.
+// WSS units: the static unit measures all five shifts of its ladder
+// and memoizes; a TLB-less two-size pass couples the working set with
+// policy counters.
 func TestWSSUnits(t *testing.T) {
 	e := New(2)
 	ctx := context.Background()
@@ -466,20 +467,14 @@ func TestWSSUnits(t *testing.T) {
 			t.Fatalf("ladder not monotone at %d: %v < %v", i, ladder[i].AvgBytes, ladder[i-1].AvgBytes)
 		}
 	}
-	two, err := e.TwoSizeWSS(ctx, TwoSizeWSSUnit{
-		Workload: "li", Refs: 20_000, Cfg: policy.DefaultTwoSizeConfig(2000),
-	}).Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pass, err := e.Pass(ctx, PassSpec{
 		Workload: "li", Refs: 20_000, Policy: TwoSizePolicy(policy.DefaultTwoSizeConfig(2000)), WSS: true,
 	}).Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if two.AvgBytes <= 0 || two != *pass.WSS {
-		t.Fatalf("two-size unit = %+v, want the WSS pass's %+v", two, *pass.WSS)
+	if pass.WSS.AvgBytes <= 0 || pass.PolicyStats == nil || len(pass.TLBs) != 0 {
+		t.Fatalf("TLB-less two-size pass = %+v, want a working set and policy counters only", pass)
 	}
 	before := e.Stats()
 	if _, err := e.StaticWSS(ctx, StaticWSSUnit{Workload: "li", Refs: 20_000, T: 2000}).Wait(ctx); err != nil {

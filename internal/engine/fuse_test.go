@@ -140,8 +140,9 @@ func (r ride) solo(t *testing.T) *core.Result {
 
 // mixedStream returns the members of one stream (li, 25,000 references)
 // that a group splits across simulators: flat units of three policies,
-// a walk-model unit and two rides, one with a memory stage and one with
-// the sampled working set and no TLB.
+// a TLB-less working-set unit, a walk-model unit (last) and three
+// rides: one with a memory stage, one with the sampled working set and
+// no TLB, and a bare 4KB count with no TLB, as table3.1 reads its RPI.
 func mixedStream() ([]Unit, []ride) {
 	const wl, refs = "li", 25_000
 	three := addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift, addr.Shift256K)
@@ -154,6 +155,7 @@ func mixedStream() ([]Unit, []ride) {
 		{Workload: wl, Refs: refs, Policy: TwoSizePolicy(two), TLB: &tlb.Config{Entries: 32, Ways: 2}},
 		{Workload: wl, Refs: refs, Policy: SinglePolicy(addr.Size4K), TLB: &tlb.Config{Entries: 16}},
 		{Workload: wl, Refs: refs, Policy: LadderPolicy(ladder), TLB: &fa3},
+		{Workload: wl, Refs: refs, Policy: TwoSizePolicy(two), WSS: true},
 		{Workload: wl, Refs: refs, Policy: LadderPolicy(ladder), TLB: &fa3, Walk: &wc},
 	}
 	rides := []ride{
@@ -163,6 +165,9 @@ func mixedStream() ([]Unit, []ride) {
 		}},
 		{"sampled", wl, refs, func() (*core.Simulator, error) {
 			return core.NewSimulator(policy.NewLadder(ladder), nil, core.WithSampledWSS(ladder.T)), nil
+		}},
+		{"count", wl, refs, func() (*core.Simulator, error) {
+			return core.NewSimulator(policy.NewSingle(addr.Size4K), nil), nil
 		}},
 	}
 	return units, rides
@@ -175,8 +180,9 @@ func mixedStream() ([]Unit, []ride) {
 // replacement (each Random TLB keeps its own generator), 2-way TLBs
 // under each index scheme, a member that asks for the working set, a v2
 // trace file whose shared reader's decode counters every member
-// reports, and a stream whose members need five simulators: three
-// policies' flat units, a walk-model unit and two rides.
+// reports, and a stream whose members need nine simulators: three
+// policies' flat units, a TLB-less working-set unit, a walk-model unit,
+// a static working-set unit and three rides.
 func TestFusedUnitsMatchSolo(t *testing.T) {
 	file, f := programFile(t, "li", 30_000)
 	tlbs := []tlb.Config{
@@ -217,6 +223,11 @@ func TestFusedUnitsMatchSolo(t *testing.T) {
 	for i, r := range rides {
 		soloRides[i] = r.solo(t)
 	}
+	static := StaticWSSUnit{Workload: "li", Refs: 25_000, T: 3000}
+	soloStatic, err := New(1, WithCollector(unfused)).StaticWSS(context.Background(), static).Wait(context.Background())
+	if err != nil {
+		t.Fatalf("static unit alone: %v", err)
+	}
 
 	for _, parallelism := range []int{1, 2} {
 		col := obs.NewCollector()
@@ -231,9 +242,10 @@ func TestFusedUnitsMatchSolo(t *testing.T) {
 		for i, r := range rides {
 			rideFuts[i] = e.Ride(ctx, r.label, r.workload, r.refs, r.build)
 		}
+		staticFut := e.StaticWSS(ctx, static)
 		tickets := pendingTickets(e)
-		if len(tickets) != len(units)+len(rides) {
-			t.Fatalf("j=%d: %d of %d members pending", parallelism, len(tickets), len(units)+len(rides))
+		if want := len(units) + len(rides) + 1; len(tickets) != want {
+			t.Fatalf("j=%d: %d of %d members pending", parallelism, len(tickets), want)
 		}
 		release()
 		for i, fut := range futs {
@@ -242,9 +254,14 @@ func TestFusedUnitsMatchSolo(t *testing.T) {
 				t.Fatalf("j=%d unit %d: %v", parallelism, i, err)
 			}
 			if !reflect.DeepEqual(res, solo[i]) {
+				key, _ := units[i].Key()
 				t.Errorf("j=%d unit %d (%s): fused result\n%+v\nwant the solo result\n%+v",
-					parallelism, i, res.TLBs[0].Name, res, solo[i])
+					parallelism, i, key, res, solo[i])
 			}
+		}
+		if res, err := staticFut.Wait(ctx); err != nil || !reflect.DeepEqual(res, soloStatic) {
+			t.Errorf("j=%d static unit: err %v, fused result\n%+v\nwant the solo result\n%+v",
+				parallelism, err, res, soloStatic)
 		}
 		for i, fut := range rideFuts {
 			res, err := fut.Wait(ctx)

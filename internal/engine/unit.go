@@ -11,7 +11,6 @@ import (
 	"twopage/internal/policy"
 	"twopage/internal/tlb"
 	"twopage/internal/walk"
-	"twopage/internal/workload"
 	"twopage/internal/wss"
 )
 
@@ -351,91 +350,47 @@ func (u StaticWSSUnit) key() string {
 }
 
 // StaticWSS submits the unit, returning average working-set results
-// indexed as StaticShifts. Results are shared; treat as read-only.
+// indexed as StaticShifts. Results are shared; treat as read-only. The
+// serial pass joins its stream's fused group like a unit (fuse.go).
 func (e *Engine) StaticWSS(ctx context.Context, u StaticWSSUnit) *Future[[]wss.Result] {
 	key := u.key()
 	// The static working-set merge is exact (wss.MergeStatic), so the
 	// sharded pass shares the serial unit's key: either path may
 	// satisfy a memo hit for the other, bit for bit.
-	run := u.run
+	var t *ticket
+	var run func(context.Context) ([]wss.Result, obs.Counters, error)
 	f, plan, sharded := e.shardFor(u.Workload, PolicySpec{})
 	if sharded {
 		run = func(ctx context.Context) ([]wss.Result, obs.Counters, error) {
 			return StaticWSSSections(e, ctx, f, u.Refs, plan.Shards, u.T, StaticShifts, key)
 		}
+	} else {
+		t = newTicket(ctx, u.Workload, u.Refs)
+		t.build = u.newSimulator
+		run = func(ctx context.Context) ([]wss.Result, obs.Counters, error) {
+			res, err := t.result(ctx)
+			if err != nil {
+				return nil, obs.Counters{}, err
+			}
+			return res.StaticWSS, res.Counters, nil
+		}
 	}
-	return submit(e, ctx, key, true, sharded, nil, func(ctx context.Context) ([]wss.Result, error) {
+	return submit(e, ctx, key, true, sharded, t, func(ctx context.Context) ([]wss.Result, error) {
 		results, c, err := run(ctx)
 		if err != nil {
 			return nil, err
 		}
-		c.Refs = u.Refs // the requested length, on either path
 		e.Record(key, c)
 		return results, nil
 	})
 }
 
-// run is the serial static pass over the unit's generated stream.
-func (u StaticWSSUnit) run(ctx context.Context) ([]wss.Result, obs.Counters, error) {
-	s, err := workload.Get(u.Workload)
-	if err != nil {
-		return nil, obs.Counters{}, err
-	}
+// newSimulator builds the serial static pass: a 4KB Single policy, no
+// TLBs, and the working sets of every StaticShifts size.
+func (u StaticWSSUnit) newSimulator() (*core.Simulator, error) {
 	sizes := make([]addr.PageSize, len(StaticShifts))
 	for i, sh := range StaticShifts {
 		sizes[i] = addr.PageSize(1) << sh
 	}
-	r := s.New(u.Refs)
-	results, err := core.MeasureStaticWSS(ctx, r, u.T, sizes...)
-	if err != nil {
-		return nil, obs.Counters{}, err
-	}
-	c := core.DecodeCounters(r)
-	c.Passes = 1
-	c.WSSPages = results[0].Pages // base (4KB) scheme
-	return results, c, nil
-}
-
-// TwoSizeWSSUnit is a memoizable working-set pass of the dynamic
-// two-size policy over one workload trace (no TLBs).
-type TwoSizeWSSUnit struct {
-	Workload string
-	Refs     uint64
-	Cfg      policy.TwoSizeConfig
-}
-
-// key is the unit's memoization key; delegating the policy fragment to
-// PolicySpec.key keeps every TwoSizeConfig knob accountable to the
-// keycheck analyzer through one shared spelling.
-func (u TwoSizeWSSUnit) key() string {
-	return fmt.Sprintf("wss-two w=%s refs=%d pol=%s", u.Workload, u.Refs, TwoSizePolicy(u.Cfg).key())
-}
-
-// TwoSizeWSS submits the unit, returning the dynamic scheme's average
-// working set. The configuration's DenyPromotion hook must be nil (see
-// PolicySpec).
-func (e *Engine) TwoSizeWSS(ctx context.Context, u TwoSizeWSSUnit) *Future[wss.Result] {
-	key := u.key()
-	return submit(e, ctx, key, true, false, nil, func(ctx context.Context) (wss.Result, error) {
-		pol, err := TwoSizePolicy(u.Cfg).New()
-		if err != nil {
-			return wss.Result{}, err
-		}
-		s, err := workload.Get(u.Workload)
-		if err != nil {
-			return wss.Result{}, err
-		}
-		r := s.New(u.Refs)
-		res, err := core.NewSimulator(pol, nil, core.WithWSS()).Run(ctx, r)
-		if err != nil {
-			return wss.Result{}, err
-		}
-		c := core.DecodeCounters(r)
-		c.Passes = 1
-		c.Refs = u.Refs
-		c.Promotions = res.PolicyStats.Promotions
-		c.Demotions = res.PolicyStats.Demotions
-		e.Record(key, c)
-		return *res.WSS, nil
-	})
+	return core.NewSimulator(policy.NewSingle(addr.Size4K), nil, core.WithStaticWSS(u.T, sizes...)), nil
 }

@@ -26,24 +26,26 @@ var multiprogMixes = map[int][]string{
 	4: {"li", "x11perf", "espresso", "eqntott"},
 }
 
-// multiprogRun is one (degree, policy) simulation's outcome.
+// multiprogRun is one degree's outcome.
 type multiprogRun struct {
-	cpis     [2][2]float64 // per mode (ASID, flush): FA16, FA64
+	cpis     [2][2][2]float64 // per policy (4KB, two-page), per mode (ASID, flush): FA16, FA64
 	switches uint64
 }
 
 // Multiprog evaluates the effect the paper could not measure: TLB
 // behaviour under multiprogramming, with ASID-tagged entries versus
 // flush-on-context-switch, for the 4KB baseline and the two-page
-// scheme, on 16- and 64-entry fully associative TLBs. Each
-// (degree, policy) combination is one opaque task: one simulator drives
-// an ASID-tagged FA16/FA64 pair and a flushed pair, and a context
-// switch flushes only the flushed pair (a flush touches no other TLB).
-// The scheduler interleaves the tasks freely because rows are assembled
-// afterwards in fixed order.
+// scheme, on 16- and 64-entry fully associative TLBs. Each degree is
+// one opaque task that reads its mix once: a 4KB and a two-page
+// simulator each drive an ASID-tagged FA16/FA64 pair and a flushed
+// pair, and a context switch flushes only the flushed pairs (a flush
+// touches no other TLB). The reader calls the switch hook inside Read,
+// before any simulator steps the batch, so each simulator sees what its
+// own Run would. The scheduler interleaves the tasks freely because
+// rows are assembled afterwards in fixed order.
 func Multiprog(ctx context.Context, o *Options) (*tableio.Table, error) {
 	degrees := []int{1, 2, 4}
-	futs := map[int][2]*engine.Future[multiprogRun]{} // per policy: 4KB, two-page
+	futs := map[int]*engine.Future[multiprogRun]{}
 	for _, degree := range degrees {
 		mix := multiprogMixes[degree]
 		// Per-process length shrinks with degree so each row simulates
@@ -63,68 +65,61 @@ func Multiprog(ctx context.Context, o *Options) (*tableio.Table, error) {
 		}
 		T := windowFor(perProc * uint64(degree))
 
-		var pair [2]*engine.Future[multiprogRun]
-		for pi, two := range []bool{false, true} {
-			label := fmt.Sprintf("multiprog d=%d two=%t", degree, two)
-			pair[pi] = engine.Go(o.Engine, ctx, label,
-				func(ctx context.Context) (multiprogRun, error) {
-					var pol policy.Assigner
-					if two {
-						pol = policy.NewTwoSize(policy.DefaultTwoSizeConfig(T))
-					} else {
-						pol = policy.NewSingle(addr.Size4K)
+		futs[degree] = engine.Go(o.Engine, ctx, fmt.Sprintf("multiprog d=%d", degree),
+			func(ctx context.Context) (multiprogRun, error) {
+				procs := make([]multiprog.Process, degree)
+				for i, name := range mix {
+					s, err := workload.Get(name)
+					if err != nil {
+						return multiprogRun{}, err
 					}
+					procs[i] = multiprog.Process{Name: name, Source: s.New(perProc)}
+				}
+				mp, err := multiprog.New(procs, quantum)
+				if err != nil {
+					return multiprogRun{}, err
+				}
+				var sims []*core.Simulator
+				var flushed []tlb.TLB
+				for _, pol := range []policy.Assigner{policy.NewSingle(addr.Size4K), policy.NewTwoSize(policy.DefaultTwoSizeConfig(T))} {
 					// ASID FA16, ASID FA64, flushed FA16, flushed FA64.
 					tlbs := []tlb.TLB{tlb.NewFullyAssoc(16), tlb.NewFullyAssoc(64),
 						tlb.NewFullyAssoc(16), tlb.NewFullyAssoc(64)}
-					procs := make([]multiprog.Process, degree)
-					for i, name := range mix {
-						s, err := workload.Get(name)
-						if err != nil {
-							return multiprogRun{}, err
-						}
-						procs[i] = multiprog.Process{Name: name, Source: s.New(perProc)}
+					flushed = append(flushed, tlbs[2:]...)
+					sims = append(sims, core.NewSimulator(pol, tlbs))
+				}
+				mp.OnSwitch = func(from, to int) {
+					for _, t := range flushed {
+						t.Flush()
 					}
-					mp, err := multiprog.New(procs, quantum)
-					if err != nil {
-						return multiprogRun{}, err
+				}
+				results, err := core.RunMany(ctx, mp, sims)
+				if err != nil {
+					return multiprogRun{}, err
+				}
+				run := multiprogRun{switches: mp.Switches()}
+				for pi, res := range results {
+					run.cpis[pi] = [2][2]float64{
+						{res.TLBs[0].CPITLB, res.TLBs[1].CPITLB},
+						{res.TLBs[2].CPITLB, res.TLBs[3].CPITLB},
 					}
-					mp.OnSwitch = func(from, to int) {
-						for _, t := range tlbs[2:] {
-							t.Flush()
-						}
-					}
-					res, err := core.NewSimulator(pol, tlbs).Run(ctx, mp)
-					if err != nil {
-						return multiprogRun{}, err
-					}
-					return multiprogRun{
-						cpis: [2][2]float64{
-							{res.TLBs[0].CPITLB, res.TLBs[1].CPITLB},
-							{res.TLBs[2].CPITLB, res.TLBs[3].CPITLB},
-						},
-						switches: mp.Switches(),
-					}, nil
-				})
-		}
-		futs[degree] = pair
+				}
+				return run, nil
+			})
 	}
 	tbl := tableio.New("Extension: multiprogramming (CPI_TLB, fully associative TLBs)",
 		"Degree", "Mode", "4KB FA16", "4KB FA64", "4K/32K FA16", "4K/32K FA64", "switches")
 	for _, degree := range degrees {
-		r4, err := futs[degree][0].Wait(ctx)
+		run, err := futs[degree].Wait(ctx)
 		if err != nil {
 			return nil, err
 		}
-		r2, err := futs[degree][1].Wait(ctx)
-		if err != nil {
-			return nil, err
-		}
+		r4, r2 := run.cpis[0], run.cpis[1]
 		for mi, mode := range []string{"asid", "flush"} {
 			tbl.Row(fmt.Sprintf("%d", degree), mode,
-				tableio.F(r4.cpis[mi][0], 3), tableio.F(r4.cpis[mi][1], 3),
-				tableio.F(r2.cpis[mi][0], 3), tableio.F(r2.cpis[mi][1], 3),
-				fmt.Sprintf("%d", r2.switches))
+				tableio.F(r4[mi][0], 3), tableio.F(r4[mi][1], 3),
+				tableio.F(r2[mi][0], 3), tableio.F(r2[mi][1], 3),
+				fmt.Sprintf("%d", run.switches))
 		}
 	}
 	tbl.Note("ASID mode tags entries per address space; flush mode empties the TLB at every switch.")

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"twopage/internal/addr"
+	"twopage/internal/core"
 	"twopage/internal/engine"
 	"twopage/internal/policy"
 	"twopage/internal/tableio"
@@ -35,12 +36,6 @@ uniform  base=64M size=64K align=8 weight=0.4
 	return trace.NewConcat(dense, sparse)
 }
 
-// phasesRun is one policy variant's outcome on the phased program.
-type phasesRun struct {
-	cpi, avgWSS   float64
-	promos, demos uint64
-}
-
 // Phases compares the dynamic policy with and without demotion, and the
 // cumulative promote-once policy, on the phased program. The paper
 // assigns page sizes "dynamically during the simulation, looking at the
@@ -54,43 +49,29 @@ func Phases(ctx context.Context, o *Options) (*tableio.Table, error) {
 	T := windowFor(refsPerPhase)
 
 	names := []string{"dynamic (demote on)", "dynamic (demote off)", "cumulative"}
-	mkPol := []func() policy.MultiSize{
-		func() policy.MultiSize { return policy.NewTwoSize(policy.DefaultTwoSizeConfig(T)) },
-		func() policy.MultiSize {
-			demoteOff := policy.DefaultTwoSizeConfig(T)
-			demoteOff.Demote = false
-			return policy.NewTwoSize(demoteOff)
-		},
-		func() policy.MultiSize {
-			return policy.NewCumulative(policy.CumulativeConfig{Threshold: addr.BlocksPerChunk / 2})
-		},
-	}
-	futs := make([]*engine.Future[phasesRun], len(mkPol))
-	for i, mk := range mkPol {
-		mk := mk
-		futs[i] = engine.Go(o.Engine, ctx, "phases "+names[i],
-			func(ctx context.Context) (phasesRun, error) {
-				res, err := policyVariantSim(mk(), T).Run(ctx, phasedSource(refsPerPhase))
-				if err != nil {
-					return phasesRun{}, err
-				}
-				st := res.PolicyStats
-				return phasesRun{cpi: res.TLBs[0].CPITLB, avgWSS: res.WSS.AvgBytes,
-					promos: st.Promotions, demos: st.Demotions}, nil
-			})
-	}
+	demoteOff := policy.DefaultTwoSizeConfig(T)
+	demoteOff.Demote = false
+	// The three variants share one read of the phased stream.
+	fut := engine.Go(o.Engine, ctx, "phases", func(ctx context.Context) ([]*core.Result, error) {
+		return core.RunMany(ctx, phasedSource(refsPerPhase), []*core.Simulator{
+			policyVariantSim(policy.NewTwoSize(policy.DefaultTwoSizeConfig(T)), T),
+			policyVariantSim(policy.NewTwoSize(demoteOff), T),
+			policyVariantSim(policy.NewCumulative(policy.CumulativeConfig{Threshold: addr.BlocksPerChunk / 2}), T),
+		})
+	})
 	tbl := tableio.New("Extension: phased program (dense region later revisited sparsely), 16-entry FA",
 		"Policy", "CPI_TLB", "avg WSS", "promos", "demos")
+	results, err := fut.Wait(ctx)
+	if err != nil {
+		return nil, err
+	}
 	for i, name := range names {
-		run, err := futs[i].Wait(ctx)
-		if err != nil {
-			return nil, err
-		}
+		res := results[i]
 		tbl.Row(name,
-			tableio.F(run.cpi, 3),
-			tableio.F(run.avgWSS/(1<<20), 2)+"MB",
-			tableio.F(float64(run.promos), 0),
-			tableio.F(float64(run.demos), 0))
+			tableio.F(res.TLBs[0].CPITLB, 3),
+			tableio.F(res.WSS.AvgBytes/(1<<20), 2)+"MB",
+			tableio.F(float64(res.PolicyStats.Promotions), 0),
+			tableio.F(float64(res.PolicyStats.Demotions), 0))
 	}
 	tbl.Note("Demotion trades a little CPI (sparse revisits lose their 32KB mappings) for working-set honesty.")
 	return tbl, nil

@@ -5,11 +5,11 @@ import (
 	"fmt"
 
 	"twopage/internal/addr"
+	"twopage/internal/core"
 	"twopage/internal/engine"
 	"twopage/internal/metrics"
 	"twopage/internal/policy"
 	"twopage/internal/tableio"
-	"twopage/internal/trace"
 	"twopage/internal/workload"
 	"twopage/internal/wss"
 )
@@ -20,6 +20,14 @@ import (
 // sensitivity sweep share one pass per workload.
 func staticWSS(ctx context.Context, o *Options, s workload.Spec, refs uint64, T uint64) *engine.Future[[]wss.Result] {
 	return o.Engine.StaticWSS(ctx, engine.StaticWSSUnit{Workload: s.Name, Refs: refs, T: T})
+}
+
+// twoSizeWSS submits the dynamic scheme's working-set pass at window T:
+// a two-size pass with the exact calculator and no TLB, which joins its
+// stream's read like any unit.
+func twoSizeWSS(ctx context.Context, o *Options, s workload.Spec, refs uint64, T int) *engine.Future[*core.Result] {
+	return o.Engine.Pass(ctx, engine.PassSpec{Workload: s.Name, Refs: refs,
+		Policy: engine.TwoSizePolicy(policy.DefaultTwoSizeConfig(T)), WSS: true})
 }
 
 // normAt returns ladder[shift] normalized against the 4KB base.
@@ -39,17 +47,19 @@ func Table31(ctx context.Context, o *Options) (*tableio.Table, error) {
 		return nil, err
 	}
 	type row struct {
-		count  *engine.Future[trace.Count]
+		count  *engine.Future[*core.Result]
 		ladder *engine.Future[[]wss.Result]
 	}
 	rows := make([]row, len(specs))
 	for i, s := range specs {
-		s := s
 		refs := refsFor(s, o.Scale)
 		T := uint64(windowFor(refs))
 		rows[i].ladder = staticWSS(ctx, o, s, refs, T)
-		rows[i].count = engine.Go(o.Engine, ctx, "count "+s.Name,
-			func(ctx context.Context) (trace.Count, error) { return trace.CountRefs(ctx, s.New(refs)) })
+		// A bare pass counts the instructions; it rides the static
+		// unit's read of the stream.
+		rows[i].count = o.Engine.Ride(ctx, "count "+s.Name, s.Name, refs, func() (*core.Simulator, error) {
+			return core.NewSimulator(policy.NewSingle(addr.Size4K), nil), nil
+		})
 	}
 	tbl := tableio.New("Table 3.1: Workloads (synthetic reproductions)",
 		"Program", "Refs(M)", "RPI", "WS@4KB(T=refs/8)", "Class")
@@ -128,16 +138,14 @@ func Fig42(ctx context.Context, o *Options) (*tableio.Table, error) {
 	shifts := []uint{addr.Shift8K, addr.Shift16K, addr.Shift32K}
 	type row struct {
 		ladder *engine.Future[[]wss.Result]
-		two    *engine.Future[wss.Result]
+		two    *engine.Future[*core.Result]
 	}
 	rows := make([]row, len(specs))
 	for i, s := range specs {
 		refs := refsFor(s, o.Scale)
 		T := windowFor(refs)
 		rows[i].ladder = staticWSS(ctx, o, s, refs, uint64(T))
-		rows[i].two = o.Engine.TwoSizeWSS(ctx, engine.TwoSizeWSSUnit{
-			Workload: s.Name, Refs: refs, Cfg: policy.DefaultTwoSizeConfig(T),
-		})
+		rows[i].two = twoSizeWSS(ctx, o, s, refs, T)
 	}
 	tbl := tableio.New("Figure 4.2: WS_Normalized, single sizes vs 4KB/32KB",
 		"Program", "8KB", "16KB", "32KB", "4KB/32KB")
@@ -161,7 +169,7 @@ func Fig42(ctx context.Context, o *Options) (*tableio.Table, error) {
 			sums[j] += n
 			row = append(row, tableio.F(n, 2))
 		}
-		two := metrics.WSNormalized(twoRes.AvgBytes, base)
+		two := metrics.WSNormalized(twoRes.WSS.AvgBytes, base)
 		sums[3] += two
 		row = append(row, tableio.F(two, 2))
 		tbl.Row(row...)
@@ -184,7 +192,7 @@ func SensitivityT(ctx context.Context, o *Options) (*tableio.Table, error) {
 	}
 	type row struct {
 		ladders []*engine.Future[[]wss.Result]
-		twos    []*engine.Future[wss.Result]
+		twos    []*engine.Future[*core.Result]
 	}
 	rows := make([]row, len(specs))
 	for i, s := range specs {
@@ -194,9 +202,7 @@ func SensitivityT(ctx context.Context, o *Options) (*tableio.Table, error) {
 			// The nominal-T units are shared with fig4.1/fig4.2; only
 			// the halved and doubled windows cost extra passes.
 			rows[i].ladders = append(rows[i].ladders, staticWSS(ctx, o, s, refs, uint64(t)))
-			rows[i].twos = append(rows[i].twos, o.Engine.TwoSizeWSS(ctx, engine.TwoSizeWSSUnit{
-				Workload: s.Name, Refs: refs, Cfg: policy.DefaultTwoSizeConfig(t),
-			}))
+			rows[i].twos = append(rows[i].twos, twoSizeWSS(ctx, o, s, refs, t))
 		}
 	}
 	tbl := tableio.New("Section 4: WS_Normalized sensitivity to the window T",
@@ -217,7 +223,7 @@ func SensitivityT(ctx context.Context, o *Options) (*tableio.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			normTwo[j] = metrics.WSNormalized(twoRes.AvgBytes,
+			normTwo[j] = metrics.WSNormalized(twoRes.WSS.AvgBytes,
 				ladder[engine.StaticIndex(addr.Shift4K)].AvgBytes)
 		}
 		tbl.Row(s.Name,

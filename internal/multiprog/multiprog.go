@@ -56,8 +56,12 @@ type Reader struct {
 
 	// OnSwitch, if non-nil, is called at every context switch with the
 	// outgoing and incoming process indices. Use it to flush TLBs when
-	// modelling hardware without ASIDs. It runs between batches: the
-	// switch takes effect before the next reference is produced.
+	// modelling hardware without ASIDs. Read calls it before it returns,
+	// so before the caller steps the batch that Read is returning: the
+	// last one of the outgoing process when its quantum ends in it.
+	// Every simulator that core.RunMany hands that batch to therefore
+	// sees the hook at the same point of the stream as its own Run
+	// would.
 	OnSwitch func(from, to int)
 
 	switches uint64
@@ -115,7 +119,7 @@ func (r *Reader) advance() {
 // switch: it returns (a possibly short batch) at each quantum boundary,
 // so OnSwitch hooks observe the stream in precise switch order as long
 // as the caller processes each batch before reading the next (which
-// trace.Drain and core.Simulator do).
+// trace.Drain, core.Simulator and core.RunMany do).
 func (r *Reader) Read(batch []trace.Ref) (int, error) {
 	if r.alive == 0 {
 		return 0, io.EOF

@@ -3,15 +3,18 @@ package twopage_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"twopage/internal/addr"
 	"twopage/internal/core"
 	"twopage/internal/engine"
 	"twopage/internal/experiments"
+	"twopage/internal/obs"
 	"twopage/internal/policy"
 	"twopage/internal/tlb"
 	"twopage/internal/trace"
@@ -265,10 +268,11 @@ func TestShardedStaticWSSExact(t *testing.T) {
 	for i, sh := range engine.StaticShifts {
 		sizes[i] = addr.PageSize(1) << sh
 	}
-	want, err := core.MeasureStaticWSS(ctx, f.Reader(), T, sizes...)
+	serial, err := core.NewSimulator(policy.NewSingle(addr.Size4K), nil, core.WithStaticWSS(T, sizes...)).Run(ctx, f.Reader())
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := serial.StaticWSS
 
 	const name = "trace:shard-wss"
 	if err := workload.RegisterFile(name, f); err != nil {
@@ -290,6 +294,40 @@ func TestShardedStaticWSSExact(t *testing.T) {
 				t.Errorf("shards=%d shift=%d: got %+v, want %+v", shards, engine.StaticShifts[i], got[i], want[i])
 			}
 		}
+	}
+}
+
+// The dynamic scheme's working-set pass (fig4.2, sensitivity) is a
+// TLB-less Pass unit, so under a shard plan it runs in sections like
+// any unit, within the battery's 2% working-set bound of the serial
+// pass.
+func TestShardedTLBlessWSSPass(t *testing.T) {
+	f := writeRandomV2(t, 200_000, 512, 3)
+	const name = "trace:shard-two-wss"
+	if err := workload.RegisterFile(name, f); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { workload.Unregister(name) })
+	ctx := context.Background()
+	spec := engine.PassSpec{Workload: name, Refs: f.Refs(),
+		Policy: engine.TwoSizePolicy(policy.DefaultTwoSizeConfig(30_000)), WSS: true}
+	want, err := engine.New(2).Pass(ctx, spec).Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := obs.NewCollector()
+	got, err := engine.New(4, engine.WithCollector(col), engine.WithSharding(engine.ShardPlan{Shards: 8})).Pass(ctx, spec).Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if passes := col.Passes(); len(passes) != 1 || !strings.Contains(passes[0].Key, " shards=8 ") {
+		t.Fatalf("recorded passes %+v, want one with shards=8", passes)
+	}
+	if got.Refs != want.Refs || got.Instrs != want.Instrs {
+		t.Errorf("refs/instrs %d/%d, want %d/%d", got.Refs, got.Instrs, want.Refs, want.Instrs)
+	}
+	if d := math.Abs(got.WSS.AvgBytes-want.WSS.AvgBytes) / want.WSS.AvgBytes; d > 0.02 {
+		t.Errorf("WSS error %.4f (%.0f vs %.0f) exceeds bound 0.02", d, got.WSS.AvgBytes, want.WSS.AvgBytes)
 	}
 }
 
