@@ -44,6 +44,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -121,6 +122,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "paper: "+format+"\n", args...)
 		return 2
 	}
+	ids := fs.Args()
+	if len(ids) == 1 && ids[0] == "all" {
+		ids = nil // RunAll runs every experiment
+	}
+	// A flag the run would ignore is a usage error too.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	walks := len(ids) == 0 || slices.Contains(ids, "walkcpi") || slices.Contains(ids, "walkdeltamp")
 	switch {
 	case !(*scale > 0) || math.IsInf(*scale, 1):
 		return usage("-scale must be a finite number > 0, got %g", *scale)
@@ -128,10 +137,24 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return usage("-j must be >= 1, got %d", *parallelism)
 	case *shards < 1:
 		return usage("-shards must be >= 1, got %d", *shards)
+	case *shards > 1 && *traceF == "":
+		return usage("-shards > 1 needs -trace (only a trace file's passes run in sections)")
 	case *warmup > 0 && *shards == 1:
 		// The serial pass has no warm-up phase; silently ignoring the
 		// flag would report cold-state metrics as if they were warm.
 		return usage("-warmup requires -shards > 1 (the serial pass replays no warm-up)")
+	case (set["walkpwc"] || set["walkmem"]) && !walks:
+		flagName := "-walkpwc"
+		if !set["walkpwc"] {
+			flagName = "-walkmem"
+		}
+		return usage("%s is read only by walkcpi and walkdeltamp, and the run includes neither", flagName)
+	case *csv && *jsonOut:
+		return usage("-csv does not combine with -json")
+	case *chart && (*csv || *jsonOut):
+		return usage("-chart does not combine with -csv or -json")
+	case *chart && len(ids) > 0 && !slices.ContainsFunc(ids, func(id string) bool { _, ok := chartSpec[id]; return ok }):
+		return usage("-chart needs a chartable experiment, and the run includes none")
 	}
 
 	if *list {
@@ -139,11 +162,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stdout, "%-12s %s\n%13s%s\n", e.ID, e.Title, "", e.About)
 		}
 		return 0
-	}
-
-	ids := fs.Args()
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = nil // RunAll runs every experiment
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -98,9 +98,10 @@ var errScope = map[string]bool{
 	"twopage/internal/workload": true,
 }
 
-// oneLoopScope holds the packages whose policy and TLB work must run
-// through core's per-reference loop.
+// oneLoopScope holds the packages whose policy, TLB and working-set
+// work must run through core's per-reference loop.
 var oneLoopScope = map[string]bool{
+	"twopage/internal/engine":      true,
 	"twopage/internal/experiments": true,
 }
 

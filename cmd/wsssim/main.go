@@ -80,14 +80,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return usage("-shards > 1 needs -trace")
 	}
 	var pageSizes []addr.PageSize
-	var shifts []uint
 	for _, f := range strings.Split(*sizes, ",") {
 		v, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
 		if err != nil || !addr.PageSize(v).Valid() {
 			return usage("-sizes: bad page size %q", f)
 		}
 		pageSizes = append(pageSizes, addr.PageSize(v))
-		shifts = append(shifts, addr.PageSize(v).Shift())
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -163,27 +161,26 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	// A trace's static pass runs in sections (one when -shards is 1),
 	// which merge exactly into the serial result.
-	var results []wss.Result
-	var c obs.Counters
+	build := func() (*core.Simulator, error) {
+		return core.NewSimulator(policy.NewSingle(addr.Size4K), nil, core.WithStaticWSS(T, pageSizes...)), nil
+	}
+	var static *core.Result
 	if file != nil {
-		results, c, err = engine.StaticWSSSections(engine.New(*shards), ctx, file, *refs, *shards, T, shifts, "wss-static")
+		static, err = engine.RunSharded(engine.New(*shards), ctx, file, *refs, engine.ShardPlan{Shards: *shards}, "wss-static", build)
 	} else {
-		sim := core.NewSimulator(policy.NewSingle(addr.Size4K), nil, core.WithStaticWSS(T, pageSizes...))
-		var out *core.Result
-		if out, err = sim.Run(ctx, open()); err == nil {
-			results, c = out.StaticWSS, out.Counters
-		}
+		sim, _ := build()
+		static, err = sim.Run(ctx, open())
 	}
 	if err != nil {
 		return fail(err)
 	}
-	passes = append(passes, obs.Pass{Key: fmt.Sprintf("wss-static w=%s T=%d", srcName, T), Counters: c})
-	totals.Add(c)
+	passes = append(passes, obs.Pass{Key: fmt.Sprintf("wss-static w=%s T=%d", srcName, T), Counters: static.Counters})
+	totals.Add(static.Counters)
 
-	base := results[0]
+	base := static.StaticWSS[0]
 	fmt.Fprintf(stdout, "T = %d references\n", T)
 	fmt.Fprintf(stdout, "%-10s %-12s %s\n", "scheme", "avg WSS", "normalized (vs first)")
-	for _, r := range results {
+	for _, r := range static.StaticWSS {
 		fmt.Fprintf(stdout, "%-10s %-12s %.3f\n", r.Scheme, wss.FormatBytes(r.AvgBytes),
 			metrics.WSNormalized(r.AvgBytes, base.AvgBytes))
 	}

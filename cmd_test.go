@@ -237,6 +237,12 @@ func TestCommandLineTools(t *testing.T) {
 			{"paper", "-j", []string{"-scale", "0.01", "-j", "-3", "-workloads", "li", "table3.1"}},
 			{"paper", "-shards", []string{"-scale", "0.01", "-shards", "0", "-workloads", "li", "table3.1"}},
 			{"paper", "-workloads", []string{"-scale", "0.01", "-workloads", "bogus", "table3.1"}},
+			{"paper", "-shards", []string{"-scale", "0.01", "-shards", "2", "-warmup", "100", "-workloads", "li", "table3.1"}},
+			{"paper", "-walkpwc", []string{"-scale", "0.01", "-walkpwc", "4", "-workloads", "li", "table3.1"}},
+			{"paper", "-walkmem", []string{"-scale", "0.01", "-walkmem", "4096", "-workloads", "li", "table3.1"}},
+			{"paper", "-csv", []string{"-scale", "0.01", "-workloads", "li", "-csv", "-json", "table3.1"}},
+			{"paper", "-chart", []string{"-scale", "0.01", "-workloads", "li", "-chart", "-csv", "fig4.1"}},
+			{"paper", "-chart", []string{"-scale", "0.01", "-workloads", "li", "-chart", "table3.1"}},
 			{"wsssim", "-shards", []string{"-trace", v2, "-shards", "0"}},
 			{"wsssim", "-shards", []string{"-trace", v2, "-shards", "-2"}},
 			{"wsssim", "-shards", append([]string{"-shards", "2"}, li...)},
@@ -606,7 +612,7 @@ func TestCommandLineTools(t *testing.T) {
 			{"customworkload", "== db workload: CPI_TLB, 16-entry fully associative =="},
 			{"indexing", "== Figure 2.1: one 32KB page vs a small-page-indexed TLB =="},
 			{"matrix", "matrix300: CPI_TLB vs memory cost (16-entry TLBs)"},
-			{"multiprog", "Flushing refills the mapped footprint after every switch; large pages"},
+			{"multiprog", "Each slice evicts the other processes' entries before they run again,"},
 			{"promotion", "handlers:   single-size miss 20 cycles, two-size 25 cycles (the paper's 20/25 model)"},
 			{"quickstart", "matrix300, 16-entry fully associative TLB"},
 		}

@@ -85,7 +85,8 @@ func main() {
 	if _, err := tbl.WriteTo(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nFlushing refills the mapped footprint after every switch; large pages")
-	fmt.Println("refill it with ~8x fewer entries, so the two-page scheme softens the")
-	fmt.Println("multiprogramming penalty — the effect the paper predicted but could not measure.")
+	fmt.Println("\nEach slice evicts the other processes' entries before they run again,")
+	fmt.Println("so at this quantum flushing costs nothing over ASID tags. Large pages")
+	fmt.Println("refill each process's footprint after a switch with far fewer entries —")
+	fmt.Println("the effect the paper predicted but could not measure.")
 }

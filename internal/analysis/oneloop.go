@@ -6,20 +6,31 @@ import (
 	"strings"
 )
 
-// OneLoopConfig names the interfaces whose per-reference methods,
-// Assign and Access, only core's loop may call.
+// OneLoopConfig names the per-reference methods only core's loop may
+// call: Assign and Access on interfaces, and methods of concrete types.
 type OneLoopConfig struct {
 	// Interfaces lists qualified interface names, package path dot type
 	// name, e.g. "twopage/internal/policy.Assigner". An Assign or Access
 	// call on a value whose type implements one of them is flagged.
 	Interfaces []string
+	// Methods lists concrete methods by their full name, as
+	// types.Func.FullName prints it, e.g.
+	// "(*twopage/internal/wss.Static).Step". Every call of one is
+	// flagged.
+	Methods []string
 }
 
 // DefaultOneLoopConfig returns the repository's configuration: the
-// page-size policy and the TLB.
+// page-size policy, the TLB and the working-set calculators.
 func DefaultOneLoopConfig() OneLoopConfig {
 	return OneLoopConfig{
 		Interfaces: []string{"twopage/internal/policy.Assigner", "twopage/internal/tlb.TLB"},
+		Methods: []string{
+			"(*twopage/internal/wss.Static).Step",
+			"(*twopage/internal/wss.Sampled).Step",
+			"(*twopage/internal/wss.TwoSize).Observe",
+			"(*twopage/internal/wss.TwoSize).ObserveWarm",
+		},
 	}
 }
 
@@ -27,10 +38,11 @@ func DefaultOneLoopConfig() OneLoopConfig {
 var oneLoopMethods = map[string]bool{"Assign": true, "Access": true}
 
 // OneLoop returns the analyzer that keeps per-reference simulation in
-// core's one loop (core.Simulator): an experiment that assigns pages or
-// probes a TLB itself has a private copy of that loop, and a private
-// copy drifts from core — one skipped core's TLB invalidation on
-// demotion. Every Assign or Access call on a policy or TLB is flagged.
+// core's one loop (core.Simulator): an experiment that assigns pages,
+// probes a TLB or steps a working-set calculator itself has a private
+// copy of that loop, and a private copy drifts from core — one skipped
+// core's TLB invalidation on demotion. Every Assign or Access call on a
+// policy or TLB, and every call of a configured method, is flagged.
 //
 // A loop that models what belongs to one experiment alone may stay,
 // with its reason in a //paperlint:ignore oneloop directive on (or
@@ -40,13 +52,14 @@ var oneLoopMethods = map[string]bool{"Assign": true, "Access": true}
 func OneLoop(cfg OneLoopConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "oneloop",
-		Doc:  "flags policy Assign and TLB Access calls that bypass core's per-reference loop",
+		Doc:  "flags per-reference policy, TLB and working-set calls that bypass core's loop",
+	}
+	methods := map[string]bool{}
+	for _, m := range cfg.Methods {
+		methods[m] = true
 	}
 	a.Run = func(pass *Pass) error {
 		ifaces := lookupInterfaces(pass.Pkg, cfg.Interfaces)
-		if len(ifaces) == 0 {
-			return nil
-		}
 		for _, f := range pass.Files {
 			var stack []ast.Node
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -60,23 +73,29 @@ func OneLoop(cfg OneLoopConfig) *Analyzer {
 					return true
 				}
 				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || !oneLoopMethods[sel.Sel.Name] {
+				if !ok {
 					return true
 				}
 				selection := pass.TypesInfo.Selections[sel]
 				if selection == nil || selection.Kind() != types.MethodVal {
 					return true
 				}
-				iface := implemented(selection.Recv(), ifaces)
-				if iface == "" {
+				var what string
+				if fn, ok := selection.Obj().(*types.Func); ok && methods[fn.FullName()] {
+					what = fn.FullName()
+				} else if oneLoopMethods[sel.Sel.Name] {
+					if iface := implemented(selection.Recv(), ifaces); iface != "" {
+						what = sel.Sel.Name + " on a " + iface
+					}
+				}
+				if what == "" {
 					return true
 				}
 				if loop := enclosingLoop(stack); loop != nil &&
 					pass.Supp.Suppressed(a.Name, pass.Fset.Position(loop.Pos())) {
 					return true
 				}
-				pass.Reportf(sel.Sel.Pos(), "%s on a %s outside core: run the pass through core.Simulator, or give the loop a //paperlint:ignore oneloop reason",
-					sel.Sel.Name, iface)
+				pass.Reportf(sel.Sel.Pos(), "%s outside core: run the pass through core.Simulator, or give the loop a //paperlint:ignore oneloop reason", what)
 				return true
 			})
 		}

@@ -58,6 +58,9 @@ func TestDeprCheck(t *testing.T) {
 }
 
 func TestOneLoop(t *testing.T) {
-	cfg := analysis.OneLoopConfig{Interfaces: []string{"oneloop/fake.Assigner", "oneloop/fake.TLB"}}
+	cfg := analysis.OneLoopConfig{
+		Interfaces: []string{"oneloop/fake.Assigner", "oneloop/fake.TLB"},
+		Methods:    []string{"(*oneloop/fake.Static).Step"},
+	}
 	analysistest.Run(t, "testdata", "oneloop", analysis.OneLoop(cfg))
 }

@@ -1,6 +1,7 @@
 // Package fake mirrors the shapes the oneloop analyzer guards in the
 // real repository: a page-size policy, a TLB, a cache whose Access is
-// no TLB's, and core's loop that may call them.
+// no TLB's, a working-set calculator of a concrete type, and core's
+// loop that may call them.
 package fake
 
 type Page struct{ Number uint64 }
@@ -29,6 +30,12 @@ func (f *FA) Access(va uint64, p Page) bool { f.hits++; return false }
 type Cache struct{}
 
 func (c *Cache) Access(va uint64) bool { return false }
+
+type Static struct{ steps int }
+
+func (s *Static) Step(va uint64) { s.steps++ }
+
+func (s *Static) Steps() int { return s.steps }
 
 // Run is core's per-reference loop.
 func Run(pol Assigner, t TLB, refs []uint64) {

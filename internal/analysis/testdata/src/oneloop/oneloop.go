@@ -44,3 +44,12 @@ func cacheOnly(c *fake.Cache, refs []uint64) int {
 	}
 	return n
 }
+
+// concrete steps a working-set calculator itself: the configured method
+// is flagged, its other methods are not.
+func concrete(s *fake.Static, refs []uint64) int {
+	for _, va := range refs {
+		s.Step(va) // want `\(\*oneloop/fake\.Static\)\.Step outside core`
+	}
+	return s.Steps()
+}

@@ -58,6 +58,7 @@ type Result struct {
 	// StaticWSS holds the average working set of each static page size
 	// of WithStaticWSS, in the order given; nil without it.
 	StaticWSS []wss.Result
+	static    *wss.Static // the calculator behind StaticWSS, which MergeResults splices
 	// PolicyStats holds promotion/demotion counters for the two-size
 	// policies (TwoSize, Region, Cumulative).
 	PolicyStats *policy.TwoSizeStats
@@ -172,8 +173,8 @@ func WithSampledWSS(T int) Option {
 // static pass of its own is a simulator with a 4KB Single policy and
 // no TLBs. A zero T, no sizes or an invalid size is a configuration
 // error, and so is a later Warm: the averages cover the whole stream.
-// MergeResults drops them; engine.StaticWSSSections is the sectioned
-// static pass, and merges exactly.
+// MergeResults merges the sections of a stream exactly when each
+// section's simulator was told where it starts (Section).
 func WithStaticWSS(T uint64, sizes ...addr.PageSize) Option {
 	return func(s *Simulator) {
 		if T == 0 {
@@ -290,6 +291,18 @@ func NewSimulator(pol policy.Assigner, tlbs []tlb.TLB, opts ...Option) *Simulato
 		s.fail(fmt.Errorf("core: WithWSS does not combine with WithSampledWSS"))
 	}
 	return s
+}
+
+// Section tells the simulator that its stream is the section of a
+// longer one that begins at reference start. engine.RunSharded calls
+// it before Warm and Run. Only the static working sets depend on where
+// a section begins: their calculator is rebuilt with global timestamps
+// from start, so MergeResults can splice the sections exactly
+// (wss.MergeStatic). Nothing else changes.
+func (s *Simulator) Section(start uint64) {
+	if s.static != nil {
+		s.static = s.static.At(start)
+	}
 }
 
 // Err returns the simulator's first configuration error, nil if it has
@@ -419,7 +432,7 @@ func (s *Simulator) result(refs, instrs uint64, decode obs.Counters) *Result {
 		out.WSS = &res
 	}
 	if s.static != nil {
-		out.StaticWSS = s.static.Finish()
+		out.StaticWSS, out.static = s.static.Finish(), s.static
 	}
 	out.finish(decode)
 	return out

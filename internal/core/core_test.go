@@ -361,7 +361,7 @@ func TestWithStaticWSS(t *testing.T) {
 		t.Errorf("wss_pages = %d, want the first size's %d", got.Counters.WSSPages, want[0].Pages)
 	}
 	plain := run()
-	got.StaticWSS, got.Counters.WSSPages = nil, 0
+	got.StaticWSS, got.static, got.Counters.WSSPages = nil, nil, 0
 	if !reflect.DeepEqual(got, plain) {
 		t.Errorf("WithStaticWSS changed the pass's other results:\n%+v\nwant\n%+v", got, plain)
 	}
@@ -381,6 +381,67 @@ func TestWithStaticWSS(t *testing.T) {
 	want32K := 2.0 * float64(addr.ChunkSize)
 	if got := res.StaticWSS[1].AvgBytes; math.Abs(got-want32K) > 0.05*want32K {
 		t.Fatalf("32KB WSS = %v, want ≈%v", got, want32K)
+	}
+}
+
+// Sections of one stream, each run by a static simulator told where it
+// starts and merged by MergeResults, report the serial pass's static
+// working sets and run-report counters exactly, however the stream is
+// cut: unevenly, and with an empty section.
+func TestSectionedStaticWSSMergesExactly(t *testing.T) {
+	const n = 50_000
+	var refs []trace.Ref
+	if _, err := trace.DrainContext(context.Background(), workload.MustNew("li", n), func(b []trace.Ref) {
+		refs = append(refs, b...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	run := func(start, end int) *Result {
+		sim := NewSimulator(policy.NewSingle(addr.Size4K), nil, WithStaticWSS(3000, addr.Size4K, addr.Size16K, addr.Size64K))
+		sim.Section(uint64(start))
+		res, err := sim.Run(context.Background(), trace.NewSliceReader(refs[start:end]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	serial := run(0, n)
+	// Section boundaries, from the first reference to the last.
+	for _, bounds := range [][]int{
+		{0, n},
+		{0, 7_001, n},
+		{0, 20_000, 20_000, n},
+		{0, 1, 999, 15_000, 15_000, 30_517, 31_000, 44_444, n},
+	} {
+		var parts []*Result
+		for i := range len(bounds) - 1 {
+			parts = append(parts, run(bounds[i], bounds[i+1]))
+		}
+		got := MergeResults(parts)
+		if !reflect.DeepEqual(got.StaticWSS, serial.StaticWSS) {
+			t.Errorf("%d sections: StaticWSS = %+v, want the serial pass's %+v", len(parts), got.StaticWSS, serial.StaticWSS)
+		}
+		if !reflect.DeepEqual(got.Counters, serial.Counters) {
+			t.Errorf("%d sections: counters = %+v, want the serial pass's %+v", len(parts), got.Counters, serial.Counters)
+		}
+	}
+}
+
+// Without static working sets, Section changes nothing a pass reports.
+func TestSectionWithoutStaticWSS(t *testing.T) {
+	run := func(section bool) *Result {
+		sim := NewSimulator(policy.NewTwoSize(policy.DefaultTwoSizeConfig(3000)), []tlb.TLB{tlb.NewFullyAssoc(16)}, WithWSS())
+		if section {
+			sim.Section(12_345)
+		}
+		res, err := sim.Run(context.Background(), workload.MustNew("li", 30_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if got, want := run(true), run(false); !reflect.DeepEqual(got, want) {
+		t.Errorf("Section changed the pass:\n%+v\nwant\n%+v", got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"twopage/internal/obs"
+	"twopage/internal/wss"
 )
 
 // MergeResults folds per-shard simulation results, given in section
@@ -11,9 +12,11 @@ import (
 // would report. Flow counters (references, hits, misses, transitions,
 // walks) sum exactly; derived ratios (MPI, CPI_TLB, miss ratio) are
 // recomputed from the merged counters; working-set averages are
-// re-weighted by each shard's sample count; gauges (mapped regions,
-// large-chunk counts) take the last non-empty shard's value, since they
-// describe end-of-stream state rather than accumulated flow.
+// re-weighted by each shard's sample count, and static ones spliced
+// exactly (wss.MergeStatic) from sections told their start (Section);
+// gauges (mapped regions, large-chunk counts) take the last non-empty
+// shard's value, since they describe end-of-stream state rather than
+// accumulated flow.
 //
 // A single part is returned verbatim — no recomputation — so a
 // one-shard run is byte-identical to the serial pass, floats included.
@@ -77,6 +80,14 @@ func MergeResults(parts []*Result) *Result {
 			merged.AvgBytes = acc / float64(merged.Samples)
 		}
 		out.WSS = &merged
+	}
+
+	if live[0].static != nil {
+		calcs := make([]*wss.Static, len(live))
+		for i, p := range live {
+			calcs[i] = p.static
+		}
+		out.StaticWSS = wss.MergeStatic(calcs)
 	}
 
 	if live[0].PolicyStats != nil {

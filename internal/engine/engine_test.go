@@ -405,6 +405,18 @@ func TestBadUnitFailsItsFuture(t *testing.T) {
 			return err
 		}
 	}
+	// forms runs a spec that sets several forms, or a short ladder,
+	// through PolicySpec.New and a pass; both must reject it.
+	forms := func(pol PolicySpec) func(*Engine, context.Context) error {
+		return func(e *Engine, ctx context.Context) error {
+			if _, err := pol.New(); err == nil {
+				return errors.New("PolicySpec.New accepted the spec")
+			}
+			return pass(pol)(e, ctx)
+		}
+	}
+	twoCfg := policy.DefaultTwoSizeConfig(1000)
+	ladderCfg := policy.DefaultLadderConfig(1000, addr.MustShiftClasses(addr.Shift4K, addr.Shift32K, addr.Shift256K))
 	staticWSS := func(u StaticWSSUnit) func(*Engine, context.Context) error {
 		return func(e *Engine, ctx context.Context) error {
 			_, err := e.StaticWSS(ctx, u).Wait(ctx)
@@ -428,6 +440,18 @@ func TestBadUnitFailsItsFuture(t *testing.T) {
 			_, err := e.Pass(ctx, PassSpec{Workload: "li", Refs: 10_000,
 				Policy: TwoSizePolicy(policy.DefaultTwoSizeConfig(0)), WSS: true}).Wait(ctx)
 			return err
+		}},
+		{"single-and-two", "Single and Two", forms(PolicySpec{Single: addr.Size4K, Two: twoCfg})},
+		{"single-and-ladder", "Single and Ladder", forms(PolicySpec{Single: addr.Size4K, Ladder: ladderCfg})},
+		{"two-and-ladder", "Two and Ladder", forms(PolicySpec{Two: twoCfg, Ladder: ladderCfg})},
+		{"ladder-one-class", "two size classes", forms(PolicySpec{Ladder: policy.LadderConfig{T: 1000}})},
+		// The 4KB pass's memo entry must not answer a spec that also
+		// sets Two.
+		{"single-and-two-after-good", "Single and Two", func(e *Engine, ctx context.Context) error {
+			if err := pass(SinglePolicy(addr.Size4K))(e, ctx); err != nil {
+				return err
+			}
+			return forms(PolicySpec{Single: addr.Size4K, Two: twoCfg})(e, ctx)
 		}},
 		{"static-wss-T-0", "window T", staticWSS(StaticWSSUnit{Workload: "li", Refs: 10_000})},
 		{"static-wss-T-0-sharded", "window T", staticWSS(StaticWSSUnit{Workload: file, Refs: f.Refs()})},

@@ -2,13 +2,10 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"twopage/internal/core"
-	"twopage/internal/obs"
 	"twopage/internal/trace"
 	"twopage/internal/workload"
-	"twopage/internal/wss"
 )
 
 // ShardPlan describes intra-trace sharding: a file-backed workload's
@@ -87,7 +84,8 @@ func (e *Engine) shardFor(name string, pol PolicySpec) (*trace.File, ShardPlan, 
 // RunSharded simulates a memory-mapped trace in plan.Shards disjoint
 // block-aligned sections and merges the per-shard results. build must
 // return a fresh simulator per call (each shard owns its policy, TLBs,
-// and page-table shadow); refs > 0 truncates the stream like
+// and page-table shadow), which is told where its section starts
+// (core.Simulator.Section); refs > 0 truncates the stream like
 // workload.Spec.New, refs == 0 runs the whole file. Every shard after
 // the first warms up on the plan.Warmup references preceding its
 // section (clamped to the start of the file) before measuring.
@@ -104,6 +102,7 @@ func RunSharded(e *Engine, ctx context.Context, f *trace.File, refs uint64, plan
 		if err != nil {
 			return nil, err
 		}
+		sim.Section(f.SectionStart(section, n))
 		rd, left := limitSection(f, r, section, n, refs)
 		if section > 0 && plan.Warmup > 0 && left > 0 {
 			if err := sim.Warm(ctx, f.Preroll(section, n, plan.Warmup)); err != nil {
@@ -130,53 +129,4 @@ func limitSection(f *trace.File, r *trace.MapReader, section, n int, refs uint64
 		return trace.NewLimit(r, left), left
 	}
 	return r, left
-}
-
-// StaticWSSSections computes the static working-set pass at window T
-// for the given page shifts over the first refs references of f (all
-// of them when refs is 0), in shards sections on e's pool (counted as
-// MapSections counts them); a zero T is an error. Unlike TLB
-// simulation the merge is exact — the residency accumulation
-// decomposes across any partition of the stream (wss.MergeStatic) — so
-// the results equal the serial pass's for any shard count and no
-// warm-up is needed. The counters hold the pass, the references
-// observed, the base scheme's pages and the sections' decode work.
-// Like RunSharded it waits on pool futures, so it must run on a
-// coordinator goroutine.
-func StaticWSSSections(e *Engine, ctx context.Context, f *trace.File, refs uint64, shards int, T uint64, shifts []uint, label string) ([]wss.Result, obs.Counters, error) {
-	if T == 0 {
-		return nil, obs.Counters{}, fmt.Errorf("engine: static working-set window T must be positive")
-	}
-	n := e.sections(f, shards)
-	type part struct {
-		calc *wss.Static
-		dec  trace.DecodeStats
-	}
-	parts, err := MapSections(e, ctx, f, n, label, func(ctx context.Context, r *trace.MapReader, section int) (part, error) {
-		rd, _ := limitSection(f, r, section, n, refs)
-		calc := wss.NewStatic(T, f.SectionStart(section, n), shifts...)
-		if _, err := trace.DrainContext(ctx, rd, func(batch []trace.Ref) {
-			for _, ref := range batch {
-				calc.Step(ref.Addr)
-			}
-		}); err != nil {
-			return part{}, err
-		}
-		return part{calc: calc, dec: r.DecodeStats()}, nil
-	}).Wait(ctx)
-	if err != nil {
-		return nil, obs.Counters{}, err
-	}
-	calcs := make([]*wss.Static, len(parts))
-	c := obs.Counters{Passes: 1}
-	for i, p := range parts {
-		calcs[i] = p.calc
-		c.Refs += p.calc.Steps()
-		c.DecodedRefs += p.dec.Refs
-		c.DecodedBlocks += p.dec.Blocks
-		c.DecodedBytes += p.dec.Bytes
-	}
-	results := wss.MergeStatic(calcs)
-	c.WSSPages = results[0].Pages // base scheme
-	return results, c, nil
 }

@@ -3,11 +3,11 @@ package engine
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 
 	"twopage/internal/addr"
 	"twopage/internal/core"
-	"twopage/internal/obs"
 	"twopage/internal/policy"
 	"twopage/internal/tlb"
 	"twopage/internal/walk"
@@ -15,10 +15,12 @@ import (
 )
 
 // PolicySpec declaratively describes a page-size assignment policy, so
-// that a simulation pass can be keyed and memoized. Exactly one of the
-// three forms is used: Single (nonzero) selects the fixed-size
-// baseline, a Ladder with at least two size classes selects the N-level
-// promotion ladder, otherwise Two selects the paper's dynamic policy.
+// that a simulation pass can be keyed and memoized. It sets one of
+// three forms: Single (nonzero) selects the fixed-size baseline, a
+// Ladder with at least two size classes selects the N-level promotion
+// ladder, otherwise Two selects the paper's dynamic policy. A spec that
+// sets more than one form, or a Ladder with fewer than two classes, is
+// an error.
 type PolicySpec struct {
 	// Single, when nonzero, is the fixed page size.
 	Single addr.PageSize
@@ -42,8 +44,34 @@ func TwoSizePolicy(cfg policy.TwoSizeConfig) PolicySpec { return PolicySpec{Two:
 // LadderPolicy returns the spec for the N-level promotion ladder.
 func LadderPolicy(cfg policy.LadderConfig) PolicySpec { return PolicySpec{Ladder: cfg} }
 
+// check rejects a spec that would silently build, and key, one form
+// of several: more than one form set, or a Ladder too short to be one.
+func (p PolicySpec) check() error {
+	var set []string
+	if p.Single != 0 {
+		set = append(set, "Single")
+	}
+	if !reflect.ValueOf(p.Two).IsZero() {
+		set = append(set, "Two")
+	}
+	ladder := !reflect.ValueOf(p.Ladder).IsZero()
+	if ladder {
+		set = append(set, "Ladder")
+	}
+	if len(set) > 1 {
+		return fmt.Errorf("engine: PolicySpec sets %s; set one form", strings.Join(set, " and "))
+	}
+	if ladder && p.Ladder.Classes.N() < 2 {
+		return fmt.Errorf("engine: PolicySpec Ladder needs at least two size classes, got %d", p.Ladder.Classes.N())
+	}
+	return nil
+}
+
 // New instantiates the policy.
 func (p PolicySpec) New() (policy.Assigner, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	if p.Single != 0 {
 		if !p.Single.Valid() {
 			return nil, fmt.Errorf("engine: invalid page size %d", p.Single)
@@ -126,6 +154,9 @@ type Unit struct {
 // first so equivalent spellings (Ways 0 vs Ways == Entries, default
 // shifts) share a unit.
 func (u Unit) Key() (string, error) {
+	if err := u.Policy.check(); err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "w=%s refs=%d pol=%s wss=%t", u.Workload, u.Refs, u.Policy.key(), u.WSS)
 	if u.TLB != nil {
@@ -354,39 +385,33 @@ func (u StaticWSSUnit) key() string {
 // serial pass joins its stream's fused group like a unit (fuse.go).
 func (e *Engine) StaticWSS(ctx context.Context, u StaticWSSUnit) *Future[[]wss.Result] {
 	key := u.key()
-	// The static working-set merge is exact (wss.MergeStatic), so the
-	// sharded pass shares the serial unit's key: either path may
-	// satisfy a memo hit for the other, bit for bit.
+	// The static working-set merge is exact (core.MergeResults), so the
+	// sharded pass shares the serial unit's key and replays no warm-up:
+	// either path may satisfy a memo hit for the other, bit for bit.
 	var t *ticket
-	var run func(context.Context) ([]wss.Result, obs.Counters, error)
+	var run func(context.Context) (*core.Result, error)
 	f, plan, sharded := e.shardFor(u.Workload, PolicySpec{})
 	if sharded {
-		run = func(ctx context.Context) ([]wss.Result, obs.Counters, error) {
-			return StaticWSSSections(e, ctx, f, u.Refs, plan.Shards, u.T, StaticShifts, key)
+		run = func(ctx context.Context) (*core.Result, error) {
+			return RunSharded(e, ctx, f, u.Refs, ShardPlan{Shards: plan.Shards}, key, u.newSimulator)
 		}
 	} else {
 		t = newTicket(ctx, u.Workload, u.Refs)
 		t.build = u.newSimulator
-		run = func(ctx context.Context) ([]wss.Result, obs.Counters, error) {
-			res, err := t.result(ctx)
-			if err != nil {
-				return nil, obs.Counters{}, err
-			}
-			return res.StaticWSS, res.Counters, nil
-		}
+		run = t.result
 	}
 	return submit(e, ctx, key, true, sharded, t, func(ctx context.Context) ([]wss.Result, error) {
-		results, c, err := run(ctx)
+		res, err := run(ctx)
 		if err != nil {
 			return nil, err
 		}
-		e.Record(key, c)
-		return results, nil
+		e.Record(key, res.Counters)
+		return res.StaticWSS, nil
 	})
 }
 
-// newSimulator builds the serial static pass: a 4KB Single policy, no
-// TLBs, and the working sets of every StaticShifts size.
+// newSimulator builds the static pass: a 4KB Single policy, no TLBs,
+// and the working sets of every StaticShifts size.
 func (u StaticWSSUnit) newSimulator() (*core.Simulator, error) {
 	sizes := make([]addr.PageSize, len(StaticShifts))
 	for i, sh := range StaticShifts {

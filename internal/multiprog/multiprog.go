@@ -56,12 +56,11 @@ type Reader struct {
 
 	// OnSwitch, if non-nil, is called at every context switch with the
 	// outgoing and incoming process indices. Use it to flush TLBs when
-	// modelling hardware without ASIDs. Read calls it before it returns,
-	// so before the caller steps the batch that Read is returning: the
-	// last one of the outgoing process when its quantum ends in it.
-	// Every simulator that core.RunMany hands that batch to therefore
-	// sees the hook at the same point of the stream as its own Run
-	// would.
+	// modelling hardware without ASIDs. Read calls it when it starts
+	// the incoming process's first batch, so after the caller has
+	// stepped the outgoing process's last reference. Every simulator
+	// that core.RunMany hands the batches to therefore sees the hook at
+	// the same point of the stream as its own Run would.
 	OnSwitch func(from, to int)
 
 	switches uint64
@@ -117,14 +116,15 @@ func (r *Reader) advance() {
 
 // Read implements trace.Reader. A single call never crosses a context
 // switch: it returns (a possibly short batch) at each quantum boundary,
-// so OnSwitch hooks observe the stream in precise switch order as long
-// as the caller processes each batch before reading the next (which
-// trace.Drain, core.Simulator and core.RunMany do).
+// and the next call makes the switch, so OnSwitch hooks observe the
+// stream in precise switch order as long as the caller processes each
+// batch before reading the next (which trace.Drain, core.Simulator and
+// core.RunMany do).
 func (r *Reader) Read(batch []trace.Ref) (int, error) {
 	if r.alive == 0 {
 		return 0, io.EOF
 	}
-	if r.done[r.cur] {
+	if r.done[r.cur] || r.left == 0 {
 		r.advance()
 	}
 	want := len(batch)
@@ -136,19 +136,12 @@ func (r *Reader) Read(batch []trace.Ref) (int, error) {
 		batch[i].Addr = Tag(batch[i].Addr, r.cur)
 	}
 	r.left -= m
-	switchNow := false
 	switch {
 	case err != nil && errors.Is(err, io.EOF):
 		r.done[r.cur] = true
 		r.alive--
-		switchNow = r.alive > 0
 	case err != nil:
 		return m, err
-	case r.left == 0:
-		switchNow = true
-	}
-	if switchNow {
-		r.advance()
 	}
 	if r.alive == 0 {
 		return m, io.EOF

@@ -3,10 +3,12 @@ package multiprog
 import (
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"twopage/internal/addr"
 	"twopage/internal/trace"
+	"twopage/internal/workload"
 )
 
 func refs(n int, base addr.VA) []trace.Ref {
@@ -121,6 +123,30 @@ func TestOnSwitchHook(t *testing.T) {
 	}
 	if uint64(len(transitions)) != r.Switches() {
 		t.Fatalf("hook count %d != Switches %d", len(transitions), r.Switches())
+	}
+}
+
+// The hook fires between quanta, however they fall across batches:
+// after the caller has stepped the outgoing process's last reference
+// and before it steps the incoming one's first.
+func TestOnSwitchFiresBetweenQuanta(t *testing.T) {
+	r, err := New([]Process{
+		{"li", workload.MustNew("li", 35_000)},
+		{"worm", workload.MustNew("worm", 35_000)},
+	}, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stepped uint64
+	var at []uint64
+	r.OnSwitch = func(from, to int) { at = append(at, stepped) }
+	if _, err := trace.Drain(r, func(b []trace.Ref) { stepped += uint64(len(b)) }); err != nil {
+		t.Fatal(err)
+	}
+	// li ends after its fourth quantum's 5000 references.
+	want := []uint64{10_000, 20_000, 30_000, 40_000, 50_000, 60_000, 65_000}
+	if !reflect.DeepEqual(at, want) || r.Switches() != uint64(len(want)) {
+		t.Fatalf("hook fired after %v stepped references (%d switches), want %v", at, r.Switches(), want)
 	}
 }
 

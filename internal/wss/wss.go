@@ -113,6 +113,11 @@ func NewStatic(T, start uint64, shifts ...uint) *Static {
 	return s
 }
 
+// At returns a fresh calculator for s's window and page shifts whose
+// first reference carries global timestamp start: the calculator of
+// the section of the stream that begins there.
+func (s *Static) At(start uint64) *Static { return NewStatic(s.t, start, s.shifts...) }
+
 // Step observes one reference. Time advances by one per call. This is
 // the per-reference hot path: the AllocsPerRun tests pin it to zero
 // steady-state allocations (table growth aside, which amortizes out).
