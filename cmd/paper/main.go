@@ -122,14 +122,36 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "paper: "+format+"\n", args...)
 		return 2
 	}
+	// A flag the run would ignore is a usage error too.
+	set := map[string]bool{}
+	var others []string // flags set besides -list, in lexical order
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if f.Name != "list" {
+			others = append(others, "-"+f.Name)
+		}
+	})
+	if *list {
+		switch {
+		case len(others) > 0:
+			return usage("-list does not combine with %s", strings.Join(others, ", "))
+		case fs.NArg() > 0:
+			return usage("-list takes no experiment, got %s", strings.Join(fs.Args(), " "))
+		}
+		for _, e := range experiments.All() {
+			fmt.Fprintf(stdout, "%-12s %s\n%13s%s\n", e.ID, e.Title, "", e.About)
+		}
+		return 0
+	}
 	ids := fs.Args()
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = nil // RunAll runs every experiment
 	}
-	// A flag the run would ignore is a usage error too.
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	walks := len(ids) == 0 || slices.Contains(ids, "walkcpi") || slices.Contains(ids, "walkdeltamp")
+	// phases, multiprog and sharedmem build their own streams; only the
+	// other experiments read the workload set, which -trace feeds.
+	ownStreams := []string{"phases", "multiprog", "sharedmem"}
+	programs := len(ids) == 0 || slices.ContainsFunc(ids, func(id string) bool { return !slices.Contains(ownStreams, id) })
 	switch {
 	case !(*scale > 0) || math.IsInf(*scale, 1):
 		return usage("-scale must be a finite number > 0, got %g", *scale)
@@ -149,19 +171,18 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			flagName = "-walkmem"
 		}
 		return usage("%s is read only by walkcpi and walkdeltamp, and the run includes neither", flagName)
+	case (set["workloads"] || set["trace"]) && !programs:
+		flagName := "-workloads"
+		if !set["workloads"] {
+			flagName = "-trace"
+		}
+		return usage("%s is not read by phases, multiprog or sharedmem, which build their own streams", flagName)
 	case *csv && *jsonOut:
 		return usage("-csv does not combine with -json")
 	case *chart && (*csv || *jsonOut):
 		return usage("-chart does not combine with -csv or -json")
 	case *chart && len(ids) > 0 && !slices.ContainsFunc(ids, func(id string) bool { _, ok := chartSpec[id]; return ok }):
 		return usage("-chart needs a chartable experiment, and the run includes none")
-	}
-
-	if *list {
-		for _, e := range experiments.All() {
-			fmt.Fprintf(stdout, "%-12s %s\n%13s%s\n", e.ID, e.Title, "", e.About)
-		}
-		return 0
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)

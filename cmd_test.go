@@ -174,7 +174,8 @@ func TestCommandLineTools(t *testing.T) {
 	// also rules out a panic trace, and an undefined flag prints every
 	// flag's name, so each case rules that out too; a watchdog turns a
 	// hang into a failure. A boolean flag named in a case's name is
-	// followed by the flag it does not combine with, if any.
+	// followed by the flag it does not combine with, if any, and a path
+	// by its base name.
 	t.Run("bad-flag-values", func(t *testing.T) {
 		gen := buildCmd(t, dir, "tracegen")
 		v2 := filepath.Join(dir, "li.v2")
@@ -243,6 +244,12 @@ func TestCommandLineTools(t *testing.T) {
 			{"paper", "-csv", []string{"-scale", "0.01", "-workloads", "li", "-csv", "-json", "table3.1"}},
 			{"paper", "-chart", []string{"-scale", "0.01", "-workloads", "li", "-chart", "-csv", "fig4.1"}},
 			{"paper", "-chart", []string{"-scale", "0.01", "-workloads", "li", "-chart", "table3.1"}},
+			{"paper", "-list", []string{"-list", "-csv"}},
+			{"paper", "-list", []string{"-list", "-workloads", "li"}},
+			{"paper", "-list", []string{"-list", "table3.1"}},
+			{"paper", "-workloads", []string{"-scale", "0.01", "-workloads", "li", "phases"}},
+			{"paper", "-workloads", []string{"-scale", "0.01", "-workloads", "li", "multiprog", "sharedmem"}},
+			{"paper", "-trace", []string{"-scale", "0.01", "-trace", v2, "phases"}},
 			{"wsssim", "-shards", []string{"-trace", v2, "-shards", "0"}},
 			{"wsssim", "-shards", []string{"-trace", v2, "-shards", "-2"}},
 			{"wsssim", "-shards", append([]string{"-shards", "2"}, li...)},
@@ -272,7 +279,7 @@ func TestCommandLineTools(t *testing.T) {
 			name := tc.cmd + tc.flag
 			for i, a := range tc.args[:len(tc.args)-1] {
 				if a == tc.flag {
-					name += "=" + tc.args[i+1]
+					name += "=" + filepath.Base(tc.args[i+1])
 				}
 			}
 			t.Run(name, func(t *testing.T) {

@@ -60,7 +60,7 @@ type Result struct {
 	StaticWSS []wss.Result
 	static    *wss.Static // the calculator behind StaticWSS, which MergeResults splices
 	// PolicyStats holds promotion/demotion counters for the two-size
-	// policies (TwoSize, Region, Cumulative).
+	// policies (TwoSize, Region).
 	PolicyStats *policy.TwoSizeStats
 	// LadderStats holds per-class counters for N-level ladder and NAPOT
 	// policies (nil for two-size and single-size runs).
@@ -145,7 +145,7 @@ func WithWSS() Option {
 // (wss.Sampled) over the last T references: every 256 references it
 // sizes the working set from the policy's current mapping, reading the
 // policy's own window when that window has length T. It serves any
-// MultiSize policy, including the windowless Region and Cumulative. A
+// MultiSize policy, including the windowless Napot and Region. A
 // single-size policy, a T the window cannot hold, or a simulator that
 // also has WithWSS is a configuration error, and so is a later Warm:
 // samples fall on every 256th reference of the whole stream, which a

@@ -144,8 +144,9 @@ func TestOptionErrors(t *testing.T) {
 
 // TestSampledWSSMatchesDirect checks core's sampled working set against
 // the same sampler driven by hand, for a policy whose window it shares
-// (TwoSize) and a windowless one (Cumulative), and that attaching it
-// changes neither the TLB's nor the policy's counters.
+// (TwoSize) and a windowless one (a two-size Napot at the paper's
+// threshold), and that attaching it changes neither the TLB's nor the
+// policy's counters.
 func TestSampledWSSMatchesDirect(t *testing.T) {
 	ctx := context.Background()
 	var refs []trace.Ref
@@ -157,7 +158,12 @@ func TestSampledWSSMatchesDirect(t *testing.T) {
 	const T = 5000
 	for _, mk := range []func() policy.MultiSize{
 		func() policy.MultiSize { return policy.NewTwoSize(policy.DefaultTwoSizeConfig(T)) },
-		func() policy.MultiSize { return policy.NewCumulative(policy.CumulativeConfig{Threshold: 4}) },
+		func() policy.MultiSize {
+			return policy.NewNapot(policy.NapotConfig{
+				Classes:    addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift),
+				Thresholds: []int{4},
+			})
+		},
 	} {
 		name := mk().Name()
 		got, err := NewSimulator(mk(), []tlb.TLB{tlb.NewFullyAssoc(16)}, WithSampledWSS(T)).Run(ctx, trace.NewSliceReader(refs))
@@ -183,12 +189,14 @@ func TestSampledWSSMatchesDirect(t *testing.T) {
 		if plain.WSS != nil {
 			t.Errorf("%s: WSS = %+v without the option", name, plain.WSS)
 		}
-		if got.TLBs[0].Stats != plain.TLBs[0].Stats || !reflect.DeepEqual(got.PolicyStats, plain.PolicyStats) {
-			t.Errorf("%s: the sampler moved counters: TLB %+v vs %+v, policy %+v vs %+v", name,
-				got.TLBs[0].Stats, plain.TLBs[0].Stats, got.PolicyStats, plain.PolicyStats)
+		if got.TLBs[0].Stats != plain.TLBs[0].Stats || !reflect.DeepEqual(got.PolicyStats, plain.PolicyStats) ||
+			!reflect.DeepEqual(got.LadderStats, plain.LadderStats) || got.Counters != plain.Counters {
+			t.Errorf("%s: the sampler moved counters: TLB %+v vs %+v, policy %+v vs %+v, ladder %+v vs %+v, report %+v vs %+v", name,
+				got.TLBs[0].Stats, plain.TLBs[0].Stats, got.PolicyStats, plain.PolicyStats,
+				got.LadderStats, plain.LadderStats, got.Counters, plain.Counters)
 		}
-		if got.PolicyStats == nil || got.PolicyStats.Promotions == 0 || got.Counters.Promotions != got.PolicyStats.Promotions {
-			t.Errorf("%s: policy stats %+v, report promotions %d", name, got.PolicyStats, got.Counters.Promotions)
+		if got.Counters.Promotions == 0 {
+			t.Errorf("%s: no promotion reported: %+v", name, got.Counters)
 		}
 	}
 }

@@ -123,7 +123,7 @@ func Multiprog(ctx context.Context, o *Options) (*tableio.Table, error) {
 		}
 	}
 	tbl.Note("ASID mode tags entries per address space; flush mode empties the TLB at every switch.")
-	tbl.Note("Large pages recover part of the flush cost: fewer entries refill the mapped footprint.")
+	tbl.Note("A flush costs most on the 4K/32K FA64, the TLB whose reach keeps the most entries alive across other processes' slices.")
 	return tbl, nil
 }
 

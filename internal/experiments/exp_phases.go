@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 
-	"twopage/internal/addr"
 	"twopage/internal/core"
 	"twopage/internal/engine"
 	"twopage/internal/policy"
@@ -56,7 +55,7 @@ func Phases(ctx context.Context, o *Options) (*tableio.Table, error) {
 		return core.RunMany(ctx, phasedSource(refsPerPhase), []*core.Simulator{
 			policyVariantSim(policy.NewTwoSize(policy.DefaultTwoSizeConfig(T)), T),
 			policyVariantSim(policy.NewTwoSize(demoteOff), T),
-			policyVariantSim(policy.NewCumulative(policy.CumulativeConfig{Threshold: addr.BlocksPerChunk / 2}), T),
+			policyVariantSim(promoteOnce(), T),
 		})
 	})
 	tbl := tableio.New("Extension: phased program (dense region later revisited sparsely), 16-entry FA",
@@ -70,8 +69,8 @@ func Phases(ctx context.Context, o *Options) (*tableio.Table, error) {
 		tbl.Row(name,
 			tableio.F(res.TLBs[0].CPITLB, 3),
 			tableio.F(res.WSS.AvgBytes/(1<<20), 2)+"MB",
-			tableio.F(float64(res.PolicyStats.Promotions), 0),
-			tableio.F(float64(res.PolicyStats.Demotions), 0))
+			tableio.F(float64(res.Counters.Promotions), 0),
+			tableio.F(float64(res.Counters.Demotions), 0))
 	}
 	tbl.Note("Demotion trades a little CPI (sparse revisits lose their 32KB mappings) for working-set honesty.")
 	return tbl, nil

@@ -23,6 +23,16 @@ func policyVariantSim(pol policy.MultiSize, T int) *core.Simulator {
 	return core.NewSimulator(pol, []tlb.TLB{tlb.NewFullyAssoc(16)}, core.WithSampledWSS(T))
 }
 
+// promoteOnce builds the "less dynamic information" policy: a 4KB/32KB
+// Napot that promotes a chunk once half its blocks have ever been
+// touched (the paper's threshold with no window) and never demotes.
+func promoteOnce() *policy.Napot {
+	return policy.NewNapot(policy.NapotConfig{
+		Classes:    addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift),
+		Thresholds: []int{addr.BlocksPerChunk / 2},
+	})
+}
+
 // oracleRegions derives static large-page hints from a profiling pass:
 // chunks whose whole-trace density meets the paper's threshold become
 // large regions — the "reorganizing code and data" best case, with
@@ -101,7 +111,7 @@ func Policies(ctx context.Context, o *Options) (*tableio.Table, error) {
 				return policy.NewRegion(policy.RegionConfig{LargeRegions: ranges})
 			},
 			func() (policy.MultiSize, error) {
-				return policy.NewCumulative(policy.CumulativeConfig{Threshold: addr.BlocksPerChunk / 2}), nil
+				return promoteOnce(), nil
 			},
 		}
 		names := []string{"dyn", "static", "cumul"}
@@ -130,9 +140,11 @@ func Policies(ctx context.Context, o *Options) (*tableio.Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			// Each reference probes the one TLB once, with its own page,
+			// so the TLB's class-1 traffic counts the large references.
 			var lg float64
-			if st := res.PolicyStats; st.Refs > 0 {
-				lg = float64(st.LargeRefs) / float64(st.Refs)
+			if st := res.TLBs[0].Stats; res.Refs > 0 {
+				lg = float64(st.HitsByClass[1]+st.MissesByClass[1]) / float64(res.Refs)
 			}
 			cpis = append(cpis, res.TLBs[0].CPITLB)
 			wsns = append(wsns, res.WSS.AvgBytes/base)

@@ -75,12 +75,16 @@ func TestResultFitsInRegisters(t *testing.T) {
 	}
 }
 
-// TestCumulativeAssignAllocs pins the windowless policy's path too.
-func TestCumulativeAssignAllocs(t *testing.T) {
-	p := NewCumulative(CumulativeConfig{Threshold: 4})
+// TestNapotAssignAllocs pins the windowless policy's path too, at the
+// paper's two-size threshold.
+func TestNapotAssignAllocs(t *testing.T) {
+	p := promoteOnce(4)
 	stream := policyStream(1 << 15)
 	for _, va := range stream {
 		p.Assign(va)
+	}
+	if p.Stats().Promotions[1] == 0 {
+		t.Fatal("warmup produced no promotions; stream too cold to be a meaningful pin")
 	}
 	i := 0
 	avg := testing.AllocsPerRun(5000, func() {
@@ -88,6 +92,6 @@ func TestCumulativeAssignAllocs(t *testing.T) {
 		i++
 	})
 	if avg != 0 {
-		t.Errorf("Cumulative.Assign allocates %.2f times per call, want 0", avg)
+		t.Errorf("Napot.Assign allocates %.2f times per call, want 0", avg)
 	}
 }

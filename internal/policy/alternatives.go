@@ -5,17 +5,17 @@ import (
 	"sort"
 
 	"twopage/internal/addr"
-	"twopage/internal/htab"
 )
 
-// This file implements the alternative page-size assignment policies the
-// paper's conclusion speculates about: "A real page-mapping policy may
-// perform much better (e.g., by reorganizing code and data for the new
-// page sizes) or much worse (e.g., mapping policies might use less
-// dynamic information)". Region models the better case — an OS/compiler
-// that knows ahead of time which address ranges deserve large pages —
-// and Cumulative the worse one — a policy with no reference window,
-// only lifetime touch counts.
+// This file implements the better of the alternative page-size
+// assignment policies the paper's conclusion speculates about: "A real
+// page-mapping policy may perform much better (e.g., by reorganizing
+// code and data for the new page sizes) or much worse (e.g., mapping
+// policies might use less dynamic information)". Region models the
+// better case, an OS/compiler that knows ahead of time which address
+// ranges deserve large pages. The worse case, a policy with no
+// reference window, only lifetime touch counts, is a two-size Napot
+// with the paper's threshold (napot.go).
 
 // RegionConfig declares address ranges to map with large pages; all
 // other addresses use small pages. It models static placement hints
@@ -127,103 +127,8 @@ func (p *Region) TopMappedClass(c addr.PN) int {
 // Stats returns reference counters.
 func (p *Region) Stats() TwoSizeStats { return p.stats }
 
-// CumulativeConfig parameterizes the less-dynamic policy.
-type CumulativeConfig struct {
-	// Threshold is the number of distinct blocks of a chunk that must
-	// have been touched *ever* (no window) before the chunk is promoted.
-	// Must be in [1, 8].
-	Threshold int
-}
-
-// Cumulative is the "less dynamic information" policy: it promotes a
-// chunk once its lifetime distinct-block count reaches the threshold
-// and never demotes. Compared with the paper's windowed policy it
-// over-promotes long-running programs: any chunk whose blocks are
-// touched even once each, ever, ends up large, so the working set
-// drifts toward the 32KB single-size cost.
-type Cumulative struct {
-	threshold int
-	touched   *htab.U64 // chunk -> bitmap of blocks ever touched
-	large     *htab.Set
-	stats     TwoSizeStats
-}
-
-// NewCumulative builds the less-dynamic policy.
-func NewCumulative(cfg CumulativeConfig) *Cumulative {
-	if cfg.Threshold < 1 || cfg.Threshold > addr.BlocksPerChunk {
-		panic(fmt.Sprintf("policy: cumulative threshold %d out of range [1,%d]",
-			cfg.Threshold, addr.BlocksPerChunk))
-	}
-	return &Cumulative{
-		threshold: cfg.Threshold,
-		touched:   htab.NewU64(1 << 8),
-		large:     htab.NewSet(1 << 8),
-	}
-}
-
-// Assign implements Assigner. Per-reference hot path.
-//
-//paperlint:hot
-func (p *Cumulative) Assign(va addr.VA) Result {
-	p.stats.Refs++
-	c := addr.Chunk(va)
-	var res Result
-	isLarge := p.large.Has(uint64(c))
-	if !isLarge {
-		prev, _ := p.touched.Get(uint64(c))
-		bits := prev | 1<<addr.BlockInChunk(va)
-		p.touched.Put(uint64(c), bits)
-		n := 0
-		for b := bits; b != 0; b &= b - 1 {
-			n++
-		}
-		if n >= p.threshold {
-			p.large.Add(uint64(c))
-			isLarge = true
-			p.touched.Delete(uint64(c))
-			p.stats.Promotions++
-			res.Event = EventPromote
-			res.Chunk = c
-			res.Level = 1
-		}
-	}
-	if isLarge {
-		p.stats.LargeRefs++
-		res.Page = Page{Number: c, Shift: addr.ChunkShift}
-		return res
-	}
-	p.stats.SmallRefs++
-	res.Page = Page{Number: addr.Block(va), Shift: addr.BlockShift}
-	return res
-}
-
-// Name implements Assigner.
-func (p *Cumulative) Name() string { return "4KB/32KB cumulative" }
-
-// SizeClasses implements MultiSize.
-func (p *Cumulative) SizeClasses() addr.SizeClasses {
-	return addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift)
-}
-
-// Stats returns policy counters.
-func (p *Cumulative) Stats() TwoSizeStats {
-	s := p.stats
-	s.LargeChunks = p.large.Len()
-	return s
-}
-
-// TopMappedClass implements MultiSize: 1 for a promoted chunk, 0
-// otherwise.
-func (p *Cumulative) TopMappedClass(c addr.PN) int {
-	if p.large.Has(uint64(c)) {
-		return 1
-	}
-	return 0
-}
-
 // Compile-time interface checks.
 var (
 	_ MultiSize = (*Region)(nil)
-	_ MultiSize = (*Cumulative)(nil)
 	_ MultiSize = (*TwoSize)(nil)
 )

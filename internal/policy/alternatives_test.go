@@ -119,67 +119,3 @@ func TestRegionValidation(t *testing.T) {
 		t.Fatal("regionless policy should be all-small")
 	}
 }
-
-func TestCumulativePromotesOnceForever(t *testing.T) {
-	p := NewCumulative(CumulativeConfig{Threshold: 4})
-	// Touch 4 distinct blocks of chunk 0, spread over "time" with heavy
-	// interleaved traffic elsewhere — no window, so it still promotes.
-	for i := 0; i < 3; i++ {
-		res := p.Assign(addr.VA(i * addr.BlockSize))
-		if res.Event != EventNone {
-			t.Fatalf("premature event: %+v", res)
-		}
-	}
-	for i := 0; i < 100; i++ {
-		p.Assign(addr.VA(50<<addr.ChunkShift) + addr.VA(i%3*addr.BlockSize))
-	}
-	res := p.Assign(addr.VA(3 * addr.BlockSize))
-	if res.Event != EventPromote || res.Chunk != 0 {
-		t.Fatalf("expected promotion: %+v", res)
-	}
-	if p.TopMappedClass(0) != 1 {
-		t.Fatal("chunk 0 should be large")
-	}
-	// Never demotes, no matter what happens afterwards.
-	for i := 0; i < 1000; i++ {
-		p.Assign(addr.VA(60 << addr.ChunkShift))
-	}
-	if got := p.Assign(0); got.Page.Shift != addr.ChunkShift || got.Event != EventNone {
-		t.Fatalf("cumulative policy must never demote: %+v", got)
-	}
-	st := p.Stats()
-	if st.Promotions != 1 || st.Demotions != 0 || st.LargeChunks != 1 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if st.LargeRefs+st.SmallRefs != st.Refs {
-		t.Fatalf("accounting: %+v", st)
-	}
-}
-
-func TestCumulativeRepeatedBlockDoesNotCount(t *testing.T) {
-	p := NewCumulative(CumulativeConfig{Threshold: 2})
-	for i := 0; i < 10; i++ {
-		if res := p.Assign(0x100); res.Event != EventNone {
-			t.Fatal("same block repeatedly must not promote")
-		}
-	}
-	if res := p.Assign(0x100 + addr.BlockSize); res.Event != EventPromote {
-		t.Fatal("second distinct block should promote at threshold 2")
-	}
-}
-
-func TestCumulativeValidation(t *testing.T) {
-	for _, thr := range []int{0, 9} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("threshold %d should panic", thr)
-				}
-			}()
-			NewCumulative(CumulativeConfig{Threshold: thr})
-		}()
-	}
-	if NewCumulative(CumulativeConfig{Threshold: 4}).Name() != "4KB/32KB cumulative" {
-		t.Fatal("name")
-	}
-}

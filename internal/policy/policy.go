@@ -10,10 +10,16 @@
 // working set at most doubles (promoting requires ≥16KB of the 32KB to
 // be live).
 //
-// The package provides that dynamic policy (TwoSize) plus the static
-// single-page-size policies used as baselines (Single), behind a common
-// Assigner interface consumed by the TLB simulator and the working-set
-// calculators.
+// Every policy implements the Assigner interface consumed by the TLB
+// simulator and the working-set calculators:
+//
+//   - Single maps every reference on one fixed page size, the baseline.
+//   - TwoSize is the paper's windowed 4KB/32KB policy described above.
+//   - Ladder generalizes it to N size classes, promoting and demoting
+//     each class on its own windowed threshold.
+//   - Napot promotes a region once enough of its blocks have ever been
+//     touched and never demotes, so it needs no window.
+//   - Region maps declared address ranges large, a static placement hint.
 package policy
 
 import (

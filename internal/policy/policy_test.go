@@ -270,6 +270,14 @@ func BenchmarkLadderAssign(b *testing.B) {
 		addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift, addr.Shift256K))))
 }
 
+// BenchmarkNapotAssign runs the promote-once policy: two sizes at the
+// paper's threshold, as policies and phases build it, and three sizes
+// at full contiguity, as ladder3 does.
+func BenchmarkNapotAssign(b *testing.B) {
+	b.Run("two-thr4", func(b *testing.B) { benchAssign(b, promoteOnce(4)) })
+	b.Run("three-full", func(b *testing.B) { benchAssign(b, NewNapot(NapotConfig{Classes: classes3})) })
+}
+
 var benchResult Result
 
 // benchAssign calls Assign through the Assigner interface, as core's

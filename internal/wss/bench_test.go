@@ -35,7 +35,10 @@ func BenchmarkSampledStep(b *testing.B) {
 		pol  policy.MultiSize
 	}{
 		{"shared", policy.NewTwoSize(policy.DefaultTwoSizeConfig(1 << 12))},
-		{"own", policy.NewCumulative(policy.CumulativeConfig{Threshold: addr.BlocksPerChunk / 2})},
+		{"own", policy.NewNapot(policy.NapotConfig{
+			Classes:    addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift),
+			Thresholds: []int{addr.BlocksPerChunk / 2},
+		})},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s, err := NewSampled(bc.pol, 1<<12, 0)

@@ -17,7 +17,7 @@ const DefaultSampleEvery = 256
 // multi-size policy. The two-size calculator maintains w(t)
 // incrementally through window hooks, but with N classes a single block
 // entering or leaving the window can change the covering page at any
-// level, and a policy without a window (Region, Cumulative) has no hooks
+// level, and a policy without a window (Napot, Region) has no hooks
 // to offer, so instead the instantaneous size is recomputed from
 // scratch every `every` references:
 //

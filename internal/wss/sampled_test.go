@@ -179,7 +179,10 @@ func TestSampledMatchesShadowWindow(t *testing.T) {
 		{"twosize shared", policy.NewTwoSize(policy.DefaultTwoSizeConfig(T)), true},
 		{"twosize own", policy.NewTwoSize(policy.DefaultTwoSizeConfig(2 * T)), false},
 		{"region", region, false},
-		{"cumulative", policy.NewCumulative(policy.CumulativeConfig{Threshold: 4}), false},
+		{"cumulative", policy.NewNapot(policy.NapotConfig{
+			Classes:    addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift),
+			Thresholds: []int{4},
+		}), false},
 		{"ladder3 shared", policy.NewLadder(policy.DefaultLadderConfig(T, classes3)), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

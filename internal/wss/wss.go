@@ -24,9 +24,9 @@
 // where a chunk/block is active if referenced in the window and a chunk
 // counts as large per the policy's current mapping.
 //
-// For any other multi-size policy (N-level ladders, NAPOT, the
-// windowless Region and Cumulative), Sampled recomputes w(t) from a
-// window every 256 references instead.
+// For any other multi-size policy (N-level ladders, and the windowless
+// Napot and Region), Sampled recomputes w(t) from a window every 256
+// references instead.
 package wss
 
 import (
