@@ -152,6 +152,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// other experiments read the workload set, which -trace feeds.
 	ownStreams := []string{"phases", "multiprog", "sharedmem"}
 	programs := len(ids) == 0 || slices.ContainsFunc(ids, func(id string) bool { return !slices.Contains(ownStreams, id) })
+	// A -workloads list replaces the trace file's workload unless it
+	// names it.
+	traceListed := *traceF == "" || *workloads == "" ||
+		slices.ContainsFunc(strings.Split(*workloads, ","), func(w string) bool { return strings.TrimSpace(w) == traceName(*traceF) })
 	switch {
 	case !(*scale > 0) || math.IsInf(*scale, 1):
 		return usage("-scale must be a finite number > 0, got %g", *scale)
@@ -177,6 +181,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			flagName = "-trace"
 		}
 		return usage("%s is not read by phases, multiprog or sharedmem, which build their own streams", flagName)
+	case !traceListed:
+		return usage("-trace registers the workload %s, which -workloads leaves out, so the run would not read it", traceName(*traceF))
 	case *csv && *jsonOut:
 		return usage("-csv does not combine with -json")
 	case *chart && (*csv || *jsonOut):
@@ -341,12 +347,18 @@ func splitWorkloads(s string) ([]string, error) {
 	return names, nil
 }
 
+// traceName is the workload name registerTrace gives the trace file at
+// path: trace:<basename>.
+func traceName(path string) string {
+	return "trace:" + strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+}
+
 // registerTrace makes a trace file available as a workload named
-// trace:<basename>. The file is opened once (a v2 file memory-mapped, a
+// traceName(path). The file is opened once (a v2 file memory-mapped, a
 // v1 or text file held as its v2 encoding) and shared across all
 // concurrent passes.
 func registerTrace(ctx context.Context, path string) (string, error) {
-	name := "trace:" + strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+	name := traceName(path)
 	f, err := trace.OpenFile(ctx, path)
 	if err != nil {
 		return "", err

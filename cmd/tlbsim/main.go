@@ -109,6 +109,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return usage("-spec does not combine with -trace")
 	case *two && *ladder:
 		return usage("-two does not combine with -ladder (the ladder is the policy)")
+	case *two && set["sizes"]:
+		// The policy still maps 4KB/32KB pages; another hierarchy would
+		// misfile them in the TLB.
+		return usage("-sizes does not combine with -two (use -ladder for another hierarchy)")
 	case set["threshold"] && !*two:
 		return usage("-threshold needs -two (the ladder uses its default thresholds)")
 	case set["T"] && !*two && !*ladder:

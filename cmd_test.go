@@ -229,6 +229,8 @@ func TestCommandLineTools(t *testing.T) {
 			{"tlbsim", "-index", append([]string{"-entries", "8", "-ways", "8", "-index", "small"}, li...)},
 			{"tlbsim", "-index", append([]string{"-ladder", "-sizes", "4096,32768,262144", "-index", "class1"}, li...)},
 			{"tlbsim", "-two", append([]string{"-two", "-ladder", "-sizes", "4096,32768"}, li...)},
+			{"tlbsim", "-sizes", append([]string{"-two", "-sizes", "4096,65536"}, li...)},
+			{"tlbsim", "-sizes", append([]string{"-two", "-sizes", "4096,32768"}, li...)},
 			{"tlbsim", "-workload", []string{"-trace", v2, "-workload", "li"}},
 			{"tlbsim", "-workload", []string{"-spec", "w.spec", "-workload", "li"}},
 			{"tlbsim", "-spec", []string{"-trace", v2, "-spec", "w.spec"}},
@@ -250,6 +252,7 @@ func TestCommandLineTools(t *testing.T) {
 			{"paper", "-workloads", []string{"-scale", "0.01", "-workloads", "li", "phases"}},
 			{"paper", "-workloads", []string{"-scale", "0.01", "-workloads", "li", "multiprog", "sharedmem"}},
 			{"paper", "-trace", []string{"-scale", "0.01", "-trace", v2, "phases"}},
+			{"paper", "-trace", []string{"-scale", "0.01", "-trace", v2, "-workloads", "worm", "table3.1"}},
 			{"wsssim", "-shards", []string{"-trace", v2, "-shards", "0"}},
 			{"wsssim", "-shards", []string{"-trace", v2, "-shards", "-2"}},
 			{"wsssim", "-shards", append([]string{"-shards", "2"}, li...)},
@@ -314,6 +317,9 @@ func TestCommandLineTools(t *testing.T) {
 		runBin(t, bin(t, "tlbsim"), "-workload", "li", "-refs", "5", "-two")
 		runBin(t, bin(t, "tlbsim"), "-workload", "li", "-refs", "5", "-two", "-mem", "16M")
 		runBin(t, bin(t, "wsssim"), "-workload", "li", "-refs", "5")
+		// The legal neighbours of the rejected combinations.
+		runBin(t, bin(t, "paper"), "-scale", "0.01", "-trace", v2, "-workloads", "worm,trace:li", "table3.1")
+		runBin(t, bin(t, "tlbsim"), "-workload", "li", "-refs", "20000", "-sizes", "4096,32768,262144", "-ladder")
 	})
 
 	// Minimal decode of a -stats run report: just the fields these

@@ -58,9 +58,13 @@ type Result struct {
 	// StaticWSS holds the average working set of each static page size
 	// of WithStaticWSS, in the order given; nil without it.
 	StaticWSS []wss.Result
-	static    *wss.Static // the calculator behind StaticWSS, which MergeResults splices
+	// Footprint lists the distinct pages of the first WithStaticWSS
+	// size in ascending order, StaticWSS[0].Pages of them: the
+	// stream's profile. Nil without WithStaticWSS.
+	Footprint []addr.PN
+	static    *wss.Static // a section's calculator, which MergeResults splices
 	// PolicyStats holds promotion/demotion counters for the two-size
-	// policies (TwoSize, Region).
+	// policy (TwoSize).
 	PolicyStats *policy.TwoSizeStats
 	// LadderStats holds per-class counters for N-level ladder and NAPOT
 	// policies (nil for two-size and single-size runs).
@@ -111,6 +115,7 @@ type Simulator struct {
 	walker      *walk.Walker     // modeled radix walk (WithWalkModel)
 	mem         *memStage        // demand paging and replacement (WithMemory)
 	static      *wss.Static      // static page sizes' working sets (WithStaticWSS)
+	section     bool             // a section's pass (Section): its Result keeps static for MergeResults
 	err         error            // first configuration error, returned by Warm and Run
 	warm        *Result          // counters at the end of Warm, subtracted by Run
 }
@@ -297,12 +302,13 @@ func NewSimulator(pol policy.Assigner, tlbs []tlb.TLB, opts ...Option) *Simulato
 // longer one that begins at reference start. engine.RunSharded calls
 // it before Warm and Run. Only the static working sets depend on where
 // a section begins: their calculator is rebuilt with global timestamps
-// from start, so MergeResults can splice the sections exactly
-// (wss.MergeStatic). Nothing else changes.
+// from start, and the pass's Result keeps it, so MergeResults can
+// splice the sections exactly (wss.MergeStatic). Nothing else changes.
 func (s *Simulator) Section(start uint64) {
 	if s.static != nil {
 		s.static = s.static.At(start)
 	}
+	s.section = true
 }
 
 // Err returns the simulator's first configuration error, nil if it has
@@ -432,7 +438,10 @@ func (s *Simulator) result(refs, instrs uint64, decode obs.Counters) *Result {
 		out.WSS = &res
 	}
 	if s.static != nil {
-		out.StaticWSS, out.static = s.static.Finish(), s.static
+		out.StaticWSS, out.Footprint = s.static.Finish(), s.static.Pages(0)
+		if s.section {
+			out.static = s.static
+		}
 	}
 	out.finish(decode)
 	return out

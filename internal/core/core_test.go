@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -332,8 +333,8 @@ func TestWithWSSProducesResult(t *testing.T) {
 }
 
 // WithStaticWSS reports what wss.Static stepped over the same
-// addresses reports, whatever else the simulator drives, and it changes
-// none of the other counters.
+// addresses reports and the stream's distinct 4KB blocks, whatever else
+// the simulator drives, and it changes none of the other counters.
 func TestWithStaticWSS(t *testing.T) {
 	const T = 3000
 	sizes := []addr.PageSize{addr.Size4K, addr.Size8K, addr.Size32K, addr.Size64K}
@@ -368,8 +369,23 @@ func TestWithStaticWSS(t *testing.T) {
 	if got.Counters.WSSPages != want[0].Pages {
 		t.Errorf("wss_pages = %d, want the first size's %d", got.Counters.WSSPages, want[0].Pages)
 	}
+	if uint64(len(got.Footprint)) != want[0].Pages {
+		t.Errorf("footprint has %d pages, want the first size's %d", len(got.Footprint), want[0].Pages)
+	}
+	blocks := map[addr.PN]bool{}
+	for _, ref := range refs {
+		blocks[addr.Block(ref.Addr)] = true
+	}
+	var wantFootprint []addr.PN
+	for b := range blocks {
+		wantFootprint = append(wantFootprint, b)
+	}
+	slices.Sort(wantFootprint)
+	if !slices.Equal(got.Footprint, wantFootprint) {
+		t.Errorf("footprint is not the stream's %d sorted distinct 4KB blocks", len(wantFootprint))
+	}
 	plain := run()
-	got.StaticWSS, got.static, got.Counters.WSSPages = nil, nil, 0
+	got.StaticWSS, got.Footprint, got.Counters.WSSPages = nil, nil, 0
 	if !reflect.DeepEqual(got, plain) {
 		t.Errorf("WithStaticWSS changed the pass's other results:\n%+v\nwant\n%+v", got, plain)
 	}

@@ -20,7 +20,8 @@ import (
 //
 // A single part is returned verbatim — no recomputation — so a
 // one-shard run is byte-identical to the serial pass, floats included.
-// Nil parts (shards that produced nothing) are skipped.
+// Nil parts (shards that produced nothing) are skipped. The merged
+// Result keeps no section's static calculator.
 func MergeResults(parts []*Result) *Result {
 	live := parts[:0:0]
 	for _, p := range parts {
@@ -32,6 +33,7 @@ func MergeResults(parts []*Result) *Result {
 		return nil
 	}
 	if len(live) == 1 {
+		live[0].static = nil
 		return live[0]
 	}
 	// tail is the last shard that saw references; its gauges describe
@@ -87,7 +89,8 @@ func MergeResults(parts []*Result) *Result {
 		for i, p := range live {
 			calcs[i] = p.static
 		}
-		out.StaticWSS = wss.MergeStatic(calcs)
+		merged := wss.MergeStatic(calcs)
+		out.StaticWSS, out.Footprint = merged.Finish(), merged.Pages(0)
 	}
 
 	if live[0].PolicyStats != nil {

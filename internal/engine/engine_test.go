@@ -473,15 +473,22 @@ func TestBadUnitFailsItsFuture(t *testing.T) {
 	}
 }
 
-// WSS units: the static unit measures all five shifts of its ladder
-// and memoizes; a TLB-less two-size pass couples the working set with
-// policy counters.
+// WSS units: the static unit measures all five shifts of its ladder,
+// counts instructions, carries the stream's footprint and memoizes; a
+// TLB-less two-size pass couples the working set with policy counters.
 func TestWSSUnits(t *testing.T) {
 	e := New(2)
 	ctx := context.Background()
-	ladder, err := e.StaticWSS(ctx, StaticWSSUnit{Workload: "li", Refs: 20_000, T: 2000}).Wait(ctx)
+	static, err := e.StaticWSS(ctx, StaticWSSUnit{Workload: "li", Refs: 20_000, T: 2000}).Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if static.Instrs == 0 || static.Instrs >= static.Refs {
+		t.Fatalf("static unit counts %d instructions of %d references", static.Instrs, static.Refs)
+	}
+	ladder := static.StaticWSS
+	if len(static.Footprint) == 0 || uint64(len(static.Footprint)) != ladder[0].Pages {
+		t.Fatalf("footprint has %d pages, want the 4KB ladder's %d", len(static.Footprint), ladder[0].Pages)
 	}
 	if len(ladder) != len(StaticShifts) {
 		t.Fatalf("ladder has %d results", len(ladder))
@@ -501,10 +508,11 @@ func TestWSSUnits(t *testing.T) {
 		t.Fatalf("TLB-less two-size pass = %+v, want a working set and policy counters only", pass)
 	}
 	before := e.Stats()
-	if _, err := e.StaticWSS(ctx, StaticWSSUnit{Workload: "li", Refs: 20_000, T: 2000}).Wait(ctx); err != nil {
+	again, err := e.StaticWSS(ctx, StaticWSSUnit{Workload: "li", Refs: 20_000, T: 2000}).Wait(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats().CacheHits != before.CacheHits+1 {
+	if e.Stats().CacheHits != before.CacheHits+1 || again != static {
 		t.Fatal("repeated StaticWSS unit not memoized")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"twopage/internal/policy"
 	"twopage/internal/tlb"
 	"twopage/internal/walk"
-	"twopage/internal/wss"
 )
 
 // PolicySpec declaratively describes a page-size assignment policy, so
@@ -291,6 +290,13 @@ func (e *Engine) unit(ctx context.Context, u Unit) *Future[*core.Result] {
 		}
 		run = t.result
 	}
+	return e.submitPass(ctx, key, sharded, t, run)
+}
+
+// submitPass submits a memoized pass under key, off the pool when
+// sharded and otherwise in t's fused group; the pass records its
+// counters in the run report under key when it runs.
+func (e *Engine) submitPass(ctx context.Context, key string, sharded bool, t *ticket, run func(context.Context) (*core.Result, error)) *Future[*core.Result] {
 	return submit(e, ctx, key, true, sharded, t, func(ctx context.Context) (*core.Result, error) {
 		res, err := run(ctx)
 		if err != nil {
@@ -380,10 +386,12 @@ func (u StaticWSSUnit) key() string {
 	return fmt.Sprintf("wss-static w=%s refs=%d T=%d", u.Workload, u.Refs, u.T)
 }
 
-// StaticWSS submits the unit, returning average working-set results
-// indexed as StaticShifts. Results are shared; treat as read-only. The
-// serial pass joins its stream's fused group like a unit (fuse.go).
-func (e *Engine) StaticWSS(ctx context.Context, u StaticWSSUnit) *Future[[]wss.Result] {
+// StaticWSS submits the unit, returning its pass: Result.StaticWSS
+// indexed as StaticShifts, the instruction count, and the stream's
+// 4KB footprint (Result.Footprint), the one profile of the stream that
+// experiments read. Results are shared; treat as read-only. The serial
+// pass joins its stream's fused group like a unit (fuse.go).
+func (e *Engine) StaticWSS(ctx context.Context, u StaticWSSUnit) *Future[*core.Result] {
 	key := u.key()
 	// The static working-set merge is exact (core.MergeResults), so the
 	// sharded pass shares the serial unit's key and replays no warm-up:
@@ -400,14 +408,7 @@ func (e *Engine) StaticWSS(ctx context.Context, u StaticWSSUnit) *Future[[]wss.R
 		t.build = u.newSimulator
 		run = t.result
 	}
-	return submit(e, ctx, key, true, sharded, t, func(ctx context.Context) ([]wss.Result, error) {
-		res, err := run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		e.Record(key, res.Counters)
-		return res.StaticWSS, nil
-	})
+	return e.submitPass(ctx, key, sharded, t, run)
 }
 
 // newSimulator builds the static pass: a 4KB Single policy, no TLBs,

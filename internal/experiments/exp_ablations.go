@@ -10,7 +10,6 @@ import (
 	"twopage/internal/tableio"
 	"twopage/internal/tlb"
 	"twopage/internal/workload"
-	"twopage/internal/wss"
 )
 
 // ablationDefault is the representative subset used by the ablations
@@ -56,7 +55,7 @@ func ThresholdSweep(ctx context.Context, o *Options) (*tableio.Table, error) {
 		return nil, err
 	}
 	type row struct {
-		ladder *engine.Future[[]wss.Result]
+		ladder *engine.Future[*core.Result]
 		sweeps []*engine.Future[*core.Result]
 	}
 	rows := make([]row, len(specs))
@@ -76,7 +75,7 @@ func ThresholdSweep(ctx context.Context, o *Options) (*tableio.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := ladder[engine.StaticIndex(addr.Shift4K)].AvgBytes
+		base := ladder.StaticWSS[engine.StaticIndex(addr.Shift4K)].AvgBytes
 		for j, f := range rows[i].sweeps {
 			res, err := f.Wait(ctx)
 			if err != nil {
@@ -103,7 +102,7 @@ func Combos(ctx context.Context, o *Options) (*tableio.Table, error) {
 	}
 	shifts := []uint{addr.Shift16K, addr.Shift32K, addr.Shift64K}
 	type row struct {
-		ladder *engine.Future[[]wss.Result]
+		ladder *engine.Future[*core.Result]
 		combos []*engine.Future[*core.Result]
 	}
 	rows := make([]row, len(specs))
@@ -124,7 +123,7 @@ func Combos(ctx context.Context, o *Options) (*tableio.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := ladder[engine.StaticIndex(addr.Shift4K)].AvgBytes
+		base := ladder.StaticWSS[engine.StaticIndex(addr.Shift4K)].AvgBytes
 		var cpis, wsns []float64
 		for _, f := range rows[i].combos {
 			res, err := f.Wait(ctx)

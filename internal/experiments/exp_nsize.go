@@ -10,7 +10,6 @@ import (
 	"twopage/internal/policy"
 	"twopage/internal/tableio"
 	"twopage/internal/tlb"
-	"twopage/internal/wss"
 )
 
 // threeClasses is the 4KB/32KB/256KB hierarchy the N-size experiments
@@ -61,7 +60,7 @@ func Ladder3(ctx context.Context, o *Options) (*tableio.Table, error) {
 		ws   *engine.Future[*core.Result] // nil for NAPOT
 	}
 	rows := make([][]variant, len(specs))
-	ladders := make([]*engine.Future[[]wss.Result], len(specs))
+	ladders := make([]*engine.Future[*core.Result], len(specs))
 	for i, s := range specs {
 		refs := refsFor(s, o.Scale)
 		T := windowFor(refs)
@@ -94,7 +93,7 @@ func Ladder3(ctx context.Context, o *Options) (*tableio.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := ladder[engine.StaticIndex(addr.Shift4K)].AvgBytes
+		base := ladder.StaticWSS[engine.StaticIndex(addr.Shift4K)].AvgBytes
 		for _, v := range rows[i] {
 			res, err := v.pass.Wait(ctx)
 			if err != nil {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"sort"
 
 	"twopage/internal/addr"
 	"twopage/internal/core"
@@ -10,9 +9,6 @@ import (
 	"twopage/internal/policy"
 	"twopage/internal/tableio"
 	"twopage/internal/tlb"
-	"twopage/internal/trace"
-	"twopage/internal/workload"
-	"twopage/internal/wss"
 )
 
 // policyVariantSim builds the core pass that drives one page-size
@@ -33,39 +29,24 @@ func promoteOnce() *policy.Napot {
 	})
 }
 
-// oracleRegions derives static large-page hints from a profiling pass:
-// chunks whose whole-trace density meets the paper's threshold become
-// large regions — the "reorganizing code and data" best case, with
-// perfect knowledge.
-func oracleRegions(ctx context.Context, s workload.Spec, refs uint64) ([]policy.Range, error) {
-	blocks := map[addr.PN]bool{}
-	if _, err := trace.DrainContext(ctx, s.New(refs), func(batch []trace.Ref) {
-		for _, ref := range batch {
-			blocks[addr.Block(ref.Addr)] = true
+// oracleChunks derives static large-page hints from a stream's
+// footprint, its distinct 4KB blocks in ascending order: chunks whose
+// whole-trace density meets the paper's threshold become large — the
+// "reorganizing code and data" best case, with perfect knowledge.
+func oracleChunks(footprint []addr.PN) []addr.PN {
+	var large []addr.PN
+	for i := 0; i < len(footprint); {
+		c := addr.ChunkOfBlock(footprint[i])
+		j := i + 1
+		for j < len(footprint) && addr.ChunkOfBlock(footprint[j]) == c {
+			j++
 		}
-	}); err != nil {
-		return nil, err
-	}
-	dense := map[addr.PN]int{}
-	//paperlint:ignore determinism count increments are order-independent
-	for b := range blocks {
-		dense[addr.ChunkOfBlock(b)]++
-	}
-	chunks := make([]addr.PN, 0, len(dense))
-	for c := range dense {
-		chunks = append(chunks, c)
-	}
-	sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
-	var ranges []policy.Range
-	for _, c := range chunks {
-		if dense[c] >= addr.BlocksPerChunk/2 {
-			ranges = append(ranges, policy.Range{
-				Start: addr.VA(uint64(c) << addr.ChunkShift),
-				End:   addr.VA((uint64(c) + 1) << addr.ChunkShift),
-			})
+		if j-i >= addr.BlocksPerChunk/2 {
+			large = append(large, c)
 		}
+		i = j
 	}
-	return ranges, nil
+	return large
 }
 
 // Policies compares page-size assignment policies — the axis the
@@ -75,54 +56,38 @@ func oracleRegions(ctx context.Context, s workload.Spec, refs uint64) ([]policy.
 // cumulative promote-once policy ("less dynamic information", the
 // worse case).
 //
-// The oracle variant needs the profiling pass's regions, so the
-// experiment stages its submissions: all profiles first, then each
-// workload's three variants as its profile lands.
+// The oracle variant needs the static unit's footprint, so the
+// experiment stages its submissions: all static units first, then each
+// workload's three variants as its footprint lands.
 func Policies(ctx context.Context, o *Options) (*tableio.Table, error) {
 	specs, err := o.ablationSpecs()
 	if err != nil {
 		return nil, err
 	}
-	ladders := make([]*engine.Future[[]wss.Result], len(specs))
-	profiles := make([]*engine.Future[[]policy.Range], len(specs))
+	ladders := make([]*engine.Future[*core.Result], len(specs))
 	for i, s := range specs {
-		s := s
 		refs := refsFor(s, o.Scale)
-		T := windowFor(refs)
-		ladders[i] = staticWSS(ctx, o, s, refs, uint64(T))
-		profiles[i] = engine.Go(o.Engine, ctx, "policies profile "+s.Name,
-			func(ctx context.Context) ([]policy.Range, error) {
-				return oracleRegions(ctx, s, refs)
-			})
+		ladders[i] = staticWSS(ctx, o, s, refs, uint64(windowFor(refs)))
 	}
 	variants := make([][]*engine.Future[*core.Result], len(specs))
 	for i, s := range specs {
 		refs := refsFor(s, o.Scale)
 		T := windowFor(refs)
-		ranges, err := profiles[i].Wait(ctx)
+		ladder, err := ladders[i].Wait(ctx)
 		if err != nil {
 			return nil, err
 		}
-		mkPol := []func() (policy.MultiSize, error){
-			func() (policy.MultiSize, error) {
-				return policy.NewTwoSize(policy.DefaultTwoSizeConfig(T)), nil
-			},
-			func() (policy.MultiSize, error) {
-				return policy.NewRegion(policy.RegionConfig{LargeRegions: ranges})
-			},
-			func() (policy.MultiSize, error) {
-				return promoteOnce(), nil
-			},
+		large := oracleChunks(ladder.Footprint)
+		mkPol := []func() policy.MultiSize{
+			func() policy.MultiSize { return policy.NewTwoSize(policy.DefaultTwoSizeConfig(T)) },
+			func() policy.MultiSize { return policy.NewRegion(large) },
+			func() policy.MultiSize { return promoteOnce() },
 		}
 		names := []string{"dyn", "static", "cumul"}
 		for j, mk := range mkPol {
 			variants[i] = append(variants[i], o.Engine.Ride(ctx, "policies "+s.Name+" "+names[j], s.Name, refs,
 				func() (*core.Simulator, error) {
-					pol, err := mk()
-					if err != nil {
-						return nil, err
-					}
-					return policyVariantSim(pol, T), nil
+					return policyVariantSim(mk(), T), nil
 				}))
 		}
 	}
@@ -133,7 +98,7 @@ func Policies(ctx context.Context, o *Options) (*tableio.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := ladder[engine.StaticIndex(addr.Shift4K)].AvgBytes
+		base := ladder.StaticWSS[engine.StaticIndex(addr.Shift4K)].AvgBytes
 		var cpis, wsns, lgs []float64
 		for _, f := range variants[i] {
 			res, err := f.Wait(ctx)

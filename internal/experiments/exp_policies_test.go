@@ -2,13 +2,17 @@ package experiments
 
 import (
 	"context"
+	"reflect"
+	"sort"
 	"testing"
 
 	"twopage/internal/addr"
 	"twopage/internal/core"
+	"twopage/internal/engine"
 	"twopage/internal/policy"
 	"twopage/internal/tlb"
 	"twopage/internal/trace"
+	"twopage/internal/workload"
 )
 
 // policyVariantSim runs its policy through core, whose TLB keeps up
@@ -64,5 +68,75 @@ func TestPolicyVariantInvalidatesOnDemote(t *testing.T) {
 	}
 	if got.WSS == nil {
 		t.Fatal("policyVariantSim reported no working set")
+	}
+}
+
+// policies' oracle chunks and protect's protection profile come from
+// the static unit's footprint; they must equal what the map-based
+// derivations over the stream's distinct blocks gave, which this test
+// keeps as its reference. li and worm hold no chunk at exactly the
+// threshold, so a synthetic footprint covers every density.
+func TestProfilesFromFootprint(t *testing.T) {
+	check := func(name string, blocks map[addr.PN]bool, footprint []addr.PN) {
+		t.Helper()
+		var sorted []addr.PN
+		dense := map[addr.PN]int{}
+		for b := range blocks {
+			sorted = append(sorted, b)
+			dense[addr.ChunkOfBlock(b)]++
+		}
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		var chunks, wantLarge []addr.PN
+		for c := range dense {
+			chunks = append(chunks, c)
+		}
+		sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
+		for _, c := range chunks {
+			if dense[c] >= addr.BlocksPerChunk/2 {
+				wantLarge = append(wantLarge, c)
+			}
+		}
+		if got := oracleChunks(footprint); len(wantLarge) == 0 || !reflect.DeepEqual(got, wantLarge) {
+			t.Errorf("%s: oracle chunks %v, want %v", name, got, wantLarge)
+		}
+		want := protProfile{protected: map[addr.PN]bool{}, protChunk: map[addr.PN]bool{}}
+		for i := 0; i < len(sorted); i += 16 {
+			want.protected[sorted[i]] = true
+			want.protChunk[addr.ChunkOfBlock(sorted[i])] = true
+		}
+		if got := newProtProfile(footprint); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: protection profile of %d blocks in %d chunks, want %d in %d",
+				name, len(got.protected), len(got.protChunk), len(want.protected), len(want.protChunk))
+		}
+	}
+
+	// Chunk c holds c of its blocks, for every density from 1 to full.
+	synth := map[addr.PN]bool{}
+	var footprint []addr.PN
+	for c := addr.PN(1); c <= addr.BlocksPerChunk; c++ {
+		for b := addr.FirstBlock(c); b < addr.FirstBlock(c)+c; b++ {
+			synth[b] = true
+			footprint = append(footprint, b)
+		}
+	}
+	check("synthetic", synth, footprint)
+
+	const refs = 200_000
+	ctx := context.Background()
+	e := engine.New(1)
+	for _, name := range []string{"li", "worm"} {
+		static, err := e.StaticWSS(ctx, engine.StaticWSSUnit{Workload: name, Refs: refs, T: refs / 8}).Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := map[addr.PN]bool{}
+		if _, err := trace.DrainContext(ctx, workload.MustNew(name, refs), func(batch []trace.Ref) {
+			for _, ref := range batch {
+				blocks[addr.Block(ref.Addr)] = true
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check(name, blocks, static.Footprint)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"sort"
 
 	"twopage/internal/addr"
 	"twopage/internal/core"
@@ -76,6 +75,17 @@ type protProfile struct {
 	protChunk map[addr.PN]bool
 }
 
+// newProtProfile derives the protection profile from a stream's
+// footprint, its distinct 4KB blocks in ascending order.
+func newProtProfile(footprint []addr.PN) protProfile {
+	p := protProfile{protected: map[addr.PN]bool{}, protChunk: map[addr.PN]bool{}}
+	for i := 0; i < len(footprint); i += 16 {
+		p.protected[footprint[i]] = true
+		p.protChunk[addr.ChunkOfBlock(footprint[i])] = true
+	}
+	return p
+}
+
 // protStats counts faults for one scheme under a profile.
 type protStats struct {
 	stores, trueF, spurious uint64
@@ -91,55 +101,33 @@ type protStats struct {
 // (DenyPromotion) shows the OS fix: keep chunks with sub-page
 // protection on small pages.
 //
-// The profile pass must finish before the scheme pass can start, so
-// the experiment stages its submissions: all profiles first, then each
-// workload's scheme pass as its profile lands (tasks themselves never
-// wait on other tasks). The scheme pass drives all four schemes' policies
-// through one read of the stream, handing each batch to every policy
-// in turn.
+// The profile is the static unit's footprint, which must land before
+// the scheme pass can start, so the experiment stages its submissions:
+// all static units first, then each workload's scheme pass as its
+// footprint lands (tasks themselves never wait on other tasks). The
+// scheme pass drives all four schemes' policies through one read of
+// the stream, handing each batch to every policy in turn.
 func Protect(ctx context.Context, o *Options) (*tableio.Table, error) {
 	specs, err := o.ablationSpecs()
 	if err != nil {
 		return nil, err
 	}
 	schemeNames := []string{"4KB", "32KB", "4KB/32KB", "4KB/32KB veto"}
-	profiles := make([]*engine.Future[protProfile], len(specs))
+	statics := make([]*engine.Future[*core.Result], len(specs))
 	for i, s := range specs {
-		s := s
 		refs := refsFor(s, o.Scale)
-		profiles[i] = engine.Go(o.Engine, ctx, "protect profile "+s.Name,
-			func(ctx context.Context) (protProfile, error) {
-				var blocks []addr.PN
-				seen := map[addr.PN]bool{}
-				if _, err := trace.DrainContext(ctx, s.New(refs), func(batch []trace.Ref) {
-					for _, ref := range batch {
-						b := addr.Block(ref.Addr)
-						if !seen[b] {
-							seen[b] = true
-							blocks = append(blocks, b)
-						}
-					}
-				}); err != nil {
-					return protProfile{}, err
-				}
-				sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-				p := protProfile{protected: map[addr.PN]bool{}, protChunk: map[addr.PN]bool{}}
-				for i := 0; i < len(blocks); i += 16 {
-					p.protected[blocks[i]] = true
-					p.protChunk[addr.ChunkOfBlock(blocks[i])] = true
-				}
-				return p, nil
-			})
+		statics[i] = staticWSS(ctx, o, s, refs, uint64(windowFor(refs)))
 	}
 	schemes := make([]*engine.Future[[]protStats], len(specs))
 	for i, s := range specs {
 		s := s
 		refs := refsFor(s, o.Scale)
 		T := windowFor(refs)
-		prof, err := profiles[i].Wait(ctx)
+		static, err := statics[i].Wait(ctx)
 		if err != nil {
 			return nil, err
 		}
+		prof := newProtProfile(static.Footprint)
 		schemes[i] = engine.Go(o.Engine, ctx, "protect "+s.Name,
 			func(ctx context.Context) ([]protStats, error) {
 				veto := policy.DefaultTwoSizeConfig(T)

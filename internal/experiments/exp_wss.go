@@ -15,10 +15,11 @@ import (
 )
 
 // staticWSS submits the canonical static working-set ladder for one
-// workload. Every working-set experiment keys on the same
-// (workload, refs, T) unit, so fig4.1, fig4.2, table3.1 and the
-// sensitivity sweep share one pass per workload.
-func staticWSS(ctx context.Context, o *Options, s workload.Spec, refs uint64, T uint64) *engine.Future[[]wss.Result] {
+// workload, the stream's one profile pass. Every working-set experiment
+// keys on the same (workload, refs, T) unit, so fig4.1, fig4.2,
+// table3.1, the sensitivity sweep, policies and protect share one pass
+// per workload.
+func staticWSS(ctx context.Context, o *Options, s workload.Spec, refs uint64, T uint64) *engine.Future[*core.Result] {
 	return o.Engine.StaticWSS(ctx, engine.StaticWSSUnit{Workload: s.Name, Refs: refs, T: T})
 }
 
@@ -30,13 +31,14 @@ func twoSizeWSS(ctx context.Context, o *Options, s workload.Spec, refs uint64, T
 		Policy: engine.TwoSizePolicy(policy.DefaultTwoSizeConfig(T)), WSS: true})
 }
 
-// normAt returns ladder[shift] normalized against the 4KB base.
-func normAt(ladder []wss.Result, shift uint) (float64, error) {
+// normAt returns the static ladder's working set at shift normalized
+// against the 4KB base.
+func normAt(ladder *core.Result, shift uint) (float64, error) {
 	i := engine.StaticIndex(shift)
 	if i < 0 {
 		return 0, fmt.Errorf("experiments: shift %d not in the static ladder", shift)
 	}
-	return metrics.WSNormalized(ladder[i].AvgBytes, ladder[engine.StaticIndex(addr.Shift4K)].AvgBytes), nil
+	return metrics.WSNormalized(ladder.StaticWSS[i].AvgBytes, ladder.StaticWSS[engine.StaticIndex(addr.Shift4K)].AvgBytes), nil
 }
 
 // Table31 reproduces Table 3.1: per-program trace length, references per
@@ -46,30 +48,16 @@ func Table31(ctx context.Context, o *Options) (*tableio.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	type row struct {
-		count  *engine.Future[*core.Result]
-		ladder *engine.Future[[]wss.Result]
-	}
-	rows := make([]row, len(specs))
+	ladders := make([]*engine.Future[*core.Result], len(specs))
 	for i, s := range specs {
 		refs := refsFor(s, o.Scale)
-		T := uint64(windowFor(refs))
-		rows[i].ladder = staticWSS(ctx, o, s, refs, T)
-		// A bare pass counts the instructions; it rides the static
-		// unit's read of the stream.
-		rows[i].count = o.Engine.Ride(ctx, "count "+s.Name, s.Name, refs, func() (*core.Simulator, error) {
-			return core.NewSimulator(policy.NewSingle(addr.Size4K), nil), nil
-		})
+		ladders[i] = staticWSS(ctx, o, s, refs, uint64(windowFor(refs)))
 	}
 	tbl := tableio.New("Table 3.1: Workloads (synthetic reproductions)",
 		"Program", "Refs(M)", "RPI", "WS@4KB(T=refs/8)", "Class")
 	for i, s := range specs {
 		refs := refsFor(s, o.Scale)
-		count, err := rows[i].count.Wait(ctx)
-		if err != nil {
-			return nil, err
-		}
-		ladder, err := rows[i].ladder.Wait(ctx)
+		ladder, err := ladders[i].Wait(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -79,8 +67,8 @@ func Table31(ctx context.Context, o *Options) (*tableio.Table, error) {
 		}
 		tbl.Row(s.Name,
 			tableio.F(float64(refs)/1e6, 1),
-			tableio.F(count.RPI(), 2),
-			wss.FormatBytes(ladder[engine.StaticIndex(addr.Shift4K)].AvgBytes),
+			tableio.F(ladder.RPI(), 2),
+			wss.FormatBytes(ladder.StaticWSS[engine.StaticIndex(addr.Shift4K)].AvgBytes),
 			class)
 	}
 	tbl.Note("Paper classes: small < 1MB working set, large > 1MB (at full trace lengths).")
@@ -95,7 +83,7 @@ func Fig41(ctx context.Context, o *Options) (*tableio.Table, error) {
 		return nil, err
 	}
 	shifts := []uint{addr.Shift8K, addr.Shift16K, addr.Shift32K, addr.Shift64K}
-	futs := make([]*engine.Future[[]wss.Result], len(specs))
+	futs := make([]*engine.Future[*core.Result], len(specs))
 	for i, s := range specs {
 		refs := refsFor(s, o.Scale)
 		futs[i] = staticWSS(ctx, o, s, refs, uint64(windowFor(refs)))
@@ -137,7 +125,7 @@ func Fig42(ctx context.Context, o *Options) (*tableio.Table, error) {
 	}
 	shifts := []uint{addr.Shift8K, addr.Shift16K, addr.Shift32K}
 	type row struct {
-		ladder *engine.Future[[]wss.Result]
+		ladder *engine.Future[*core.Result]
 		two    *engine.Future[*core.Result]
 	}
 	rows := make([]row, len(specs))
@@ -159,7 +147,7 @@ func Fig42(ctx context.Context, o *Options) (*tableio.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := ladder[engine.StaticIndex(addr.Shift4K)].AvgBytes
+		base := ladder.StaticWSS[engine.StaticIndex(addr.Shift4K)].AvgBytes
 		row := []string{s.Name}
 		for j, sh := range shifts {
 			n, err := normAt(ladder, sh)
@@ -191,7 +179,7 @@ func SensitivityT(ctx context.Context, o *Options) (*tableio.Table, error) {
 		return nil, err
 	}
 	type row struct {
-		ladders []*engine.Future[[]wss.Result]
+		ladders []*engine.Future[*core.Result]
 		twos    []*engine.Future[*core.Result]
 	}
 	rows := make([]row, len(specs))
@@ -224,7 +212,7 @@ func SensitivityT(ctx context.Context, o *Options) (*tableio.Table, error) {
 				return nil, err
 			}
 			normTwo[j] = metrics.WSNormalized(twoRes.WSS.AvgBytes,
-				ladder[engine.StaticIndex(addr.Shift4K)].AvgBytes)
+				ladder.StaticWSS[engine.StaticIndex(addr.Shift4K)].AvgBytes)
 		}
 		tbl.Row(s.Name,
 			tableio.F(norm32[0], 2), tableio.F(norm32[1], 2), tableio.F(norm32[2], 2),

@@ -19,7 +19,7 @@
 //     each class on its own windowed threshold.
 //   - Napot promotes a region once enough of its blocks have ever been
 //     touched and never demotes, so it needs no window.
-//   - Region maps declared address ranges large, a static placement hint.
+//   - Region maps declared 32KB chunks large, a static placement hint.
 package policy
 
 import (

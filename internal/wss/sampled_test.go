@@ -164,13 +164,7 @@ func shadowWSS(window []addr.VA, pol policy.MultiSize) uint64 {
 func TestSampledMatchesShadowWindow(t *testing.T) {
 	const T, every = 97, 7
 	classes3 := addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift, addr.Shift256K)
-	region, err := policy.NewRegion(policy.RegionConfig{LargeRegions: []policy.Range{
-		{Start: 0, End: 3 * addr.ChunkSize},
-		{Start: 9 * addr.ChunkSize, End: 10 * addr.ChunkSize},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	region := policy.NewRegion([]addr.PN{0, 1, 2, 9})
 	for _, tc := range []struct {
 		name   string
 		pol    policy.MultiSize

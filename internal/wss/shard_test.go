@@ -1,6 +1,7 @@
 package wss
 
 import (
+	"slices"
 	"testing"
 
 	"twopage/internal/addr"
@@ -37,18 +38,30 @@ func genVAs(n int, seed uint64) []addr.VA {
 
 // The tentpole exactness property: merging shard-local static WSS state
 // reproduces the serial result bit for bit — AvgBytes compared with ==,
-// not a tolerance — for any shard count and any (even maximally uneven)
-// split points.
+// not a tolerance — and the serial pass's distinct pages, for any shard
+// count and any (even maximally uneven) split points.
 func TestMergeStaticMatchesSerialExactly(t *testing.T) {
 	shifts := []uint{addr.Shift4K, addr.Shift8K, addr.Shift16K, addr.Shift32K, addr.Shift64K}
 	for _, n := range []int{0, 1, 5_000, 50_000} {
 		vas := genVAs(n, uint64(n)+3)
+		blocks := map[addr.PN]bool{}
+		for _, va := range vas {
+			blocks[addr.PN(va>>12)] = true
+		}
+		wantBlocks := make([]addr.PN, 0, len(blocks))
+		for b := range blocks {
+			wantBlocks = append(wantBlocks, b)
+		}
+		slices.Sort(wantBlocks)
 		for _, T := range []uint64{1, 100, 5_000, 1 << 40} {
 			serial := NewStatic(T, 0, shifts...)
 			for _, va := range vas {
 				serial.Step(va)
 			}
 			want := serial.Finish()
+			if got := serial.Pages(0); !slices.Equal(got, wantBlocks) {
+				t.Fatalf("n=%d T=%d: Pages(0) has %d pages, want the stream's %d distinct 4KB blocks", n, T, len(got), len(wantBlocks))
+			}
 
 			// Finish on a section treats it as the whole stream: the same
 			// references started at a later global time give the same
@@ -79,7 +92,13 @@ func TestMergeStaticMatchesSerialExactly(t *testing.T) {
 						parts[i].Step(va)
 					}
 				}
-				got := MergeStatic(parts)
+				merged := MergeStatic(parts)
+				for i := range shifts {
+					if !slices.Equal(merged.Pages(i), serial.Pages(i)) {
+						t.Fatalf("n=%d T=%d shards=%d shift=%d: merged pages differ from the serial pass's", n, T, shards, shifts[i])
+					}
+				}
+				got := merged.Finish()
 				if len(got) != len(want) {
 					t.Fatalf("n=%d T=%d shards=%d: %d results, want %d", n, T, shards, len(got), len(want))
 				}
@@ -92,6 +111,56 @@ func TestMergeStaticMatchesSerialExactly(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzMergeStatic extends the exactness property past fixed cut shapes:
+// any short stream over a small address space, any window and any
+// section cuts, empty sections included, merge to the serial pass's
+// results and distinct pages.
+func FuzzMergeStatic(f *testing.F) {
+	f.Add(uint8(6), []byte{3, 9}, []byte{0, 1, 2, 3, 64, 65, 0, 1, 255, 3})
+	f.Add(uint8(0), []byte{}, []byte{})
+	f.Add(uint8(255), []byte{0, 0, 5, 5, 200}, []byte{1, 1, 1, 17, 17, 33, 1, 200, 201, 1})
+	f.Fuzz(func(t *testing.T, window uint8, cuts, stream []byte) {
+		// Each section's tables cost tens of KB; a few sections and a
+		// few thousand references cover every splice.
+		if len(cuts) > 16 || len(stream) > 4096 {
+			t.Skip()
+		}
+		shifts := []uint{addr.Shift4K, addr.Shift8K, addr.Shift32K}
+		T := uint64(window) + 1
+		// 256 addresses 1KB apart: 64 4KB pages, 32 8KB and 8 32KB.
+		vas := make([]addr.VA, len(stream))
+		for i, b := range stream {
+			vas[i] = addr.VA(b) << 10
+		}
+		bounds := []int{0, len(vas)}
+		for _, c := range cuts {
+			bounds = append(bounds, int(c)%(len(vas)+1))
+		}
+		slices.Sort(bounds)
+
+		serial := NewStatic(T, 0, shifts...)
+		for _, va := range vas {
+			serial.Step(va)
+		}
+		parts := make([]*Static, len(bounds)-1)
+		for i := range parts {
+			parts[i] = NewStatic(T, uint64(bounds[i]), shifts...)
+			for _, va := range vas[bounds[i]:bounds[i+1]] {
+				parts[i].Step(va)
+			}
+		}
+		merged := MergeStatic(parts)
+		for i, shift := range shifts {
+			if got, want := merged.Pages(i), serial.Pages(i); !slices.Equal(got, want) {
+				t.Fatalf("T=%d cuts=%v shift=%d: merged pages %v, want %v", T, bounds, shift, got, want)
+			}
+		}
+		if got, want := merged.Finish(), serial.Finish(); !slices.Equal(got, want) {
+			t.Fatalf("T=%d cuts=%v:\n got %+v\nwant %+v", T, bounds, got, want)
+		}
+	})
 }
 
 // ObserveWarm must leave the incremental large/small split in exactly

@@ -31,6 +31,7 @@ package wss
 
 import (
 	"fmt"
+	"slices"
 
 	"twopage/internal/addr"
 	"twopage/internal/htab"
@@ -68,8 +69,8 @@ func (r Result) Normalized(base Result) float64 {
 // consecutive pair either falls inside one section (accumulated in acc)
 // or straddles a section boundary (spliced by MergeStatic from the
 // sections' first- and last-access tables). Timestamps are global, so
-// MergeStatic reproduces Finish's result for the whole stream bit for
-// bit, for any partition.
+// the calculator MergeStatic returns finishes to the whole stream's
+// result bit for bit, for any partition.
 type Static struct {
 	t      uint64
 	shifts []uint
@@ -145,9 +146,10 @@ func (s *Static) Step(va addr.VA) {
 }
 
 // Finish closes the stream and returns one Result per shift, in the
-// order the shifts were given. It is the serial reference MergeStatic
-// is tested against; on a section it treats the section as the whole
-// stream. Further Steps panic.
+// order the shifts were given: it adds each page's closing tail and
+// averages. On a section it treats the section as the whole stream; on
+// the calculator MergeStatic returns, it yields the concatenated
+// stream's results. Further Steps panic.
 func (s *Static) Finish() []Result {
 	if s.done {
 		panic("wss: Finish called twice")
@@ -184,6 +186,16 @@ func (s *Static) Finish() []Result {
 
 // Steps returns how many references have been observed.
 func (s *Static) Steps() uint64 { return s.steps }
+
+// Pages returns the distinct pages of the i-th shift that s has
+// observed, in ascending order. It allocates; it is for reporting, not
+// the per-reference path, and it may be called after Finish.
+func (s *Static) Pages(i int) []addr.PN {
+	pages := make([]addr.PN, 0, s.last[i].Len())
+	s.last[i].Iter(func(pn, _ uint64) { pages = append(pages, addr.PN(pn)) })
+	slices.Sort(pages)
+	return pages
+}
 
 // TwoSize computes the average working-set size of the dynamic
 // 4KB/32KB scheme by observing a policy.TwoSize. Create it with

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -258,7 +259,7 @@ func TestShardCountExactInvariants(t *testing.T) {
 
 // The static working-set merge is exact, so the engine's sharded
 // static-WSS path must agree with the serial calculator bit for bit at
-// every shard count — including the float averages.
+// every shard count — including the float averages and the footprint.
 func TestShardedStaticWSSExact(t *testing.T) {
 	f := writeRandomV2(t, 90_000, 256, 17)
 	const T = 12_000
@@ -273,6 +274,9 @@ func TestShardedStaticWSSExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := serial.StaticWSS
+	if uint64(len(serial.Footprint)) != want[0].Pages {
+		t.Fatalf("serial footprint has %d pages, want %d", len(serial.Footprint), want[0].Pages)
+	}
 
 	const name = "trace:shard-wss"
 	if err := workload.RegisterFile(name, f); err != nil {
@@ -282,10 +286,14 @@ func TestShardedStaticWSSExact(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 3, 8} {
 		e := engine.New(4, engine.WithSharding(engine.ShardPlan{Shards: shards}))
-		got, err := e.StaticWSS(ctx, engine.StaticWSSUnit{Workload: name, Refs: f.Refs(), T: T}).Wait(ctx)
+		res, err := e.StaticWSS(ctx, engine.StaticWSSUnit{Workload: name, Refs: f.Refs(), T: T}).Wait(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !slices.Equal(res.Footprint, serial.Footprint) {
+			t.Errorf("shards=%d: footprint of %d pages, want the serial pass's %d", shards, len(res.Footprint), len(serial.Footprint))
+		}
+		got := res.StaticWSS
 		if len(got) != len(want) {
 			t.Fatalf("shards=%d: %d results, want %d", shards, len(got), len(want))
 		}
