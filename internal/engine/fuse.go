@@ -26,13 +26,12 @@ import (
 // cache nor the run report can tell how members were grouped. A
 // claimed member waits for its group outside the pool.
 
-// maxSims bounds the simulators of one group. They are all alive for
-// the group's read, and each holds state that grows with the policy
-// window (above all the window tracker's ring of T block numbers), so
-// the bound caps what one pool slot holds at once; it also leaves the
-// rest of a large stream to other slots. An experiment's own groups
-// stay whole under it: the largest in the suite needs nine simulators
-// (ladder3).
+// maxSims bounds the simulators of one group. They all run one after
+// another in one pool slot, so the bound leaves the rest of a stream
+// with many members to other slots; it also caps the simulators alive
+// at once in a slot, each holding state that grows with the stream's
+// footprint. An experiment's own groups stay whole under it: the
+// largest in the suite needs nine simulators (ladder3).
 const maxSims = 16
 
 // ticket is a group member's entry in the engine's pending set: a unit,

@@ -142,7 +142,7 @@ func NewLadder(cfg LadderConfig) *Ladder {
 }
 
 // Window exposes the policy's sliding-window tracker so working-set
-// calculators can observe the same window without a second ring buffer.
+// calculators can observe the same window without a second tracker.
 // Hooks must be registered before the first Assign.
 func (l *Ladder) Window() *window.Tracker { return l.win }
 

@@ -247,8 +247,8 @@ func NewTwoSize(cfg TwoSizeConfig) *TwoSize {
 
 // Window exposes the policy's sliding-window tracker so that other
 // consumers (the two-page working-set calculator) can observe the same
-// window without a second ring buffer. Hooks must be registered before
-// the first Assign.
+// window without a second tracker. Hooks must be registered before the
+// first Assign.
 func (p *TwoSize) Window() *window.Tracker { return p.ladder.Window() }
 
 // Config returns the policy's configuration.

@@ -1,6 +1,8 @@
 package window
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"twopage/internal/addr"
@@ -85,4 +87,79 @@ func TestStepRecyclesRecords(t *testing.T) {
 			t.Errorf("chunk shift %d: arena holds %d records, want at most %d", shift, len(w.recs), peak)
 		}
 	}
+}
+
+// TestMemoryNotSizedByT steps the kernelref block stream through
+// trackers whose windows run from one reference to 2^32−1. Only the
+// wheel is sized by T: near holds 2^⌈½·log₂T⌉ slots, between √T and
+// 2√T, and far T>>⌈½·log₂T⌉ + 2 lists. Every other slice the tracker
+// holds, the chunk index's included, is sized by the active chunks: it
+// is the same for every window that holds the whole stream and no
+// larger for a shorter one. All of it stays under 1MB at every T.
+func TestMemoryNotSizedByT(t *testing.T) {
+	stream := kernelref.BlockStream(1 << 15)
+	var whole map[string]int // bytes per field with the whole stream active
+	for _, T := range []int{math.MaxUint32, 500_000, 4096, 1} {
+		w := New(T)
+		for _, b := range stream {
+			w.Step(b)
+		}
+		bytes := sliceBytes(w)
+		G := 1 << w.nearBits
+		if G*G < T || G*G >= 4*T {
+			t.Errorf("T=%d: %d near slots, want between √T and 2√T", T, G)
+		}
+		if bytes["near"] != 4*G || bytes["far"] != 4*(T/G+2) {
+			t.Errorf("T=%d: near %d and far %d bytes, want %d and %d", T, bytes["near"], bytes["far"], 4*G, 4*(T/G+2))
+		}
+		total := 0
+		for field, n := range bytes {
+			total += n
+			if field == "near" || field == "far" {
+				continue
+			}
+			switch {
+			case whole == nil:
+			case T >= len(stream) && n != whole[field]:
+				t.Errorf("T=%d: %s holds %d bytes, want %d as at T=2^32-1", T, field, n, whole[field])
+			case n > whole[field]:
+				t.Errorf("T=%d: %s holds %d bytes, more than %d at T=2^32-1", T, field, n, whole[field])
+			}
+		}
+		if total >= 1<<20 {
+			t.Errorf("T=%d: tracker holds %d bytes of slices, want under 1MB", T, total)
+		}
+		if whole == nil {
+			whole = bytes
+		}
+	}
+}
+
+// sliceBytes returns, for each field of w, the bytes of slice capacity
+// it reaches through pointers and struct fields.
+func sliceBytes(w *Tracker) map[string]int {
+	v := reflect.ValueOf(w).Elem()
+	out := map[string]int{}
+	for i := range v.NumField() {
+		out[v.Type().Field(i).Name] = capBytes(v.Field(i))
+	}
+	return out
+}
+
+func capBytes(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return capBytes(v.Elem())
+		}
+	case reflect.Struct:
+		n := 0
+		for i := range v.NumField() {
+			n += capBytes(v.Field(i))
+		}
+		return n
+	case reflect.Slice:
+		return v.Cap() * int(v.Type().Elem().Size())
+	}
+	return 0
 }

@@ -117,7 +117,24 @@ func TestAgainstTwoCounterShadow(t *testing.T) {
 }
 
 func checkAgainstShadow(t *testing.T, shift uint, T int) {
+	rng := rand.New(rand.NewSource(int64(shift)*7919 + int64(T)))
+	blocks := make([]addr.PN, 12000)
+	for i := range blocks {
+		blocks[i] = diffStream(rng, 1<<(shift-addr.BlockShift))
+	}
+	compareStream(t, shift, T, 0, blocks)
+}
+
+// compareStream steps a tracker and the shadow through blocks and
+// compares them after every step, in full every 1009 steps and after
+// the last. The tracker's step count starts at start: the count reaches
+// its state only as block ages (mod 2^32) and the wheel's span
+// alignment, so a start near 2^32 runs the age wrap of a pass longer
+// than 4.3G references.
+func compareStream(t *testing.T, shift uint, T int, start uint64, blocks []addr.PN) {
+	t.Helper()
 	w := NewWithChunkShift(T, shift)
+	w.steps = start
 	m := newShadow(T, shift)
 	var got []hookEvent
 	w.OnBlockEnter = func(b addr.PN) {
@@ -126,11 +143,7 @@ func checkAgainstShadow(t *testing.T, shift uint, T int) {
 	w.OnBlockLeave = func(b addr.PN) {
 		got = append(got, hookEvent{false, b, w.ChunkActive(w.ChunkOf(b)), w.BlockActive(b)})
 	}
-	rng := rand.New(rand.NewSource(int64(shift)*7919 + int64(T)))
-	per := w.BlocksPerChunk()
-	const steps = 12000
-	for i := 0; i < steps; i++ {
-		b := diffStream(rng, per)
+	for i, b := range blocks {
 		got, m.events = got[:0], m.events[:0]
 		n := w.Step(b)
 		want, expired, ok := m.step(b)
@@ -158,9 +171,65 @@ func checkAgainstShadow(t *testing.T, shift uint, T int) {
 		if !slices.Equal(got, m.events) {
 			t.Fatalf("step %d: hook events %+v, want %+v", i, got, m.events)
 		}
-		if i%1009 == 0 || i == steps-1 {
+		if i%1009 == 0 || i == len(blocks)-1 {
 			compareInFull(t, i, w, m)
 		}
+	}
+}
+
+// maxFuzzT bounds the fuzzed window, whose shadow keeps a ring of T
+// blocks.
+const maxFuzzT = 1 << 12
+
+// FuzzTrackerAgainstShadow compares the tracker with the two-counter
+// shadow, as TestAgainstTwoCounterShadow does, over a fuzzed window
+// length, chunk shift, starting step and block stream. T distinct
+// blocks that no stream byte names follow the stream, so every block
+// the stream made active leaves. The seeds start trackers just below
+// 2^32 steps, where block ages wrap, and put T at and around span
+// boundaries: G−1, G and G+1 for G = 2, 4, 8 and 32, where T is a
+// multiple of its span of 2^⌈½·log₂T⌉ steps or one off it (T = 2 is its
+// own span), and G²−1, G² and G²+1, where the span doubles.
+func FuzzTrackerAgainstShadow(f *testing.F) {
+	stream := make([]byte, 600)
+	rand.New(rand.NewSource(1)).Read(stream)
+	for _, G := range []int{2, 4, 8, 32} {
+		for _, T := range []int{G - 1, G, G + 1, G*G - 1, G * G, G*G + 1} {
+			f.Add(uint16(T), uint8(addr.ChunkShift-addr.BlockShift-1), uint64(0), stream)
+		}
+	}
+	f.Add(uint16(1), uint8(0), uint64(1<<32-3), stream)
+	f.Add(uint16(100), uint8(3), uint64(1<<32-50), stream)
+	f.Add(uint16(maxFuzzT), uint8(11), uint64(1<<32-1000), stream)
+	f.Fuzz(func(t *testing.T, tRaw uint16, shiftRaw uint8, start uint64, data []byte) {
+		T := 1 + int(tRaw-1)%maxFuzzT
+		shift := addr.BlockShift + 1 + uint(shiftRaw)%(MaxChunkShift-addr.BlockShift)
+		per := 1 << (shift - addr.BlockShift)
+		blocks := make([]addr.PN, 0, len(data)+T)
+		for _, v := range data {
+			blocks = append(blocks, fuzzBlock(v, per))
+		}
+		for i := range T {
+			blocks = append(blocks, 1<<41+addr.PN(i))
+		}
+		compareStream(t, shift, T, start&(1<<62-1), blocks)
+	})
+}
+
+// fuzzBlock maps a fuzz byte to a block of one of the ranges diffStream
+// draws from: a hot set, one chunk's blocks, a range spread over many
+// chunks, or blocks above 2^40.
+func fuzzBlock(v byte, per int) addr.PN {
+	x := int(v & 63)
+	switch v >> 6 {
+	case 0:
+		return addr.PN(x % 4)
+	case 1:
+		return addr.PN(5*per + x%per)
+	case 2:
+		return addr.PN(x * 37)
+	default:
+		return 1<<40 + addr.PN(x%(2*per))
 	}
 }
 

@@ -74,8 +74,8 @@ func TestChunkShiftBound(t *testing.T) {
 	}
 }
 
-// TestTBound rejects a window whose reference counts could pass a
-// uint32, before allocating its ring.
+// TestTBound rejects a window whose block ages could pass a uint32,
+// before allocating its wheel.
 func TestTBound(t *testing.T) {
 	if uint64(math.MaxInt) <= math.MaxUint32 {
 		t.Skip("int cannot exceed uint32")
@@ -85,13 +85,14 @@ func TestTBound(t *testing.T) {
 }
 
 // TestSlotIndexBound checks that the arena's record limit keeps every
-// slot index inside a uint32, and that a chunk past the limit panics
-// instead of wrapping.
+// slot index inside a uint32 and below none, the wheel's end-of-list
+// marker, with no record to spare, and that a chunk past the limit
+// panics instead of wrapping.
 func TestSlotIndexBound(t *testing.T) {
 	for _, shift := range []uint{addr.BlockShift + 1, addr.ChunkShift, MaxChunkShift} {
 		w := NewWithChunkShift(8, shift)
-		if top := w.maxRecs<<w.bits - 1; top != math.MaxUint32 {
-			t.Errorf("shift %d: highest slot index %#x, want %#x", shift, top, uint64(math.MaxUint32))
+		if top, want := w.maxRecs<<w.bits-1, uint64(none)-1<<w.bits; top != want {
+			t.Errorf("shift %d: highest slot index %#x, want %#x", shift, top, want)
 		}
 	}
 	w := New(8)
