@@ -318,24 +318,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return policy.NewSingle(addr.MustPow2(addr.PageSize(*pageSize)))
 		}
 	}
-	wcfg := walk.Config{
-		// Classes stay zero: core derives them from the policy.
-		PWCEntries: walk.DefaultPWCEntries,
-		MemBytes:   walk.DefaultMemBytes,
-		MemWays:    walk.DefaultMemWays,
-		HitCycles:  walk.DefaultHitCycles,
-		MissCycles: walk.DefaultMissCycles,
-	}
-	if *walkPWC < 0 {
-		wcfg.PWCEntries = 0
-	} else if *walkPWC > 0 {
-		wcfg.PWCEntries = *walkPWC
-	}
-	if *walkMem < 0 {
-		wcfg.MemBytes = 0
-	} else if *walkMem > 0 {
-		wcfg.MemBytes = *walkMem
-	}
+	// The classes stay zero: core derives them from the policy.
+	wcfg := walk.Tuned(addr.SizeClasses{}, *walkPWC, *walkMem)
 
 	build := func() (*core.Simulator, error) {
 		t, err := tlb.New(tlbCfg)

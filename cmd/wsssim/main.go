@@ -101,8 +101,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 1
 	}
 
-	// open returns a fresh reader over the input, n references long (at
-	// most, for a trace): the two-page scheme is a second pass.
+	// open returns a reader over the input, n references long (at most,
+	// for a trace).
 	var open func() trace.Reader
 	var file *trace.File
 	var srcName string
@@ -159,17 +159,37 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var passes []obs.Pass
 	start := time.Now()
 
-	// A trace's static pass runs in sections (one when -shards is 1),
-	// which merge exactly into the serial result.
 	build := func() (*core.Simulator, error) {
 		return core.NewSimulator(policy.NewSingle(addr.Size4K), nil, core.WithStaticWSS(T, pageSizes...)), nil
 	}
-	var static *core.Result
+	var twoSim *core.Simulator
+	if *two {
+		twoSim = core.NewSimulator(policy.NewTwoSize(twoCfg), nil, core.WithWSS())
+	}
+	var static, twoRes *core.Result
 	if file != nil {
+		// A trace's static pass runs in sections (one when -shards is 1),
+		// which merge exactly into the serial result. The two-page
+		// scheme reads the trace again, so each pass reports its own
+		// decode counts.
 		static, err = engine.RunSharded(engine.New(*shards), ctx, file, *refs, engine.ShardPlan{Shards: *shards}, "wss-static", build)
+		if err == nil && twoSim != nil {
+			twoRes, err = twoSim.Run(ctx, open())
+		}
 	} else {
+		// A generated workload's passes share one read of it.
 		sim, _ := build()
-		static, err = sim.Run(ctx, open())
+		sims := []*core.Simulator{sim}
+		if twoSim != nil {
+			sims = append(sims, twoSim)
+		}
+		var res []*core.Result
+		if res, err = core.RunMany(ctx, open(), sims); err == nil {
+			static = res[0]
+			if twoSim != nil {
+				twoRes = res[1]
+			}
+		}
 	}
 	if err != nil {
 		return fail(err)
@@ -184,15 +204,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stdout, "%-10s %-12s %.3f\n", r.Scheme, wss.FormatBytes(r.AvgBytes),
 			metrics.WSNormalized(r.AvgBytes, base.AvgBytes))
 	}
-	if *two {
-		sim := core.NewSimulator(policy.NewTwoSize(twoCfg), nil, core.WithWSS())
-		out, err := sim.Run(ctx, open())
-		if err != nil {
-			return fail(err)
-		}
-		res, stats := out.WSS, out.PolicyStats
-		passes = append(passes, obs.Pass{Key: fmt.Sprintf("wss-two w=%s T=%d", srcName, T), Counters: out.Counters})
-		totals.Add(out.Counters)
+	if twoRes != nil {
+		res, stats := twoRes.WSS, twoRes.PolicyStats
+		passes = append(passes, obs.Pass{Key: fmt.Sprintf("wss-two w=%s T=%d", srcName, T), Counters: twoRes.Counters})
+		totals.Add(twoRes.Counters)
 		fmt.Fprintf(stdout, "%-10s %-12s %.3f   (promotions %d, demotions %d)\n",
 			res.Scheme, wss.FormatBytes(res.AvgBytes),
 			metrics.WSNormalized(res.AvgBytes, base.AvgBytes),

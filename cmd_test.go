@@ -136,9 +136,51 @@ func TestCommandLineTools(t *testing.T) {
 				t.Errorf("tlbsim -walk output missing %q:\n%s", want, out)
 			}
 		}
+		// -walkpwc -1 disables the PWCs, -walkmem -1 the memory-side cache.
+		out = runBin(t, bin, "-workload", "li", "-refs", "50000", "-two", "-walk", "-walkpwc", "-1")
+		if want := "  PWC:       0 hits / 0 misses (0% hit), 0 flushes\n"; !strings.Contains(out, want) {
+			t.Errorf("tlbsim -walkpwc -1 output lacks %q:\n%s", want, out)
+		}
+		out = runBin(t, bin, "-workload", "li", "-refs", "50000", "-two", "-walk", "-walkmem", "-1")
+		if want := "  mem cache: 0 hits / "; !strings.Contains(out, want) {
+			t.Errorf("tlbsim -walkmem -1 output lacks %q:\n%s", want, out)
+		}
 		// -walk without a multi-size policy is a usage error.
 		if code, out := runBinErr(t, bin, "-workload", "li", "-refs", "50000", "-walk"); code != 2 || !strings.Contains(out, "-walk needs a multi-size policy") {
 			t.Errorf("single-size -walk: exit %d, output:\n%s", code, out)
+		}
+	})
+
+	// paper's walk knobs reach walkcpi: with the PWCs off the walk
+	// column equals the no-PWC column and no walk hits a PWC; with the
+	// memory-side cache off no walk load hits it.
+	t.Run("paper-walk-knobs", func(t *testing.T) {
+		bin := buildCmd(t, dir, "paper")
+		// rows maps each program to its walkcpi cells: flat, walk,
+		// cyc/walk, no-PWC, pwc-hit%, mem-hit%.
+		rows := func(args ...string) map[string][]string {
+			out := runBin(t, bin, append([]string{"-scale", "0.01", "-workloads", "li,worm"}, append(args, "walkcpi")...)...)
+			got := map[string][]string{}
+			for _, line := range strings.Split(out, "\n") {
+				if f := strings.Fields(line); len(f) == 7 && (f[0] == "li" || f[0] == "worm") {
+					got[f[0]] = f[1:]
+				}
+			}
+			if len(got) != 2 {
+				t.Fatalf("walkcpi %v: no li and worm rows:\n%s", args, out)
+			}
+			return got
+		}
+		noPWC := rows("-walkpwc", "-1")
+		for prog, want := range map[string]string{"li": "0.316", "worm": "1.424"} {
+			if c := noPWC[prog]; c[1] != want || c[3] != want || c[4] != "0" {
+				t.Errorf("-walkpwc -1 %s: walk %s, no-PWC %s, pwc-hit%% %s; want %s, %s, 0", prog, c[1], c[3], c[4], want, want)
+			}
+		}
+		for prog, c := range rows("-walkmem", "-1") {
+			if c[5] != "0" {
+				t.Errorf("-walkmem -1 %s: mem-hit%% %s, want 0", prog, c[5])
+			}
 		}
 	})
 

@@ -26,13 +26,11 @@ import (
 // key method's static call closure. Normalization counts: a field that
 // the key's Normalized() call folds into a canonical field before
 // formatting does affect the key bytes and passes the check for exactly
-// that reason. Two shapes are exempt:
-//
-//   - function-typed fields (hooks cannot be part of a key; the engine
-//     rejects non-nil hooks before memoizing, e.g. DenyPromotion);
-//   - unexported fields of structs defined outside the key method's
-//     package (not addressable from the key builder; their owning
-//     package's constructors validate them).
+// that reason. Unexported fields of structs defined outside the key
+// method's package are exempt: the key builder cannot address them, and
+// their owning package's constructors validate them. A function-typed
+// field is not exempt: a hook cannot be part of a key, so a keyed
+// config holds none.
 //
 // Nested coverage follows field types through pointers, slices and
 // arrays into named struct types defined in this module, so
@@ -64,9 +62,6 @@ func KeyCheck() *Analyzer {
 					st := s.Underlying().(*types.Struct)
 					for i := 0; i < st.NumFields(); i++ {
 						f := st.Field(i)
-						if isFuncType(f.Type()) {
-							continue // hooks cannot be keyed; the engine rejects non-nil ones
-						}
 						if !f.Exported() && s.Obj().Pkg() != pass.Pkg {
 							continue
 						}
@@ -108,11 +103,6 @@ func isString(t types.Type) bool {
 
 func isErrorType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())
-}
-
-func isFuncType(t types.Type) bool {
-	_, ok := t.Underlying().(*types.Signature)
-	return ok
 }
 
 // keyRelevantStructs returns the receiver struct plus every named

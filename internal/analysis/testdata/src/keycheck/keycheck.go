@@ -3,15 +3,14 @@ package keycheck
 import "strconv"
 
 // Config is a flat memo-key case: one covered knob, one omitted knob,
-// one hook the analyzer must exempt (func fields cannot be keyed; the
-// engine rejects non-nil hooks before memoizing).
+// and one hook, which no key can hold, so it is a finding too.
 type Config struct {
 	Entries int
 	Ways    int
 	Deny    func() bool
 }
 
-func (c Config) Key() (string, error) { // want `Config.Key omits field Config.Ways from the key`
+func (c Config) Key() (string, error) { // want `Config.Key omits field Config.Ways from the key` `Config.Key omits field Config.Deny from the key`
 	return "cfg:" + strconv.Itoa(c.Entries), nil
 }
 

@@ -260,11 +260,6 @@ func TestPolicySpecValidation(t *testing.T) {
 	if _, err := (PolicySpec{Single: 3000}).New(); err == nil {
 		t.Fatal("invalid page size accepted")
 	}
-	deny := policy.DefaultTwoSizeConfig(100)
-	deny.DenyPromotion = func(addr.PN) bool { return false }
-	if _, err := TwoSizePolicy(deny).New(); err == nil {
-		t.Fatal("DenyPromotion hook accepted by memoizable spec")
-	}
 	if _, err := TwoSizePolicy(policy.TwoSizeConfig{}).New(); err == nil {
 		t.Fatal("T=0 accepted")
 	}

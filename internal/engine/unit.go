@@ -24,13 +24,10 @@ type PolicySpec struct {
 	// Single, when nonzero, is the fixed page size.
 	Single addr.PageSize
 	// Two is the dynamic two-size configuration used when Single is
-	// zero and Ladder is unset. Its DenyPromotion hook must be nil: a
-	// function cannot be part of a memoization key (use an opaque Go
-	// task for veto policies).
+	// zero and Ladder is unset.
 	Two policy.TwoSizeConfig
 	// Ladder, when its Classes field names at least two sizes, is the
-	// N-level promotion-ladder configuration. Its Deny hook must be nil
-	// for the same reason as Two.DenyPromotion.
+	// N-level promotion-ladder configuration.
 	Ladder policy.LadderConfig
 }
 
@@ -50,7 +47,7 @@ func (p PolicySpec) check() error {
 	if p.Single != 0 {
 		set = append(set, "Single")
 	}
-	if !reflect.ValueOf(p.Two).IsZero() {
+	if p.Two != (policy.TwoSizeConfig{}) {
 		set = append(set, "Two")
 	}
 	ladder := !reflect.ValueOf(p.Ladder).IsZero()
@@ -78,16 +75,10 @@ func (p PolicySpec) New() (policy.Assigner, error) {
 		return policy.NewSingle(addr.MustPow2(p.Single)), nil
 	}
 	if p.Ladder.Classes.N() >= 2 {
-		if p.Ladder.Deny != nil {
-			return nil, fmt.Errorf("engine: Deny hooks cannot be memoized; use an opaque task")
-		}
 		if err := p.Ladder.Validate(); err != nil {
 			return nil, err
 		}
 		return policy.NewLadder(p.Ladder), nil
-	}
-	if p.Two.DenyPromotion != nil {
-		return nil, fmt.Errorf("engine: DenyPromotion hooks cannot be memoized; use an opaque task")
 	}
 	if err := p.Two.Validate(); err != nil {
 		return nil, err

@@ -12,6 +12,7 @@ import (
 	"twopage/internal/policy"
 	"twopage/internal/tlb"
 	"twopage/internal/trace"
+	"twopage/internal/tworef"
 	"twopage/internal/workload"
 )
 
@@ -99,14 +100,12 @@ func TestProfilesFromFootprint(t *testing.T) {
 		if got := oracleChunks(footprint); len(wantLarge) == 0 || !reflect.DeepEqual(got, wantLarge) {
 			t.Errorf("%s: oracle chunks %v, want %v", name, got, wantLarge)
 		}
-		want := protProfile{protected: map[addr.PN]bool{}, protChunk: map[addr.PN]bool{}}
+		want := map[addr.PN]bool{}
 		for i := 0; i < len(sorted); i += 16 {
-			want.protected[sorted[i]] = true
-			want.protChunk[addr.ChunkOfBlock(sorted[i])] = true
+			want[sorted[i]] = true
 		}
-		if got := newProtProfile(footprint); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: protection profile of %d blocks in %d chunks, want %d in %d",
-				name, len(got.protected), len(got.protChunk), len(want.protected), len(want.protChunk))
+		if got := protectedBlocks(footprint); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d protected blocks, want %d", name, len(got), len(want))
 		}
 	}
 
@@ -138,5 +137,83 @@ func TestProfilesFromFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(name, blocks, static.Footprint)
+	}
+}
+
+// boundarySpec touches 24 chunks with exactly 3, 4 and 5 distinct 4KB
+// blocks each (a 12KB, 16KB or 20KB cluster in its own 32KB chunk),
+// beside a one-function code stream. li and worm hold no chunk at
+// exactly the paper's threshold of 4, so only a stream like this one
+// tells "half or more" from "more than half".
+const boundarySpec = `
+code funcs=1 body=1024 visit=4096 spacing=4K
+dpi 0.35
+clusters base=512M span=8M n=24 size=12K hot=1 hotprob=1 burst=8 weight=1
+clusters base=544M span=8M n=24 size=16K hot=1 hotprob=1 burst=8 weight=1
+clusters base=576M span=8M n=24 size=20K hot=1 hotprob=1 burst=8 weight=1
+`
+
+// TestHalfOrMoreBoundary pins the promotion threshold at its boundary:
+// with a window as long as the stream, the windowed policy, its frozen
+// oracle, the promote-once policy and the static oracle all map large
+// exactly the chunks that hold 4 or 5 of their 8 blocks, never those
+// that hold 3.
+func TestHalfOrMoreBoundary(t *testing.T) {
+	const refs = 200_000
+	stream := func() trace.Reader { return workload.MustParse("boundary", refs, boundarySpec) }
+
+	seen := map[addr.PN]bool{}
+	if _, err := trace.Drain(stream(), func(batch []trace.Ref) {
+		for _, ref := range batch {
+			seen[addr.Block(ref.Addr)] = true
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var footprint []addr.PN
+	density := map[addr.PN]int{}
+	for b := range seen {
+		footprint = append(footprint, b)
+		density[addr.ChunkOfBlock(b)]++
+	}
+	sort.Slice(footprint, func(i, j int) bool { return footprint[i] < footprint[j] })
+	chunksOf := map[int]int{} // blocks held -> chunks holding that many
+	var want []addr.PN
+	for c, n := range density {
+		chunksOf[n]++
+		if n >= addr.BlocksPerChunk/2 {
+			want = append(want, c)
+		}
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if chunksOf[3] != 24 || chunksOf[4] != 24 || chunksOf[5] != 24 {
+		t.Fatalf("chunks by blocks held %v, want 24 each of 3, 4 and 5", chunksOf)
+	}
+
+	promoted := func(assign func(addr.VA) policy.Result) []addr.PN {
+		var got []addr.PN
+		if _, err := trace.Drain(stream(), func(batch []trace.Ref) {
+			for _, ref := range batch {
+				if res := assign(ref.Addr); res.Event == policy.EventPromote {
+					got = append(got, res.Chunk)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		return got
+	}
+	cfg := policy.DefaultTwoSizeConfig(refs)
+	for name, got := range map[string][]addr.PN{
+		"TwoSize":        promoted(policy.NewTwoSize(cfg).Assign),
+		"tworef.TwoSize": promoted(tworef.NewTwoSize(cfg).Assign),
+		"promoteOnce":    promoted(promoteOnce().Assign),
+		"oracleChunks":   oracleChunks(footprint),
+	} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s maps %d chunks large, want the %d with 4 or more blocks:\n got %v\nwant %v",
+				name, len(got), len(want), got, want)
+		}
 	}
 }

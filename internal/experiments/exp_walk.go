@@ -13,25 +13,6 @@ import (
 	"twopage/internal/walk"
 )
 
-// walkConfig resolves the Options walk knobs into a concrete model over
-// the policy's size classes: zero knobs keep the walk package defaults,
-// negative ones disable the component. BaseCycles stays zero — core
-// derives the handler base from the policy kind.
-func walkConfig(o *Options, classes addr.SizeClasses) walk.Config {
-	cfg := walk.Default(classes)
-	if o.WalkPWC < 0 {
-		cfg.PWCEntries = 0
-	} else if o.WalkPWC > 0 {
-		cfg.PWCEntries = o.WalkPWC
-	}
-	if o.WalkMemBytes < 0 {
-		cfg.MemBytes = 0
-	} else if o.WalkMemBytes > 0 {
-		cfg.MemBytes = o.WalkMemBytes
-	}
-	return cfg
-}
-
 // twoSizeClasses is the 4KB/32KB hierarchy the two-size policy walks;
 // derived from the policy itself so the walk model can never drift from
 // the policy's layout.
@@ -59,7 +40,7 @@ func WalkCPI(ctx context.Context, o *Options) (*tableio.Table, error) {
 		return nil, err
 	}
 	classes := twoSizeClasses()
-	modeled := walkConfig(o, classes)
+	modeled := walk.Tuned(classes, o.WalkPWC, o.WalkMemBytes)
 	noPWC := modeled
 	noPWC.PWCEntries = 0
 	type row struct {
@@ -118,7 +99,7 @@ func WalkDeltaMP(ctx context.Context, o *Options) (*tableio.Table, error) {
 		return nil, err
 	}
 	classes := twoSizeClasses()
-	modeled := walkConfig(o, classes)
+	modeled := walk.Tuned(classes, o.WalkPWC, o.WalkMemBytes)
 	type row struct {
 		four, two *engine.Future[*core.Result]
 	}

@@ -28,9 +28,9 @@
 // Determinism. The table's layout depends only on the sequence of
 // inserts and deletes — there is no per-process seed — but probe-order
 // iteration still reflects insertion history, so Iter is documented as
-// order-unspecified and reserved for order-independent reductions;
-// reporting paths use IterSorted, which visits keys in ascending
-// numeric order. Deletion uses backward-shift compaction instead of
+// order-unspecified and reserved for order-independent reductions; a
+// traversal that reaches output sorts its keys first (AppendKeys, then
+// sort). Deletion uses backward-shift compaction instead of
 // tombstones: the probe chain after a delete is exactly the chain an
 // insert-only history would have produced, so lookups never scan dead
 // slots, load factor never lies, and iteration stays dense. (With
@@ -43,11 +43,7 @@
 // in every kernel.
 package htab
 
-import (
-	"sort"
-
-	"twopage/internal/addr"
-)
+import "twopage/internal/addr"
 
 // fibMul is 2^64 / φ, the Fibonacci hashing multiplier: consecutive
 // keys — the common case for page numbers walking an address range —
@@ -250,8 +246,8 @@ func (t *U64) grow() {
 
 // Iter calls fn for every entry in unspecified order. The order is
 // deterministic for a fixed operation history but depends on it; use
-// Iter only for order-independent reductions (sums, counts) and
-// IterSorted everywhere the result can reach rendered output.
+// Iter only for order-independent reductions (sums, counts); where the
+// result can reach rendered output, sort AppendKeys' keys instead.
 func (t *U64) Iter(fn func(k, v uint64)) {
 	if t.hasZero {
 		fn(0, t.zeroVal)
@@ -275,18 +271,6 @@ func (t *U64) AppendKeys(dst []uint64) []uint64 {
 		}
 	}
 	return dst
-}
-
-// IterSorted calls fn for every entry in ascending key order. It
-// allocates a scratch key slice; it is for reporting and verification
-// paths, not the per-reference path.
-func (t *U64) IterSorted(fn func(k, v uint64)) {
-	keys := t.AppendKeys(make([]uint64, 0, t.Len()))
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		v, _ := t.Get(k)
-		fn(k, v)
-	}
 }
 
 // Counter is an open-addressing map from uint64 keys to int64 counts.
@@ -400,9 +384,3 @@ func (s *Set) Add(k uint64) bool {
 //
 //paperlint:hot
 func (s *Set) Remove(k uint64) bool { return s.t.Delete(k) }
-
-// IterSorted calls fn for every member in ascending order (reporting
-// paths; allocates scratch).
-func (s *Set) IterSorted(fn func(k uint64)) {
-	s.t.IterSorted(func(k, _ uint64) { fn(k) })
-}

@@ -2,7 +2,6 @@ package htab
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -131,34 +130,16 @@ func checkEqual(t *testing.T, h *U64, shadow map[uint64]uint64) {
 			t.Fatalf("Get(%d) = %d, %v; shadow %d", k, v, ok, want)
 		}
 	}
-	// Sorted iteration must visit exactly the shadow's sorted keys.
-	wantKeys := make([]uint64, 0, len(shadow))
-	for k := range shadow {
-		wantKeys = append(wantKeys, k)
-	}
-	sort.Slice(wantKeys, func(i, j int) bool { return wantKeys[i] < wantKeys[j] })
-	var gotKeys []uint64
-	h.IterSorted(func(k, v uint64) {
-		gotKeys = append(gotKeys, k)
-		if want := shadow[k]; v != want {
-			t.Fatalf("IterSorted(%d) = %d, shadow %d", k, v, want)
-		}
-	})
-	if len(gotKeys) != len(wantKeys) {
-		t.Fatalf("IterSorted visited %d keys, want %d", len(gotKeys), len(wantKeys))
-	}
-	for i := range gotKeys {
-		if gotKeys[i] != wantKeys[i] {
-			t.Fatalf("IterSorted key[%d] = %d, want %d", i, gotKeys[i], wantKeys[i])
-		}
-	}
-	// Unordered iteration covers the same multiset.
-	seen := map[uint64]uint64{}
+	// Iteration visits exactly the shadow's entries, each once.
+	seen := map[uint64]bool{}
 	h.Iter(func(k, v uint64) {
-		if _, dup := seen[k]; dup {
+		if seen[k] {
 			t.Fatalf("Iter visited key %d twice", k)
 		}
-		seen[k] = v
+		seen[k] = true
+		if want, ok := shadow[k]; !ok || v != want {
+			t.Fatalf("Iter(%d) = %d, shadow %d (member %v)", k, v, want, ok)
+		}
 	})
 	if len(seen) != len(shadow) {
 		t.Fatalf("Iter visited %d keys, want %d", len(seen), len(shadow))
@@ -223,20 +204,18 @@ func TestSetDifferential(t *testing.T) {
 	if s.Len() != len(shadow) {
 		t.Fatalf("Len = %d, shadow %d", s.Len(), len(shadow))
 	}
-	var last int64 = -1
-	n := 0
-	s.IterSorted(func(k uint64) {
-		if int64(k) <= last {
-			t.Fatalf("IterSorted out of order: %d after %d", k, last)
+	seen := map[uint64]bool{}
+	s.t.Iter(func(k, _ uint64) {
+		if seen[k] {
+			t.Fatalf("Iter visited member %d twice", k)
 		}
-		last = int64(k)
+		seen[k] = true
 		if !shadow[k] {
-			t.Fatalf("IterSorted visited non-member %d", k)
+			t.Fatalf("Iter visited non-member %d", k)
 		}
-		n++
 	})
-	if n != len(shadow) {
-		t.Fatalf("IterSorted visited %d members, want %d", n, len(shadow))
+	if len(seen) != len(shadow) {
+		t.Fatalf("Iter visited %d members, want %d", len(seen), len(shadow))
 	}
 }
 

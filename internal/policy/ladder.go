@@ -46,9 +46,6 @@ type LadderConfig struct {
 	// Demote, when true, demotes a mapped region back when its support
 	// falls below the threshold (checked on access, top level first).
 	Demote bool
-	// Deny, if non-nil, vetoes promotion of a specific class-k region —
-	// the N-level form of TwoSizeConfig.DenyPromotion.
-	Deny func(level int, region addr.PN) bool
 }
 
 // DefaultLadderConfig returns the half-or-more rule at every level for
@@ -146,9 +143,6 @@ func NewLadder(cfg LadderConfig) *Ladder {
 // Hooks must be registered before the first Assign.
 func (l *Ladder) Window() *window.Tracker { return l.win }
 
-// Config returns the policy's configuration.
-func (l *Ladder) Config() LadderConfig { return l.cfg }
-
 // SizeClasses implements MultiSize.
 func (l *Ladder) SizeClasses() addr.SizeClasses { return l.cfg.Classes }
 
@@ -166,9 +160,6 @@ func (l *Ladder) Stats() LadderStats {
 func (l *Ladder) MappedAt(k int, region addr.PN) bool {
 	return l.mapped[k].Has(uint64(region))
 }
-
-// MappedCount returns how many regions are mapped at class k (k >= 1).
-func (l *Ladder) MappedCount(k int) int { return l.mapped[k].Len() }
 
 // TopMappedClass implements MultiSize.
 func (l *Ladder) TopMappedClass(c addr.PN) int {
@@ -234,8 +225,7 @@ func (l *Ladder) Assign(va addr.VA) Result {
 		thr := l.cfg.Thresholds[k-1]
 		ev := EventNone
 		switch {
-		case !isMapped && support >= thr &&
-			(l.cfg.Deny == nil || !l.cfg.Deny(k, r)):
+		case !isMapped && support >= thr:
 			l.promote(k, r)
 			ev, isMapped = EventPromote, true
 		case isMapped && l.cfg.Demote && support < thr:

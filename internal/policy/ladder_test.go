@@ -33,31 +33,26 @@ func ladderStream(n int, seed int64) []addr.VA {
 
 // TestLadderRandomized checks the N-class ladder against its own mapped
 // state after every reference, for three- and four-class hierarchies
-// with demotion on and off and with a Deny hook. Assign reuses the
-// transition loop's probes when it resolves the page and probes again
-// only below a transition; the two-class tworef oracle never reaches
-// that second case. Each step must return the page of the largest
-// class k >= 1 whose region MappedAt reports mapped, or else the 4KB
-// block; a promotion must leave its region mapped and a demotion
-// unmapped; and RefsByClass must sum to Refs.
+// with demotion on and off. Assign reuses the transition loop's probes
+// when it resolves the page and probes again only below a transition;
+// the two-class tworef oracle never reaches that second case. Each step
+// must return the page of the largest class k >= 1 whose region
+// MappedAt reports mapped, or else the 4KB block; a promotion must
+// leave its region mapped and a demotion unmapped; and RefsByClass must
+// sum to Refs.
 func TestLadderRandomized(t *testing.T) {
-	deny := func(level int, r addr.PN) bool { return (uint64(r)+uint64(level))%5 == 0 }
 	for _, classes := range []addr.SizeClasses{
 		addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift, addr.Shift256K),
 		addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift, addr.Shift256K, addr.Shift2M),
 	} {
 		for _, demote := range []bool{true, false} {
-			for _, withDeny := range []bool{false, true} {
-				name := fmt.Sprintf("%s/demote=%v/deny=%v", classes, demote, withDeny)
-				t.Run(name, func(t *testing.T) {
-					cfg := DefaultLadderConfig(1024, classes)
-					cfg.Demote = demote
-					if withDeny {
-						cfg.Deny = deny
-					}
-					checkLadder(t, NewLadder(cfg), cfg, ladderStream(1<<17, int64(classes.N())))
-				})
-			}
+			// No ladder vetoes a promotion: "deny=false" names that.
+			name := fmt.Sprintf("%s/demote=%v/deny=false", classes, demote)
+			t.Run(name, func(t *testing.T) {
+				cfg := DefaultLadderConfig(1024, classes)
+				cfg.Demote = demote
+				checkLadder(t, NewLadder(cfg), cfg, ladderStream(1<<17, int64(classes.N())))
+			})
 		}
 	}
 }
@@ -65,7 +60,7 @@ func TestLadderRandomized(t *testing.T) {
 func checkLadder(t *testing.T, l *Ladder, cfg LadderConfig, stream []addr.VA) {
 	t.Helper()
 	n := cfg.Classes.N()
-	var reprobed, denied int // transitions resolved below their level; vetoed regions seen
+	var reprobed int // transitions resolved below their level
 	for i, va := range stream {
 		res := l.Assign(va)
 		want := Page{Number: addr.Block(va), Shift: addr.BlockShift}
@@ -83,9 +78,6 @@ func checkLadder(t *testing.T, l *Ladder, cfg LadderConfig, stream []addr.VA) {
 			if !l.MappedAt(int(res.Level), res.Chunk) {
 				t.Fatalf("ref %d: promoted class-%d region %#x is not mapped", i, res.Level, uint64(res.Chunk))
 			}
-			if cfg.Deny != nil && cfg.Deny(int(res.Level), res.Chunk) {
-				t.Fatalf("ref %d: promoted denied class-%d region %#x", i, res.Level, uint64(res.Chunk))
-			}
 		case EventDemote:
 			if !cfg.Demote {
 				t.Fatalf("ref %d: demotion with Demote off", i)
@@ -96,9 +88,6 @@ func checkLadder(t *testing.T, l *Ladder, cfg LadderConfig, stream []addr.VA) {
 		}
 		if res.Event != EventNone && res.Level >= 2 && res.Page.Shift < cfg.Classes.Shift(int(res.Level)) {
 			reprobed++
-		}
-		if cfg.Deny != nil && cfg.Deny(1, cfg.Classes.Page(va, 1)) {
-			denied++
 		}
 	}
 	st := l.Stats()
@@ -120,8 +109,5 @@ func checkLadder(t *testing.T, l *Ladder, cfg LadderConfig, stream []addr.VA) {
 	}
 	if cfg.Demote && reprobed == 0 {
 		t.Error("no transition at class 2 or above resolved to a smaller page")
-	}
-	if cfg.Deny != nil && denied == 0 {
-		t.Error("the Deny hook never applied to a referenced region")
 	}
 }

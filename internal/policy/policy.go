@@ -136,12 +136,6 @@ type TwoSizeConfig struct {
 	// and 4KB/64KB combinations the authors also measured but could not
 	// print (Section 3.2).
 	LargeShift uint
-	// DenyPromotion, if non-nil, vetoes promotion of specific chunks.
-	// The paper notes that larger pages coarsen the protection
-	// granularity (Section 1, citing Appel & Li); an OS that keeps
-	// sub-page-protected regions on small pages implements exactly this
-	// hook.
-	DenyPromotion func(c addr.PN) bool
 }
 
 // BlocksPerChunk returns how many 4KB blocks one large page spans under
@@ -219,7 +213,6 @@ func (s *TwoSizeStats) Merge(o TwoSizeStats) {
 // sliding-window tracker; the working-set calculator for the two-page
 // scheme shares the same tracker via Window.
 type TwoSize struct {
-	cfg    TwoSizeConfig
 	ladder *Ladder
 }
 
@@ -233,16 +226,12 @@ func NewTwoSize(cfg TwoSizeConfig) *TwoSize {
 	if cfg.LargeShift == 0 {
 		cfg.LargeShift = addr.ChunkShift
 	}
-	lcfg := LadderConfig{
+	return &TwoSize{ladder: NewLadder(LadderConfig{
 		T:          cfg.T,
 		Classes:    addr.MustShiftClasses(addr.BlockShift, cfg.LargeShift),
 		Thresholds: []int{cfg.Threshold},
 		Demote:     cfg.Demote,
-	}
-	if deny := cfg.DenyPromotion; deny != nil {
-		lcfg.Deny = func(_ int, region addr.PN) bool { return deny(region) }
-	}
-	return &TwoSize{cfg: cfg, ladder: NewLadder(lcfg)}
+	})}
 }
 
 // Window exposes the policy's sliding-window tracker so that other
@@ -250,9 +239,6 @@ func NewTwoSize(cfg TwoSizeConfig) *TwoSize {
 // window without a second tracker. Hooks must be registered before the
 // first Assign.
 func (p *TwoSize) Window() *window.Tracker { return p.ladder.Window() }
-
-// Config returns the policy's configuration.
-func (p *TwoSize) Config() TwoSizeConfig { return p.cfg }
 
 // SizeClasses implements MultiSize.
 func (p *TwoSize) SizeClasses() addr.SizeClasses { return p.ladder.SizeClasses() }
@@ -266,7 +252,7 @@ func (p *TwoSize) Stats() TwoSizeStats {
 		SmallRefs:   ls.RefsByClass[0],
 		Promotions:  ls.Promotions[1],
 		Demotions:   ls.Demotions[1],
-		LargeChunks: p.ladder.MappedCount(1),
+		LargeChunks: ls.Mapped[1],
 	}
 }
 
@@ -286,5 +272,5 @@ func (p *TwoSize) Assign(va addr.VA) Result { return p.ladder.Assign(va) }
 
 // Name implements Assigner.
 func (p *TwoSize) Name() string {
-	return fmt.Sprintf("4KB/%s", addr.PageSize(1)<<p.cfg.LargeShift)
+	return "4KB/" + p.SizeClasses().Size(1).String()
 }

@@ -189,7 +189,8 @@ func TestName(t *testing.T) {
 func TestWorstCaseDoubling(t *testing.T) {
 	f := func(seed int64, nRefs uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := NewTwoSize(DefaultTwoSizeConfig(64))
+		cfg := DefaultTwoSizeConfig(64)
+		p := NewTwoSize(cfg)
 		for i := 0; i < int(nRefs%2000)+100; i++ {
 			// Skewed traffic over 4 chunks.
 			c := addr.PN(rng.Intn(4))
@@ -199,7 +200,7 @@ func TestWorstCaseDoubling(t *testing.T) {
 			// Invariant: a reference lands on a large page only when the
 			// chunk has >= threshold active blocks right now.
 			if res.Page.Shift == addr.ChunkShift {
-				if p.Window().ChunkActive(addr.Chunk(va)) < p.Config().Threshold {
+				if p.Window().ChunkActive(addr.Chunk(va)) < cfg.Threshold {
 					return false
 				}
 			}
@@ -353,26 +354,5 @@ func TestDefaultConfigIsPaper(t *testing.T) {
 	cfg := DefaultTwoSizeConfig(10)
 	if cfg.LargeShift != addr.ChunkShift || cfg.Threshold != 4 || !cfg.Demote {
 		t.Fatalf("default config: %+v", cfg)
-	}
-}
-
-func TestDenyPromotion(t *testing.T) {
-	cfg := DefaultTwoSizeConfig(1000)
-	cfg.DenyPromotion = func(c addr.PN) bool { return c == 0 }
-	p := NewTwoSize(cfg)
-	// Chunk 0: vetoed forever, stays small no matter how dense.
-	for i := 0; i < addr.BlocksPerChunk; i++ {
-		res := p.Assign(addr.VA(i * addr.BlockSize))
-		if res.Event != EventNone || res.Page.Shift != addr.BlockShift {
-			t.Fatalf("vetoed chunk promoted: %+v", res)
-		}
-	}
-	// Chunk 1: promotes normally.
-	var last Result
-	for i := 0; i < 4; i++ {
-		last = p.Assign(addr.VA(addr.ChunkSize) + addr.VA(i*addr.BlockSize))
-	}
-	if last.Event != EventPromote || last.Chunk != 1 {
-		t.Fatalf("unvetoed chunk should promote: %+v", last)
 	}
 }

@@ -62,26 +62,67 @@ func TestPolicyDifferential(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			live := policy.NewTwoSize(tc.cfg)
-			ref := tworef.NewTwoSize(tc.cfg)
-			for i, va := range addrStream(200_000, 0x5DEECE66D) {
-				got, want := live.Assign(va), ref.Assign(va)
-				if got != want {
-					t.Fatalf("step %d va %#x: live %+v, ref %+v", i, uint64(va), got, want)
-				}
-			}
-			ls, rs := live.Stats(), ref.Stats()
-			if ls.Refs != rs.Refs || ls.LargeRefs != rs.LargeRefs || ls.SmallRefs != rs.SmallRefs ||
-				ls.Promotions != rs.Promotions || ls.Demotions != rs.Demotions ||
-				ls.LargeChunks != rs.LargeChunks {
-				t.Fatalf("final stats diverge:\nlive %+v\nref  %+v", ls, rs)
-			}
-			for c := addr.PN(0); c < 1<<(26-tc.cfg.LargeShift); c++ {
-				if live.IsLarge(c) != ref.IsLarge(c) {
-					t.Fatalf("chunk %d largeness diverges", c)
-				}
-			}
+			diffPolicies(t, tc.cfg, addrStream(200_000, 0x5DEECE66D), 1<<(26-tc.cfg.LargeShift))
 		})
+	}
+}
+
+// FuzzPolicyDifferential drives the live policy and the oracle with
+// fuzzed configurations over short block streams: T in [1,4096],
+// LargeShift in [13,16] and Threshold in [1, blocks per chunk], each
+// in-range value standing for itself, and each stream byte naming one
+// block of the first four chunks.
+func FuzzPolicyDifferential(f *testing.F) {
+	scan := make([]byte, 64) // every block of four 32KB chunks, twice
+	for i := range scan {
+		scan[i] = byte(i * 5 % 32)
+	}
+	for _, c := range []struct {
+		T      uint16
+		thr    uint8
+		demote bool
+		shift  uint8
+	}{ // TestPolicyDifferential's configurations
+		{2000, 4, true, 15}, {2000, 4, false, 15}, {1500, 2, true, 14}, {3000, 8, true, 16}, {2000, 1, true, 15},
+	} {
+		f.Add(c.T, c.thr, c.demote, c.shift, scan)
+	}
+	// The threshold's boundary: chunks holding 3, 4 and 5 of 8 blocks.
+	f.Add(uint16(4096), uint8(4), true, uint8(15), []byte{0, 1, 2, 8, 9, 10, 11, 16, 17, 18, 19, 20})
+	f.Fuzz(func(t *testing.T, T uint16, thr uint8, demote bool, shift uint8, blocks []byte) {
+		ls := 13 + uint(shift-13)%4
+		bpc := 1 << (ls - addr.BlockShift)
+		cfg := policy.TwoSizeConfig{T: int(T-1)%4096 + 1, Threshold: int(thr-1)%bpc + 1, Demote: demote, LargeShift: ls}
+		stream := make([]addr.VA, len(blocks))
+		for i, b := range blocks {
+			stream[i] = addr.VA(int(b)%(4*bpc)) << addr.BlockShift
+		}
+		diffPolicies(t, cfg, stream, 4)
+	})
+}
+
+// diffPolicies drives the live policy and the oracle under cfg through
+// stream, failing on the first Result that differs, on differing final
+// counters, or on a chunk below chunks whose largeness differs.
+func diffPolicies(t *testing.T, cfg policy.TwoSizeConfig, stream []addr.VA, chunks addr.PN) {
+	t.Helper()
+	live := policy.NewTwoSize(cfg)
+	ref := tworef.NewTwoSize(cfg)
+	for i, va := range stream {
+		if got, want := live.Assign(va), ref.Assign(va); got != want {
+			t.Fatalf("%+v step %d va %#x: live %+v, ref %+v", cfg, i, uint64(va), got, want)
+		}
+	}
+	ls, rs := live.Stats(), ref.Stats()
+	if ls.Refs != rs.Refs || ls.LargeRefs != rs.LargeRefs || ls.SmallRefs != rs.SmallRefs ||
+		ls.Promotions != rs.Promotions || ls.Demotions != rs.Demotions ||
+		ls.LargeChunks != rs.LargeChunks {
+		t.Fatalf("%+v final stats diverge:\nlive %+v\nref  %+v", cfg, ls, rs)
+	}
+	for c := addr.PN(0); c < chunks; c++ {
+		if live.IsLarge(c) != ref.IsLarge(c) {
+			t.Fatalf("%+v chunk %d largeness diverges", cfg, c)
+		}
 	}
 }
 

@@ -325,8 +325,7 @@ func (p *TwoSize) Assign(va addr.VA) policy.Result {
 	isLarge := p.large.Has(uint64(c))
 	var res policy.Result
 	switch {
-	case !isLarge && active >= p.cfg.Threshold &&
-		(p.cfg.DenyPromotion == nil || !p.cfg.DenyPromotion(c)):
+	case !isLarge && active >= p.cfg.Threshold:
 		p.large.Add(uint64(c))
 		isLarge = true
 		p.stats.Promotions++

@@ -110,6 +110,21 @@ func Default(classes addr.SizeClasses) Config {
 	}
 }
 
+// Tuned returns Default(classes) with the two capacity knobs the
+// commands expose applied: a zero knob keeps its default, a negative
+// one disables its component (the PWCs for pwcEntries, the memory-side
+// cache for memBytes), and a positive one sets its capacity.
+func Tuned(classes addr.SizeClasses, pwcEntries, memBytes int) Config {
+	cfg := Default(classes)
+	if pwcEntries != 0 {
+		cfg.PWCEntries = max(pwcEntries, 0)
+	}
+	if memBytes != 0 {
+		cfg.MemBytes = max(memBytes, 0)
+	}
+	return cfg
+}
+
 // normalized validates and fills defaults without mutating c.
 func (c Config) normalized() (Config, error) {
 	if c.Classes.N() < 2 {

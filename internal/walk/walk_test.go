@@ -382,3 +382,23 @@ func TestWalkZeroAllocs(t *testing.T) {
 		t.Fatalf("FlushPWC allocates %v per call, want 0", allocs)
 	}
 }
+
+// Tuned applies the commands' knob rule: zero keeps the default,
+// negative disables, positive sets the capacity.
+func TestTuned(t *testing.T) {
+	classes := addr.MustShiftClasses(addr.Shift4K, addr.Shift32K)
+	if got := Tuned(classes, 0, 0); !reflect.DeepEqual(got, Default(classes)) {
+		t.Errorf("Tuned(0, 0) = %+v, want Default %+v", got, Default(classes))
+	}
+	for _, tc := range []struct{ pwc, mem, wantPWC, wantMem int }{
+		{-1, 0, 0, DefaultMemBytes},
+		{0, -1, DefaultPWCEntries, 0},
+		{8, 4096, 8, 4096},
+	} {
+		want := Default(classes)
+		want.PWCEntries, want.MemBytes = tc.wantPWC, tc.wantMem
+		if got := Tuned(classes, tc.pwc, tc.mem); !reflect.DeepEqual(got, want) {
+			t.Errorf("Tuned(%d, %d) = %+v, want %+v", tc.pwc, tc.mem, got, want)
+		}
+	}
+}

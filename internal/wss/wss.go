@@ -221,7 +221,7 @@ func NewTwoSize(pol *policy.TwoSize) *TwoSize {
 	if w.OnBlockEnter != nil || w.OnBlockLeave != nil {
 		panic("wss: policy window already has hooks")
 	}
-	ts := &TwoSize{pol: pol, win: w, largeSize: uint64(1) << pol.Config().LargeShift}
+	ts := &TwoSize{pol: pol, win: w, largeSize: uint64(pol.SizeClasses().Size(1))}
 	w.OnBlockEnter = func(b addr.PN) {
 		c := w.ChunkOf(b)
 		if pol.IsLarge(c) {
