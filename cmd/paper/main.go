@@ -20,11 +20,12 @@
 // coexisting sizes.
 //
 // Experiments execute concurrently over one shared engine: -j bounds
-// the simulation worker pool, identical passes are simulated once, and
-// tables are printed in request order — stdout is byte-identical for
-// any -j. Timing and -progress reports go to stderr, as does the
-// -stats run report when its destination is "-" (the report's counter
-// sections are themselves identical for any -j; see internal/obs).
+// the simulation worker pool (a pool slot's pass may use a second CPU
+// while one is idle), identical passes are simulated once, and tables
+// are printed in request order — stdout is byte-identical for any -j.
+// Timing and -progress reports go to stderr, as does the -stats run
+// report when its destination is "-" (the report's counter sections are
+// themselves identical for any -j; see internal/obs).
 //
 // A failed experiment does not abort the run: every successful table is
 // still printed, every failure is reported on stderr, and the process
@@ -92,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	list := fs.Bool("list", false, "list available experiments and exit")
 	workloads := fs.String("workloads", "", "comma-separated program subset (default: experiment's own)")
 	traceF := fs.String("trace", "", "run experiments over a trace file instead of the modelled programs")
-	parallelism := fs.Int("j", runtime.NumCPU(), "max concurrent simulation passes")
+	parallelism := fs.Int("j", runtime.NumCPU(), "max concurrent simulation passes (a pass may use a second CPU while one is idle)")
 	shards := fs.Int("shards", 1, "split each trace-file pass into this many sections simulated in parallel and merged (1 = exact serial pass; only affects -trace workloads)")
 	warmup := fs.Uint64("warmup", 0, "per-shard warm-up references replayed before measuring (0 = auto from the policy window; needs -shards > 1)")
 	walkPWC := fs.Int("walkpwc", 0, "walkcpi family: page-walk-cache entries per level (0 = default, negative = disable)")

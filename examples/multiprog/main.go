@@ -53,9 +53,9 @@ func run(two, flush bool) (cpi float64, switches uint64) {
 	} else {
 		pol = policy.NewSingle(addr.Size4K)
 	}
-	hw := tlb.NewFullyAssoc(64)
+	var hw tlb.TLB = tlb.NewFullyAssoc(64)
 	if flush {
-		mp.OnSwitch = func(from, to int) { hw.Flush() }
+		hw = multiprog.NewFlushOnSwitch(hw)
 	}
 	sim := core.NewSimulator(pol, []tlb.TLB{hw})
 	res, err := sim.Run(context.Background(), mp)

@@ -22,6 +22,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"twopage/internal/addr"
 	"twopage/internal/metrics"
@@ -118,6 +119,7 @@ type Simulator struct {
 	section     bool             // a section's pass (Section): its Result keeps static for MergeResults
 	err         error            // first configuration error, returned by Warm and Run
 	warm        *Result          // counters at the end of Warm, subtracted by Run
+	ran         bool             // Run or RunMany has started on the simulator
 }
 
 // Option configures a Simulator. An option that does not fit the
@@ -325,10 +327,11 @@ func (s *Simulator) Err() error { return s.err }
 // exact). Shard workers call Warm with a Preroll reader before running
 // their section; the warm-up stream must immediately precede Run's.
 //
-// Warm may be called once, before Run. The working-set averages are
-// untouched by design: WSS samples start at the first Run reference. A
-// simulator with a memory stage, a sampled working set or static working
-// sets cannot warm up (see WithMemory, WithSampledWSS and WithStaticWSS).
+// Warm may be called once, before Run; a second Warm, or a Warm after
+// Run, is an error. The working-set averages are untouched by design:
+// WSS samples start at the first Run reference. A simulator with a
+// memory stage, a sampled working set or static working sets cannot
+// warm up (see WithMemory, WithSampledWSS and WithStaticWSS).
 func (s *Simulator) Warm(ctx context.Context, r trace.Reader) error {
 	if s.mem != nil {
 		s.fail(fmt.Errorf("core: Warm is not supported with WithMemory"))
@@ -339,13 +342,15 @@ func (s *Simulator) Warm(ctx context.Context, r trace.Reader) error {
 	if s.static != nil {
 		s.fail(fmt.Errorf("core: Warm is not supported with WithStaticWSS"))
 	}
-	if s.err != nil {
+	switch {
+	case s.err != nil:
 		return s.err
-	}
-	if s.warm != nil {
+	case s.ran:
+		return fmt.Errorf("core: Warm called after Run")
+	case s.warm != nil:
 		return fmt.Errorf("core: Warm called twice")
 	}
-	if _, err := trace.DrainContext(ctx, r, func(batch []trace.Ref) { s.step(batch, true) }); err != nil {
+	if _, _, err := drive(ctx, r, []*Simulator{s}, true); err != nil {
 		return fmt.Errorf("core: warm-up failed: %w", err)
 	}
 	s.warm = s.counts()
@@ -353,8 +358,8 @@ func (s *Simulator) Warm(ctx context.Context, r trace.Reader) error {
 }
 
 // Run consumes the reference stream to completion and returns metrics.
-// A Simulator is single-use: Run may only be called once. It is RunMany
-// of s alone.
+// A Simulator is single-use: a second Run is an error. It is RunMany of
+// s alone.
 //
 // Cancellation is checked between batches: when ctx is canceled the
 // simulation stops mid-trace and Run returns the context's error.
@@ -374,29 +379,24 @@ func (s *Simulator) Run(ctx context.Context, r trace.Reader) (*Result, error) {
 // over the same stream returns, the reader's decode counters included.
 // Each simulator is single-use, as under Run, and appears once.
 //
-// A configuration error in any simulator fails RunMany before it reads
-// a reference. Cancellation is checked between batches, as in Run.
+// A configuration error in any simulator, a simulator that already ran
+// or one listed twice fails RunMany before it reads a reference.
+// Cancellation is checked between batches, as in Run.
 func RunMany(ctx context.Context, r trace.Reader, sims []*Simulator) ([]*Result, error) {
-	for _, s := range sims {
-		if s.err != nil {
+	for i, s := range sims {
+		switch {
+		case s.err != nil:
 			return nil, s.err
+		case s.ran:
+			return nil, fmt.Errorf("core: simulator %d already ran", i)
+		case slices.Contains(sims[:i], s):
+			return nil, fmt.Errorf("core: simulator %d is listed twice", i)
 		}
 	}
-	var instrs uint64
-	refs, err := trace.DrainContext(ctx, r, func(batch []trace.Ref) {
-		instrs += countInstrs(batch)
-		for _, s := range sims {
-			s.step(batch, false)
-			// The static calculator needs no assignment, so it steps in
-			// a loop of its own, which costs a simulator without it one
-			// check per batch and leaves step's loop as it is.
-			if s.static != nil {
-				for _, ref := range batch {
-					s.static.Step(ref.Addr)
-				}
-			}
-		}
-	})
+	for _, s := range sims {
+		s.ran = true
+	}
+	refs, instrs, err := drive(ctx, r, sims, false)
 	if err != nil {
 		return nil, fmt.Errorf("core: simulation failed: %w", err)
 	}
@@ -447,12 +447,19 @@ func (s *Simulator) result(refs, instrs uint64, decode obs.Counters) *Result {
 	return out
 }
 
-// step is the one per-reference loop, shared by Warm, Run and RunMany:
-// for each reference of the batch the policy assigns a page, then the
-// TLBs (or the page-table shadow, which drives them and the walk model,
-// or the memory stage) look it up, then the WSS calculator observes the
-// assignment — without sampling during warm-up — or the sampled
-// calculator steps.
+// step is the fused per-reference loop, which Warm, Run and RunMany run
+// while their pass holds no helper (pipeline.go): for each reference of
+// the batch the policy assigns a page, then the TLBs (or the page-table
+// shadow, which drives them and the walk model, or the memory stage)
+// look it up, then the WSS calculator observes the assignment — without
+// sampling during warm-up — or the sampled calculator steps. The static
+// working sets step after the batch.
+//
+// A pass holding a helper runs the same work in two halves, assign and
+// translate, on two goroutines. They are written apart from step
+// because one loop serving all three cost the fused pass 7–9% (DESIGN.md
+// §3.3): a change to the work of one must be made to the other, and
+// TestFusedAndPipelinedAgree requires the same Results of both.
 //
 //paperlint:hot
 func (s *Simulator) step(batch []trace.Ref, warm bool) {
@@ -479,6 +486,65 @@ func (s *Simulator) step(batch []trace.Ref, warm bool) {
 		}
 		if s.sampled != nil {
 			s.sampled.Step(ref.Addr)
+		}
+	}
+	s.stepStatic(batch)
+}
+
+// assign is step's assignment half, which reads and writes only policy
+// state: the policy assigns each reference a page, stored in out, and
+// the WSS calculator observes it or the sampled calculator steps.
+//
+//paperlint:hot
+func (s *Simulator) assign(batch []trace.Ref, out []policy.Result, warm bool) {
+	for i, ref := range batch {
+		res := s.pol.Assign(ref.Addr)
+		out[i] = res
+		if s.wssCalc != nil {
+			if warm {
+				s.wssCalc.ObserveWarm(res)
+			} else {
+				s.wssCalc.Observe(res)
+			}
+		}
+		if s.sampled != nil {
+			s.sampled.Step(ref.Addr)
+		}
+	}
+}
+
+// translate is step's translation half, which reads only the
+// assignments in and its own state: the transition's TLB maintenance,
+// then the TLBs (or the page-table shadow, or the memory stage) look
+// each page up, and the static working sets step.
+//
+//paperlint:hot
+func (s *Simulator) translate(batch []trace.Ref, in []policy.Result) {
+	for i, ref := range batch {
+		res := in[i]
+		if res.Event != policy.EventNone {
+			s.applyEvent(res) //paperlint:ignore hotalloc event path: page-table node alloc/free runs per promotion/demotion, not per reference
+		}
+		if s.pt != nil {
+			s.ptStep(ref.Addr, res)
+		} else if s.mem != nil {
+			s.mem.step(ref.Addr, res.Page)
+		} else {
+			for _, t := range s.tlbs {
+				t.Access(ref.Addr, res.Page)
+			}
+		}
+	}
+	s.stepStatic(batch)
+}
+
+// stepStatic steps the static working sets, which need no assignment,
+// in a loop of their own, which costs a simulator without them one
+// check per batch.
+func (s *Simulator) stepStatic(batch []trace.Ref) {
+	if s.static != nil {
+		for _, ref := range batch {
+			s.static.Step(ref.Addr)
 		}
 	}
 }

@@ -194,6 +194,57 @@ func TestRunManyConfigErrorReadsNothing(t *testing.T) {
 	}
 }
 
+// A simulator is single-use: a second Run or RunMany, a RunMany that
+// lists a simulator twice, and a Warm after Run each fail before they
+// read a reference.
+func TestSimulatorIsSingleUse(t *testing.T) {
+	ctx := context.Background()
+	fresh := func() *Simulator {
+		return NewSimulator(policy.NewSingle(addr.Size4K), []tlb.TLB{tlb.NewFullyAssoc(16)})
+	}
+	ran := fresh()
+	if _, err := ran.Run(ctx, workload.MustNew("li", 10_000)); err != nil {
+		t.Fatal(err)
+	}
+	twice := fresh()
+	for _, tc := range []struct {
+		name string
+		call func(r trace.Reader) error
+	}{
+		{"Run after Run", func(r trace.Reader) error {
+			_, err := ran.Run(ctx, r)
+			return err
+		}},
+		{"RunMany after Run", func(r trace.Reader) error {
+			_, err := RunMany(ctx, r, []*Simulator{fresh(), ran})
+			return err
+		}},
+		{"RunMany listing a simulator twice", func(r trace.Reader) error {
+			_, err := RunMany(ctx, r, []*Simulator{twice, fresh(), twice})
+			return err
+		}},
+		{"Warm after Run", func(r trace.Reader) error { return ran.Warm(ctx, r) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := &countingReader{Reader: workload.MustNew("li", 10_000)}
+			if err := tc.call(r); err == nil {
+				t.Error("no error")
+			}
+			if r.reads != 0 {
+				t.Errorf("read %d batches before failing", r.reads)
+			}
+		})
+	}
+	// The refused RunMany left twice unused.
+	res, err := twice.Run(ctx, workload.MustNew("li", 10_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Refs != 10_000 || res.TLBs[0].Stats.Accesses != 10_000 {
+		t.Fatalf("Refs %d, TLB accesses %d, want 10000 each", res.Refs, res.TLBs[0].Stats.Accesses)
+	}
+}
+
 // BenchmarkRunMany drives the eight threshold-experiment passes (the
 // two-size scheme at thresholds 1–8 with its working set, one 16-entry
 // fully associative TLB each) over one li stream, as one RunMany

@@ -10,7 +10,10 @@
 // via Ride, or opaque funcs via Go), the pool executes them on up to
 // Parallelism goroutines, and the experiments reassemble rows from the
 // returned futures in their own deterministic order — so output is
-// byte-identical regardless of the parallelism level.
+// byte-identical regardless of the parallelism level. Parallelism
+// bounds passes, not CPUs: a pool slot's pass may use a second CPU
+// while one is idle, handing each reference's translation half to a
+// helper goroutine (core's two-stage pass).
 //
 // Units are the memoization and reporting granularity; fused groups are
 // the execution granularity. Pending units and rides (Engine.Ride) that
@@ -35,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"twopage/internal/core"
 	"twopage/internal/obs"
 )
 
@@ -191,8 +195,16 @@ func (e *Engine) emit(key string, hit bool, err error) {
 // on other futures (it would hold a pool slot while parked, which can
 // deadlock a pool of size 1); coordinators that need staged work wait
 // between stages themselves.
+//
+// fn counts as busy in core's count of goroutines that keep a CPU busy
+// (core.Occupy), as a pass does, so that no pass takes a helper for the
+// CPU fn holds; a pass fn runs itself under its ctx is counted once.
 func Go[T any](e *Engine, ctx context.Context, label string, fn func(context.Context) (T, error)) *Future[T] {
-	return submit(e, ctx, label, false, false, nil, fn)
+	return submit(e, ctx, label, false, false, nil, func(ctx context.Context) (T, error) {
+		ctx, release := core.Occupy(ctx)
+		defer release()
+		return fn(ctx)
+	})
 }
 
 // submit is the one way the engine starts work: Go tasks, memoized

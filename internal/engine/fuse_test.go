@@ -290,7 +290,7 @@ func TestFusedUnitsMatchSolo(t *testing.T) {
 }
 
 // pollCancel is a ctx that cancels itself the first time a simulation
-// polls it (trace.DrainContext calls Err before every batch), so the
+// polls it (core's drive calls Err before every batch it reads), so the
 // cancellation lands while the group that took its units is running.
 type pollCancel struct {
 	context.Context

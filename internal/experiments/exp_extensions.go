@@ -38,11 +38,9 @@ type multiprogRun struct {
 // scheme, on 16- and 64-entry fully associative TLBs. Each degree is
 // one opaque task that reads its mix once: a 4KB and a two-page
 // simulator each drive an ASID-tagged FA16/FA64 pair and a flushed
-// pair, and a context switch flushes only the flushed pairs (a flush
-// touches no other TLB). The reader calls the switch hook inside Read,
-// before any simulator steps the batch, so each simulator sees what its
-// own Run would. The scheduler interleaves the tasks freely because
-// rows are assembled afterwards in fixed order.
+// pair (multiprog.FlushOnSwitch), which empties itself at the first
+// reference of each slice. The scheduler interleaves the tasks freely
+// because rows are assembled afterwards in fixed order.
 func Multiprog(ctx context.Context, o *Options) (*tableio.Table, error) {
 	degrees := []int{1, 2, 4}
 	futs := map[int]*engine.Future[multiprogRun]{}
@@ -80,18 +78,11 @@ func Multiprog(ctx context.Context, o *Options) (*tableio.Table, error) {
 					return multiprogRun{}, err
 				}
 				var sims []*core.Simulator
-				var flushed []tlb.TLB
 				for _, pol := range []policy.Assigner{policy.NewSingle(addr.Size4K), policy.NewTwoSize(policy.DefaultTwoSizeConfig(T))} {
 					// ASID FA16, ASID FA64, flushed FA16, flushed FA64.
 					tlbs := []tlb.TLB{tlb.NewFullyAssoc(16), tlb.NewFullyAssoc(64),
-						tlb.NewFullyAssoc(16), tlb.NewFullyAssoc(64)}
-					flushed = append(flushed, tlbs[2:]...)
+						multiprog.NewFlushOnSwitch(tlb.NewFullyAssoc(16)), multiprog.NewFlushOnSwitch(tlb.NewFullyAssoc(64))}
 					sims = append(sims, core.NewSimulator(pol, tlbs))
-				}
-				mp.OnSwitch = func(from, to int) {
-					for _, t := range flushed {
-						t.Flush()
-					}
 				}
 				results, err := core.RunMany(ctx, mp, sims)
 				if err != nil {

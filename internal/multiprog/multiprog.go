@@ -10,8 +10,9 @@
 // in high virtual-address bits: low bits (and therefore TLB set
 // indices) are unchanged, while page numbers — TLB tags — become
 // distinct across processes, which is exactly how an ASID-tagged TLB
-// behaves. For architectures without ASIDs, register an OnSwitch hook
-// to flush the TLB at each context switch and measure the difference.
+// behaves. For architectures without ASIDs, wrap a TLB in
+// FlushOnSwitch, which empties it at each context switch, and measure
+// the difference.
 package multiprog
 
 import (
@@ -20,6 +21,8 @@ import (
 	"io"
 
 	"twopage/internal/addr"
+	"twopage/internal/policy"
+	"twopage/internal/tlb"
 	"twopage/internal/trace"
 )
 
@@ -54,15 +57,6 @@ type Reader struct {
 	left    int
 	alive   int
 
-	// OnSwitch, if non-nil, is called at every context switch with the
-	// outgoing and incoming process indices. Use it to flush TLBs when
-	// modelling hardware without ASIDs. Read calls it when it starts
-	// the incoming process's first batch, so after the caller has
-	// stepped the outgoing process's last reference. Every simulator
-	// that core.RunMany hands the batches to therefore sees the hook at
-	// the same point of the stream as its own Run would.
-	OnSwitch func(from, to int)
-
 	switches uint64
 }
 
@@ -95,7 +89,7 @@ func New(procs []Process, quantum int) (*Reader, error) {
 // Switches returns how many context switches have occurred.
 func (r *Reader) Switches() uint64 { return r.switches }
 
-// advance moves to the next live process, invoking OnSwitch.
+// advance moves to the next live process.
 func (r *Reader) advance() {
 	from := r.cur
 	for i := 1; i <= len(r.procs); i++ {
@@ -105,9 +99,6 @@ func (r *Reader) advance() {
 			r.left = r.quantum
 			if next != from {
 				r.switches++
-				if r.OnSwitch != nil {
-					r.OnSwitch(from, next)
-				}
 			}
 			return
 		}
@@ -116,10 +107,7 @@ func (r *Reader) advance() {
 
 // Read implements trace.Reader. A single call never crosses a context
 // switch: it returns (a possibly short batch) at each quantum boundary,
-// and the next call makes the switch, so OnSwitch hooks observe the
-// stream in precise switch order as long as the caller processes each
-// batch before reading the next (which trace.Drain, core.Simulator and
-// core.RunMany do).
+// and the next call makes the switch.
 func (r *Reader) Read(batch []trace.Ref) (int, error) {
 	if r.alive == 0 {
 		return 0, io.EOF
@@ -147,4 +135,34 @@ func (r *Reader) Read(batch []trace.Ref) (int, error) {
 		return m, io.EOF
 	}
 	return m, nil
+}
+
+// FlushOnSwitch is a TLB without address-space identifiers: it empties
+// the TLB it wraps whenever an access's ASID differs from the previous
+// access's, as hardware without ASIDs must at a context switch. The
+// flush rides in the reference stream, so it lands between the outgoing
+// process's last reference and the incoming one's first however the
+// stream is read ahead. It flushes at every switch the Reader counts
+// as long as every quantum yields at least one reference, which holds
+// for every source that returns io.EOF with its last batch (the
+// workload generators, trace.SliceReader and trace.MapReader all do):
+// the Reader never switches to a process whose stream has ended.
+type FlushOnSwitch struct {
+	tlb.TLB
+	asid int // the previous access's ASID; -1 before the first access
+}
+
+// NewFlushOnSwitch wraps t.
+func NewFlushOnSwitch(t tlb.TLB) *FlushOnSwitch { return &FlushOnSwitch{TLB: t, asid: -1} }
+
+// Access implements tlb.TLB, emptying the TLB first when va belongs to
+// another address space than the previous access.
+func (f *FlushOnSwitch) Access(va addr.VA, p policy.Page) bool {
+	if a := ASID(va); a != f.asid {
+		if f.asid >= 0 {
+			f.TLB.Flush()
+		}
+		f.asid = a
+	}
+	return f.TLB.Access(va, p)
 }

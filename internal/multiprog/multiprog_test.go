@@ -1,12 +1,16 @@
 package multiprog
 
 import (
+	"context"
 	"errors"
 	"io"
 	"reflect"
 	"testing"
 
 	"twopage/internal/addr"
+	"twopage/internal/core"
+	"twopage/internal/policy"
+	"twopage/internal/tlb"
 	"twopage/internal/trace"
 	"twopage/internal/workload"
 )
@@ -103,6 +107,26 @@ func TestUnevenStreamLengths(t *testing.T) {
 	}
 }
 
+// flushRecorder is a TLB that notes, at each flush, how many accesses
+// it had seen.
+type flushRecorder struct {
+	tlb.TLB
+	accesses uint64
+	flushes  []uint64
+}
+
+func (r *flushRecorder) Access(va addr.VA, p policy.Page) bool {
+	r.accesses++
+	return r.TLB.Access(va, p)
+}
+
+func (r *flushRecorder) Flush() {
+	r.flushes = append(r.flushes, r.accesses)
+	r.TLB.Flush()
+}
+
+// FlushOnSwitch empties its TLB once at each switch the Reader counts,
+// never between two accesses of the same address space.
 func TestOnSwitchHook(t *testing.T) {
 	a := trace.NewSliceReader(refs(4, 0x1000))
 	b := trace.NewSliceReader(refs(4, 0x2000))
@@ -110,25 +134,29 @@ func TestOnSwitchHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var transitions [][2]int
-	r.OnSwitch = func(from, to int) { transitions = append(transitions, [2]int{from, to}) }
-	readAll(t, r)
-	if len(transitions) == 0 {
-		t.Fatal("no switch callbacks")
+	out := readAll(t, r)
+	rec := &flushRecorder{TLB: tlb.NewFullyAssoc(4)}
+	f := NewFlushOnSwitch(rec)
+	for _, ref := range out {
+		f.Access(ref.Addr, policy.Page{Number: addr.Page(ref.Addr, addr.Shift4K), Shift: addr.Shift4K})
 	}
-	for _, tr := range transitions {
-		if tr[0] == tr[1] {
-			t.Fatalf("self-switch reported: %v", tr)
+	if len(rec.flushes) == 0 {
+		t.Fatal("no flushes")
+	}
+	for _, at := range rec.flushes {
+		if at == 0 || ASID(out[at-1].Addr) == ASID(out[at].Addr) {
+			t.Fatalf("flush after %d accesses is not at a switch", at)
 		}
 	}
-	if uint64(len(transitions)) != r.Switches() {
-		t.Fatalf("hook count %d != Switches %d", len(transitions), r.Switches())
+	if uint64(len(rec.flushes)) != r.Switches() {
+		t.Fatalf("flush count %d != Switches %d", len(rec.flushes), r.Switches())
 	}
 }
 
-// The hook fires between quanta, however they fall across batches:
-// after the caller has stepped the outgoing process's last reference
-// and before it steps the incoming one's first.
+// FlushOnSwitch empties its TLB between quanta, however they fall across
+// batches and however far core reads the stream ahead of the TLBs:
+// after the outgoing process's last reference and before the incoming
+// one's first, at every switch the Reader counts.
 func TestOnSwitchFiresBetweenQuanta(t *testing.T) {
 	r, err := New([]Process{
 		{"li", workload.MustNew("li", 35_000)},
@@ -137,16 +165,19 @@ func TestOnSwitchFiresBetweenQuanta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stepped uint64
-	var at []uint64
-	r.OnSwitch = func(from, to int) { at = append(at, stepped) }
-	if _, err := trace.Drain(r, func(b []trace.Ref) { stepped += uint64(len(b)) }); err != nil {
+	rec := &flushRecorder{TLB: tlb.NewFullyAssoc(16)}
+	sim := core.NewSimulator(policy.NewSingle(addr.Size4K), []tlb.TLB{NewFlushOnSwitch(rec)})
+	res, err := core.RunMany(context.Background(), r, []*core.Simulator{sim})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// li ends after its fourth quantum's 5000 references.
 	want := []uint64{10_000, 20_000, 30_000, 40_000, 50_000, 60_000, 65_000}
-	if !reflect.DeepEqual(at, want) || r.Switches() != uint64(len(want)) {
-		t.Fatalf("hook fired after %v stepped references (%d switches), want %v", at, r.Switches(), want)
+	if !reflect.DeepEqual(rec.flushes, want) || r.Switches() != uint64(len(want)) {
+		t.Fatalf("TLB emptied after %v references (%d switches), want %v", rec.flushes, r.Switches(), want)
+	}
+	if res[0].Refs != 70_000 || rec.accesses != 70_000 {
+		t.Fatalf("simulated %d references, the TLB saw %d, want 70000", res[0].Refs, rec.accesses)
 	}
 }
 
