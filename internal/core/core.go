@@ -135,16 +135,24 @@ func (s *Simulator) fail(err error) {
 }
 
 // WithWSS attaches a two-page working-set calculator. Only valid when
-// the policy is a *policy.TwoSize; any other policy is a configuration
-// error. For static page sizes use WithStaticWSS.
+// the policy is a *policy.TwoSize that has assigned no reference and
+// has no calculator yet (wss.NewTwoSize's requirements): any other
+// policy, a second WithWSS, or a second simulator with WithWSS on the
+// same policy is a configuration error. For static page sizes use
+// WithStaticWSS.
 func WithWSS() Option {
 	return func(s *Simulator) {
 		pol, ok := s.pol.(*policy.TwoSize)
-		if !ok {
+		switch {
+		case !ok:
 			s.fail(fmt.Errorf("core: WithWSS requires a TwoSize policy, got %q", s.pol.Name()))
-			return
+		case pol.Window().OnBlockEnter != nil || pol.Window().OnBlockLeave != nil:
+			s.fail(fmt.Errorf("core: WithWSS: policy %q already has a working-set calculator", pol.Name()))
+		case pol.Stats().Refs > 0:
+			s.fail(fmt.Errorf("core: WithWSS: policy %q has already assigned references", pol.Name()))
+		default:
+			s.wssCalc = wss.NewTwoSize(pol)
 		}
-		s.wssCalc = wss.NewTwoSize(pol)
 	}
 }
 
@@ -455,11 +463,12 @@ func (s *Simulator) result(refs, instrs uint64, decode obs.Counters) *Result {
 // sampling during warm-up — or the sampled calculator steps. The static
 // working sets step after the batch.
 //
-// A pass holding a helper runs the same work in two halves, assign and
-// translate, on two goroutines. They are written apart from step
-// because one loop serving all three cost the fused pass 7–9% (DESIGN.md
-// §3.3): a change to the work of one must be made to the other, and
-// TestFusedAndPipelinedAgree requires the same Results of both.
+// A pass holding a helper runs the same work in three stages, assign,
+// probe and resolve, which the pass's goroutine and its helper share.
+// They are written apart from step because one loop serving all of
+// them cost the fused pass 7–9% (DESIGN.md §3.3): a change to the work
+// of one must be made to the others, and TestFusedAndPipelinedAgree
+// requires the same Results of both.
 //
 //paperlint:hot
 func (s *Simulator) step(batch []trace.Ref, warm bool) {
@@ -491,15 +500,23 @@ func (s *Simulator) step(batch []trace.Ref, warm bool) {
 	s.stepStatic(batch)
 }
 
-// assign is step's assignment half, which reads and writes only policy
-// state: the policy assigns each reference a page, stored in out, and
-// the WSS calculator observes it or the sampled calculator steps.
+// assign is a staged pass's assignment stage, which reads and writes
+// only policy state: the policy assigns each reference a page, whose
+// shift it codes in code, with codeMove and the assignment appended to
+// moves when it carries a transition; then the WSS calculator observes
+// the assignment or the sampled calculator steps. It returns moves.
 //
 //paperlint:hot
-func (s *Simulator) assign(batch []trace.Ref, out []policy.Result, warm bool) {
+func (s *Simulator) assign(batch []trace.Ref, code []byte, moves []policy.Result, warm bool) []policy.Result {
+	code = code[:len(batch)]
 	for i, ref := range batch {
 		res := s.pol.Assign(ref.Addr)
-		out[i] = res
+		c := byte(res.Page.Shift)
+		if res.Event != policy.EventNone {
+			c |= codeMove
+			moves = append(moves, res) //paperlint:ignore hotalloc moves keeps its capacity from batch to batch; it grows only past the most transitions a batch has carried
+		}
+		code[i] = c
 		if s.wssCalc != nil {
 			if warm {
 				s.wssCalc.ObserveWarm(res)
@@ -511,28 +528,70 @@ func (s *Simulator) assign(batch []trace.Ref, out []policy.Result, warm bool) {
 			s.sampled.Step(ref.Addr)
 		}
 	}
+	return moves
 }
 
-// translate is step's translation half, which reads only the
-// assignments in and its own state: the transition's TLB maintenance,
-// then the TLBs (or the page-table shadow, or the memory stage) look
-// each page up, and the static working sets step.
+// probe is a staged pass's probe stage, which reads only the codes and
+// moves assign wrote and the TLBs' state: each transition's TLB
+// invalidations, then every TLB looks up the reference's page, rebuilt
+// from its address and coded shift. With a page-table shadow, a miss of
+// the first TLB is coded codeMiss for resolve to walk. A memory stage
+// probes its TLBs itself, in resolve.
 //
 //paperlint:hot
-func (s *Simulator) translate(batch []trace.Ref, in []policy.Result) {
+func (s *Simulator) probe(batch []trace.Ref, code []byte, moves []policy.Result) {
+	if s.mem != nil || len(s.tlbs) == 0 {
+		return
+	}
+	code = code[:len(batch)]
+	walks := s.pt != nil
+	m := 0
 	for i, ref := range batch {
-		res := in[i]
-		if res.Event != policy.EventNone {
-			s.applyEvent(res) //paperlint:ignore hotalloc event path: page-table node alloc/free runs per promotion/demotion, not per reference
+		c := code[i]
+		if c&codeMove != 0 {
+			s.invalidate(moves[m])
+			m++
 		}
-		if s.pt != nil {
-			s.ptStep(ref.Addr, res)
-		} else if s.mem != nil {
-			s.mem.step(ref.Addr, res.Page)
-		} else {
-			for _, t := range s.tlbs {
-				t.Access(ref.Addr, res.Page)
+		p := codedPage(ref.Addr, c)
+		if !s.tlbs[0].Access(ref.Addr, p) && walks {
+			code[i] = c | codeMiss
+		}
+		for _, t := range s.tlbs[1:] {
+			t.Access(ref.Addr, p)
+		}
+	}
+}
+
+// resolve is a staged pass's resolve stage, which reads only the codes,
+// moves and misses of the stages before it and its own state: the
+// page-table shadow follows each transition (and the walk model flushes
+// its PWCs) and walks each coded miss, or the memory stage carries out
+// each transition and translates each reference; then the static
+// working sets step.
+//
+//paperlint:hot
+func (s *Simulator) resolve(batch []trace.Ref, code []byte, moves []policy.Result) {
+	code = code[:len(batch)]
+	m := 0
+	switch {
+	case s.pt != nil:
+		for i, c := range code {
+			if c&codeMove != 0 {
+				s.remap(moves[m]) //paperlint:ignore hotalloc event path: page-table node alloc/free runs per promotion/demotion, not per reference
+				m++
 			}
+			if c&codeMiss != 0 {
+				s.ptMiss(batch[i].Addr, codedPage(batch[i].Addr, c))
+			}
+		}
+	case s.mem != nil:
+		for i, ref := range batch {
+			c := code[i]
+			if c&codeMove != 0 {
+				s.mem.apply(moves[m]) //paperlint:ignore hotalloc event path: a remap allocates or frees frames per promotion/demotion, not per reference
+				m++
+			}
+			s.mem.step(ref.Addr, codedPage(ref.Addr, c))
 		}
 	}
 	s.stepStatic(batch)
@@ -695,28 +754,43 @@ func DecodeCounters(r trace.Reader) obs.Counters {
 	}
 }
 
-// applyEvent performs the TLB maintenance a real OS would: promotion
-// into class L invalidates every smaller-class entry under the region
-// (the eight small pages of a chunk, in the two-size case), demotion
-// the class-L entry itself. The cycle cost of this is folded into the
-// multi-size miss penalty, as in the paper (Section 3.4).
+// applyEvent carries out one policy transition: the memory stage's
+// remap, or the page-table shadow's (remap) and the TLB maintenance a
+// real OS would do (invalidate).
 func (s *Simulator) applyEvent(res policy.Result) {
 	if s.mem != nil {
 		s.mem.apply(res)
 		return
 	}
-	level := int(res.Level)
-	if level <= 0 {
-		level = 1
-	}
+	s.remap(res)
+	s.invalidate(res)
+}
+
+// eventLevel returns the size class a transition's region is numbered
+// at: its Level, or 1 for a policy that leaves Level zero.
+func eventLevel(res policy.Result) int {
+	return max(int(res.Level), 1)
+}
+
+// remap mirrors a transition into the page-table shadow, and flushes
+// the walk model's page-walk caches: the remapped region's interior
+// descriptors changed shape, and a real MMU shoots those caches down.
+func (s *Simulator) remap(res policy.Result) {
 	if s.pt != nil {
-		s.pt.apply(level, res)
+		s.pt.apply(eventLevel(res), res)
 	}
 	if s.walker != nil {
-		// The remapped region's interior descriptors changed shape; a
-		// real MMU shoots down its paging-structure caches.
 		s.walker.FlushPWC()
 	}
+}
+
+// invalidate performs the TLB maintenance a real OS would: promotion
+// into class L invalidates every smaller-class entry under the region
+// (the eight small pages of a chunk, in the two-size case), demotion
+// the class-L entry itself. The cycle cost of this is folded into the
+// multi-size miss penalty, as in the paper (Section 3.4).
+func (s *Simulator) invalidate(res policy.Result) {
+	level := eventLevel(res)
 	switch res.Event {
 	case policy.EventPromote:
 		for j := 0; j < level; j++ {

@@ -143,6 +143,52 @@ func TestOptionErrors(t *testing.T) {
 	}
 }
 
+// WithWSS needs a TwoSize policy that has no working-set calculator and
+// has assigned no reference. A second WithWSS on one simulator, a second
+// simulator with WithWSS on the same policy, and a policy that already
+// assigned references are configuration errors that Err, Warm and Run
+// return before they read a reference.
+func TestWithWSSNeedsAFreshPolicy(t *testing.T) {
+	two := func() *policy.TwoSize { return policy.NewTwoSize(policy.DefaultTwoSizeConfig(100)) }
+	for _, tc := range []struct {
+		name    string
+		build   func() *Simulator
+		wantErr string
+	}{
+		{"a second WithWSS on one simulator", func() *Simulator {
+			return NewSimulator(two(), nil, WithWSS(), WithWSS())
+		}, "already has a working-set calculator"},
+		{"a second simulator with WithWSS on the same policy", func() *Simulator {
+			pol := two()
+			NewSimulator(pol, nil, WithWSS())
+			return NewSimulator(pol, nil, WithWSS())
+		}, "already has a working-set calculator"},
+		{"a policy that assigned references", func() *Simulator {
+			pol := two()
+			pol.Assign(0x1000)
+			return NewSimulator(pol, nil, WithWSS())
+		}, "already assigned references"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(op string, err error, r *countingReader) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("%s error = %v, want one saying %q", op, err, tc.wantErr)
+				}
+				if r != nil && r.reads != 0 {
+					t.Errorf("%s read %d batches before failing", op, r.reads)
+				}
+			}
+			check("Err", tc.build().Err(), nil)
+			r := &countingReader{Reader: workload.MustNew("li", 1000)}
+			check("Warm", tc.build().Warm(context.Background(), r), r)
+			r = &countingReader{Reader: workload.MustNew("li", 1000)}
+			_, err := tc.build().Run(context.Background(), r)
+			check("Run", err, r)
+		})
+	}
+}
+
 // TestSampledWSSMatchesDirect checks core's sampled working set against
 // the same sampler driven by hand, for a policy whose window it shares
 // (TwoSize) and a windowless one (a two-size Napot at the paper's

@@ -16,7 +16,7 @@ import (
 	"twopage/internal/workload"
 )
 
-// A schedule picks, at every sub-batch, the limit a pass weighs its busy
+// A schedule picks, at every read, the limit a pass weighs its busy
 // count against: by the index of the decision within the pass.
 type schedule struct {
 	name  string
@@ -32,8 +32,9 @@ func spare(on bool) int64 {
 	return 0
 }
 
-// schedules are the fused loop, the pipeline, and the pipeline taken at
-// the second sub-batch, handed back there, or toggled at every one.
+// schedules are the fused loop, the staged pass throughout, and the
+// staged pass taken at the second read, handed back there, or toggled
+// at every one.
 var schedules = []schedule{
 	{"fused", func(int) int64 { return spare(false) }},
 	{"pipelined", func(int) int64 { return spare(true) }},
@@ -52,6 +53,72 @@ func (d schedule) use(t testing.TB) (restart func()) {
 	}
 	t.Cleanup(func() { cpus = saved })
 	return func() { decision = 0 }
+}
+
+// A placement picks the stage each goroutine of a staged pass runs next,
+// in place of place, from the index of the pick within the test.
+type placement struct {
+	name string
+	pick func(n int, helper bool, ready *[stages]bool) int // nil: place's own rule
+}
+
+// upstream returns the most upstream ready stage, and downstream the
+// most downstream one other than skip, or -1.
+func upstream(ready *[stages]bool) int {
+	for s := range stages {
+		if ready[s] {
+			return s
+		}
+	}
+	return -1
+}
+
+func downstream(ready *[stages]bool, skip int) int {
+	for s := stages - 1; s >= 0; s-- {
+		if ready[s] && s != skip {
+			return s
+		}
+	}
+	return -1
+}
+
+// placements are place's own rule, upstream-first, downstream-first
+// and the two alternating pick by pick.
+var placements = []placement{
+	{"own rule", nil},
+	{"upstream-first", func(_ int, _ bool, ready *[stages]bool) int { return upstream(ready) }},
+	{"downstream-first", func(_ int, _ bool, ready *[stages]bool) int { return downstream(ready, -1) }},
+	{"alternating", func(n int, _ bool, ready *[stages]bool) int {
+		if n%2 == 0 {
+			return upstream(ready)
+		}
+		return downstream(ready, -1)
+	}},
+}
+
+// helperReads places every read on the helper, and every other stage
+// downstream-first.
+var helperReads = placement{"helper reads", func(_ int, helper bool, ready *[stages]bool) int {
+	if !helper {
+		return downstream(ready, stageRead)
+	}
+	if ready[stageRead] {
+		return stageRead
+	}
+	return downstream(ready, -1)
+}}
+
+// use makes every staged pass of the test place its stages by pl.
+func (pl placement) use(t testing.TB) {
+	if pl.pick == nil {
+		return
+	}
+	saved, n := place, 0
+	place = func(helper bool, _ int, ready *[stages]bool) int {
+		n++
+		return pl.pick(n, helper, ready)
+	}
+	t.Cleanup(func() { place = saved })
 }
 
 // busyReader notes the most goroutines that passes occupied while it
@@ -76,6 +143,52 @@ func streamRefs(t testing.TB, n int) []trace.Ref {
 	return out[:n]
 }
 
+// Transitions boundaryStream places on batch boundaries: the two-size
+// policy of runManyBuilds promotes a fresh chunk on the last reference
+// of the first batch and another on the first of the third, and demotes
+// them on the last reference of the third batch and the first of the
+// fourth.
+var boundaryMoves = []struct {
+	at    int
+	event policy.Event
+}{
+	{batchRefs - 1, policy.EventPromote},
+	{2 * batchRefs, policy.EventPromote},
+	{3*batchRefs - 1, policy.EventDemote},
+	{3 * batchRefs, policy.EventDemote},
+}
+
+// boundaryStream returns the first n of 4×8192+1 references of li, with
+// references to two chunks li never touches spliced in so that the
+// transitions of boundaryMoves fall where they say.
+func boundaryStream(t testing.TB, n int) []trace.Ref {
+	t.Helper()
+	const total = 4*batchRefs + 1
+	refs := streamRefs(t, total)
+	chunk := func(i int) addr.VA { return addr.VA(1<<44 + i<<addr.ChunkShift) }
+	touch := func(at int, va addr.VA) { refs[at] = trace.Ref{Addr: va, Kind: trace.Load} }
+	for i, at := range []int{boundaryMoves[0].at, boundaryMoves[1].at} {
+		for b := range 4 { // four of eight blocks: the promotion threshold
+			touch(at-3+b, chunk(i)+addr.VA(b)<<addr.BlockShift)
+		}
+	}
+	touch(boundaryMoves[2].at, chunk(0)) // long out of the window: demoted
+	touch(boundaryMoves[3].at, chunk(1))
+	pol := policy.NewTwoSize(policy.DefaultTwoSizeConfig(2000))
+	moves := map[int]policy.Event{}
+	for i, ref := range refs {
+		if res := pol.Assign(ref.Addr); res.Event != policy.EventNone {
+			moves[i] = res.Event
+		}
+	}
+	for _, m := range boundaryMoves {
+		if moves[m.at] != m.event {
+			t.Fatalf("reference %d carries event %d, want %d", m.at, moves[m.at], m.event)
+		}
+	}
+	return refs[:n]
+}
+
 // warmable lists the builds that can warm up: no memory stage, sampled
 // or static working set.
 var warmable = map[string]bool{
@@ -85,17 +198,20 @@ var warmable = map[string]bool{
 	"ladder, WithWalkModel":   true,
 }
 
-// Every schedule gives the Results of the fused loop, field for field:
-// for every option mix alone and all of them in one RunMany, for a
-// warmed-up Run, at stream lengths around the sub-batch and the ring.
+// Every schedule and placement gives the Results of the fused loop,
+// field for field: for every option mix alone and all of them in one
+// RunMany, and for a warmed-up Run, at stream lengths around a batch
+// and the ring, with transitions on batches' first and last references.
 func TestFusedAndPipelinedAgree(t *testing.T) {
 	ctx := context.Background()
-	full := streamRefs(t, 8193)
+	full := boundaryStream(t, 4*batchRefs+1)
 	builds := runManyBuilds()
-	// run drives every build on one schedule: each alone, a warmed-up
-	// Run of each that can warm up, and all of them in one RunMany.
-	run := func(t *testing.T, d schedule, refs []trace.Ref) (solo, warmed, many []*Result) {
+	// run drives every build on one schedule and placement: each alone,
+	// a warmed-up Run of each that can warm up, and all of them in one
+	// RunMany.
+	run := func(t *testing.T, d schedule, pl placement, refs []trace.Ref) (solo, warmed, many []*Result) {
 		restart := d.use(t)
+		pl.use(t)
 		pass := func(sims []*Simulator, r trace.Reader) []*Result {
 			restart()
 			br := &busyReader{Reader: r}
@@ -123,26 +239,150 @@ func TestFusedAndPipelinedAgree(t *testing.T) {
 		}
 		return solo, warmed, pass(sims, trace.NewSliceReader(refs))
 	}
-	for _, n := range []int{0, 1, 2047, 2048, 2049, 8192, 8193} {
+	for _, n := range []int{0, 1, batchRefs - 1, batchRefs, batchRefs + 1, 2 * batchRefs, 4*batchRefs + 1} {
 		refs := full[:n]
 		var want [3][]*Result
-		t.Run(schedules[0].name, func(t *testing.T) { want[0], want[1], want[2] = run(t, schedules[0], refs) })
+		t.Run(schedules[0].name, func(t *testing.T) { want[0], want[1], want[2] = run(t, schedules[0], placements[0], refs) })
 		if len(want[1]) != len(warmable) {
 			t.Fatalf("%d warmed-up Runs, want %d", len(want[1]), len(warmable))
 		}
-		if n == len(full) && want[0][1].Counters.Promotions == 0 {
-			t.Fatal("the two-size pass promotes nothing; the stream exercises no transition")
+		if n == len(full) && (want[0][1].Counters.Promotions < 2 || want[0][1].Counters.Demotions < 2) {
+			t.Fatal("the two-size pass misses the stream's transitions")
 		}
 		for _, d := range schedules[1:] {
 			t.Run(d.name, func(t *testing.T) {
-				var got [3][]*Result
-				got[0], got[1], got[2] = run(t, d, refs)
-				for k, kind := range []string{"alone", "warmed up", "in one RunMany"} {
-					if !reflect.DeepEqual(got[k], want[k]) {
-						t.Errorf("%d refs, %s: Results differ from the fused loop's", n, kind)
-					}
+				for _, pl := range placements {
+					t.Run(pl.name, func(t *testing.T) {
+						var got [3][]*Result
+						got[0], got[1], got[2] = run(t, d, pl, refs)
+						for k, kind := range []string{"alone", "warmed up", "in one RunMany"} {
+							if !reflect.DeepEqual(got[k], want[k]) {
+								t.Errorf("%d refs, %s: Results differ from the fused loop's", n, kind)
+							}
+						}
+					})
 				}
 			})
+		}
+	}
+}
+
+// FuzzStagedAgreesWithFused turns its input into a short stream (a burst
+// of 64 references per byte, in one of 256 4KB blocks), a mix of
+// runManyBuilds' simulators, and a staged pass's choices: whether it
+// holds a helper at each read, and which ready stage each goroutine
+// runs at each pick. The pass must give the fused loop's Results.
+func FuzzStagedAgreesWithFused(f *testing.F) {
+	// edge promotes chunk 31, which nothing else touches, on the first
+	// reference of the second batch: its bytes 125–128 are four of the
+	// chunk's blocks.
+	edge := make([]byte, 3*batchRefs/64+7)
+	for i := range edge {
+		edge[i] = byte(i % 0xf8)
+	}
+	copy(edge[batchRefs/64-3:], []byte{0xf8, 0xf9, 0xfa, 0xfb})
+	f.Add(uint16(1<<9-1), uint32(math.MaxUint32), uint64(0), edge)
+	f.Add(uint16(0b10010), uint32(0b0110), uint64(0x9e3779b97f4a7c15), edge[:batchRefs/64+1])
+	f.Add(uint16(0b100000100), uint32(1), uint64(0xfedcba9876543210), []byte("staged"))
+	builds := runManyBuilds()
+	f.Fuzz(func(t *testing.T, mix uint16, helpers uint32, picks uint64, stream []byte) {
+		refs := make([]trace.Ref, 0, 64*len(stream))
+		for _, b := range stream {
+			base := addr.VA(1<<30) + addr.VA(b)<<addr.BlockShift
+			for j := range 64 {
+				kind := trace.Load
+				if j%4 == 0 {
+					kind = trace.Instr
+				}
+				refs = append(refs, trace.Ref{Addr: base + addr.VA(j*64), Kind: kind})
+			}
+		}
+		pass := func() []*Result {
+			var sims []*Simulator
+			for i, b := range builds {
+				if mix>>i&1 == 1 || mix == 0 && i == 0 {
+					sims = append(sims, b.build())
+				}
+			}
+			res, err := RunMany(context.Background(), trace.NewSliceReader(refs), sims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		schedules[0].use(t)
+		want := pass()
+		schedule{"fuzzed", func(i int) int64 { return spare(helpers>>(i%32)&1 == 1) }}.use(t)
+		placement{"fuzzed", func(n int, _ bool, ready *[stages]bool) int {
+			var at []int
+			for s := range stages {
+				if ready[s] {
+					at = append(at, s)
+				}
+			}
+			if len(at) == 0 {
+				return -1
+			}
+			return at[int(picks>>(2*(n%32))&3)%len(at)]
+		}}.use(t)
+		if got := pass(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("staged Results differ from the fused loop's")
+		}
+	})
+}
+
+// A staged pass hands each assignment on as its page's shift alone, and
+// rebuilds the page from the address. So every policy must keep
+// policy.Assigner's contract, Assign(va).Page.Number == addr.Page(va,
+// Page.Shift), with a shift that fits codeShift, on every reference of
+// a stream that promotes and demotes.
+func TestPageRebuildsFromAddressAndShift(t *testing.T) {
+	refs := streamRefs(t, 3*batchRefs)
+	three := addr.MustShiftClasses(addr.BlockShift, addr.ChunkShift, addr.Shift256K)
+	two := func(large uint) policy.Assigner {
+		cfg := policy.DefaultTwoSizeConfig(2000)
+		cfg.LargeShift = large
+		return policy.NewTwoSize(cfg)
+	}
+	ladder := func(demote bool) policy.Assigner {
+		cfg := policy.DefaultLadderConfig(2000, three)
+		cfg.Demote = demote
+		return policy.NewLadder(cfg)
+	}
+	var hinted []addr.PN
+	for _, ref := range refs[:64] {
+		hinted = append(hinted, addr.Chunk(ref.Addr))
+	}
+	for _, tc := range []struct {
+		name              string
+		pol               policy.Assigner
+		promotes, demotes bool // the stream must make the policy promote, and demote
+	}{
+		{"single 4KB", policy.NewSingle(addr.Size4K), false, false},
+		{"single 32KB", policy.NewSingle(addr.Size32K), false, false},
+		{"two-size 16KB", two(addr.Shift16K), true, true},
+		{"two-size 32KB", two(addr.Shift32K), true, true},
+		{"two-size 64KB", two(addr.Shift64K), true, true},
+		{"three-class ladder", ladder(true), true, true},
+		{"three-class ladder without demotion", ladder(false), true, false},
+		{"napot", policy.NewNapot(policy.NapotConfig{Classes: three, Thresholds: []int{4, 32}}), true, false},
+		{"region", policy.NewRegion(hinted), false, false},
+	} {
+		var promotions, demotions int
+		for i, ref := range refs {
+			res := tc.pol.Assign(ref.Addr)
+			if res.Page.Shift > codeShift || res.Page.Number != addr.Page(ref.Addr, res.Page.Shift) {
+				t.Fatalf("%s, reference %d (%#x): page %v breaks the contract", tc.name, i, uint64(ref.Addr), res.Page)
+			}
+			switch res.Event {
+			case policy.EventPromote:
+				promotions++
+			case policy.EventDemote:
+				demotions++
+			}
+		}
+		if tc.promotes && promotions == 0 || tc.demotes && demotions == 0 {
+			t.Errorf("%s: %d promotions and %d demotions: the stream exercises too few transitions", tc.name, promotions, demotions)
 		}
 	}
 }
@@ -178,8 +418,7 @@ func (r *cancelingReader) Read(batch []trace.Ref) (int, error) {
 // errTape is the error tapeReader fails with.
 var errTape = errors.New("tape ran out")
 
-// tapeReader yields whole sub-batches of li, then fails on its third
-// read.
+// tapeReader yields whole batches of li, then fails on its third read.
 type tapeReader struct {
 	trace.Reader
 	reads int
@@ -225,6 +464,26 @@ func TestPipelineStopsOnError(t *testing.T) {
 		}
 		settled(t, base)
 	}
+}
+
+// A staged pass canceled while its helper is reading stops at its next
+// read, returns the context's error, and leaves no helper behind.
+func TestCancelWhileHelperReads(t *testing.T) {
+	schedules[1].use(t)
+	helperReads.use(t)
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := &cancelingReader{Reader: workload.MustNew("li", 100_000), cancel: cancel}
+	sim := NewSimulator(policy.NewTwoSize(policy.DefaultTwoSizeConfig(2000)),
+		[]tlb.TLB{tlb.NewFullyAssoc(16)}, WithPageTable(), WithWSS())
+	if _, err := sim.Run(ctx, r); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if r.reads != 3 {
+		t.Errorf("%d reads, want 3: the pass reads nothing once canceled", r.reads)
+	}
+	settled(t, base)
 }
 
 // At GOMAXPROCS 1 a pass never takes a helper; at 2 a lone pass does.

@@ -81,10 +81,9 @@ func (p *ptShadow) apply(level int, res policy.Result) {
 }
 
 // ptStep drives the TLBs for one reference and walks the shadow on a
-// first-TLB miss, demand-mapping pages the table has never seen. The
-// per-reference hot path when WithPageTable is active: one flat-table
-// probe on top of the TLB accesses for hits, a walk plus at most one
-// map on misses.
+// first-TLB miss (ptMiss). The per-reference hot path when
+// WithPageTable is active: one flat-table probe on top of the TLB
+// accesses for hits, a walk plus at most one map on misses.
 //
 //paperlint:hot
 func (s *Simulator) ptStep(va addr.VA, res policy.Result) {
@@ -92,9 +91,16 @@ func (s *Simulator) ptStep(va addr.VA, res policy.Result) {
 	for _, t := range s.tlbs[1:] {
 		t.Access(va, res.Page)
 	}
-	if hit {
-		return
+	if !hit {
+		s.ptMiss(va, res.Page)
 	}
+}
+
+// ptMiss walks the shadow for a first-TLB miss on page p, demand-mapping
+// a page the table has never seen.
+//
+//paperlint:hot
+func (s *Simulator) ptMiss(va addr.VA, p policy.Page) {
 	pte, w := s.pt.nt.Lookup(va)
 	if s.walker != nil {
 		// Modeled walk: charge per-level loads through the PWCs and the
@@ -106,7 +112,7 @@ func (s *Simulator) ptStep(va addr.VA, res policy.Result) {
 		s.pt.cycles += w.Cycles
 	}
 	if !pte.Valid {
-		k := s.pt.classOf(res.Page.Shift)
-		_ = s.pt.nt.Map(k, res.Page.Number, s.pt.alloc()) //paperlint:ignore hotalloc demand-map path: node alloc runs once per first-touched page, not per reference
+		k := s.pt.classOf(p.Shift)
+		_ = s.pt.nt.Map(k, p.Number, s.pt.alloc()) //paperlint:ignore hotalloc demand-map path: node alloc runs once per first-touched page, not per reference
 	}
 }

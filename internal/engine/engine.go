@@ -12,8 +12,8 @@
 // returned futures in their own deterministic order — so output is
 // byte-identical regardless of the parallelism level. Parallelism
 // bounds passes, not CPUs: a pool slot's pass may use a second CPU
-// while one is idle, handing each reference's translation half to a
-// helper goroutine (core's two-stage pass).
+// while one is idle, sharing the stages of its batches with a helper
+// goroutine (core's staged pass).
 //
 // Units are the memoization and reporting granularity; fused groups are
 // the execution granularity. Pending units and rides (Engine.Ride) that

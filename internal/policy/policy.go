@@ -81,7 +81,12 @@ type Result struct {
 // Assigner maps each reference to its page and carries out any dynamic
 // page-size transitions.
 type Assigner interface {
-	// Assign observes one reference and returns its page.
+	// Assign observes one reference and returns its page, which is
+	// always the page of that size holding va:
+	// Assign(va).Page.Number == addr.Page(va, Assign(va).Page.Shift).
+	// A staged core pass hands the page on as its shift alone and
+	// rebuilds the number from the address, so a policy that broke
+	// this would be mistranslated there.
 	Assign(va addr.VA) Result
 	// Name identifies the policy in reports, e.g. "4KB" or "4KB/32KB".
 	Name() string

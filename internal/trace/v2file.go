@@ -569,9 +569,8 @@ func (r *MapReader) Read(batch []Ref) (int, error) {
 			if len(batch)-n >= b.nRefs {
 				// Whole block fits: decode straight into the caller's
 				// batch, skipping the scratch copy. DrainContext's and
-				// a fused core pass's 8192-reference batches always take
-				// this path; a pipelined pass's 2048-reference
-				// sub-batches take the copy.
+				// every core pass's 8192-reference batches always take
+				// this path.
 				if err := r.decodeBlock(b, batch[n:n+b.nRefs]); err != nil {
 					r.err = err
 					return n, err
