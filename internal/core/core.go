@@ -22,6 +22,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 
 	"twopage/internal/addr"
@@ -284,12 +285,15 @@ func WithWalkModel(cfg walk.Config) Option {
 }
 
 // NewSimulator builds a simulator for the policy and TLBs. The TLBs are
-// all driven by the same policy decisions in a single pass. A
-// multi-size policy with n classes charges metrics.MissPenaltyN(n) per
-// miss — 25 cycles for two sizes — and everything else
-// metrics.MissPenaltySingle, per Sections 2.3/3.2.
+// all driven by the same policy decisions in a single pass; a TLB listed
+// twice is a configuration error. A multi-size policy with n classes
+// charges metrics.MissPenaltyN(n) per miss — 25 cycles for two sizes —
+// and everything else metrics.MissPenaltySingle, per Sections 2.3/3.2.
 func NewSimulator(pol policy.Assigner, tlbs []tlb.TLB, opts ...Option) *Simulator {
 	s := &Simulator{pol: pol, tlbs: tlbs}
+	if err := shared([]*Simulator{s}); err != nil {
+		s.fail(err)
+	}
 	if mp, ok := pol.(policy.MultiSize); ok {
 		s.classes = mp.SizeClasses()
 		s.missPenalty = metrics.MissPenaltyN(s.classes.N())
@@ -388,8 +392,9 @@ func (s *Simulator) Run(ctx context.Context, r trace.Reader) (*Result, error) {
 // Each simulator is single-use, as under Run, and appears once.
 //
 // A configuration error in any simulator, a simulator that already ran
-// or one listed twice fails RunMany before it reads a reference.
-// Cancellation is checked between batches, as in Run.
+// or one listed twice, and two simulators that share a policy or a TLB,
+// fail RunMany before it reads a reference. Cancellation is checked
+// between batches, as in Run.
 func RunMany(ctx context.Context, r trace.Reader, sims []*Simulator) ([]*Result, error) {
 	for i, s := range sims {
 		switch {
@@ -400,6 +405,9 @@ func RunMany(ctx context.Context, r trace.Reader, sims []*Simulator) ([]*Result,
 		case slices.Contains(sims[:i], s):
 			return nil, fmt.Errorf("core: simulator %d is listed twice", i)
 		}
+	}
+	if err := shared(sims); err != nil {
+		return nil, err
 	}
 	for _, s := range sims {
 		s.ran = true
@@ -414,6 +422,50 @@ func RunMany(ctx context.Context, r trace.Reader, sims []*Simulator) ([]*Result,
 		out[i] = s.result(refs, instrs, decode)
 	}
 	return out, nil
+}
+
+// shared reports the first policy or TLB that sims drive twice: a TLB
+// one simulator lists twice, or a policy or TLB two simulators share.
+// Its passes would each count the other's references, and lanes on two
+// goroutines would race on it.
+func shared(sims []*Simulator) error {
+	owner := make(map[uintptr]int) // the simulator that first drives each policy and TLB
+	claim := func(i int, x any) (j int, taken bool) {
+		id := identity(x)
+		if id == 0 {
+			return 0, false
+		}
+		if j, taken = owner[id]; !taken {
+			owner[id] = i
+		}
+		return j, taken
+	}
+	for i, s := range sims {
+		if j, taken := claim(i, s.pol); taken {
+			return fmt.Errorf("core: simulators %d and %d share policy %q", j, i, s.pol.Name())
+		}
+		for k, t := range s.tlbs {
+			switch j, taken := claim(i, t); {
+			case taken && j == i:
+				return fmt.Errorf("core: TLB %d (%s) is listed twice", k, t.Name())
+			case taken:
+				return fmt.Errorf("core: simulators %d and %d share TLB %q", j, i, t.Name())
+			}
+		}
+	}
+	return nil
+}
+
+// identity returns the address x points to, or 0 for a value that is no
+// pointer, a nil pointer or a pointer to a zero-size value, which holds
+// no state. Comparing addresses never panics, as interface == does on
+// an uncomparable dynamic type, and tells equal values apart.
+func identity(x any) uintptr {
+	v := reflect.ValueOf(x)
+	if v.Kind() != reflect.Pointer || v.IsNil() || v.Type().Elem().Size() == 0 {
+		return 0
+	}
+	return v.Pointer()
 }
 
 // countInstrs returns the batch's instruction fetches. A loop of its own
@@ -463,11 +515,12 @@ func (s *Simulator) result(refs, instrs uint64, decode obs.Counters) *Result {
 // sampling during warm-up — or the sampled calculator steps. The static
 // working sets step after the batch.
 //
-// A pass holding a helper runs the same work in three stages, assign,
-// probe and resolve, which the pass's goroutine and its helper share.
-// They are written apart from step because one loop serving all of
-// them cost the fused pass 7–9% (DESIGN.md §3.3): a change to the work
-// of one must be made to the others, and TestFusedAndPipelinedAgree
+// A pass of one simulator holding a helper runs the same work in three
+// stages, assign, probe and resolve, which the pass's goroutine and its
+// helper share; a pass of several runs step on each simulator's lane.
+// The stages are written apart from step because one loop serving all
+// of them cost the fused pass 7–9% (DESIGN.md §3.3): a change to the
+// work of one must be made to the others, and TestFusedAndPipelinedAgree
 // requires the same Results of both.
 //
 //paperlint:hot
@@ -500,11 +553,12 @@ func (s *Simulator) step(batch []trace.Ref, warm bool) {
 	s.stepStatic(batch)
 }
 
-// assign is a staged pass's assignment stage, which reads and writes
-// only policy state: the policy assigns each reference a page, whose
-// shift it codes in code, with codeMove and the assignment appended to
-// moves when it carries a transition; then the WSS calculator observes
-// the assignment or the sampled calculator steps. It returns moves.
+// assign is the assignment stage of a staged pass of one simulator,
+// which reads and writes only policy state: the policy assigns each
+// reference a page, whose shift it codes in code, with codeMove and the
+// assignment appended to moves when it carries a transition; then the
+// WSS calculator observes the assignment or the sampled calculator
+// steps. It returns moves.
 //
 //paperlint:hot
 func (s *Simulator) assign(batch []trace.Ref, code []byte, moves []policy.Result, warm bool) []policy.Result {
@@ -531,12 +585,12 @@ func (s *Simulator) assign(batch []trace.Ref, code []byte, moves []policy.Result
 	return moves
 }
 
-// probe is a staged pass's probe stage, which reads only the codes and
-// moves assign wrote and the TLBs' state: each transition's TLB
-// invalidations, then every TLB looks up the reference's page, rebuilt
-// from its address and coded shift. With a page-table shadow, a miss of
-// the first TLB is coded codeMiss for resolve to walk. A memory stage
-// probes its TLBs itself, in resolve.
+// probe is the probe stage of a staged pass of one simulator, which
+// reads only the codes and moves assign wrote and the TLBs' state: each
+// transition's TLB invalidations, then every TLB looks up the
+// reference's page, rebuilt from its address and coded shift. With a
+// page-table shadow, a miss of the first TLB is coded codeMiss for
+// resolve to walk. A memory stage probes its TLBs itself, in resolve.
 //
 //paperlint:hot
 func (s *Simulator) probe(batch []trace.Ref, code []byte, moves []policy.Result) {
@@ -562,12 +616,12 @@ func (s *Simulator) probe(batch []trace.Ref, code []byte, moves []policy.Result)
 	}
 }
 
-// resolve is a staged pass's resolve stage, which reads only the codes,
-// moves and misses of the stages before it and its own state: the
-// page-table shadow follows each transition (and the walk model flushes
-// its PWCs) and walks each coded miss, or the memory stage carries out
-// each transition and translates each reference; then the static
-// working sets step.
+// resolve is the resolve stage of a staged pass of one simulator,
+// which reads only the codes, moves and misses of the stages before it
+// and its own state: the page-table shadow follows each transition (and
+// the walk model flushes its PWCs) and walks each coded miss, or the
+// memory stage carries out each transition and translates each
+// reference; then the static working sets step.
 //
 //paperlint:hot
 func (s *Simulator) resolve(batch []trace.Ref, code []byte, moves []policy.Result) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,26 +16,35 @@ import (
 
 // A pass reads its stream in whole batches. While the process has a
 // spare CPU, the pass's goroutine and a helper goroutine share each
-// batch's work, split into four stages that each take the batches in
-// stream order, up to a ring of batches ahead; otherwise the pass runs
-// the fused loop (step) over each batch. Either way every simulator
-// sees the same references in the same order, so every Result is
-// identical (DESIGN.md §3.3).
+// batch's work, split into lanes that each take the batches in stream
+// order, up to a ring of batches ahead; otherwise the pass runs the
+// fused loop (step) over each batch. Either way every simulator sees the
+// same references in the same order, so every Result is identical
+// (DESIGN.md §3.3).
 const (
 	batchRefs = 8192 // references per read: one v2 block, which MapReader decodes in place
 	ringSlots = 4    // batches a staged pass holds at once
 )
 
-// The stages of a staged pass, upstream first.
+// The lanes of a staged pass. The read lane feeds the others. A pass of
+// one simulator is a chain: three stages of its work follow the read,
+// each fed by the lane before it. A pass of several simulators gives
+// each its own lane after the read, fed by the read, which runs the
+// simulator's fused loop (step) over the batch.
 const (
-	stageRead    = iota // r.Read, after ctx is polled and the CPU rule applied
-	stageAssign         // every simulator's assign: policy and working-set observer
-	stageProbe          // every simulator's probe: TLB invalidations and lookups
-	stageResolve        // every simulator's resolve: page table, walk, memory stage, static working sets
-	stages
+	laneRead = iota // r.Read, after ctx is polled and the CPU rule applied
+
+	// A chain's stages.
+	laneAssign  // the simulator's assign: policy and working-set observer
+	laneProbe   // its probe: TLB invalidations and lookups
+	laneResolve // its resolve: page table, walk, memory stage, static working sets
+	chainLanes
+
+	// Simulator i of a pass of several runs lane laneSim+i.
+	laneSim = laneRead + 1
 )
 
-// A slot's code holds one byte per simulator and reference: the
+// In a chain of stages, a slot's code holds one byte per reference: the
 // shift of the reference's page, codeMove when its assignment carried a
 // transition (the slot's moves list holds them in order), and codeMiss
 // when it missed the first TLB and a page-table shadow walks it.
@@ -60,21 +70,24 @@ var busy atomic.Int64
 // batch.
 var cpus = func() int64 { return int64(runtime.GOMAXPROCS(0)) }
 
-// place picks the stage a goroutine of a staged pass runs next among
-// the ready ones: the stage it ran last (-1 before its first) if that is
-// ready, otherwise the most downstream. helper tells the helper from
-// the pass's goroutine, which the rule does not. Tests replace it to
-// force placements.
-var place = func(helper bool, last int, ready *[stages]bool) int {
+// place picks the lane a goroutine of a staged pass runs next among
+// the ready ones: the lane it ran last (-1 before its first) if that is
+// ready, otherwise the one with the fewest batches done, the first of
+// them on a tie. The read lane, ahead of every other, comes last, and in
+// a chain of stages the fewest done is the most downstream. helper tells
+// the helper from the pass's goroutine, which the rule does not. Tests
+// replace it to force placements.
+var place = func(helper bool, last int, ready []bool, done []int) int {
 	if last >= 0 && ready[last] {
 		return last
 	}
-	for s := stages - 1; s >= 0; s-- {
-		if ready[s] {
-			return s
+	next := -1
+	for l, ok := range ready {
+		if ok && (next < 0 || done[l] < done[next]) {
+			next = l
 		}
 	}
-	return -1
+	return next
 }
 
 // occupied marks a context whose passes run on a goroutine that Occupy
@@ -92,23 +105,24 @@ func Occupy(ctx context.Context) (_ context.Context, release func()) {
 	return context.WithValue(ctx, occupied{}, true), func() { busy.Add(-1) }
 }
 
-// A slot is one batch in the ring: its references and, for each
+// A slot is one batch in the ring: its references and, in a pass of one
 // simulator, their codes and the assignments that carried a transition.
 type slot struct {
 	n     int
 	refs  []trace.Ref
-	code  [][]byte
-	moves [][]policy.Result
+	code  []byte
+	moves []policy.Result
 }
 
 // pass is one read of a stream through its simulators.
 type pass struct {
-	r    trace.Reader
-	sims []*Simulator
-	warm bool
-	buf  []trace.Ref // the fused loop's batch, and the ring's first slot
+	r     trace.Reader
+	sims  []*Simulator
+	warm  bool
+	chain bool        // a staged run chains one simulator's stages; else each simulator has a lane
+	buf   []trace.Ref // the fused loop's batch, and the ring's first slot
 
-	// The read stage's own state, which drive reads once no stage runs.
+	// The read lane's own state, which drive reads once no lane runs.
 	refs, instrs uint64
 	eof          bool  // r is exhausted
 	err          error // the pass failed: its ctx's or r's error
@@ -120,12 +134,13 @@ type pass struct {
 	// A staged run's schedule, under mu.
 	mu      sync.Mutex
 	wake    sync.Cond
-	done    [stages]int // batches each stage has finished in this run
-	running [stages]bool
-	waiting int  // goroutines waiting on wake
-	closed  bool // the read stage reads no more in this run
-	failed  bool // the pass failed: no stage runs again
-	yielded bool // the helper was given back: it runs no stage again
+	done    []int  // batches each lane has finished in this run
+	running []bool // lanes a goroutine runs
+	ready   []bool // lanes that may run, as work last marked them
+	waiting int    // goroutines waiting on wake
+	closed  bool   // the read lane reads no more in this run
+	failed  bool   // the pass failed: no lane runs again
+	yielded bool   // the helper was given back: it runs no lane again
 }
 
 // drive reads r to its end and runs every reference through every
@@ -137,7 +152,7 @@ func drive(ctx context.Context, r trace.Reader, sims []*Simulator, warm bool) (r
 		busy.Add(1)
 		defer busy.Add(-1)
 	}
-	p := &pass{r: r, sims: sims, warm: warm, buf: make([]trace.Ref, batchRefs)}
+	p := &pass{r: r, sims: sims, warm: warm, chain: len(sims) == 1, buf: make([]trace.Ref, batchRefs)}
 	p.wake.L = &p.mu
 	for held := p.decide(ctx); p.err == nil && !p.eof; held = p.decide(ctx) {
 		if held {
@@ -201,15 +216,16 @@ func (p *pass) count(batch []trace.Ref, err error) {
 }
 
 // stage runs the pass staged from the read decide took a helper for.
-// The pass's goroutine and a new helper goroutine run stages until the
-// read stage reads no more (the stream ended, the pass failed or the
-// helper was given back) and every batch read is resolved, or until
-// the pass fails. It returns once the helper has exited.
+// The pass's goroutine and a new helper goroutine run lanes until the
+// read lane reads no more (the stream ended, the pass failed or the
+// helper was given back) and every lane has finished every batch read,
+// or until the pass fails. It returns once the helper has exited.
 func (p *pass) stage(ctx context.Context) {
 	if p.ring == nil {
 		p.newRing()
 	}
-	p.done, p.closed, p.yielded, p.decided = [stages]int{}, false, false, true
+	clear(p.done)
+	p.closed, p.yielded, p.decided = false, false, true
 	exited := make(chan struct{})
 	go func() {
 		defer close(exited)
@@ -220,85 +236,104 @@ func (p *pass) stage(ctx context.Context) {
 }
 
 // newRing builds the ring, whose first slot reads into the fused loop's
-// batch.
+// batch, and the lanes' schedule.
 func (p *pass) newRing() {
-	n := len(p.sims)
-	code := make([]byte, ringSlots*n*batchRefs)
+	lanes := laneSim + len(p.sims)
+	if p.chain {
+		lanes = chainLanes
+	}
+	p.done, p.running, p.ready = make([]int, lanes), make([]bool, lanes), make([]bool, lanes)
 	p.ring = make([]*slot, ringSlots)
 	for k := range p.ring {
-		sl := &slot{refs: p.buf, code: make([][]byte, n), moves: make([][]policy.Result, n)}
+		sl := &slot{refs: p.buf}
 		if k > 0 {
 			sl.refs = make([]trace.Ref, batchRefs)
 		}
-		for i := range sl.code {
-			sl.code[i], code = code[:batchRefs:batchRefs], code[batchRefs:]
+		if p.chain {
+			sl.code = make([]byte, batchRefs)
 		}
 		p.ring[k] = sl
 	}
 }
 
-// work runs ready stages, one batch at a time, until the staged run is
+// work runs ready lanes, one batch at a time, until the staged run is
 // over, or for the helper until it is given back.
 func (p *pass) work(ctx context.Context, helper bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for last := -1; ; {
-		if p.failed || p.closed && p.done[stageResolve] == p.done[stageRead] || helper && p.yielded {
+		if p.failed || p.closed && p.slowest() == p.done[laneRead] || helper && p.yielded {
 			p.wake.Broadcast()
 			return
 		}
-		var ready [stages]bool
-		p.ready(&ready)
-		s := place(helper, last, &ready)
-		if s >= 0 {
-			ready[s] = false
+		p.mark()
+		l := place(helper, last, p.ready, p.done)
+		if l >= 0 {
+			p.ready[l] = false
 		}
-		if p.waiting > 0 && ready != [stages]bool{} {
-			p.wake.Signal() // a stage is left for the other goroutine
+		if p.waiting > 0 && slices.Contains(p.ready, true) {
+			p.wake.Signal() // a lane is left for the other goroutine
 		}
-		if s < 0 {
+		if l < 0 {
 			p.waiting++
 			p.wake.Wait()
 			p.waiting--
 			continue
 		}
-		p.running[s] = true
-		k := p.done[s]
+		p.running[l] = true
+		k := p.done[l]
 		p.mu.Unlock()
-		finished := p.run(ctx, s, p.ring[k%ringSlots])
+		finished := p.run(ctx, l, p.ring[k%ringSlots])
 		p.mu.Lock()
-		p.running[s] = false
+		p.running[l] = false
 		if finished {
-			p.done[s]++
+			p.done[l]++
 		}
-		if s == stageRead && (p.err != nil || p.eof || !p.helper) {
+		if l == laneRead && (p.err != nil || p.eof || !p.helper) {
 			p.closed, p.failed, p.yielded = true, p.err != nil, !p.helper
 		}
-		last = s
+		last = l
 	}
 }
 
-// ready marks the stages that may run: each has a batch its upstream
-// stage has finished, or for the read stage a free slot, and no
-// goroutine runs it.
-func (p *pass) ready(ready *[stages]bool) {
+// slowest returns the fewest batches any lane has finished. The read
+// lane may fill the ring up to ringSlots batches past it.
+func (p *pass) slowest() int {
+	n := p.done[laneRead]
+	for _, d := range p.done[laneRead+1:] {
+		n = min(n, d)
+	}
+	return n
+}
+
+// mark marks the lanes that may run: no goroutine runs the lane, and its
+// upstream lane has finished its next batch, or for the read lane every
+// lane has finished the batch its next slot holds. The upstream lane is
+// the stage before it in a chain, and the read lane for a simulator's
+// lane.
+func (p *pass) mark() {
+	clear(p.ready)
 	if p.failed {
 		return
 	}
-	ready[stageRead] = !p.closed && p.done[stageRead] < p.done[stageResolve]+ringSlots
-	for s := stageRead + 1; s < stages; s++ {
-		ready[s] = p.done[s] < p.done[s-1]
-	}
-	for s := range ready {
-		ready[s] = ready[s] && !p.running[s]
+	for l := range p.ready {
+		switch {
+		case p.running[l]:
+		case l == laneRead:
+			p.ready[l] = !p.closed && p.done[l] < p.slowest()+ringSlots
+		case p.chain:
+			p.ready[l] = p.done[l] < p.done[l-1]
+		default:
+			p.ready[l] = p.done[l] < p.done[laneRead]
+		}
 	}
 }
 
-// run runs stage s over the slot of its next batch. It reports whether
-// the stage finished a batch: every stage does but a read stage that
+// run runs lane l over the slot of its next batch. It reports whether
+// the lane finished a batch: every lane does but a read lane that
 // stopped without one.
-func (p *pass) run(ctx context.Context, s int, sl *slot) bool {
-	if s == stageRead {
+func (p *pass) run(ctx context.Context, l int, sl *slot) bool {
+	if l == laneRead {
 		if p.decided {
 			p.decided = false
 		} else if !p.decide(ctx) {
@@ -310,19 +345,18 @@ func (p *pass) run(ctx context.Context, s int, sl *slot) bool {
 		return n > 0 && p.err == nil
 	}
 	batch := sl.refs[:sl.n]
-	switch s {
-	case stageAssign:
-		for i, s := range p.sims {
-			sl.moves[i] = s.assign(batch, sl.code[i], sl.moves[i][:0], p.warm)
-		}
-	case stageProbe:
-		for i, s := range p.sims {
-			s.probe(batch, sl.code[i], sl.moves[i])
-		}
-	case stageResolve:
-		for i, s := range p.sims {
-			s.resolve(batch, sl.code[i], sl.moves[i])
-		}
+	if !p.chain {
+		p.sims[l-laneSim].step(batch, p.warm)
+		return true
+	}
+	s := p.sims[0]
+	switch l {
+	case laneAssign:
+		sl.moves = s.assign(batch, sl.code, sl.moves[:0], p.warm)
+	case laneProbe:
+		s.probe(batch, sl.code, sl.moves)
+	case laneResolve:
+		s.resolve(batch, sl.code, sl.moves)
 	}
 	return true
 }

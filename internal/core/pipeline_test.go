@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,9 +19,12 @@ import (
 
 // A schedule picks, at every read, the limit a pass weighs its busy
 // count against: by the index of the decision within the pass.
+// TestFusedAndPipelinedAgree runs it under place's own rule alone if
+// own, and otherwise under every placement.
 type schedule struct {
 	name  string
 	limit func(decision int) int64
+	own   bool
 }
 
 // spare returns a limit under which a pass takes a helper if on, and
@@ -33,14 +37,18 @@ func spare(on bool) int64 {
 }
 
 // schedules are the fused loop, the staged pass throughout, and the
-// staged pass taken at the second read, handed back there, or toggled
-// at every one.
+// staged pass taken at the second read, handed back there, toggled at
+// every one, or given back at the second read and taken again at the
+// fourth. The last reuses the ring for a staged run of several batches
+// after one that was cut short; toggled runs every placement over
+// staged runs cut short already.
 var schedules = []schedule{
-	{"fused", func(int) int64 { return spare(false) }},
-	{"pipelined", func(int) int64 { return spare(true) }},
-	{"taken mid-pass", func(i int) int64 { return spare(i > 0) }},
-	{"handed back mid-pass", func(i int) int64 { return spare(i == 0) }},
-	{"toggled", func(i int) int64 { return spare(i%2 == 0) }},
+	{"fused", func(int) int64 { return spare(false) }, false},
+	{"pipelined", func(int) int64 { return spare(true) }, false},
+	{"taken mid-pass", func(i int) int64 { return spare(i > 0) }, false},
+	{"handed back mid-pass", func(i int) int64 { return spare(i == 0) }, false},
+	{"toggled", func(i int) int64 { return spare(i%2 == 0) }, false},
+	{"given back and taken again", func(i int) int64 { return spare(i != 1 && i != 2) }, true},
 }
 
 // use makes every pass of the test decide by d's limits. The returned
@@ -55,68 +63,81 @@ func (d schedule) use(t testing.TB) (restart func()) {
 	return func() { decision = 0 }
 }
 
-// A placement picks the stage each goroutine of a staged pass runs next,
-// in place of place, from the index of the pick within the test.
+// A placement picks the lane each goroutine of a staged pass runs next,
+// in place of place, from the index of the pick within the test and
+// place's arguments. TestFusedAndPipelinedAgree runs the chains under
+// it if chains.
 type placement struct {
-	name string
-	pick func(n int, helper bool, ready *[stages]bool) int // nil: place's own rule
+	name   string
+	pick   func(n int, helper bool, last int, ready []bool, done []int) int // nil: place's own rule
+	chains bool
 }
 
-// upstream returns the most upstream ready stage, and downstream the
-// most downstream one other than skip, or -1.
-func upstream(ready *[stages]bool) int {
-	for s := range stages {
-		if ready[s] {
-			return s
+// ownRule is place's own rule, which placements may fall back on.
+var ownRule = place
+
+// upstream returns the first ready lane, and downstream the last one
+// other than skip, or -1. In a chain of stages they are the most
+// upstream and the most downstream ready stage.
+func upstream(ready []bool) int { return slices.Index(ready, true) }
+
+func downstream(ready []bool, skip int) int {
+	for l := len(ready) - 1; l >= 0; l-- {
+		if ready[l] && l != skip {
+			return l
 		}
 	}
 	return -1
 }
 
-func downstream(ready *[stages]bool, skip int) int {
-	for s := stages - 1; s >= 0; s-- {
-		if ready[s] && s != skip {
-			return s
-		}
-	}
-	return -1
-}
-
-// placements are place's own rule, upstream-first, downstream-first
-// and the two alternating pick by pick.
+// placements are place's own rule (the lane run last, then the fewest
+// done); upstream-first, downstream-first and the two alternating pick
+// by pick; the fewest done, whatever ran last; and every lane on the
+// pass's goroutine by the own rule, the helper running none. The last
+// two are for lane passes: in a chain the fewest done is the most
+// downstream.
 var placements = []placement{
-	{"own rule", nil},
-	{"upstream-first", func(_ int, _ bool, ready *[stages]bool) int { return upstream(ready) }},
-	{"downstream-first", func(_ int, _ bool, ready *[stages]bool) int { return downstream(ready, -1) }},
-	{"alternating", func(n int, _ bool, ready *[stages]bool) int {
+	{"own rule", nil, true},
+	{"upstream-first", func(_ int, _ bool, _ int, ready []bool, _ []int) int { return upstream(ready) }, true},
+	{"downstream-first", func(_ int, _ bool, _ int, ready []bool, _ []int) int { return downstream(ready, -1) }, true},
+	{"alternating", func(n int, _ bool, _ int, ready []bool, _ []int) int {
 		if n%2 == 0 {
 			return upstream(ready)
 		}
 		return downstream(ready, -1)
-	}},
+	}, true},
+	{"fewest-done", func(_ int, helper bool, _ int, ready []bool, done []int) int {
+		return ownRule(helper, -1, ready, done)
+	}, false},
+	{"one goroutine", func(_ int, helper bool, last int, ready []bool, done []int) int {
+		if helper {
+			return -1
+		}
+		return ownRule(helper, last, ready, done)
+	}, false},
 }
 
-// helperReads places every read on the helper, and every other stage
+// helperReads places every read on the helper, and every other lane
 // downstream-first.
-var helperReads = placement{"helper reads", func(_ int, helper bool, ready *[stages]bool) int {
+var helperReads = placement{name: "helper reads", pick: func(_ int, helper bool, _ int, ready []bool, _ []int) int {
 	if !helper {
-		return downstream(ready, stageRead)
+		return downstream(ready, laneRead)
 	}
-	if ready[stageRead] {
-		return stageRead
+	if ready[laneRead] {
+		return laneRead
 	}
 	return downstream(ready, -1)
 }}
 
-// use makes every staged pass of the test place its stages by pl.
+// use makes every staged pass of the test place its lanes by pl.
 func (pl placement) use(t testing.TB) {
 	if pl.pick == nil {
 		return
 	}
 	saved, n := place, 0
-	place = func(helper bool, _ int, ready *[stages]bool) int {
+	place = func(helper bool, last int, ready []bool, done []int) int {
 		n++
-		return pl.pick(n, helper, ready)
+		return pl.pick(n, helper, last, ready, done)
 	}
 	t.Cleanup(func() { place = saved })
 }
@@ -198,17 +219,38 @@ var warmable = map[string]bool{
 	"ladder, WithWalkModel":   true,
 }
 
+// laneGroups are the passes of several simulators that
+// TestFusedAndPipelinedAgree runs, by index into runManyBuilds: a walk
+// model beside a memory stage; a sampled and a static working set beside
+// a memory stage with the disk model; and, last, sixteen simulators,
+// every build and seven of them again.
+var laneGroups = [][]int{
+	{6, 7},
+	{2, 4, 8},
+	{0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1, 2, 3, 4, 5, 6},
+}
+
 // Every schedule and placement gives the Results of the fused loop,
-// field for field: for every option mix alone and all of them in one
-// RunMany, and for a warmed-up Run, at stream lengths around a batch
-// and the ring, with transitions on batches' first and last references.
+// field for field: for every option mix alone (a chain), for a
+// warmed-up Run, and for the lane passes of laneGroups, at stream
+// lengths around a batch and the ring, with transitions on batches'
+// first and last references. To keep the race detector's runs short,
+// the chains skip the placements only lane passes tell apart, the lane
+// passes skip 16384 references, which adds no boundary the other
+// lengths miss, the pass of sixteen runs only under place's own rule,
+// at 0, 8193 and 32769 references (FuzzStagedAgreesWithFused's seeds
+// place sixteen lanes otherwise), and a schedule marked own runs under
+// the own rule alone.
 func TestFusedAndPipelinedAgree(t *testing.T) {
 	ctx := context.Background()
 	full := boundaryStream(t, 4*batchRefs+1)
 	builds := runManyBuilds()
-	// run drives every build on one schedule and placement: each alone,
-	// a warmed-up Run of each that can warm up, and all of them in one
-	// RunMany.
+	lanes := func(n int) bool { return n != 2*batchRefs }
+	wide := func(n int) bool { return n == 0 || n == batchRefs+1 || n == len(full) }
+	narrow := len(slices.Concat(laneGroups[:len(laneGroups)-1]...)) // simulators in the lane passes before the sixteen
+	// run drives the builds on one schedule and placement: each alone and
+	// a warmed-up Run of each that can warm up, if the placement runs the
+	// chains, and the lane passes, the sixteen last.
 	run := func(t *testing.T, d schedule, pl placement, refs []trace.Ref) (solo, warmed, many []*Result) {
 		restart := d.use(t)
 		pl.use(t)
@@ -224,10 +266,11 @@ func TestFusedAndPipelinedAgree(t *testing.T) {
 			}
 			return res
 		}
-		var sims []*Simulator
 		for _, b := range builds {
+			if !pl.chains {
+				break
+			}
 			solo = append(solo, pass([]*Simulator{b.build()}, trace.NewSliceReader(refs))...)
-			sims = append(sims, b.build())
 			if warmable[b.name] {
 				s := b.build()
 				restart()
@@ -237,7 +280,17 @@ func TestFusedAndPipelinedAgree(t *testing.T) {
 				warmed = append(warmed, pass([]*Simulator{s}, trace.NewSliceReader(refs[len(refs)/2:]))...)
 			}
 		}
-		return solo, warmed, pass(sims, trace.NewSliceReader(refs))
+		for g, group := range laneGroups {
+			if !lanes(len(refs)) || g == len(laneGroups)-1 && !(pl.pick == nil && wide(len(refs))) {
+				break
+			}
+			var sims []*Simulator
+			for _, i := range group {
+				sims = append(sims, builds[i].build())
+			}
+			many = append(many, pass(sims, trace.NewSliceReader(refs))...)
+		}
+		return solo, warmed, many
 	}
 	for _, n := range []int{0, 1, batchRefs - 1, batchRefs, batchRefs + 1, 2 * batchRefs, 4*batchRefs + 1} {
 		refs := full[:n]
@@ -249,14 +302,34 @@ func TestFusedAndPipelinedAgree(t *testing.T) {
 		if n == len(full) && (want[0][1].Counters.Promotions < 2 || want[0][1].Counters.Demotions < 2) {
 			t.Fatal("the two-size pass misses the stream's transitions")
 		}
+		// A simulator's Result in a lane pass is its Result alone.
+		k := 0
+		for _, group := range laneGroups {
+			for _, i := range group {
+				if k < len(want[2]) && !reflect.DeepEqual(want[2][k], want[0][i]) {
+					t.Errorf("%d refs, %s in a lane pass of %d: Result differs from its own Run's", n, builds[i].name, len(group))
+				}
+				k++
+			}
+		}
 		for _, d := range schedules[1:] {
 			t.Run(d.name, func(t *testing.T) {
 				for _, pl := range placements {
+					if !pl.chains && !lanes(n) || d.own && pl.pick != nil {
+						continue
+					}
 					t.Run(pl.name, func(t *testing.T) {
 						var got [3][]*Result
 						got[0], got[1], got[2] = run(t, d, pl, refs)
-						for k, kind := range []string{"alone", "warmed up", "in one RunMany"} {
-							if !reflect.DeepEqual(got[k], want[k]) {
+						exp := want // less the passes pl skips
+						if !pl.chains {
+							exp[0], exp[1] = nil, nil
+						}
+						if pl.pick != nil {
+							exp[2] = exp[2][:min(len(exp[2]), narrow)]
+						}
+						for k, kind := range []string{"alone", "warmed up", "in lane passes"} {
+							if !reflect.DeepEqual(got[k], exp[k]) {
 								t.Errorf("%d refs, %s: Results differ from the fused loop's", n, kind)
 							}
 						}
@@ -270,20 +343,27 @@ func TestFusedAndPipelinedAgree(t *testing.T) {
 // FuzzStagedAgreesWithFused turns its input into a short stream (a burst
 // of 64 references per byte, in one of 256 4KB blocks), a mix of
 // runManyBuilds' simulators, and a staged pass's choices: whether it
-// holds a helper at each read, and which ready stage each goroutine
-// runs at each pick. The pass must give the fused loop's Results.
+// holds a helper at each read, and which ready lane each goroutine runs
+// at each pick. The mix's low nine bits choose builds, and its top four
+// bits, plus one, the fewest simulators the pass holds: the chosen
+// builds repeat, in order, up to 16. The pass must give the fused loop's
+// Results.
 func FuzzStagedAgreesWithFused(f *testing.F) {
 	// edge promotes chunk 31, which nothing else touches, on the first
 	// reference of the second batch: its bytes 125–128 are four of the
 	// chunk's blocks.
-	edge := make([]byte, 3*batchRefs/64+7)
+	// The last seeds run lane passes of 16 and two simulators over six
+	// batches, which wraps the ring.
+	edge := make([]byte, 6*batchRefs/64)
 	for i := range edge {
 		edge[i] = byte(i % 0xf8)
 	}
 	copy(edge[batchRefs/64-3:], []byte{0xf8, 0xf9, 0xfa, 0xfb})
-	f.Add(uint16(1<<9-1), uint32(math.MaxUint32), uint64(0), edge)
+	f.Add(uint16(1<<9-1), uint32(math.MaxUint32), uint64(0), edge[:3*batchRefs/64+7])
 	f.Add(uint16(0b10010), uint32(0b0110), uint64(0x9e3779b97f4a7c15), edge[:batchRefs/64+1])
 	f.Add(uint16(0b100000100), uint32(1), uint64(0xfedcba9876543210), []byte("staged"))
+	f.Add(uint16(0xf000|0b111010100), uint32(math.MaxUint32), uint64(0x0123456789abcdef), edge)
+	f.Add(uint16(0b011000000), uint32(math.MaxUint32), uint64(0x0f0f0f0f0f0f0f0f), edge)
 	builds := runManyBuilds()
 	f.Fuzz(func(t *testing.T, mix uint16, helpers uint32, picks uint64, stream []byte) {
 		refs := make([]trace.Ref, 0, 64*len(stream))
@@ -297,12 +377,17 @@ func FuzzStagedAgreesWithFused(f *testing.F) {
 				refs = append(refs, trace.Ref{Addr: base + addr.VA(j*64), Kind: kind})
 			}
 		}
+		var chosen []runManyBuild
+		for i, b := range builds {
+			if mix>>i&1 == 1 || mix&(1<<len(builds)-1) == 0 && i == 0 {
+				chosen = append(chosen, b)
+			}
+		}
+		count := max(len(chosen), int(mix>>12)+1)
 		pass := func() []*Result {
 			var sims []*Simulator
-			for i, b := range builds {
-				if mix>>i&1 == 1 || mix == 0 && i == 0 {
-					sims = append(sims, b.build())
-				}
+			for i := range count {
+				sims = append(sims, chosen[i%len(chosen)].build())
 			}
 			res, err := RunMany(context.Background(), trace.NewSliceReader(refs), sims)
 			if err != nil {
@@ -312,18 +397,18 @@ func FuzzStagedAgreesWithFused(f *testing.F) {
 		}
 		schedules[0].use(t)
 		want := pass()
-		schedule{"fuzzed", func(i int) int64 { return spare(helpers>>(i%32)&1 == 1) }}.use(t)
-		placement{"fuzzed", func(n int, _ bool, ready *[stages]bool) int {
+		schedule{name: "fuzzed", limit: func(i int) int64 { return spare(helpers>>(i%32)&1 == 1) }}.use(t)
+		placement{name: "fuzzed", pick: func(n int, _ bool, _ int, ready []bool, _ []int) int {
 			var at []int
-			for s := range stages {
-				if ready[s] {
-					at = append(at, s)
+			for l, ok := range ready {
+				if ok {
+					at = append(at, l)
 				}
 			}
 			if len(at) == 0 {
 				return -1
 			}
-			return at[int(picks>>(2*(n%32))&3)%len(at)]
+			return at[int(picks>>(4*(n%16))&15)%len(at)]
 		}}.use(t)
 		if got := pass(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("staged Results differ from the fused loop's")
@@ -433,22 +518,32 @@ func (r *tapeReader) Read(batch []trace.Ref) (int, error) {
 
 // A pass that is canceled, or whose reader fails, mid-stream returns the
 // error, and by then its helper has exited and the process-wide count
-// is back to zero.
+// is back to zero: a chain of stages (Run, Warm) and lane passes of two
+// and sixteen simulators.
 func TestPipelineStopsOnError(t *testing.T) {
 	schedules[1].use(t)
 	build := func() *Simulator {
 		return NewSimulator(policy.NewTwoSize(policy.DefaultTwoSizeConfig(2000)),
 			[]tlb.TLB{tlb.NewFullyAssoc(16)}, WithPageTable())
 	}
+	many := func(n int) func(ctx context.Context, r trace.Reader) error {
+		return func(ctx context.Context, r trace.Reader) error {
+			sims := make([]*Simulator, n)
+			for i := range sims {
+				sims[i] = build()
+			}
+			_, err := RunMany(ctx, r, sims)
+			return err
+		}
+	}
 	base := runtime.NumGoroutine()
 	for _, tc := range []struct {
 		name string
 		pass func(ctx context.Context, r trace.Reader) error
 	}{
-		{"RunMany", func(ctx context.Context, r trace.Reader) error {
-			_, err := RunMany(ctx, r, []*Simulator{build(), build()})
-			return err
-		}},
+		{"Run", many(1)},
+		{"RunMany", many(2)},
+		{"RunMany of sixteen", many(16)},
 		{"Warm", func(ctx context.Context, r trace.Reader) error { return build().Warm(ctx, r) }},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -467,23 +562,32 @@ func TestPipelineStopsOnError(t *testing.T) {
 }
 
 // A staged pass canceled while its helper is reading stops at its next
-// read, returns the context's error, and leaves no helper behind.
+// read, returns the context's error, and leaves no helper behind: a
+// chain of stages, and a lane pass of three simulators.
 func TestCancelWhileHelperReads(t *testing.T) {
 	schedules[1].use(t)
 	helperReads.use(t)
 	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	r := &cancelingReader{Reader: workload.MustNew("li", 100_000), cancel: cancel}
-	sim := NewSimulator(policy.NewTwoSize(policy.DefaultTwoSizeConfig(2000)),
-		[]tlb.TLB{tlb.NewFullyAssoc(16)}, WithPageTable(), WithWSS())
-	if _, err := sim.Run(ctx, r); !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
+	build := func() *Simulator {
+		return NewSimulator(policy.NewTwoSize(policy.DefaultTwoSizeConfig(2000)),
+			[]tlb.TLB{tlb.NewFullyAssoc(16)}, WithPageTable(), WithWSS())
 	}
-	if r.reads != 3 {
-		t.Errorf("%d reads, want 3: the pass reads nothing once canceled", r.reads)
+	for _, n := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		r := &cancelingReader{Reader: workload.MustNew("li", 100_000), cancel: cancel}
+		sims := make([]*Simulator, n)
+		for i := range sims {
+			sims[i] = build()
+		}
+		if _, err := RunMany(ctx, r, sims); !errors.Is(err, context.Canceled) {
+			t.Errorf("%d simulators: err = %v, want context.Canceled", n, err)
+		}
+		cancel()
+		if r.reads != 3 {
+			t.Errorf("%d simulators: %d reads, want 3: the pass reads nothing once canceled", n, r.reads)
+		}
+		settled(t, base)
 	}
-	settled(t, base)
 }
 
 // At GOMAXPROCS 1 a pass never takes a helper; at 2 a lone pass does.

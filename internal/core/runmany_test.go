@@ -245,6 +245,74 @@ func TestSimulatorIsSingleUse(t *testing.T) {
 	}
 }
 
+// missTLB is a TLB that holds nothing and misses every access. It is no
+// pointer, and its type cannot be compared with ==.
+type missTLB struct{ names []string }
+
+func (missTLB) Access(addr.VA, policy.Page) bool { return false }
+func (missTLB) Invalidate(policy.Page) int       { return 0 }
+func (missTLB) Flush()                           {}
+func (missTLB) Stats() tlb.Stats                 { return tlb.Stats{} }
+func (missTLB) Entries() int                     { return 0 }
+func (missTLB) Name() string                     { return "miss" }
+
+// Simulators that would share state fail before they read a reference:
+// a simulator that lists one TLB twice (through Err and Run), and two
+// simulators of a RunMany on one TLB or one policy. The shared TLB or
+// policy counts nothing. A TLB that is no pointer shares nothing, listed
+// twice or not, and is compared without a panic.
+func TestSharedStateIsAConfigError(t *testing.T) {
+	ctx := context.Background()
+	single := func() policy.Assigner { return policy.NewSingle(addr.Size4K) }
+	fa := tlb.NewFullyAssoc(16)
+	twice := NewSimulator(single(), []tlb.TLB{fa, tlb.NewFullyAssoc(64), fa})
+	if err := twice.Err(); err == nil || !strings.Contains(err.Error(), "TLB 2 (16-entry fully associative) is listed twice") {
+		t.Fatalf("Err = %v, want the TLB listed twice", err)
+	}
+	one := tlb.NewFullyAssoc(16)
+	two := policy.NewTwoSize(policy.DefaultTwoSizeConfig(2000))
+	for _, tc := range []struct {
+		name, want string
+		call       func(r trace.Reader) error
+	}{
+		{"a TLB listed twice", "is listed twice", func(r trace.Reader) error {
+			_, err := twice.Run(ctx, r)
+			return err
+		}},
+		{"two simulators on one TLB", `simulators 0 and 2 share TLB "16-entry fully associative"`, func(r trace.Reader) error {
+			_, err := RunMany(ctx, r, []*Simulator{NewSimulator(single(), []tlb.TLB{one}),
+				NewSimulator(single(), []tlb.TLB{tlb.NewFullyAssoc(16)}), NewSimulator(single(), []tlb.TLB{one})})
+			return err
+		}},
+		{"two simulators on one policy", `simulators 0 and 1 share policy "4KB/32KB"`, func(r trace.Reader) error {
+			_, err := RunMany(ctx, r, []*Simulator{NewSimulator(two, []tlb.TLB{tlb.NewFullyAssoc(16)}),
+				NewSimulator(two, []tlb.TLB{tlb.NewFullyAssoc(16)})})
+			return err
+		}},
+	} {
+		r := &countingReader{Reader: workload.MustNew("li", 20_000)}
+		if err := tc.call(r); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if r.reads != 0 {
+			t.Errorf("%s: read %d batches before failing", tc.name, r.reads)
+		}
+	}
+	if fa.Stats().Accesses != 0 || one.Stats().Accesses != 0 || two.Stats().Refs != 0 {
+		t.Errorf("the shared TLBs counted %d and %d accesses and the policy %d references, want none",
+			fa.Stats().Accesses, one.Stats().Accesses, two.Stats().Refs)
+	}
+	miss := missTLB{names: []string{"miss"}}
+	res, err := RunMany(ctx, workload.MustNew("li", 20_000), []*Simulator{
+		NewSimulator(single(), []tlb.TLB{miss, miss}), NewSimulator(single(), []tlb.TLB{miss})})
+	if err != nil {
+		t.Fatalf("a TLB that is no pointer, listed twice and in two simulators: %v", err)
+	}
+	if res[0].Refs != 20_000 || len(res[0].TLBs) != 2 || len(res[1].TLBs) != 1 {
+		t.Fatalf("Refs %d, TLBs %d and %d, want 20000, 2 and 1", res[0].Refs, len(res[0].TLBs), len(res[1].TLBs))
+	}
+}
+
 // BenchmarkRunMany drives the eight threshold-experiment passes (the
 // two-size scheme at thresholds 1–8 with its working set, one 16-entry
 // fully associative TLB each) over one li stream, as one RunMany

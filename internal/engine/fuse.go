@@ -19,19 +19,22 @@ import (
 // simulator over all their TLBs and each takes its TLB's part of the
 // Result (core.Result.Split); every other policy, every walk-model or
 // TLB-less unit and every ride gets a simulator of its own in the same
-// read. A group holds at most maxSims simulators; members past that
-// stay pending for a later group of their stream. Each member still
-// resolves its own future, records its own counters and emits its own
-// event, with the Result it would have had alone, so neither the memo
-// cache nor the run report can tell how members were grouped. A
-// claimed member waits for its group outside the pool.
+// read. Each simulator is a lane of the group's pass: while the process
+// has a spare CPU, core runs each lane whole, batch by batch, on the
+// pass's goroutine or its helper, and otherwise one after another on
+// the pass's goroutine. A group holds at most maxSims simulators;
+// members past that stay pending for a later group of their stream.
+// Each member still resolves its own future, records its own counters
+// and emits its own event, with the Result it would have had alone, so
+// neither the memo cache nor the run report can tell how members were
+// grouped. A claimed member waits for its group outside the pool.
 
-// maxSims bounds the simulators of one group. They all run one after
-// another in one pool slot, so the bound leaves the rest of a stream
-// with many members to other slots; it also caps the simulators alive
-// at once in a slot, each holding state that grows with the stream's
-// footprint. An experiment's own groups stay whole under it: the
-// largest in the suite needs nine simulators (ladder3).
+// maxSims bounds the simulators of one group. They all run in one pool
+// slot, on at most two goroutines, so the bound leaves the rest of a
+// stream with many members to other slots; it also caps the simulators
+// alive at once in a slot, each holding state that grows with the
+// stream's footprint. An experiment's own groups stay whole under it:
+// the largest in the suite needs nine simulators (ladder3).
 const maxSims = 16
 
 // ticket is a group member's entry in the engine's pending set: a unit,
