@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"twopage/internal/experiments"
@@ -36,6 +37,43 @@ func renderGolden(t *testing.T, id string) []byte {
 		t.Fatalf("%s: %v", id, err)
 	}
 	return []byte(maskTimings.ReplaceAllString(sb.String(), "T"))
+}
+
+// TestTimingMaskHidesOnlyDesignspaceTime checks that the timing mask
+// TestGolden applies hides designspace's sweep/direct time cells and
+// nothing else: every other cell of every table at the golden
+// configuration is compared byte for byte.
+func TestTimingMaskHidesOnlyDesignspaceTime(t *testing.T) {
+	r := experiments.NewRunner(
+		experiments.WithScale(0.01),
+		experiments.WithWorkloads("li", "worm"),
+	)
+	for _, o := range r.RunAll(context.Background()) {
+		if o.Err != nil {
+			t.Fatalf("%s: %v", o.ID, o.Err)
+		}
+		var sb bytes.Buffer
+		if err := r.Options().Render(o.Table, &sb); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(sb.String(), "\n")
+		col, masked := -1, 0
+		if o.ID == "designspace" {
+			col = strings.Index(lines[1], "sweep/direct time")
+		}
+		for n, line := range lines {
+			for _, m := range maskTimings.FindAllStringIndex(line, -1) {
+				if m[0] != col {
+					t.Errorf("%s line %d: the timing mask hides %q", o.ID, n+1, line[m[0]:m[1]])
+					continue
+				}
+				masked++
+			}
+		}
+		if o.ID == "designspace" && masked != 2 {
+			t.Errorf("designspace: the timing mask hides %d time cells, want one per workload", masked)
+		}
+	}
 }
 
 // TestGolden pins the rendered output of every registered experiment,

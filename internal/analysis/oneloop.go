@@ -29,7 +29,6 @@ func DefaultOneLoopConfig() OneLoopConfig {
 			"(*twopage/internal/wss.Static).Step",
 			"(*twopage/internal/wss.Sampled).Step",
 			"(*twopage/internal/wss.TwoSize).Observe",
-			"(*twopage/internal/wss.TwoSize).ObserveWarm",
 		},
 	}
 }

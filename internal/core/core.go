@@ -333,17 +333,18 @@ func (s *Simulator) Err() error { return s.err }
 // Warm replays a reference stream to build simulator state — TLB
 // contents, policy window and mapped regions, page-table shadow, the
 // two-page WSS calculator's incremental split — without contributing to
-// the metrics Run will report. At the end of the stream every counter
-// is snapshotted; Run subtracts the snapshot, so the reported counts
-// cover exactly the post-warm-up references (integer subtraction,
-// exact). Shard workers call Warm with a Preroll reader before running
-// their section; the warm-up stream must immediately precede Run's.
+// the metrics Run will report. It runs the stream through the same
+// loops as Run. At the end of the stream every counter is snapshotted
+// and the two-page WSS calculator restarts its average; Run subtracts
+// the snapshot, so the reported counts and the average cover exactly
+// the post-warm-up references (integer subtraction, exact). Shard
+// workers call Warm with a Preroll reader before running their section;
+// the warm-up stream must immediately precede Run's.
 //
 // Warm may be called once, before Run; a second Warm, or a Warm after
-// Run, is an error. The working-set averages are untouched by design:
-// WSS samples start at the first Run reference. A simulator with a
-// memory stage, a sampled working set or static working sets cannot
-// warm up (see WithMemory, WithSampledWSS and WithStaticWSS).
+// Run, is an error. A simulator with a memory stage, a sampled working
+// set or static working sets cannot warm up (see WithMemory,
+// WithSampledWSS and WithStaticWSS).
 func (s *Simulator) Warm(ctx context.Context, r trace.Reader) error {
 	if s.mem != nil {
 		s.fail(fmt.Errorf("core: Warm is not supported with WithMemory"))
@@ -362,8 +363,11 @@ func (s *Simulator) Warm(ctx context.Context, r trace.Reader) error {
 	case s.warm != nil:
 		return fmt.Errorf("core: Warm called twice")
 	}
-	if _, _, err := drive(ctx, r, []*Simulator{s}, true); err != nil {
+	if _, _, err := drive(ctx, r, []*Simulator{s}); err != nil {
 		return fmt.Errorf("core: warm-up failed: %w", err)
+	}
+	if s.wssCalc != nil {
+		s.wssCalc.Restart()
 	}
 	s.warm = s.counts()
 	return nil
@@ -412,7 +416,7 @@ func RunMany(ctx context.Context, r trace.Reader, sims []*Simulator) ([]*Result,
 	for _, s := range sims {
 		s.ran = true
 	}
-	refs, instrs, err := drive(ctx, r, sims, false)
+	refs, instrs, err := drive(ctx, r, sims)
 	if err != nil {
 		return nil, fmt.Errorf("core: simulation failed: %w", err)
 	}
@@ -511,9 +515,9 @@ func (s *Simulator) result(refs, instrs uint64, decode obs.Counters) *Result {
 // while their pass holds no helper (pipeline.go): for each reference of
 // the batch the policy assigns a page, then the TLBs (or the page-table
 // shadow, which drives them and the walk model, or the memory stage)
-// look it up, then the WSS calculator observes the assignment — without
-// sampling during warm-up — or the sampled calculator steps. The static
-// working sets step after the batch.
+// look it up, then the WSS calculator observes the assignment or the
+// sampled calculator steps. The static working sets step after the
+// batch.
 //
 // A pass of one simulator holding a helper runs the same work in three
 // stages, assign, probe and resolve, which the pass's goroutine and its
@@ -524,7 +528,7 @@ func (s *Simulator) result(refs, instrs uint64, decode obs.Counters) *Result {
 // requires the same Results of both.
 //
 //paperlint:hot
-func (s *Simulator) step(batch []trace.Ref, warm bool) {
+func (s *Simulator) step(batch []trace.Ref) {
 	for _, ref := range batch {
 		res := s.pol.Assign(ref.Addr)
 		if res.Event != policy.EventNone {
@@ -540,11 +544,7 @@ func (s *Simulator) step(batch []trace.Ref, warm bool) {
 			}
 		}
 		if s.wssCalc != nil {
-			if warm {
-				s.wssCalc.ObserveWarm(res)
-			} else {
-				s.wssCalc.Observe(res)
-			}
+			s.wssCalc.Observe(res)
 		}
 		if s.sampled != nil {
 			s.sampled.Step(ref.Addr)
@@ -561,7 +561,7 @@ func (s *Simulator) step(batch []trace.Ref, warm bool) {
 // steps. It returns moves.
 //
 //paperlint:hot
-func (s *Simulator) assign(batch []trace.Ref, code []byte, moves []policy.Result, warm bool) []policy.Result {
+func (s *Simulator) assign(batch []trace.Ref, code []byte, moves []policy.Result) []policy.Result {
 	code = code[:len(batch)]
 	for i, ref := range batch {
 		res := s.pol.Assign(ref.Addr)
@@ -572,11 +572,7 @@ func (s *Simulator) assign(batch []trace.Ref, code []byte, moves []policy.Result
 		}
 		code[i] = c
 		if s.wssCalc != nil {
-			if warm {
-				s.wssCalc.ObserveWarm(res)
-			} else {
-				s.wssCalc.Observe(res)
-			}
+			s.wssCalc.Observe(res)
 		}
 		if s.sampled != nil {
 			s.sampled.Step(ref.Addr)

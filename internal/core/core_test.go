@@ -378,6 +378,51 @@ func TestWithWSSProducesResult(t *testing.T) {
 	}
 }
 
+// A warm-up is an ordinary pass that ends by restarting the working
+// set's average: a WithWSS simulator warmed up over the first part of a
+// stream that promotes and demotes, then run over the rest, reports the
+// Result.WSS of a policy and calculator driven by hand over the whole
+// stream and restarted at the cut, fused, staged, and with the helper
+// taken or given back mid-pass.
+func TestWarmRestartsTheWorkingSet(t *testing.T) {
+	ctx := context.Background()
+	refs := boundaryStream(t, 4*batchRefs+1)
+	two := func() *policy.TwoSize { return policy.NewTwoSize(policy.DefaultTwoSizeConfig(2000)) }
+	// Two promotions before the first cut and two demotions after it;
+	// the second cut falls between the demotions.
+	for _, cut := range []int{2*batchRefs + 1, 3 * batchRefs} {
+		pol := two()
+		calc := wss.NewTwoSize(pol)
+		for i, ref := range refs {
+			if i == cut {
+				calc.Restart()
+			}
+			calc.Observe(pol.Assign(ref.Addr))
+		}
+		want := calc.Result()
+		if st := pol.Stats(); st.Promotions < 2 || st.Demotions < 2 {
+			t.Fatalf("the stream carries %d promotions and %d demotions, want 2 of each", st.Promotions, st.Demotions)
+		}
+		for _, d := range schedules {
+			t.Run(d.name, func(t *testing.T) {
+				restart := d.use(t)
+				s := NewSimulator(two(), []tlb.TLB{tlb.NewFullyAssoc(16)}, WithWSS())
+				if err := s.Warm(ctx, trace.NewSliceReader(refs[:cut])); err != nil {
+					t.Fatal(err)
+				}
+				restart()
+				res, err := s.Run(ctx, trace.NewSliceReader(refs[cut:]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *res.WSS != want {
+					t.Errorf("cut at %d: WSS %+v, want %+v", cut, *res.WSS, want)
+				}
+			})
+		}
+	}
+}
+
 // WithStaticWSS reports what wss.Static stepped over the same
 // addresses reports and the stream's distinct 4KB blocks, whatever else
 // the simulator drives, and it changes none of the other counters.

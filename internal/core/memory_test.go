@@ -44,7 +44,7 @@ func access(t *testing.T, s *Simulator, vas ...addr.VA) float64 {
 	for i, va := range vas {
 		refs[i] = trace.Ref{Addr: va, Kind: trace.Load}
 	}
-	s.step(refs, false)
+	s.step(refs)
 	return s.mem.stats.Cycles - before
 }
 

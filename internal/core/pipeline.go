@@ -118,7 +118,6 @@ type slot struct {
 type pass struct {
 	r     trace.Reader
 	sims  []*Simulator
-	warm  bool
 	chain bool        // a staged run chains one simulator's stages; else each simulator has a lane
 	buf   []trace.Ref // the fused loop's batch, and the ring's first slot
 
@@ -144,15 +143,15 @@ type pass struct {
 }
 
 // drive reads r to its end and runs every reference through every
-// simulator, warming them up if warm. It returns how many references it
-// read and how many were instruction fetches. Before it returns, error
-// or not, its helper has exited.
-func drive(ctx context.Context, r trace.Reader, sims []*Simulator, warm bool) (refs, instrs uint64, err error) {
+// simulator. It returns how many references it read and how many were
+// instruction fetches. Before it returns, error or not, its helper has
+// exited.
+func drive(ctx context.Context, r trace.Reader, sims []*Simulator) (refs, instrs uint64, err error) {
 	if ctx.Value(occupied{}) == nil {
 		busy.Add(1)
 		defer busy.Add(-1)
 	}
-	p := &pass{r: r, sims: sims, warm: warm, chain: len(sims) == 1, buf: make([]trace.Ref, batchRefs)}
+	p := &pass{r: r, sims: sims, chain: len(sims) == 1, buf: make([]trace.Ref, batchRefs)}
 	p.wake.L = &p.mu
 	for held := p.decide(ctx); p.err == nil && !p.eof; held = p.decide(ctx) {
 		if held {
@@ -166,7 +165,7 @@ func drive(ctx context.Context, r trace.Reader, sims []*Simulator, warm bool) (r
 		batch := p.buf[:n]
 		p.count(batch, err)
 		for _, s := range sims {
-			s.step(batch, warm)
+			s.step(batch)
 		}
 	}
 	if p.helper {
@@ -346,13 +345,13 @@ func (p *pass) run(ctx context.Context, l int, sl *slot) bool {
 	}
 	batch := sl.refs[:sl.n]
 	if !p.chain {
-		p.sims[l-laneSim].step(batch, p.warm)
+		p.sims[l-laneSim].step(batch)
 		return true
 	}
 	s := p.sims[0]
 	switch l {
 	case laneAssign:
-		sl.moves = s.assign(batch, sl.code, sl.moves[:0], p.warm)
+		sl.moves = s.assign(batch, sl.code, sl.moves[:0])
 	case laneProbe:
 		s.probe(batch, sl.code, sl.moves)
 	case laneResolve:

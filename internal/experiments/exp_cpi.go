@@ -237,7 +237,7 @@ func Indexing(ctx context.Context, o *Options) (*tableio.Table, error) {
 			twoWayCfg(32, tlb.IndexSmall), twoWayCfg(32, tlb.IndexLarge))
 	}
 	tbl := tableio.New("Section 5.2.1: 4KB-only software on large-page-indexed hardware (CPI_TLB)",
-		"Program", "16e small-ix", "16e large-ix", "degrade", "32e small-ix", "32e large-ix", "degrade")
+		"Program", "16e small-ix", "16e large-ix", "degrade (x)", "32e small-ix", "32e large-ix", "degrade (x)")
 	for i, s := range specs {
 		res, err := futs[i].Wait(ctx)
 		if err != nil {
@@ -247,9 +247,9 @@ func Indexing(ctx context.Context, o *Options) (*tableio.Table, error) {
 		d32 := metrics.Ratio(res.TLBs[3].CPITLB, res.TLBs[2].CPITLB)
 		tbl.Row(s.Name,
 			tableio.F(res.TLBs[0].CPITLB, 3), tableio.F(res.TLBs[1].CPITLB, 3),
-			tableio.F(d16, 1)+"x",
+			tableio.F(d16, 1),
 			tableio.F(res.TLBs[2].CPITLB, 3), tableio.F(res.TLBs[3].CPITLB, 3),
-			tableio.F(d32, 1)+"x")
+			tableio.F(d32, 1))
 	}
 	tbl.Note("Paper: without OS support, two-page hardware can do worse than plain 4KB hardware (Table 5.1 cols 1-2).")
 	return tbl, nil

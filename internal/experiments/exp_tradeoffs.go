@@ -165,7 +165,7 @@ func Protect(ctx context.Context, o *Options) (*tableio.Table, error) {
 			})
 	}
 	tbl := tableio.New("Extension: sub-page write protection (faults per 1000 stores)",
-		"Program", "Scheme", "true", "spurious", "spurious ratio")
+		"Program", "Scheme", "true", "spurious", "spurious ratio (x)")
 	for i, s := range specs {
 		stats, err := schemes[i].Wait(ctx)
 		if err != nil {
@@ -181,7 +181,7 @@ func Protect(ctx context.Context, o *Options) (*tableio.Table, error) {
 			tbl.Row(s.Name, name,
 				tableio.F(float64(st.trueF)/per, 2),
 				tableio.F(float64(st.spurious)/per, 2),
-				tableio.F(ratio, 1)+"x")
+				tableio.F(ratio, 1))
 		}
 	}
 	tbl.Note("Every 16th touched 4KB block is write-protected. The veto policy keeps protected chunks on small pages.")

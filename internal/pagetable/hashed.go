@@ -56,8 +56,7 @@ type HashedStats struct {
 	ChainSteps uint64 // chain links traversed
 }
 
-// HashWalk reports the cost of one hashed lookup, priced via the
-// instruction-level HashedHandler model.
+// HashWalk reports the cost of one hashed lookup.
 type HashWalk struct {
 	Found      bool
 	Large      bool
@@ -126,7 +125,8 @@ func (h *HashedTable) probe(p policy.Page) (addr.PN, int, bool) {
 
 // Lookup resolves va without knowing its page size, probing the sizes
 // in the configured order. The returned walk carries the full handler
-// cost under the instruction-level model.
+// cost: hashedFixedCycles, plus hashedProbeCycles per probe and
+// hashedChainCycles per chain link.
 func (h *HashedTable) Lookup(va addr.VA) (PTE, HashWalk) {
 	h.stats.Lookups++
 	sizes := [2]uint{h.small, h.large}
@@ -152,7 +152,7 @@ func (h *HashedTable) Lookup(va addr.VA) (PTE, HashWalk) {
 }
 
 func (h *HashedTable) finish(w *HashWalk) {
-	w.Cycles = Cycles(HashedHandler(w.Probes, w.ChainSteps))
+	w.Cycles = hashedFixedCycles + hashedProbeCycles*float64(w.Probes) + hashedChainCycles*float64(w.ChainSteps)
 	h.stats.Probes += uint64(w.Probes)
 	h.stats.ChainSteps += uint64(w.ChainSteps)
 }

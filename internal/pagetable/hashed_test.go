@@ -1,7 +1,6 @@
 package pagetable
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -9,85 +8,46 @@ import (
 	"twopage/internal/policy"
 )
 
-// The instruction-level handler models must reproduce the scalar
-// penalty constants the simulators (and the paper) use.
-func TestHandlerSequencesMatchModel(t *testing.T) {
-	if got := Cycles(SingleSizeHandler()); got != SingleSizeHandlerCycles() {
-		t.Fatalf("single-size handler = %v cycles, want %v", got, SingleSizeHandlerCycles())
+// TestHashedLookupCycles pins the hashed handler's price: 10 fixed
+// cycles, 6 per probe and 5 per chain link, on hits at either size and
+// on misses, under both probe orders. One bucket makes every chain the
+// whole table, in insertion order: small blocks 0 and 1, the large
+// chunk 5, small block 100.
+func TestHashedLookupCycles(t *testing.T) {
+	small := func(b addr.PN) policy.Page { return policy.Page{Number: b, Shift: addr.BlockShift} }
+	cases := []struct {
+		name          string
+		order         ProbeOrder
+		va            addr.VA
+		found         bool
+		probes, links int
+		cycles        float64
+	}{
+		{"small hit", SmallFirst, small(1).Base(), true, 1, 2, 26},
+		{"small hit", LargeFirst, small(1).Base(), true, 2, 6, 52},
+		{"large hit", SmallFirst, 5<<addr.ChunkShift + 0x1234, true, 2, 7, 57},
+		{"large hit", LargeFirst, 5<<addr.ChunkShift + 0x1234, true, 1, 3, 31},
+		{"miss", SmallFirst, 20 << addr.ChunkShift, false, 2, 8, 62},
+		{"miss", LargeFirst, 20 << addr.ChunkShift, false, 2, 8, 62},
 	}
-	if got := Cycles(TwoSizeHandler()); got != TwoSizeHandlerCycles() {
-		t.Fatalf("two-size handler = %v cycles, want %v", got, TwoSizeHandlerCycles())
-	}
-	ratio := Cycles(TwoSizeHandler()) / Cycles(SingleSizeHandler())
-	if ratio != 1.25 {
-		t.Fatalf("two-size/single-size = %v, paper says 1.25", ratio)
-	}
-}
-
-func TestHandlerSequencesAreAnnotated(t *testing.T) {
-	for _, seq := range [][]Instr{SingleSizeHandler(), TwoSizeHandler(), HashedHandler(2, 3)} {
-		if len(seq) == 0 {
-			t.Fatal("empty handler")
+	for _, tc := range cases {
+		h, err := NewHashed(1, tc.order)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if seq[0].Op != OpTrapEntry {
-			t.Error("handlers must start with trap entry")
+		h.Insert(small(0), 1)
+		h.Insert(small(1), 2)
+		h.Insert(policy.Page{Number: 5, Shift: addr.ChunkShift}, 3)
+		h.Insert(small(100), 4)
+		_, w := h.Lookup(tc.va)
+		if w.Found != tc.found || w.Probes != tc.probes || w.ChainSteps != tc.links {
+			t.Errorf("%s, %v: walk %+v, want found=%v after %d probes and %d links",
+				tc.name, tc.order, w, tc.found, tc.probes, tc.links)
 		}
-		if seq[len(seq)-1].Op != OpTrapRet {
-			t.Error("handlers must end with trap return")
+		if want := 10 + 6*float64(w.Probes) + 5*float64(w.ChainSteps); w.Cycles != want || w.Cycles != tc.cycles {
+			t.Errorf("%s, %v: %v cycles, want 10 + 6·%d + 5·%d = %v (table: %v)",
+				tc.name, tc.order, w.Cycles, w.Probes, w.ChainSteps, want, tc.cycles)
 		}
-		for _, in := range seq {
-			if strings.TrimSpace(in.What) == "" {
-				t.Errorf("unannotated instruction %v", in.Op)
-			}
-		}
-	}
-}
-
-func TestOpString(t *testing.T) {
-	names := map[Op]string{
-		OpTrapEntry: "trap-entry", OpTrapRet: "trap-return", OpALU: "alu",
-		OpLoad: "load", OpStore: "store", OpBranch: "branch", OpTLBWrite: "tlb-write",
-	}
-	for op, want := range names {
-		if op.String() != want {
-			t.Errorf("%d.String() = %q, want %q", op, op.String(), want)
-		}
-	}
-	if Op(99).String() != "Op(99)" {
-		t.Error("unknown op string")
-	}
-}
-
-// TestOpCostExhaustive pins the dense cost table against the Op const
-// block: every declared Op must have a nonzero cycle cost and a real
-// String() case (not the fallback spelling), and an undeclared Op must
-// panic instead of silently costing 0.0 the way the old map did.
-func TestOpCostExhaustive(t *testing.T) {
-	for op := Op(0); int(op) < numOps; op++ {
-		if c := op.cycles(); c <= 0 {
-			t.Errorf("%v costs %v cycles, want > 0", op, c)
-		}
-		if s := op.String(); strings.HasPrefix(s, "Op(") {
-			t.Errorf("Op(%d) has no String() case (got %q)", uint8(op), s)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("costing an undeclared Op did not panic")
-		}
-	}()
-	Cycles([]Instr{{Op(numOps), "bogus"}})
-}
-
-func TestHashedHandlerCostsGrowWithWork(t *testing.T) {
-	oneProbe := Cycles(HashedHandler(1, 1))
-	twoProbes := Cycles(HashedHandler(2, 1))
-	longChain := Cycles(HashedHandler(1, 4))
-	if twoProbes <= oneProbe {
-		t.Fatal("second probe must cost more")
-	}
-	if longChain <= oneProbe {
-		t.Fatal("chain steps must cost more")
 	}
 }
 

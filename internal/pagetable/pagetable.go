@@ -37,6 +37,24 @@ const (
 	SizeProbeCycles = 5.0
 )
 
+// Cycle costs of the Section 2.3 alternatives' handlers. A hashed walk
+// costs hashedFixedCycles, plus hashedProbeCycles for each page size it
+// tries and hashedChainCycles for each chain link it loads.
+const (
+	// hashedFixedCycles covers trap entry and return (7), merging the
+	// size into the TLB tag (1) and the TLB write (2).
+	hashedFixedCycles = 10.0
+	// hashedProbeCycles forms and hashes the page number at one
+	// candidate size (1 + 1) and loads the bucket head (4).
+	hashedProbeCycles = 6.0
+	// hashedChainCycles loads one chain link (4) and tests its tag (1).
+	hashedChainCycles = 5.0
+	// STLBProbeCycles is the cost of one software-cache probe: form the
+	// index (1 + 1), load the entry (4) and compare the tag (1). The trap
+	// is not included; the caller charges it once.
+	STLBProbeCycles = 7.0
+)
+
 // SingleSizeHandlerCycles returns the modelled cost of a one-page-size
 // software miss handler: trap + two-level walk + insert = 20 cycles,
 // matching the paper's assumed penalty.

@@ -36,11 +36,6 @@ type STLBStats struct {
 	Invalidations   uint64
 }
 
-// STLBProbeCycles is the cost of one software-cache probe: form the
-// index, load the entry, compare the tag (ALU+ALU+Load+Branch under the
-// handler cost model, minus trap overhead which the caller charges once).
-const STLBProbeCycles = 7.0
-
 // NewSTLB returns a direct-mapped software translation cache with the
 // given number of slots (a power of two).
 func NewSTLB(slots int) (*STLB, error) {

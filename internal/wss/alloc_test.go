@@ -47,27 +47,6 @@ func TestShardStepAllocs(t *testing.T) {
 	}
 }
 
-// TestObserveWarmAllocs pins the warm-up observer at zero allocations
-// per reference: every sharded run replays up to a full policy window
-// through it before measuring, so it is as hot as Observe itself.
-func TestObserveWarmAllocs(t *testing.T) {
-	pol := policy.NewTwoSize(policy.DefaultTwoSizeConfig(1 << 12))
-	ts := NewTwoSize(pol)
-	stream := kernelref.VAStream(1 << 15)
-	for _, va := range stream {
-		ts.ObserveWarm(pol.Assign(va))
-	}
-	i := 0
-	avg := testing.AllocsPerRun(5000, func() {
-		va := stream[i&(1<<15-1)]
-		ts.ObserveWarm(pol.Assign(va))
-		i++
-	})
-	if avg != 0 {
-		t.Errorf("Assign+ObserveWarm allocates %.2f times per reference, want 0", avg)
-	}
-}
-
 // TestObserveAllocs pins the two-size working-set observer — policy
 // assign, window hooks, incremental size accumulation — at zero
 // steady-state allocations per reference.

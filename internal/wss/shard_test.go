@@ -163,11 +163,11 @@ func FuzzMergeStatic(f *testing.F) {
 	})
 }
 
-// ObserveWarm must leave the incremental large/small split in exactly
-// the state Observe would, while accumulating nothing: a warm-up phase
-// followed by measured steps yields the same instantaneous sizes as a
-// fully measured run, with only the measured steps in the average.
-func TestObserveWarmTracksStateWithoutAccumulating(t *testing.T) {
+// Restart must keep the incremental large/small split and drop only
+// the average: a warm-up observed like any other stream and then
+// restarted yields the same instantaneous sizes as a run without the
+// restart, and an average summed from zero over the steps after it.
+func TestRestartKeepsStateAndDropsAverage(t *testing.T) {
 	vas := genVAs(20_000, 99)
 	const warm = 7_000
 
@@ -176,22 +176,24 @@ func TestObserveWarmTracksStateWithoutAccumulating(t *testing.T) {
 		calc := NewTwoSize(pol)
 		var sizes []uint64
 		for i, va := range vas {
-			res := pol.Assign(va)
-			if i < warmRefs {
-				calc.ObserveWarm(res)
-			} else {
-				calc.Observe(res)
+			if i == warmRefs {
+				calc.Restart()
 			}
+			calc.Observe(pol.Assign(va))
 			sizes = append(sizes, calc.Current())
 		}
 		return calc, sizes
 	}
-	full, fullSizes := run(0)
+	full, fullSizes := run(-1)
 	warmed, warmSizes := run(warm)
+	acc := 0.0
 	for i := range fullSizes {
 		if fullSizes[i] != warmSizes[i] {
-			t.Fatalf("step %d: instantaneous size %d with warm-up, %d without",
+			t.Fatalf("step %d: instantaneous size %d with a restart, %d without",
 				i, warmSizes[i], fullSizes[i])
+		}
+		if i >= warm {
+			acc += float64(warmSizes[i])
 		}
 	}
 	if warmed.Steps() != full.Steps()-warm {
@@ -199,5 +201,9 @@ func TestObserveWarmTracksStateWithoutAccumulating(t *testing.T) {
 	}
 	if full.Steps() != uint64(len(vas)) {
 		t.Fatalf("full steps = %d, want %d", full.Steps(), len(vas))
+	}
+	want := Result{Scheme: "4KB/32KB", AvgBytes: acc / float64(len(vas)-warm), Samples: uint64(len(vas) - warm)}
+	if got := warmed.Result(); got != want {
+		t.Fatalf("result after the restart = %+v, want %+v", got, want)
 	}
 }

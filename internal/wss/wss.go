@@ -267,26 +267,11 @@ func (ts *TwoSize) Observe(res policy.Result) {
 	ts.steps++
 }
 
-// ObserveWarm records the outcome of one warm-up Assign call: it keeps
-// the incremental large/small split consistent with the policy's state
-// without accumulating the instantaneous size into the average — the
-// warm-up preroll exists to build state, not to be measured. Per-
-// reference warm-up hot path; allocation-free like Observe.
-//
-//paperlint:hot
-func (ts *TwoSize) ObserveWarm(res policy.Result) {
-	w := ts.win
-	switch res.Event {
-	case policy.EventPromote:
-		n := w.ChunkActive(res.Chunk)
-		ts.blocksInLarge += n
-		ts.largeActive++
-	case policy.EventDemote:
-		n := w.ChunkActive(res.Chunk)
-		ts.blocksInLarge -= n
-		ts.largeActive--
-	}
-}
+// Restart drops the average taken so far and keeps the incremental
+// large/small split, so the average covers only the references
+// observed after it. A warm-up observes its preroll like any other
+// stream, then restarts: the preroll builds state and is not measured.
+func (ts *TwoSize) Restart() { ts.acc, ts.steps = 0, 0 }
 
 // Current returns the instantaneous working-set size in bytes.
 func (ts *TwoSize) Current() uint64 {
